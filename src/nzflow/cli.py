@@ -5,7 +5,9 @@ Subcommands: ``analyze`` (full pipeline, one JSON record per input graph),
 ``certify`` (re-verify a flow certificate against a graph).  Input is a file
 of graph6/sparse6 lines, a JSON edge list, or ``-`` for stdin.
 
-Exit codes: 0 success, 1 anomaly found, 2 input error, 3 budget exceeded.
+Exit codes: 0 success, 1 anomaly found, 2 input error, 3 budget exceeded,
+4 internal error (a broken invariant; that graph's ``analyze`` record carries
+``"internal_error": true`` and the batch goes on).
 """
 
 from __future__ import annotations
@@ -17,17 +19,23 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InternalInconsistencyError
 from .flows import flow_from_json, flow_to_json, is_nowhere_zero, solve_nowhere_zero_flow, verify_flow
 from .graph import MultiGraph
 from .graph6 import Graph6Error, parse_graph6
-from .structure import compute_oddness, cyclic_connectivity, is_cyclically_k_connected
+from .structure import (
+    CyclicConnectivity,
+    compute_oddness,
+    cyclic_connectivity,
+    is_cyclically_k_connected,
+)
 from .engine import five_flow_oddness4
 
 EXIT_OK = 0
 EXIT_ANOMALY = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
@@ -98,27 +106,12 @@ def _load_graphs(path: str, lenient: bool) -> tuple[list[tuple[str, MultiGraph]]
     return graphs, errors
 
 
-def _cyclic_summary(g: MultiGraph, max_work: int | None) -> dict:
-    try:
-        res = cyclic_connectivity(g, max_work=max_work)
-    except BudgetExceededError:
-        # fall back to per-k decisions so at least a verified bound comes out
-        verified = None
-        for k in (3, 4, 5, 6):
-            try:
-                chk = is_cyclically_k_connected(g, k, max_work=max_work)
-            except BudgetExceededError:
-                break
-            if not chk.connected:
-                out = {"status": "partial"}
-                if verified is not None:
-                    out["at_least"] = verified
-                out["at_most"] = len(chk.witness.edges)
-                return out
-            verified = k
-        if verified is None:
-            return {"status": "budget_exceeded"}
-        return {"status": "partial", "at_least": verified}
+def _cyclic_summary(res: CyclicConnectivity | None, status: str) -> dict:
+    """The ``cyclic_connectivity`` record: the exact value, the vacuous
+    verdict, or, when there is no result, ``status`` ("skipped" or
+    "budget_exceeded")."""
+    if res is None:
+        return {"status": status}
     if res.vacuous:
         return {"status": "vacuous", "note": "no two vertex-disjoint cycles"}
     return {"status": "exact", "value": res.value}
@@ -137,13 +130,15 @@ def _analyze_one(args_tuple):
         )
         record["oddness"] = cert.oddness
         record["outcome"] = cert.to_json()
-        if not opts["skip_cyclic"]:
-            record["cyclic_connectivity"] = _cyclic_summary(g, opts["max_work"])
-        else:
-            record["cyclic_connectivity"] = {"status": "skipped"}
+        record["cyclic_connectivity"] = _cyclic_summary(
+            cert.cyclic_connectivity, cert.cyclic["status"]
+        )
     except BudgetExceededError as exc:
         record["error"] = f"budget exceeded: {exc}"
         record["budget_exceeded"] = True
+    except InternalInconsistencyError as exc:
+        record["error"] = f"internal error: {exc}"
+        record["internal_error"] = True
     except ValueError as exc:
         record["error"] = str(exc)
     record["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
@@ -174,6 +169,8 @@ def cmd_analyze(args) -> int:
             state["code"] = max(state["code"], EXIT_ANOMALY)
         if record.get("budget_exceeded"):
             state["code"] = max(state["code"], EXIT_BUDGET)
+        if record.get("internal_error"):
+            state["code"] = max(state["code"], EXIT_INTERNAL)
 
     if args.jobs > 1:
         # windowed submission keeps memory flat while preserving input order
@@ -240,9 +237,11 @@ def cmd_cyclic(args) -> int:
                     record["witness_side"] = list(chk.witness.side)
                 _emit(record)
             else:
-                record = {"name": name}
-                record.update(_cyclic_summary(g, args.max_work))
-                _emit(record)
+                try:
+                    res = cyclic_connectivity(g, max_work=args.max_work)
+                except BudgetExceededError:
+                    res = None
+                _emit({"name": name, **_cyclic_summary(res, "budget_exceeded")})
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

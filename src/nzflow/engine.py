@@ -30,7 +30,7 @@ from .flows import (
     verify_flow,
 )
 from .graph import MultiGraph, basic_checks, check_vertex_set, edge_cut, pair_cut
-from .structure import compute_oddness, is_cyclically_k_connected
+from .structure import CyclicConnectivity, compute_oddness, cyclic_connectivity
 from .valuation import (
     BalanceReport,
     FlowPartition,
@@ -106,7 +106,11 @@ class FiveFlowCertificate:
     """Outcome of the pipeline: a verified flow, an unmet hypothesis with
     diagnostics, or an anomaly (both valuations violated under verified
     hypotheses, a combination that cannot occur for a correct
-    implementation)."""
+    implementation).
+
+    ``cyclic_connectivity`` is the exact result behind ``cyclic``, or None
+    when it was skipped or ran out of budget; ``to_json`` does not emit it.
+    """
 
     outcome: str  # "flow_found" | "hypothesis_unmet" | "bad_pair_anomaly"
     oddness: int | None
@@ -117,6 +121,7 @@ class FiveFlowCertificate:
     fallback_flow: Flow | None
     cyclic: dict
     valuations: dict = field(default_factory=dict)
+    cyclic_connectivity: CyclicConnectivity | None = None
 
     def to_json(self) -> dict:
         return {
@@ -506,7 +511,6 @@ def five_flow_oddness4(
     cyclic_max_work: int | None = 300_000,
     oddness_max_work: int | None = None,
     solver_max_work: int | None = 5_000_000,
-    orientation_budget: int = 5000,
     fallback: bool = True,
 ) -> FiveFlowCertificate:
     """Run the whole pipeline on a cubic graph and emit a certificate.
@@ -514,7 +518,8 @@ def five_flow_oddness4(
     Oddness 0 or 2 uses the same machinery with zero or one switchable path;
     oddness above 4 short-circuits to ``hypothesis_unmet``.  When both
     candidate valuations are violated, every structural validator runs and
-    the outcome depends on whether cyclic 6-edge-connectivity was verified:
+    the outcome depends on whether cyclic 6-edge-connectivity was verified
+    (one exact cyclic-connectivity computation under ``cyclic_max_work``):
     if yes, ``bad_pair_anomaly`` (cyclically 6-edge-connected cubic graphs
     of oddness at most 4 always admit a nowhere-zero 5-flow, so this state
     signals a bug); otherwise ``hypothesis_unmet`` with a fallback flow from
@@ -534,6 +539,7 @@ def five_flow_oddness4(
             claim_log=tuple(claim_log),
             fallback_flow=None,
             cyclic=cyclic_info,
+            cyclic_connectivity=cyclic_res,
             valuations={
                 tag: rep.to_json() for tag, rep in valuation_reports.items()
             },
@@ -544,18 +550,21 @@ def five_flow_oddness4(
     claim_log: list[ClaimCheck] = []
     valuation_reports: dict[str, BalanceReport] = {}
     cyclic_info: dict = {"status": "skipped"}
-
-    if not audit.is_connected or not audit.is_bridgeless:
-        return mkcert(reason="graph must be connected and bridgeless")
+    cyclic_res: CyclicConnectivity | None = None
 
     if check_cyclic:
         try:
-            chk = is_cyclically_k_connected(g, 6, max_work=cyclic_max_work)
-            cyclic_info = {"status": "checked", "at_least_six": chk.connected}
-            if chk.witness is not None:
-                cyclic_info["witness_cut_size"] = len(chk.witness.edges)
+            cyclic_res = cyclic_connectivity(g, max_work=cyclic_max_work)
         except BudgetExceededError:
             cyclic_info = {"status": "budget_exceeded"}
+        else:
+            at_least_six = cyclic_res.vacuous or cyclic_res.value >= 6
+            cyclic_info = {"status": "checked", "at_least_six": at_least_six}
+            if not at_least_six:
+                cyclic_info["witness_cut_size"] = cyclic_res.value
+
+    if not audit.is_connected or not audit.is_bridgeless:
+        return mkcert(reason="graph must be connected and bridgeless")
 
     odd = compute_oddness(g, max_work=oddness_max_work)
     if odd.oddness > 4:
@@ -597,13 +606,7 @@ def five_flow_oddness4(
             balanced_val = val
 
     if balanced_tag is not None:
-        flow5 = valuation_to_flow(
-            g,
-            balanced_val,
-            5,
-            max_orientations=orientation_budget,
-            solver_max_work=solver_max_work,
-        )
+        flow5 = valuation_to_flow(g, balanced_val, 5)
         if verify_flow(g, flow5) or not is_nowhere_zero(flow5):
             raise InternalInconsistencyError("emitted flow failed verification")
         return mkcert(

@@ -9,13 +9,8 @@ class BudgetExceededError(NZFlowError):
     """A bounded search ran out of its work budget.
 
     Distinct from a negative answer: the search was cut off, nothing was
-    decided.  ``payload`` optionally carries the instance that was being
-    processed so callers can record it.
+    decided.
     """
-
-    def __init__(self, message: str, payload=None):
-        super().__init__(message)
-        self.payload = payload
 
 
 class InternalInconsistencyError(NZFlowError):

@@ -232,9 +232,13 @@ class _OddnessSearch:
             trail: list = []
             ok = True
             for x in (v, w):
-                for e2, _y in g.incident(x):
+                for e2, y in g.incident(x):
                     if e2 == eid or self.in_factor[e2]:
                         continue
+                    if not self.is_end[y]:
+                        # y already has two 2-factor edges
+                        ok = False
+                        break
                     self.in_factor[e2] = True
                     factor_added.append(e2)
                     p, q = g.endpoints(e2)

@@ -15,15 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceededError
-from .flows import (
-    AugmentedGraph,
-    Flow,
-    is_nowhere_zero,
-    reverse_flow,
-    solve_nowhere_zero_flow,
-    verify_flow,
-)
+from .errors import InternalInconsistencyError
+from .flows import AugmentedGraph, Flow, is_nowhere_zero, verify_flow
 from .graph import MultiGraph, check_vertex_set
 from .maxflow import MaxFlow, feasible_circulation
 
@@ -147,7 +140,7 @@ def flow_to_valuation(g: MultiGraph, f: Flow, k: int) -> Valuation:
 
 @lru_cache(maxsize=32)
 def _subset_tables(g: MultiGraph):
-    """Per-graph tables for vectorized subset sweeps (n <= 20)."""
+    """Per-graph cut sizes and popcounts of every subset mask (n <= 20)."""
     n = g.n
     size = 1 << n
     idx = np.arange(size, dtype=np.uint32)
@@ -158,7 +151,7 @@ def _subset_tables(g: MultiGraph):
     for (u, v) in g.edges:
         cut += (bits[u] ^ bits[v]).astype(np.int64)
     popcount = bits.sum(axis=0, dtype=np.int64)
-    return bits, cut, popcount
+    return cut, popcount
 
 
 def _class_difference(val: Valuation, subset) -> int | None:
@@ -185,9 +178,12 @@ def check_balanced_bruteforce(
         )
     if len(val.numerators) != g.n:
         raise ValueError("valuation does not cover the vertex set")
-    bits, cut, popcount = _subset_tables(g)
-    nums = np.asarray(val.numerators, dtype=np.int64)
-    sums = nums @ bits
+    cut, popcount = _subset_tables(g)
+    # sums[mask] over the set bits of mask, by doubling: the masks whose top
+    # bit is i are the masks below 1 << i plus vertex i
+    sums = np.zeros(1 << g.n, dtype=np.int64)
+    for i, w in enumerate(val.numerators):
+        np.add(sums[: 1 << i], w, out=sums[1 << i : 2 << i])
     margins = np.abs(sums) - val.denominator * cut
     best = int(margins.max())
     if best <= 0:
@@ -319,118 +315,43 @@ def _initial_orientation(g: MultiGraph, out_deg: list[int]) -> list[int] | None:
     return tails
 
 
-def _directed_cycle_through(
-    g: MultiGraph, tails: list[int], eid: int
-) -> list[int] | None:
-    """A directed cycle containing ``eid`` in the orientation, as edge ids."""
-    head = g.other_end(eid, tails[eid])
-    tail = tails[eid]
-    # BFS from head back to tail along directed edges, avoiding eid
-    prev: dict[int, int] = {head: eid}
-    queue = [head]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for e2, w in g.incident(v):
-            if e2 == eid or tails[e2] != v or w in prev:
-                continue
-            prev[w] = e2
-            if w == tail:
-                cycle = [eid]
-                cur = tail
-                while cur != head:
-                    e3 = prev[cur]
-                    cycle.append(e3)
-                    cur = tails[e3]
-                return cycle
-            queue.append(w)
-    return None
-
-
-def _values_for_orientation(
-    g: MultiGraph, tails: list[int], k: int
-) -> list[int] | None:
-    """Conserving values in 1..k-1 on a fixed orientation, if any."""
-    arcs = []
-    for eid in range(g.m):
-        head = g.other_end(eid, tails[eid])
-        arcs.append((tails[eid], head, 1, k - 1))
-    return feasible_circulation(g.n, arcs)
-
-
-def valuation_to_flow(
-    g: MultiGraph,
-    val: Valuation,
-    k: int,
-    *,
-    max_orientations: int = 5000,
-    fallback: bool = True,
-    solver_max_work: int | None = 2_000_000,
-) -> Flow:
+def valuation_to_flow(g: MultiGraph, val: Valuation, k: int) -> Flow:
     """Realize a balanced valuation of the degree form as a nowhere-zero
     k-flow whose induced valuation is exactly the input.
 
-    Unbalanced input is rejected up front.  The search walks the orientation
-    class with the prescribed out-degrees (connected under directed-cycle
-    reversal) and asks, per orientation, for conserving values in 1..k-1 via
-    a bounded circulation.  If the orientation budget runs out, a generic
-    solver is tried and accepted only when its valuation matches; otherwise
-    :class:`BudgetExceededError` carries the instance for recording.
+    The valuation fixes every out-degree, so ``|delta+(X)| - |delta-(X)|``
+    is the same for every orientation with those out-degrees and every
+    vertex set X.  Balance then gives Hakimi's condition for such an
+    orientation to exist, and it is exactly Hoffman's condition
+    ``(k-1)|delta+(X)| >= |delta-(X)|`` for conserving values in 1..k-1 on
+    it (Jaeger, *Balanced valuations and flows in multigraphs*, 1975).  So
+    the first orientation found carries the flow: orient, circulate, verify.
+    Balance is only checked when a step fails, to reject unbalanced input
+    with its violator; a failure on balanced input is a broken invariant.
     """
-    report = check_balanced_mincut(g, val)
-    if not report.balanced:
-        raise ValueError(
-            f"valuation is not balanced: subset {report.violator} exceeds "
-            f"its cut by {report.margin}"
-        )
     out_deg = _prescribed_out_degrees(g, val, k)
-    start = _initial_orientation(g, out_deg)
-    tried = 0
-    if start is not None:
-        seen = {tuple(start)}
-        queue = [tuple(start)]
-        qi = 0
-        while qi < len(queue) and tried < max_orientations:
-            tails = list(queue[qi])
-            qi += 1
-            tried += 1
-            values = _values_for_orientation(g, tails, k)
-            if values is not None:
-                flow = Flow(
-                    graph=g,
-                    tails=tuple(tails),
-                    values=tuple(values),
-                    modulus=k,
-                )
-                if verify_flow(g, flow) or not is_nowhere_zero(flow):
-                    raise ValueError("circulation produced an invalid flow")
-                if not _same_valuation(flow_to_valuation(g, flow, k), val, g.n):
-                    raise ValueError("realized flow disagrees with valuation")
-                return flow
-            # enqueue neighbors: reverse one directed cycle per edge
-            for eid in range(g.m):
-                cycle = _directed_cycle_through(g, tails, eid)
-                if cycle is None:
-                    continue
-                flipped = list(tails)
-                for e2 in cycle:
-                    flipped[e2] = g.other_end(e2, flipped[e2])
-                key = tuple(flipped)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(key)
-    if fallback:
-        flow = solve_nowhere_zero_flow(g, k, max_work=solver_max_work)
-        if flow is not None:
-            for candidate in (flow, reverse_flow(flow)):
-                if _same_valuation(flow_to_valuation(g, candidate, k), val, g.n):
-                    return candidate
-    raise BudgetExceededError(
-        f"no orientation realized the valuation within {max_orientations} "
-        "candidates; instance recorded in payload",
-        payload={"graph": g.to_json(), "valuation": val.to_json(), "k": k},
-    )
+    tails = _initial_orientation(g, out_deg)
+    values = None
+    if tails is not None:
+        values = feasible_circulation(
+            g.n, [(t, g.other_end(eid, t), 1, k - 1) for eid, t in enumerate(tails)]
+        )
+    if values is None:
+        report = check_balanced_mincut(g, val)
+        if not report.balanced:
+            raise ValueError(
+                f"valuation is not balanced: subset {report.violator} exceeds "
+                f"its cut by {report.margin}"
+            )
+        raise InternalInconsistencyError(
+            "balanced valuation has no realizing orientation and circulation"
+        )
+    flow = Flow(graph=g, tails=tuple(tails), values=tuple(values), modulus=k)
+    if verify_flow(g, flow) or not is_nowhere_zero(flow):
+        raise ValueError("circulation produced an invalid flow")
+    if not _same_valuation(flow_to_valuation(g, flow, k), val, g.n):
+        raise ValueError("realized flow disagrees with valuation")
+    return flow
 
 
 def _same_valuation(a: Valuation, b: Valuation, n: int) -> bool:

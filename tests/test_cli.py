@@ -3,7 +3,11 @@ import json
 
 import pytest
 
-from nzflow.cli import main
+import nzflow.cli
+import nzflow.engine
+import nzflow.structure
+from nzflow import InternalInconsistencyError
+from nzflow.cli import EXIT_INTERNAL, main
 from nzflow.catalog import k4, petersen
 from nzflow.graph6 import serialize_graph6
 
@@ -123,6 +127,55 @@ def test_analyze_deterministic(capsys, mixed_file):
         return lines
 
     assert strip(out1) == strip(out2)
+
+
+def test_analyze_computes_cyclic_connectivity_once(capsys, monkeypatch, mixed_file):
+    calls = {"cyclic_connectivity": 0, "is_cyclically_k_connected": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (nzflow.cli, nzflow.engine, nzflow.structure):
+        for name in calls:
+            fn = getattr(module, name, None)
+            if fn is not None:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    code, out, _ = run_cli(capsys, ["analyze", mixed_file])
+    assert code == 0
+    assert calls == {"cyclic_connectivity": 2, "is_cyclically_k_connected": 0}
+    petersen_rec, k4_rec = records(out)
+    assert petersen_rec["cyclic_connectivity"] == {"status": "exact", "value": 5}
+    assert petersen_rec["outcome"]["cyclic"] == {
+        "status": "checked",
+        "at_least_six": False,
+        "witness_cut_size": 5,
+    }
+    assert k4_rec["cyclic_connectivity"]["status"] == "vacuous"
+    assert k4_rec["outcome"]["cyclic"] == {"status": "checked", "at_least_six": True}
+
+
+def test_analyze_internal_error_spares_later_records(capsys, monkeypatch, mixed_file):
+    real = nzflow.cli.five_flow_oddness4
+    seen = []
+
+    def fails_first(g, **kwargs):
+        seen.append(g.n)
+        if len(seen) == 1:
+            raise InternalInconsistencyError("injected")
+        return real(g, **kwargs)
+
+    monkeypatch.setattr(nzflow.cli, "five_flow_oddness4", fails_first)
+    code, out, _ = run_cli(capsys, ["analyze", mixed_file])
+    assert code == EXIT_INTERNAL == 4
+    first, second = records(out)
+    assert first["internal_error"] is True
+    assert "injected" in first["error"]
+    assert second["n"] == 4
+    assert second["outcome"]["outcome"] == "flow_found"
 
 
 def test_oddness_command(capsys, mixed_file):

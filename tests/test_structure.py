@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from helpers import brute_cyclic_min_cut, three_edge_colorable
@@ -20,6 +22,7 @@ from nzflow.catalog import (
     oddness4_snark,
     petersen,
     prism,
+    random_bridgeless_cubic,
 )
 
 
@@ -115,6 +118,14 @@ def test_oddness_zero_iff_three_edge_colorable(corpus):
         if g.n > 12:
             continue
         assert (compute_oddness(g).oddness == 0) == three_edge_colorable(g), name
+
+
+def test_oddness_zero_iff_three_edge_colorable_on_random_graphs():
+    # on these graphs the search once tried to give a vertex a third
+    # 2-factor edge, which corrupted its path bookkeeping
+    for n, seed in ((20, 8), (24, 0)):
+        g = random_bridgeless_cubic(n, random.Random(seed))
+        assert (compute_oddness(g).oddness == 0) == three_edge_colorable(g)
 
 
 def test_known_snark_oddness():

@@ -6,7 +6,7 @@ import pytest
 from helpers import brute_is_balanced
 
 from nzflow import (
-    BudgetExceededError,
+    InternalInconsistencyError,
     Valuation,
     build_augmented,
     canonical_coloring,
@@ -207,14 +207,19 @@ def test_bruteforce_guard():
 
 
 def test_valuation_round_trip(corpus):
+    # the first orientation with the prescribed out-degrees realizes every
+    # balanced valuation, for every k the graph has a flow for
     for name, g in corpus:
         if g.n > 12:
             continue
-        f = solve_nowhere_zero_flow(g, 5)
-        val = flow_to_valuation(g, f, 5)
-        back = valuation_to_flow(g, val, 5)
-        assert verify_flow(g, back) == []
-        assert flow_to_valuation(g, back, 5) == val, name
+        for k in (4, 5, 6):
+            f = solve_nowhere_zero_flow(g, k)
+            if f is None:
+                continue
+            val = flow_to_valuation(g, f, k)
+            back = valuation_to_flow(g, val, k)
+            assert verify_flow(g, back) == [], (name, k)
+            assert flow_to_valuation(g, back, k) == val, (name, k)
 
 
 def test_k33_three_flow_round_trip():
@@ -240,11 +245,13 @@ def test_wrong_form_valuation_rejected():
         valuation_to_flow(g, val, 5)
 
 
-def test_budget_failure_carries_instance():
+def test_infeasible_circulation_on_balanced_valuation_is_internal_error(
+    monkeypatch,
+):
     g = petersen()
-    f = solve_nowhere_zero_flow(g, 5)
-    val = flow_to_valuation(g, f, 5)
-    with pytest.raises(BudgetExceededError) as err:
-        valuation_to_flow(g, val, 5, max_orientations=0, fallback=False)
-    assert err.value.payload["graph"]["n"] == g.n
-    assert err.value.payload["valuation"]["denominator"] == 3
+    val = flow_to_valuation(g, solve_nowhere_zero_flow(g, 5), 5)
+    monkeypatch.setattr(
+        "nzflow.valuation.feasible_circulation", lambda n, arcs: None
+    )
+    with pytest.raises(InternalInconsistencyError, match="balanced valuation"):
+        valuation_to_flow(g, val, 5)
