@@ -106,10 +106,12 @@ def _load_graphs(path: str, lenient: bool) -> tuple[list[tuple[str, MultiGraph]]
     return graphs, errors
 
 
-def _cyclic_summary(res: CyclicConnectivity | None, status: str) -> dict:
+def _cyclic_summary(
+    res: CyclicConnectivity | None, status: str = "budget_exceeded"
+) -> dict:
     """The ``cyclic_connectivity`` record: the exact value, the vacuous
-    verdict, or, when there is no result, ``status`` ("skipped" or
-    "budget_exceeded")."""
+    verdict, or, when there is no result, ``status`` ("budget_exceeded" or
+    "skipped")."""
     if res is None:
         return {"status": status}
     if res.vacuous:
@@ -223,29 +225,26 @@ def cmd_cyclic(args) -> int:
         print(f"input error: {err}", file=sys.stderr)
     if errors and not args.lenient:
         return EXIT_INPUT
-    try:
-        for name, g in graphs:
+    code = EXIT_INPUT if errors else EXIT_OK
+    for name, g in graphs:
+        record: dict = {"name": name}
+        if args.k is not None:
+            record["k"] = args.k
+        try:
             if args.k is not None:
                 chk = is_cyclically_k_connected(g, args.k, max_work=args.max_work)
-                record = {
-                    "name": name,
-                    "k": args.k,
-                    "cyclically_k_connected": chk.connected,
-                }
+                record["cyclically_k_connected"] = chk.connected
                 if chk.witness is not None:
                     record["witness_cut"] = sorted(chk.witness.edges)
                     record["witness_side"] = list(chk.witness.side)
-                _emit(record)
             else:
-                try:
-                    res = cyclic_connectivity(g, max_work=args.max_work)
-                except BudgetExceededError:
-                    res = None
-                _emit({"name": name, **_cyclic_summary(res, "budget_exceeded")})
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    return EXIT_INPUT if errors else EXIT_OK
+                res = cyclic_connectivity(g, max_work=args.max_work)
+                record.update(_cyclic_summary(res))
+        except BudgetExceededError:
+            record.update(_cyclic_summary(None))
+            code = max(code, EXIT_BUDGET)
+        _emit(record)
+    return code
 
 
 def cmd_flow(args) -> int:

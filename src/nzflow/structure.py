@@ -14,7 +14,6 @@ from typing import Iterator
 
 from .errors import BudgetExceededError, InternalInconsistencyError
 from .graph import EdgeCut, MultiGraph, trace_circuit
-from .maxflow import MaxFlow
 
 
 @dataclass(frozen=True)
@@ -381,31 +380,93 @@ def _chordless_cycles(
     return cycles
 
 
-def _min_cut_between(
-    g: MultiGraph, side_a: tuple[int, ...], side_b: tuple[int, ...]
-) -> tuple[int, frozenset[int]]:
-    """Minimum edge cut separating two disjoint vertex sets (contracted)."""
-    node = {}
-    for v in side_a:
-        node[v] = 0
-    for v in side_b:
-        node[v] = 1
-    nxt = 2
-    for v in range(g.n):
-        if v not in node:
-            node[v] = nxt
-            nxt += 1
-    net = MaxFlow(nxt)
-    for (u, v) in g.edges:
-        a, b = node[u], node[v]
-        if a == b:
-            continue
-        net.add_edge(a, b, 1)
-        net.add_edge(b, a, 1)
-    value = net.max_flow(0, 1)
-    reach = net.reachable(0)
-    side = frozenset(v for v in range(g.n) if node[v] in reach)
-    return value, side
+class _UnitCuts:
+    """Minimum edge cuts between disjoint vertex sets of one graph.
+
+    Built once per graph: every non-loop edge ``e = (u, v)`` becomes the
+    unit arcs ``2e`` (u -> v) and ``2e + 1`` (v -> u).  A cut query keeps one
+    flow list over the arcs and grows the flow by breadth-first augmenting
+    paths from every vertex of one set at once, each ending at the first
+    vertex of the other set it reaches; that is max-flow on the graph with
+    both sets contracted, without building the contracted network.
+    """
+
+    def __init__(self, g: MultiGraph):
+        self.out: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        self.head = [0] * (2 * g.m)
+        for eid, (u, v) in enumerate(g.edges):
+            if u == v:
+                continue
+            self.out[u].append((2 * eid, v))
+            self.out[v].append((2 * eid + 1, u))
+            self.head[2 * eid] = v
+            self.head[2 * eid + 1] = u
+        # an arc carries flow only while its reverse does not: augmenting
+        # along the reverse of a used arc cancels the flow instead
+        self.flow = [0] * (2 * g.m)
+        self.is_sink = [False] * g.n
+        # search number `stamp` has visited v when seen[v] == stamp, and
+        # reached it along arc via[v] (-1 for the source vertices)
+        self.seen = [0] * g.n
+        self.via = [0] * g.n
+        self.stamp = 0
+
+    def min_cut(
+        self,
+        side_a: tuple[int, ...],
+        side_b: tuple[int, ...],
+        limit: int | None = None,
+    ) -> tuple[int, frozenset[int] | None]:
+        """Size and source side of a minimum cut separating the two sets.
+
+        The side is everything reachable from ``side_a`` in the residual
+        graph of a maximum flow: the inclusion-minimal minimum-cut side,
+        the same for every maximum flow.  Once the flow reaches ``limit``
+        the search stops and returns ``(limit, None)``.
+        """
+        out, head, flow, is_sink = self.out, self.head, self.flow, self.is_sink
+        seen, via = self.seen, self.via
+        for v in side_b:
+            is_sink[v] = True
+        used: list[int] = []
+        value = 0
+        side = None
+        while limit is None or value < limit:
+            self.stamp += 1
+            stamp = self.stamp
+            for v in side_a:
+                seen[v] = stamp
+                via[v] = -1
+            queue = list(side_a)
+            t = -1
+            for v in queue:
+                for arc, w in out[v]:
+                    if seen[w] != stamp and not flow[arc]:
+                        seen[w] = stamp
+                        via[w] = arc
+                        if is_sink[w]:
+                            t = w
+                            break
+                        queue.append(w)
+                if t >= 0:
+                    break
+            if t < 0:
+                side = frozenset(queue)  # every vertex the search reached
+                break
+            value += 1
+            arc = via[t]
+            while arc >= 0:
+                if flow[arc ^ 1]:
+                    flow[arc ^ 1] = 0
+                else:
+                    flow[arc] = 1
+                    used.append(arc)
+                arc = via[head[arc ^ 1]]
+        for arc in used:
+            flow[arc] = 0
+        for v in side_b:
+            is_sink[v] = False
+        return value, side
 
 
 def _cycle_pair_sweep(
@@ -414,16 +475,32 @@ def _cycle_pair_sweep(
     budget: _Budget,
     stop_below: int | None,
 ) -> tuple[int | None, frozenset[int] | None]:
-    """Minimum cut over disjoint cycle pairs; early exit below ``stop_below``."""
+    """Minimum cut over disjoint cycle pairs; early exit below ``stop_below``.
+
+    A pair's flow stops growing once it reaches the best cut so far, since
+    that pair can no longer lower the minimum.
+    """
     best: int | None = None
     best_side: frozenset[int] | None = None
-    masks = [sum(1 << v for v in c) for c in cycles]
+    cuts = _UnitCuts(g)
+    # bit j of through[v] is set when cycle j passes through v, so the
+    # cycles disjoint from cycle i are the bits that no vertex of i sets
+    through = [0] * g.n
+    for j, c in enumerate(cycles):
+        for v in c:
+            through[v] |= 1 << j
+    everything = (1 << len(cycles)) - 1
     for i in range(len(cycles)):
-        for j in range(i + 1, len(cycles)):
-            if masks[i] & masks[j]:
-                continue
+        hit = 0
+        for v in cycles[i]:
+            hit |= through[v]
+        later = (everything ^ hit) >> i  # bit d stands for cycle i + d
+        while later:
+            low = later & -later
+            later ^= low
+            j = i + low.bit_length() - 1
             budget.spend(4)
-            value, side = _min_cut_between(g, cycles[i], cycles[j])
+            value, side = cuts.min_cut(cycles[i], cycles[j], best)
             if best is None or value < best:
                 best = value
                 best_side = side
@@ -501,8 +578,14 @@ def cyclic_connectivity(
 
     The minimum cut separating two cycles equals the minimum, over pairs of
     vertex-disjoint chordless cycles, of the max-flow between them after
-    contraction.  Cycle lengths are capped by a bound derived from the best
-    cut found so far and the sweep repeats until the cap is self-consistent.
+    contraction.  The sweep builds the graph's unit arcs once and, for each
+    pair, grows the flow by augmenting paths from one cycle to the other,
+    stopping once it reaches the best cut found so far (such a pair cannot
+    lower the minimum).  Cycle lengths are capped by a bound derived from
+    the best cut found so far and the sweep repeats until the cap is
+    self-consistent.  Every disjoint pair costs 4 work units and every
+    extension step of the cycle enumeration 1; more than ``max_work`` units
+    raise :class:`BudgetExceededError`.
     """
     budget = _Budget(max_work)
     gi = girth(g)

@@ -2,8 +2,9 @@
 
 These deliberately share no code with the implementations they check:
 the edge colorer is a plain backtracker, the cyclic-connectivity oracle
-enumerates vertex subsets, and the balance oracle recomputes margins from
-scratch with Fractions.
+enumerates vertex subsets, the cut reference contracts both vertex sets into
+a Dinic network, and the balance oracle recomputes margins from scratch with
+Fractions.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from nzflow.graph import MultiGraph
+from nzflow.maxflow import MaxFlow
 
 
 def three_edge_colorable(g: MultiGraph) -> bool:
@@ -79,6 +81,38 @@ def brute_cyclic_min_cut(g: MultiGraph) -> int | None:
             if best is None or cut < best:
                 best = cut
     return best
+
+
+def dinic_min_cut_between(
+    g: MultiGraph, side_a: tuple[int, ...], side_b: tuple[int, ...]
+) -> tuple[int, frozenset[int]]:
+    """Minimum edge cut separating two disjoint vertex sets, and the set
+    reachable from ``side_a`` in the residual network of a maximum flow.
+
+    Contracts ``side_a`` to node 0 and ``side_b`` to node 1, adds every other
+    edge as two unit arcs, and runs Dinic.
+    """
+    node = {}
+    for v in side_a:
+        node[v] = 0
+    for v in side_b:
+        node[v] = 1
+    nxt = 2
+    for v in range(g.n):
+        if v not in node:
+            node[v] = nxt
+            nxt += 1
+    net = MaxFlow(nxt)
+    for (u, v) in g.edges:
+        a, b = node[u], node[v]
+        if a == b:
+            continue
+        net.add_edge(a, b, 1)
+        net.add_edge(b, a, 1)
+    value = net.max_flow(0, 1)
+    reach = net.reachable(0)
+    side = frozenset(v for v in range(g.n) if node[v] in reach)
+    return value, side
 
 
 def brute_margin(g: MultiGraph, numerators, denominator, subset) -> Fraction:

@@ -270,3 +270,14 @@ def test_budget_exit_code(capsys, petersen_file):
     )
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("k_args", [[], ["--k", "6"]], ids=["exact", "k"])
+def test_cyclic_budget_exceeded_is_a_record_per_graph(capsys, mixed_file, k_args):
+    code, out, _ = run_cli(capsys, ["cyclic", mixed_file, "--max-work", "5", *k_args])
+    assert code == 3
+    recs = records(out)
+    assert [r["name"] for r in recs] == ["line-1", "line-2"]
+    for rec in recs:
+        assert rec["status"] == "budget_exceeded"
+        assert rec.get("k") == (6 if k_args else None)

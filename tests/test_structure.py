@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import brute_cyclic_min_cut, three_edge_colorable
+from helpers import brute_cyclic_min_cut, dinic_min_cut_between, three_edge_colorable
 
 from nzflow import (
     BudgetExceededError,
@@ -23,6 +23,13 @@ from nzflow.catalog import (
     petersen,
     prism,
     random_bridgeless_cubic,
+    _moebius_ladder,
+)
+from nzflow.structure import (
+    _Budget,
+    _UnitCuts,
+    _chordless_cycles,
+    _length_bound,
 )
 
 
@@ -192,3 +199,96 @@ def test_girth():
     assert girth(k33()) == 4
     assert girth(MultiGraph(2, [(0, 1), (0, 1)])) == 2
     assert girth(MultiGraph(3, [(0, 1), (1, 2)])) is None
+
+
+def _disjoint_pairs(cycles):
+    for i, a in enumerate(cycles):
+        for b in cycles[i + 1 :]:
+            if not set(a) & set(b):
+                yield a, b
+
+
+def test_cyclic_length_cap_matches_brute_force_at_16_vertices():
+    # _length_bound(16, c - 1) = c + 9 < 16, so the cap is below n here,
+    # though no chordless cycle of these graphs is longer than the cap
+    graphs = [("prism-8", prism(8)), ("moebius-16", _moebius_ladder(16))]
+    graphs += [
+        (f"random-16-{s}", random_bridgeless_cubic(16, random.Random(s)))
+        for s in range(4)
+    ]
+    for name, g in graphs:
+        assert cyclic_connectivity(g).value == brute_cyclic_min_cut(g), name
+
+
+def test_cyclic_length_cap_matches_uncapped_sweep_where_it_prunes():
+    # the minimum over all disjoint chordless-cycle pairs is the cyclic
+    # connectivity; on these graphs the cap drops some chordless cycles
+    for n, seed in ((24, 0), (24, 2), (28, 2)):
+        g = random_bridgeless_cubic(n, random.Random(seed))
+        got = cyclic_connectivity(g).value
+        cycles = _chordless_cycles(g, g.n, _Budget(None))
+        assert any(len(c) > _length_bound(g.n, got - 1) for c in cycles)
+        assert got == min(
+            dinic_min_cut_between(g, a, b)[0] for a, b in _disjoint_pairs(cycles)
+        )
+
+
+_REFERENCE_GRAPHS = [
+    ("petersen", petersen()),
+    ("flower-5", flower_snark(5)),
+    ("blanusa-1", blanusa_snarks()[0]),
+    ("parallel-4", MultiGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 0)])),
+    (
+        "parallel-6",
+        MultiGraph(
+            6,
+            [(0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (2, 5), (3, 4)],
+        ),
+    ),
+    # some of its minimum cuts need augmenting paths that cancel flow
+    ("random-28-7", random_bridgeless_cubic(28, random.Random(7))),
+]
+
+
+@pytest.mark.parametrize("name,g", _REFERENCE_GRAPHS, ids=[n for n, _ in _REFERENCE_GRAPHS])
+def test_unit_cuts_match_dinic_reference_on_every_pair(name, g):
+    cuts = _UnitCuts(g)  # one flow list, reused by every query
+    pairs = list(_disjoint_pairs(_chordless_cycles(g, g.n, _Budget(None))))
+    assert pairs
+    for a, b in pairs:
+        value, side = dinic_min_cut_between(g, a, b)
+        assert cuts.min_cut(a, b) == (value, side), (a, b)
+        assert cuts.min_cut(a, b, value + 1) == (value, side), (a, b)
+        assert cuts.min_cut(a, b, value) == (value, None), (a, b)
+
+
+@pytest.mark.parametrize("name,g", _REFERENCE_GRAPHS, ids=[n for n, _ in _REFERENCE_GRAPHS])
+def test_cyclic_witness_is_first_reference_minimum(name, g):
+    res = cyclic_connectivity(g)
+    # every graph here settles in the first sweep, capped from the girth
+    assert res.value <= girth(g)
+    cycles = _chordless_cycles(g, _length_bound(g.n, girth(g) - 1), _Budget(None))
+    best = None
+    for a, b in _disjoint_pairs(cycles):
+        value, side = dinic_min_cut_between(g, a, b)
+        if best is None or value < best[0]:
+            best = (value, side)
+    value, side = best
+    assert res.value == value
+    assert res.witness.side == tuple(sorted(side))
+    assert res.witness.edges == frozenset(
+        eid for eid, (u, v) in enumerate(g.edges) if (u in side) != (v in side)
+    )
+
+
+@pytest.mark.parametrize(
+    "make,units",
+    [(lambda: flower_snark(5), 2_695), (oddness4_snark, 43_127)],
+    ids=["flower-5", "oddness4"],
+)
+def test_cyclic_work_units_are_pinned(make, units):
+    # chordless-cycle extensions plus 4 units per disjoint cycle pair
+    g = make()
+    assert cyclic_connectivity(g, max_work=units).value is not None
+    with pytest.raises(BudgetExceededError):
+        cyclic_connectivity(g, max_work=units - 1)
