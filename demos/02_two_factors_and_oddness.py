@@ -17,6 +17,7 @@ for name, g in [
     ("Petersen", petersen()),
     ("Blanusa (first)", blanusa_snarks()[0]),
     ("flower snark J5", flower_snark(5)),
+    ("flower snark J17", flower_snark(17)),
     ("four-block snark", oddness4_snark()),
 ]:
     res = compute_oddness(g)

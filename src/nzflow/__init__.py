@@ -30,6 +30,7 @@ from .structure import (
     enumerate_two_factors,
     girth,
     is_cyclically_k_connected,
+    three_edge_colourable,
     two_factor_from_matching,
 )
 from .coloring import (

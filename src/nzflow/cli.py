@@ -60,24 +60,32 @@ def _iter_records(path: str, lenient: bool):
         close = True
     try:
         first = fh.readline()
+        lineno, line = 0, first
         if first.lstrip().startswith(("{", "[")):
-            text = first + fh.read()
+            # graph6 writes n = 28 and n = 60 as "[" and "{"; no JSON text is
+            # a valid record, as parse_graph6 enforces its exact length and
+            # character range
             try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                yield ("error", f"JSON parse error: {exc}")
-                return
-            records = obj if isinstance(obj, list) else [obj]
-            for i, rec in enumerate(records):
+                head = parse_graph6(first)
+            except Graph6Error:
+                head = None
+            if head is None:
                 try:
-                    yield ("graph", f"json-{i}", MultiGraph.from_json(rec))
-                except (ValueError, TypeError) as exc:
-                    yield ("error", f"record {i}: {exc}")
-                    if not lenient:
-                        return
-            return
-        lineno = 0
-        line = first
+                    obj = json.loads(first + fh.read())
+                except json.JSONDecodeError as exc:
+                    yield ("error", f"JSON parse error: {exc}")
+                    return
+                records = obj if isinstance(obj, list) else [obj]
+                for i, rec in enumerate(records):
+                    try:
+                        yield ("graph", f"json-{i}", MultiGraph.from_json(rec))
+                    except (ValueError, TypeError) as exc:
+                        yield ("error", f"record {i}: {exc}")
+                        if not lenient:
+                            return
+                return
+            yield ("graph", "line-1", head)
+            lineno, line = 1, fh.readline()
         while line:
             lineno += 1
             stripped = line.strip()
@@ -128,6 +136,7 @@ def _analyze_one(args_tuple):
             g,
             check_cyclic=not opts["skip_cyclic"],
             cyclic_max_work=opts["max_work"],
+            oddness_max_work=opts["max_work"],
             solver_max_work=opts["max_work"],
         )
         record["oddness"] = cert.oddness
@@ -220,6 +229,9 @@ def cmd_oddness(args) -> int:
 
 
 def cmd_cyclic(args) -> int:
+    if args.k is not None and args.k < 1:
+        print("input error: --k must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
     graphs, errors = _load_graphs(args.path, args.lenient)
     for err in errors:
         print(f"input error: {err}", file=sys.stderr)

@@ -3,13 +3,17 @@
 A 2-factor of a cubic graph is the complement of a perfect matching, so both
 are enumerated by deterministic backtracking over ascending edge ids.  The
 oddness search additionally tracks circuits of the complement as they close
-and prunes branches that can no longer beat the current best.
+and prunes branches that can no longer beat the current best; a dynamic
+program over a vertex order's frontier decides 3-edge-colourability, which
+lets that search stop before exhausting the matchings of a snark.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterator
 
 from .errors import BudgetExceededError, InternalInconsistencyError
@@ -116,6 +120,120 @@ def enumerate_two_factors(g: MultiGraph) -> Iterator[TwoFactor]:
     yield from rec()
 
 
+def _frontier_order(g: MultiGraph) -> tuple[list[int], list[int]]:
+    """Vertex order for the frontier DP, and the frontier width entering
+    each vertex (the number of edges with exactly one placed end).
+
+    The next vertex is the one with the most edges to placed vertices,
+    lowest id on ties; one lazy heap per count keeps this O(m log n).
+    """
+    placed = [False] * g.n
+    placed_edges = [0] * g.n
+    heaps: list[list[int]] = [list(range(g.n)), [], [], []]
+    order: list[int] = []
+    widths: list[int] = []
+    width = 0
+    for _ in range(g.n):
+        for count in (3, 2, 1, 0):
+            heap = heaps[count]
+            while heap and (placed[heap[0]] or placed_edges[heap[0]] != count):
+                heapq.heappop(heap)  # stale entry: placed, or its count grew
+            if heap:
+                break
+        v = heapq.heappop(heap)
+        placed[v] = True
+        order.append(v)
+        widths.append(width)
+        for _, w in g.incident(v):
+            if placed[w]:
+                width -= 1
+            else:
+                width += 1
+                placed_edges[w] += 1
+                heapq.heappush(heaps[placed_edges[w]], w)
+    return order, widths
+
+
+def _state_bound(width: int) -> int:
+    """Upper bound on the DP's states over a frontier of ``width`` edges.
+
+    By the parity lemma every colour appears on the frontier a number of
+    times congruent to ``width`` mod 2.  There are (3^w + 3(-1)^w)/4 such
+    words and, by Burnside, (3^w + 15)/24 classes under colour renaming for
+    even w >= 2, (3^w - 3)/24 for odd w and 1 for w = 0: this bound equals
+    the count for even w and exceeds it by one for odd w.
+    """
+    return (3**width + 3) // 24 + 1
+
+
+# the six relabelings of colours 0, 1, 2, as bytes.translate tables
+_RENAMINGS = [bytes(p) + bytes(253) for p in permutations(range(3))]
+# _COMPLETIONS[k][used]: the colours missing from bitmask ``used``, in every
+# order, when k coloured edges meet at a vertex; empty if two share a colour
+_COMPLETIONS = [
+    [
+        [bytes(p) for p in permutations(c for c in range(3) if not used >> c & 1)]
+        if bin(used).count("1") == k
+        else []
+        for used in range(8)
+    ]
+    for k in range(4)
+]
+
+
+def _frontier_colourable(g: MultiGraph, order: list[int], spend) -> bool:
+    """3-edge-colourability by dynamic programming along ``order``.
+
+    A state colours the frontier edges (bytes, in frontier order) and is
+    stored with its colours renamed by first appearance, the least of its
+    six relabelings.  Placing a vertex checks the colours of its edges to
+    placed vertices and gives its other edges the remaining colours in
+    every order.  ``spend(k)`` is charged one unit per state expanded.
+    ``MultiGraph`` has no loops, so every edge has two distinct ends.
+    """
+    placed = [False] * g.n
+    frontier: list[int] = []  # edge ids with exactly one placed end
+    states = {b""}
+    for v in order:
+        placed[v] = True
+        incoming = []
+        outgoing = []
+        for eid, w in g.incident(v):
+            if placed[w]:
+                incoming.append(frontier.index(eid))
+            else:
+                outgoing.append(eid)
+        keep = [i for i in range(len(frontier)) if i not in incoming]
+        frontier = [frontier[i] for i in keep] + outgoing
+        completions = _COMPLETIONS[len(incoming)]
+        spend(len(states))
+        grown = set()
+        for state in states:
+            used = 0
+            for i in incoming:
+                used |= 1 << state[i]
+            head = bytes(map(state.__getitem__, keep))
+            for tail in completions[used]:
+                word = head + tail
+                grown.add(min(word.translate(r) for r in _RENAMINGS))
+        if not grown:
+            return False
+        states = grown
+    return True
+
+
+def three_edge_colourable(g: MultiGraph) -> bool:
+    """Whether the cubic graph ``g`` has a proper 3-edge-colouring.
+
+    A dynamic program over the frontier of :func:`_frontier_order`; its
+    cost is at most the sum of :func:`_state_bound` over the frontier
+    widths, and on graphs such as flower snarks that frontier stays narrow.
+    """
+    _require_cubic(g)
+    order, _ = _frontier_order(g)
+    return _frontier_colourable(g, order, lambda units: None)
+
+
 class _OddnessSearch:
     """Branch-and-bound over perfect matchings, tracking complement circuits.
 
@@ -125,6 +243,14 @@ class _OddnessSearch:
     final.  A branch dies once its closed odd circuits rule out improving on
     the best complete 2-factor seen so far (odd counts are always even, so
     ``closed_odd >= best - 1`` suffices).
+
+    The search stops at the first complete 2-factor with at most ``floor``
+    odd circuits.  ``floor`` starts at 0; once the work reaches an upper
+    bound on the cost of the frontier DP, the DP runs once, and if the
+    graph has no 3-edge-colouring ``floor`` becomes 2.  Pruning only drops
+    branches that cannot beat ``best``, so the first such 2-factor in DFS
+    order is always visited and is the same witness an exhaustive search
+    returns.
     """
 
     def __init__(self, g: MultiGraph, max_work: int | None):
@@ -142,19 +268,41 @@ class _OddnessSearch:
         self.is_end = [True] * n
         self.closed_odd = 0
         self.found_any = False
+        self.floor = 0
+        # the DP expands at least one state per vertex, so its bound is
+        # worth computing only once the search has spent n units
+        self.gate: int | None = n
+        self.order: list[int] | None = None
 
     def run(self) -> None:
         try:
-            self._extend()
+            self._extend(0)
         except _StopSearch:
             pass
 
-    def _tick(self) -> None:
-        self.work += 1
+    def _spend(self, units: int) -> None:
+        self.work += units
         if self.max_work is not None and self.work > self.max_work:
             raise BudgetExceededError(
                 f"oddness search exceeded {self.max_work} work units"
             )
+
+    def _tick(self) -> None:
+        self._spend(1)
+        if self.work == self.gate:
+            self._open_gate()
+
+    def _open_gate(self) -> None:
+        if self.order is None:
+            self.order, widths = _frontier_order(self.g)
+            self.gate = sum(_state_bound(w) for w in widths)
+            if self.gate > self.work:
+                return
+        self.gate = None
+        if not _frontier_colourable(self.g, self.order, self._spend):
+            self.floor = 2
+            if self.best is not None and self.best <= self.floor:
+                raise _StopSearch
 
     def _add_factor_edge(self, a: int, b: int, trail: list) -> bool:
         """Commit edge (a, b) to the 2-factor; False when an odd circuit
@@ -201,9 +349,11 @@ class _OddnessSearch:
                 self.path_end[a] = ea
                 self.path_end[b] = eb
 
-    def _extend(self) -> None:
+    def _extend(self, lo: int) -> None:
+        """Match the lowest unmatched vertex; every vertex below ``lo`` is
+        already matched."""
         g = self.g
-        v = next((u for u in range(g.n) if not self.matched[u]), None)
+        v = next((u for u in range(lo, g.n) if not self.matched[u]), None)
         if v is None:
             self.found_any = True
             total = self.closed_odd
@@ -214,7 +364,7 @@ class _OddnessSearch:
                     for eid in range(g.m)
                     if not self.in_factor[eid]
                 )
-                if self.best == 0:
+                if self.best <= self.floor:
                     raise _StopSearch
             return
         self._tick()
@@ -247,7 +397,7 @@ class _OddnessSearch:
                 if not ok:
                     break
             if ok:
-                self._extend()
+                self._extend(v + 1)
             self._undo(trail)
             for e2 in factor_added:
                 self.in_factor[e2] = False
@@ -263,9 +413,16 @@ def compute_oddness(
 ) -> OddnessResult:
     """Minimum number of odd circuits over all 2-factors, with a witness.
 
-    Exits early when an all-even 2-factor is found.  Raises
-    :class:`BudgetExceededError` when ``max_work`` matching choices are
-    exhausted before the search completes.
+    A branch-and-bound over perfect matchings in DFS order; the witness is
+    the first 2-factor in that order attaining the oddness.  The search
+    exits at an all-even 2-factor.  Oddness is 0 exactly when the graph is
+    3-edge-colourable and at least 2 otherwise, so once the search has
+    spent as many units as the frontier DP of :func:`three_edge_colourable`
+    can cost (the sum of :func:`_state_bound` over its frontier widths), the
+    DP runs once; if it finds no colouring, the search exits at its first
+    2-factor with two odd circuits instead of exhausting every matching.
+    Each matching choice and each DP state costs one work unit; more than
+    ``max_work`` units raise :class:`BudgetExceededError`.
     """
     _require_cubic(g)
     search = _OddnessSearch(g, max_work)

@@ -8,7 +8,7 @@ import nzflow.engine
 import nzflow.structure
 from nzflow import InternalInconsistencyError
 from nzflow.cli import EXIT_INTERNAL, main
-from nzflow.catalog import k4, petersen
+from nzflow.catalog import flower_snark, k4, petersen
 from nzflow.graph6 import serialize_graph6
 
 
@@ -90,6 +90,40 @@ def test_analyze_json_input(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["analyze", str(path)])
     assert code == 0
     assert records(out)[0]["oddness"] == 2
+
+
+def test_analyze_multiline_json_input(capsys, tmp_path):
+    path = tmp_path / "graphs.json"
+    path.write_text(json.dumps([petersen().to_json(), k4().to_json()], indent=1))
+    assert path.read_text().splitlines()[0] == "["
+    code, out, _ = run_cli(capsys, ["analyze", str(path)])
+    assert code == 0
+    assert [r["oddness"] for r in records(out)] == [2, 0]
+
+
+@pytest.mark.parametrize("k", [7, 15])
+def test_analyze_reads_graph6_that_starts_like_json(capsys, tmp_path, k):
+    # graph6 writes n = 28 as "[" and n = 60 as "{"
+    line = serialize_graph6(flower_snark(k))
+    assert line[0] in "[{"
+    path = tmp_path / f"flower-{k}.g6"
+    path.write_text(line + "\n" + serialize_graph6(k4()) + "\n")
+    code, out, err = run_cli(capsys, ["analyze", str(path), "--skip-cyclic"])
+    assert code == 0, err
+    recs = records(out)
+    assert [(r["name"], r["oddness"]) for r in recs] == [("line-1", 2), ("line-2", 0)]
+    assert recs[0]["outcome"]["outcome"] == "flow_found"
+
+
+def test_analyze_max_work_bounds_the_oddness_search(capsys, tmp_path):
+    path = tmp_path / "flower-9.g6"
+    path.write_text(serialize_graph6(flower_snark(9)) + "\n")
+    argv = ["analyze", str(path), "--skip-cyclic", "--max-work", "50"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 3
+    (rec,) = records(out)
+    assert rec["budget_exceeded"] is True
+    assert "oddness search exceeded 50" in rec["error"]
 
 
 def test_analyze_stdin(capsys, monkeypatch):
@@ -281,3 +315,11 @@ def test_cyclic_budget_exceeded_is_a_record_per_graph(capsys, mixed_file, k_args
     for rec in recs:
         assert rec["status"] == "budget_exceeded"
         assert rec.get("k") == (6 if k_args else None)
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_cyclic_rejects_k_below_one(capsys, petersen_file, k):
+    code, out, err = run_cli(capsys, ["cyclic", petersen_file, "--k", k])
+    assert code == 2
+    assert out == ""
+    assert "--k must be at least 1" in err

@@ -1,9 +1,11 @@
 import random
+from itertools import permutations, product
 
 import pytest
 
 from helpers import brute_cyclic_min_cut, dinic_min_cut_between, three_edge_colorable
 
+import nzflow.structure
 from nzflow import (
     BudgetExceededError,
     MultiGraph,
@@ -12,6 +14,7 @@ from nzflow import (
     enumerate_two_factors,
     girth,
     is_cyclically_k_connected,
+    three_edge_colourable,
     two_factor_from_matching,
 )
 from nzflow.catalog import (
@@ -30,6 +33,7 @@ from nzflow.structure import (
     _UnitCuts,
     _chordless_cycles,
     _length_bound,
+    _state_bound,
 )
 
 
@@ -147,6 +151,139 @@ def test_oddness_budget_is_distinct_outcome():
         compute_oddness(oddness4_snark(), max_work=3)
 
 
+_PARALLEL_4 = MultiGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 0)])
+
+
+def _truncation(g):
+    """Replace every vertex by a triangle; oddness and colourability stay."""
+    edges = []
+    for v in range(g.n):
+        edges += [(3 * v, 3 * v + 1), (3 * v + 1, 3 * v + 2), (3 * v, 3 * v + 2)]
+    slot = [0] * g.n
+    for u, v in g.edges:
+        edges.append((3 * u + slot[u], 3 * v + slot[v]))
+        slot[u] += 1
+        slot[v] += 1
+    return MultiGraph(3 * g.n, edges)
+
+
+def _relabel(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return MultiGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _first_attaining(g, oddness):
+    return next(
+        tf.matching for tf in enumerate_two_factors(g) if tf.odd_count == oddness
+    )
+
+
+def test_three_edge_colourable_matches_oracle(corpus):
+    graphs = list(corpus)
+    graphs += [
+        (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
+        for n in range(8, 23, 2)
+        for s in range(5)
+    ]
+    graphs += [("flower-5", flower_snark(5)), ("oddness4", oddness4_snark())]
+    graphs += [(f"blanusa-{i}", g) for i, g in enumerate(blanusa_snarks(), 1)]
+    graphs += [("parallel-4", _PARALLEL_4)]
+    assert not all(three_edge_colorable(g) for _, g in graphs)
+    for name, g in graphs:
+        assert three_edge_colourable(g) == three_edge_colorable(g), name
+
+
+def test_state_bound_covers_every_parity_respecting_frontier():
+    # a frontier colouring has every colour count = width (mod 2) by the
+    # parity lemma; the DP keeps one word per colour renaming
+    for width in range(9):
+        classes = {
+            min(bytes(p[c] for c in word) for p in permutations(range(3)))
+            for word in product(range(3), repeat=width)
+            if all(word.count(c) % 2 == width % 2 for c in range(3))
+        }
+        assert len(classes) <= _state_bound(width), width
+        assert _state_bound(width) - len(classes) == width % 2
+
+
+def test_oddness_witness_is_first_attaining_two_factor(corpus):
+    graphs = list(corpus)
+    graphs += [(f"flower-{k}", flower_snark(k)) for k in (5, 7, 9, 11)]
+    graphs += [(f"blanusa-{i}", g) for i, g in enumerate(blanusa_snarks(), 1)]
+    graphs += [("oddness4", oddness4_snark())]
+    graphs += [
+        (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
+        for n in (16, 20, 24, 28, 32)
+        for s in range(4)
+    ]
+    for name, g in graphs:
+        res = compute_oddness(g)
+        assert res.witness.matching == _first_attaining(g, res.oddness), name
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _relabel(_truncation(blanusa_snarks()[0]), 0),
+        lambda: _relabel(_truncation(blanusa_snarks()[1]), 1),
+        lambda: _relabel(flower_snark(9), 2),
+        oddness4_snark,
+    ],
+    ids=["blanusa-1-truncated", "blanusa-2-truncated", "flower-9-relabelled", "oddness4"],
+)
+def test_oddness_witness_does_not_depend_on_when_the_dp_runs(monkeypatch, make):
+    # the first 2-factors of the truncated graphs have 4 or 6 odd circuits;
+    # a bound of 1 runs the DP once the search has spent n units, a huge
+    # bound never runs it and the search exhausts every matching
+    g = make()
+    results = []
+    for bound in (1, 10**9):
+        monkeypatch.setattr(nzflow.structure, "_state_bound", lambda w: bound)
+        res = compute_oddness(g)
+        results.append((res.oddness, res.witness.matching))
+    assert results[0] == results[1]
+    assert results[0][1] == _first_attaining(g, results[0][0])
+
+
+def _count_dp_runs(monkeypatch):
+    runs = []
+    real = nzflow.structure._frontier_colourable
+
+    def counted(*args):
+        runs.append(args[0].n)
+        return real(*args)
+
+    monkeypatch.setattr(nzflow.structure, "_frontier_colourable", counted)
+    return runs
+
+
+def test_dp_never_runs_on_colourable_random_graphs(monkeypatch):
+    runs = _count_dp_runs(monkeypatch)
+    for n in (40, 44, 48, 50):
+        for s in range(5):
+            g = random_bridgeless_cubic(n, random.Random(s))
+            assert compute_oddness(g).oddness == 0, (n, s)
+    assert runs == []
+
+
+def test_dp_runs_once_on_flower_15(monkeypatch):
+    runs = _count_dp_runs(monkeypatch)
+    assert compute_oddness(flower_snark(15)).oddness == 2
+    assert runs == [60]
+
+
+@pytest.mark.parametrize("k,units", [(15, 7_622), (21, 120_262)], ids=["flower-15", "flower-21"])
+def test_oddness_work_is_pinned_on_flower_snarks(k, units):
+    # an exhaustive search needs far more.  On J15 the DP runs after the
+    # first 2-factor with two odd circuits and the search stops at once; on
+    # J21 it runs before, and the search stops at that 2-factor
+    g = flower_snark(k)
+    assert compute_oddness(g, max_work=units).oddness == 2
+    with pytest.raises(BudgetExceededError):
+        compute_oddness(g, max_work=units - 1)
+
+
 def test_cyclic_k_connectivity_petersen():
     g = petersen()
     assert is_cyclically_k_connected(g, 5).connected
@@ -237,7 +374,7 @@ _REFERENCE_GRAPHS = [
     ("petersen", petersen()),
     ("flower-5", flower_snark(5)),
     ("blanusa-1", blanusa_snarks()[0]),
-    ("parallel-4", MultiGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 0)])),
+    ("parallel-4", _PARALLEL_4),
     (
         "parallel-6",
         MultiGraph(
