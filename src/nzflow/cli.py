@@ -5,9 +5,19 @@ Subcommands: ``analyze`` (full pipeline, one JSON record per input graph),
 ``certify`` (re-verify a flow certificate against a graph).  Input is a file
 of graph6/sparse6 lines, a JSON edge list, or ``-`` for stdin.
 
-Exit codes: 0 success, 1 anomaly found, 2 input error, 3 budget exceeded,
-4 internal error (a broken invariant; that graph's ``analyze`` record carries
-``"internal_error": true`` and the batch goes on).
+``analyze``, ``oddness``, ``cyclic`` and ``flow`` stream through one driver,
+:func:`_stream`: it reads one graph at a time and emits one JSON record per
+graph, filled by the command's record function.  When that computation
+fails, the record carries ``"error"`` (with ``"budget_exceeded": true`` or
+``"internal_error": true`` where they apply), one ``<name>: <error>`` line
+goes to stderr, and the stream goes on.  A malformed input record is
+reported on stderr as ``input error: ...`` and, without ``--lenient``, ends
+the stream after the records before it.
+
+Exit codes, the worst one seen wins: 0 success, 1 anomaly found or
+certificate rejected, 2 input error (also a graph outside the command's
+domain, such as a non-cubic one for ``analyze`` or ``oddness``), 3 budget
+exceeded, 4 internal error (a broken invariant, that is, a bug).
 """
 
 from __future__ import annotations
@@ -72,14 +82,14 @@ def _iter_records(path: str, lenient: bool):
             if head is None:
                 try:
                     obj = json.loads(first + fh.read())
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
                     yield ("error", f"JSON parse error: {exc}")
                     return
                 records = obj if isinstance(obj, list) else [obj]
                 for i, rec in enumerate(records):
                     try:
                         yield ("graph", f"json-{i}", MultiGraph.from_json(rec))
-                    except (ValueError, TypeError) as exc:
+                    except ValueError as exc:
                         yield ("error", f"record {i}: {exc}")
                         if not lenient:
                             return
@@ -102,48 +112,74 @@ def _iter_records(path: str, lenient: bool):
             fh.close()
 
 
-def _load_graphs(path: str, lenient: bool) -> tuple[list[tuple[str, MultiGraph]], list[str]]:
-    """Materialized form of :func:`_iter_records` for the small commands."""
-    graphs: list[tuple[str, MultiGraph]] = []
-    errors: list[str] = []
-    for item in _iter_records(path, lenient):
-        if item[0] == "graph":
-            graphs.append((item[1], item[2]))
-        else:
-            errors.append(item[1])
-    return graphs, errors
-
-
-def _cyclic_summary(
-    res: CyclicConnectivity | None, status: str = "budget_exceeded"
-) -> dict:
-    """The ``cyclic_connectivity`` record: the exact value, the vacuous
-    verdict, or, when there is no result, ``status`` ("budget_exceeded" or
-    "skipped")."""
-    if res is None:
-        return {"status": status}
+def _cyclic_summary(res: CyclicConnectivity) -> dict:
+    """The ``cyclic_connectivity`` record of a result: the exact value or the
+    vacuous verdict."""
     if res.vacuous:
         return {"status": "vacuous", "note": "no two vertex-disjoint cycles"}
     return {"status": "exact", "value": res.value}
 
 
-def _analyze_one(args_tuple):
-    name, g, opts = args_tuple
+# Record functions: each fills one graph's record, head fields first, and
+# lets its computation's errors reach the driver.
+
+
+def _analyze(record: dict, g: MultiGraph, args) -> None:
     started = time.perf_counter()
-    record: dict = {"name": name, "n": g.n, "m": g.m}
+    record["n"], record["m"] = g.n, g.m
     try:
         cert = five_flow_oddness4(
             g,
-            check_cyclic=not opts["skip_cyclic"],
-            cyclic_max_work=opts["max_work"],
-            oddness_max_work=opts["max_work"],
-            solver_max_work=opts["max_work"],
+            check_cyclic=not args.skip_cyclic,
+            cyclic_max_work=args.max_work,
+            oddness_max_work=args.max_work,
+            solver_max_work=args.max_work,
         )
         record["oddness"] = cert.oddness
         record["outcome"] = cert.to_json()
-        record["cyclic_connectivity"] = _cyclic_summary(
-            cert.cyclic_connectivity, cert.cyclic["status"]
+        res = cert.cyclic_connectivity
+        record["cyclic_connectivity"] = (
+            _cyclic_summary(res) if res is not None else {"status": cert.cyclic["status"]}
         )
+    finally:
+        record["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
+
+
+def _oddness(record: dict, g: MultiGraph, args) -> None:
+    record["n"] = g.n
+    res = compute_oddness(g, max_work=args.max_work)
+    lengths = sorted(len(c) for c in res.witness.circuits)
+    record["oddness"] = res.oddness
+    record["odd_circuits"] = sum(1 for length in lengths if length % 2)
+    record["circuit_lengths"] = lengths
+
+
+def _cyclic(record: dict, g: MultiGraph, args) -> None:
+    if args.k is None:
+        record.update(_cyclic_summary(cyclic_connectivity(g, max_work=args.max_work)))
+        return
+    record["k"] = args.k
+    chk = is_cyclically_k_connected(g, args.k, max_work=args.max_work)
+    record["cyclically_k_connected"] = chk.connected
+    if chk.witness is not None:
+        record["witness_cut"] = sorted(chk.witness.edges)
+        record["witness_side"] = list(chk.witness.side)
+
+
+def _flow(record: dict, g: MultiGraph, args) -> None:
+    record["k"] = args.k
+    flow = solve_nowhere_zero_flow(g, args.k, max_work=args.max_work)
+    record["satisfiable"] = flow is not None
+    if flow is not None:
+        record["certificate"] = flow_to_json(flow)
+
+
+def _run(task) -> dict:
+    """One graph's record under the shared error contract."""
+    name, g, args = task
+    record: dict = {"name": name}
+    try:
+        args.record(record, g, args)
     except BudgetExceededError as exc:
         record["error"] = f"budget exceeded: {exc}"
         record["budget_exceeded"] = True
@@ -152,8 +188,19 @@ def _analyze_one(args_tuple):
         record["internal_error"] = True
     except ValueError as exc:
         record["error"] = str(exc)
-    record["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
     return record
+
+
+def _exit_code(record: dict) -> int:
+    if record.get("budget_exceeded"):
+        return EXIT_BUDGET
+    if record.get("internal_error"):
+        return EXIT_INTERNAL
+    if "error" in record:
+        return EXIT_INPUT
+    if record.get("outcome", {}).get("outcome") == "bad_pair_anomaly":
+        return EXIT_ANOMALY
+    return EXIT_OK
 
 
 def _emit(record: dict) -> None:
@@ -161,142 +208,66 @@ def _emit(record: dict) -> None:
     sys.stdout.write("\n")
 
 
-def cmd_analyze(args) -> int:
-    opts = {"skip_cyclic": args.skip_cyclic, "max_work": args.max_work}
-    state = {"code": EXIT_OK}
+_MIN_K = {"cyclic": 1, "flow": 2}  # the smallest --k each command accepts
+
+
+def _stream(args) -> int:
+    """Emit ``args.record``'s record for every graph of ``args.path``, in
+    input order, and return the worst exit code seen."""
+    min_k = _MIN_K.get(args.command)
+    if min_k is not None and args.k is not None and args.k < min_k:
+        print(f"input error: --k must be at least {min_k}", file=sys.stderr)
+        return EXIT_INPUT
+    code = EXIT_OK
 
     def tasks():
+        nonlocal code
         for item in _iter_records(args.path, args.lenient):
             if item[0] == "error":
                 print(f"input error: {item[1]}", file=sys.stderr)
-                state["code"] = max(state["code"], EXIT_INPUT)
-                continue
-            yield (item[1], item[2], opts)
+                code = max(code, EXIT_INPUT)
+            else:
+                yield (item[1], item[2], args)
 
     def consume(record):
+        nonlocal code
         _emit(record)
-        outcome = record.get("outcome", {})
-        if isinstance(outcome, dict) and outcome.get("outcome") == "bad_pair_anomaly":
-            state["code"] = max(state["code"], EXIT_ANOMALY)
-        if record.get("budget_exceeded"):
-            state["code"] = max(state["code"], EXIT_BUDGET)
-        if record.get("internal_error"):
-            state["code"] = max(state["code"], EXIT_INTERNAL)
+        if "error" in record:
+            print(f"{record['name']}: {record['error']}", file=sys.stderr)
+        code = max(code, _exit_code(record))
 
-    if args.jobs > 1:
+    jobs = getattr(args, "jobs", 1)
+    if jobs > 1:
         # windowed submission keeps memory flat while preserving input order
-        window = 4 * args.jobs
+        window = 4 * jobs
         pending = deque()
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             for task in tasks():
-                pending.append(pool.submit(_analyze_one, task))
+                pending.append(pool.submit(_run, task))
                 if len(pending) >= window:
                     consume(pending.popleft().result())
             while pending:
                 consume(pending.popleft().result())
     else:
         for task in tasks():
-            consume(_analyze_one(task))
-    return state["code"]
-
-
-def cmd_oddness(args) -> int:
-    graphs, errors = _load_graphs(args.path, args.lenient)
-    for err in errors:
-        print(f"input error: {err}", file=sys.stderr)
-    if errors and not args.lenient:
-        return EXIT_INPUT
-    try:
-        for name, g in graphs:
-            res = compute_oddness(g, max_work=args.max_work)
-            _emit(
-                {
-                    "name": name,
-                    "n": g.n,
-                    "oddness": res.oddness,
-                    "odd_circuits": sum(
-                        1 for c in res.witness.circuits if len(c) % 2
-                    ),
-                    "circuit_lengths": sorted(
-                        len(c) for c in res.witness.circuits
-                    ),
-                }
-            )
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    return EXIT_INPUT if errors else EXIT_OK
-
-
-def cmd_cyclic(args) -> int:
-    if args.k is not None and args.k < 1:
-        print("input error: --k must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
-    graphs, errors = _load_graphs(args.path, args.lenient)
-    for err in errors:
-        print(f"input error: {err}", file=sys.stderr)
-    if errors and not args.lenient:
-        return EXIT_INPUT
-    code = EXIT_INPUT if errors else EXIT_OK
-    for name, g in graphs:
-        record: dict = {"name": name}
-        if args.k is not None:
-            record["k"] = args.k
-        try:
-            if args.k is not None:
-                chk = is_cyclically_k_connected(g, args.k, max_work=args.max_work)
-                record["cyclically_k_connected"] = chk.connected
-                if chk.witness is not None:
-                    record["witness_cut"] = sorted(chk.witness.edges)
-                    record["witness_side"] = list(chk.witness.side)
-            else:
-                res = cyclic_connectivity(g, max_work=args.max_work)
-                record.update(_cyclic_summary(res))
-        except BudgetExceededError:
-            record.update(_cyclic_summary(None))
-            code = max(code, EXIT_BUDGET)
-        _emit(record)
+            consume(_run(task))
     return code
 
 
-def cmd_flow(args) -> int:
-    graphs, errors = _load_graphs(args.path, args.lenient)
-    for err in errors:
-        print(f"input error: {err}", file=sys.stderr)
-    if errors and not args.lenient:
-        return EXIT_INPUT
-    try:
-        for name, g in graphs:
-            flow = solve_nowhere_zero_flow(g, args.k, max_work=args.max_work)
-            if flow is None:
-                _emit({"name": name, "k": args.k, "satisfiable": False})
-            else:
-                _emit(
-                    {
-                        "name": name,
-                        "k": args.k,
-                        "satisfiable": True,
-                        "certificate": flow_to_json(flow),
-                    }
-                )
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    return EXIT_INPUT if errors else EXIT_OK
-
-
 def cmd_certify(args) -> int:
-    graphs, errors = _load_graphs(args.graph, lenient=False)
-    if errors or len(graphs) != 1:
-        for err in errors:
-            print(f"input error: {err}", file=sys.stderr)
-        if len(graphs) != 1:
-            print("certify expects exactly one graph", file=sys.stderr)
+    graphs = []
+    for item in _iter_records(args.graph, lenient=False):
+        if item[0] == "error":
+            print(f"input error: {item[1]}", file=sys.stderr)
+            return EXIT_INPUT
+        graphs.append(item[2])
+    if len(graphs) != 1:
+        print("certify expects exactly one graph", file=sys.stderr)
         return EXIT_INPUT
-    _, g = graphs[0]
+    (g,) = graphs
     try:
         cert_obj = json.loads(_read_text(args.certificate))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         print(f"certificate parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -359,21 +330,21 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="do not compute cyclic connectivity",
     )
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=_stream, record=_analyze)
 
     p = sub.add_parser("oddness", help="oddness with witness statistics")
     add_common(p)
-    p.set_defaults(func=cmd_oddness)
+    p.set_defaults(func=_stream, record=_oddness)
 
     p = sub.add_parser("cyclic", help="cyclic edge-connectivity")
     add_common(p)
     p.add_argument("--k", type=int, default=None, help="test a specific k")
-    p.set_defaults(func=cmd_cyclic)
+    p.set_defaults(func=_stream, record=_cyclic)
 
     p = sub.add_parser("flow", help="generic nowhere-zero k-flow solver")
     add_common(p)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_flow)
+    p.set_defaults(func=_stream, record=_flow)
 
     p = sub.add_parser("certify", help="verify a flow certificate")
     p.add_argument("graph", help="graph file (single graph)")
@@ -387,7 +358,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:

@@ -530,12 +530,14 @@ def flow_to_json(f: Flow) -> dict:
 
 
 def flow_from_json(g: MultiGraph, obj: dict) -> Flow:
-    """Parse and structurally validate a certificate against ``g``."""
-    try:
-        k = int(obj["k"])
-        entries = obj["edges"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError("certificate must carry 'k' and 'edges'") from exc
+    """Parse and structurally validate a certificate against ``g``; a
+    malformed certificate raises ``ValueError``.  Every number must be a
+    JSON integer: ``1.9`` is rejected, not read as ``1``."""
+    if not isinstance(obj, dict) or type(obj.get("k")) is not int or not isinstance(
+        obj.get("edges"), list
+    ):
+        raise ValueError("certificate must carry an integer 'k' and a list 'edges'")
+    k, entries = obj["k"], obj["edges"]
     if k < 2:
         raise ValueError("certificate modulus must be at least 2")
     if len(entries) != g.m:
@@ -544,19 +546,22 @@ def flow_from_json(g: MultiGraph, obj: dict) -> Flow:
         )
     tails = [None] * g.m
     values = [None] * g.m
-    for entry in entries:
-        eid = int(entry["id"])
+    for i, entry in enumerate(entries):
+        fields = entry if isinstance(entry, dict) else {}
+        eid, tail, head, val = (fields.get(key) for key in ("id", "tail", "head", "value"))
+        if not all(type(x) is int for x in (eid, tail, head, val)):
+            raise ValueError(
+                f"certificate entry {i} needs integer 'id', 'tail', 'head' and 'value'"
+            )
         if not 0 <= eid < g.m:
             raise ValueError(f"certificate edge id {eid} out of range")
         if tails[eid] is not None:
             raise ValueError(f"certificate repeats edge id {eid}")
-        tail, head = int(entry["tail"]), int(entry["head"])
         if {tail, head} != set(g.endpoints(eid)):
             raise ValueError(
                 f"certificate edge {eid} endpoints {tail},{head} do not "
                 f"match the graph"
             )
-        val = int(entry["value"])
         if not 0 <= val <= k - 1:
             raise ValueError(f"certificate edge {eid} value {val} out of range")
         tails[eid] = tail

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+_MAX_N = 1 << 18  # a graph read from text has fewer vertices than this
+
 
 class MultiGraph:
     """Undirected multigraph on vertices ``0..n-1``.
@@ -76,12 +78,20 @@ class MultiGraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MultiGraph":
+        """Inverse of :meth:`to_json`; a malformed document raises ``ValueError``."""
         try:
             n = obj["n"]
             edges = obj["edges"]
         except (TypeError, KeyError) as exc:
             raise ValueError("expected an object with 'n' and 'edges'") from exc
-        return cls(n, [(e[0], e[1]) for e in edges])
+        if type(n) is not int or not 0 <= n < _MAX_N:
+            raise ValueError(f"'n' must be an integer from 0 to {_MAX_N - 1}")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)
+            for e in edges
+        ):
+            raise ValueError("'edges' must be a list of integer pairs")
+        return cls(n, edges)
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.m})"

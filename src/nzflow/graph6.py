@@ -9,10 +9,9 @@ errors report the byte offset inside the record.
 from __future__ import annotations
 
 from .errors import NZFlowError
-from .graph import MultiGraph
+from .graph import _MAX_N, MultiGraph  # _MAX_N refuses the 36-bit size form
 
 _BIAS = 63
-_MAX_N = 1 << 18  # refuse the 36-bit size form; nothing here needs it
 
 
 class Graph6Error(NZFlowError):

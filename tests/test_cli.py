@@ -1,7 +1,9 @@
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nzflow.cli
 import nzflow.engine
@@ -9,7 +11,17 @@ import nzflow.structure
 from nzflow import InternalInconsistencyError
 from nzflow.cli import EXIT_INTERNAL, main
 from nzflow.catalog import flower_snark, k4, petersen
-from nzflow.graph6 import serialize_graph6
+from nzflow.flows import flow_to_json, solve_nowhere_zero_flow
+from nzflow.graph6 import parse_graph6, serialize_graph6
+
+# each streaming command: its extra arguments, and the name in nzflow.cli
+# through which it runs its computation
+COMMANDS = {
+    "analyze": ([], "five_flow_oddness4"),
+    "oddness": ([], "compute_oddness"),
+    "cyclic": ([], "cyclic_connectivity"),
+    "flow": (["--k", "5"], "solve_nowhere_zero_flow"),
+}
 
 
 def run_cli(capsys, argv):
@@ -65,12 +77,15 @@ def test_analyze_empty_file(capsys, tmp_path):
     assert out == ""
 
 
-def test_analyze_malformed_line_fails_without_lenient(capsys, tmp_path):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_malformed_line_fails_without_lenient(capsys, tmp_path, command):
     path = tmp_path / "bad.g6"
     path.write_text(serialize_graph6(k4()) + "\n!!!\n")
-    code, _out, err = run_cli(capsys, ["analyze", str(path)])
+    code, out, err = run_cli(capsys, [command, str(path), *COMMANDS[command][0]])
     assert code == 2
     assert "line 2" in err
+    # the records before the bad line are emitted
+    assert [r["name"] for r in records(out)] == ["line-1"]
 
 
 def test_analyze_lenient_skips_malformed(capsys, tmp_path):
@@ -192,24 +207,64 @@ def test_analyze_computes_cyclic_connectivity_once(capsys, monkeypatch, mixed_fi
     assert k4_rec["outcome"]["cyclic"] == {"status": "checked", "at_least_six": True}
 
 
-def test_analyze_internal_error_spares_later_records(capsys, monkeypatch, mixed_file):
-    real = nzflow.cli.five_flow_oddness4
+@pytest.mark.parametrize("command", COMMANDS)
+def test_internal_error_spares_later_records(capsys, monkeypatch, mixed_file, command):
+    extra, attr = COMMANDS[command]
+    real = getattr(nzflow.cli, attr)
     seen = []
 
-    def fails_first(g, **kwargs):
+    def fails_first(g, *args, **kwargs):
         seen.append(g.n)
         if len(seen) == 1:
             raise InternalInconsistencyError("injected")
-        return real(g, **kwargs)
+        return real(g, *args, **kwargs)
 
-    monkeypatch.setattr(nzflow.cli, "five_flow_oddness4", fails_first)
-    code, out, _ = run_cli(capsys, ["analyze", mixed_file])
+    monkeypatch.setattr(nzflow.cli, attr, fails_first)
+    code, out, err = run_cli(capsys, [command, mixed_file, *extra])
     assert code == EXIT_INTERNAL == 4
     first, second = records(out)
     assert first["internal_error"] is True
     assert "injected" in first["error"]
-    assert second["n"] == 4
-    assert second["outcome"]["outcome"] == "flow_found"
+    assert "line-1: internal error: injected" in err
+    assert second["name"] == "line-2" and "error" not in second
+    if command == "analyze":
+        assert second["n"] == 4
+        assert second["outcome"]["outcome"] == "flow_found"
+
+
+@pytest.mark.parametrize("command", ["analyze", "oddness"])
+def test_graph_outside_the_domain_exits_2(capsys, tmp_path, command):
+    # sparse6 for a triangle plus four isolated vertices: not cubic
+    path = tmp_path / "not-cubic.s6"
+    path.write_text(":Fa@x\n" + serialize_graph6(k4()) + "\n")
+    code, out, err = run_cli(capsys, [command, str(path)])
+    assert code == 2
+    first, second = records(out)
+    assert "cubic" in first["error"]
+    assert "budget_exceeded" not in first and "internal_error" not in first
+    assert err.startswith("line-1: ")
+    assert second["oddness"] == 0
+
+
+def test_json_edge_that_is_not_a_pair_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "graphs.json"
+    path.write_text(json.dumps([petersen().to_json(), {"n": 2, "edges": [[0]]}]))
+    code, out, err = run_cli(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert [r["oddness"] for r in records(out)] == [2]
+    assert "input error: record 1:" in err
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xe9\n", b"[" * 100_000 + b"\n"], ids=["non_ascii", "deep_json"]
+)
+def test_unreadable_input_is_an_input_error(capsys, tmp_path, petersen_file, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    for argv in (["analyze", str(path)], ["certify", petersen_file, str(path)]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "error" in err
 
 
 def test_oddness_command(capsys, mixed_file):
@@ -278,6 +333,25 @@ def test_certify_rejects_wrong_graph(capsys, tmp_path, petersen_file):
     assert rec["verdict"] == "REJECT"
 
 
+@pytest.mark.parametrize("damage", ["no_tail", "not_an_object", "fractional_value"])
+def test_certify_rejects_malformed_entry(capsys, tmp_path, petersen_file, damage):
+    _, out, _ = run_cli(capsys, ["flow", petersen_file, "--k", "5"])
+    cert = records(out)[0]["certificate"]
+    if damage == "no_tail":
+        del cert["edges"][0]["tail"]
+    elif damage == "not_an_object":
+        cert["edges"][0] = 1
+    else:
+        cert["edges"][0]["value"] += 0.9
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    code, out, _ = run_cli(capsys, ["certify", petersen_file, str(cert_path)])
+    assert code == 1
+    (rec,) = records(out)
+    assert rec["verdict"] == "REJECT"
+    assert "entry 0" in rec["reason"]
+
+
 def test_certify_rejects_tampered_conservation(capsys, tmp_path, petersen_file):
     _, out, _ = run_cli(capsys, ["flow", petersen_file, "--k", "5"])
     cert = records(out)[0]["certificate"]
@@ -298,12 +372,16 @@ def test_missing_file(capsys):
     assert "input error" in err
 
 
-def test_budget_exit_code(capsys, petersen_file):
-    code, _, err = run_cli(
-        capsys, ["oddness", petersen_file, "--max-work", "1"]
+@pytest.mark.parametrize("command", COMMANDS)
+def test_budget_exit_code(capsys, mixed_file, command):
+    code, out, err = run_cli(
+        capsys, [command, mixed_file, "--max-work", "1", *COMMANDS[command][0]]
     )
     assert code == 3
     assert "budget" in err
+    recs = records(out)
+    assert [r["name"] for r in recs] == ["line-1", "line-2"]
+    assert all(r["budget_exceeded"] is True for r in recs)
 
 
 @pytest.mark.parametrize("k_args", [[], ["--k", "6"]], ids=["exact", "k"])
@@ -313,7 +391,7 @@ def test_cyclic_budget_exceeded_is_a_record_per_graph(capsys, mixed_file, k_args
     recs = records(out)
     assert [r["name"] for r in recs] == ["line-1", "line-2"]
     for rec in recs:
-        assert rec["status"] == "budget_exceeded"
+        assert rec["budget_exceeded"] is True
         assert rec.get("k") == (6 if k_args else None)
 
 
@@ -323,3 +401,76 @@ def test_cyclic_rejects_k_below_one(capsys, petersen_file, k):
     assert code == 2
     assert out == ""
     assert "--k must be at least 1" in err
+
+
+@pytest.mark.parametrize("k", ["1", "0"])
+def test_flow_rejects_k_below_two(capsys, petersen_file, k):
+    code, out, err = run_cli(capsys, ["flow", petersen_file, "--k", k])
+    assert code == 2
+    assert out == ""
+    assert "input error: --k must be at least 2" in err
+
+
+_PETERSEN = parse_graph6(serialize_graph6(petersen()))
+_PETERSEN_CERT = flow_to_json(solve_nowhere_zero_flow(_PETERSEN, 5))
+_SMALL = st.one_of(st.integers(-2, 16), st.none(), st.text(max_size=2))
+
+
+def _with_entries(replaced) -> dict:
+    cert = json.loads(json.dumps(_PETERSEN_CERT))
+    for i, entry in replaced:
+        cert["edges"][i] = entry
+    return cert
+
+
+_STREAM_ARGS = st.sampled_from(
+    [["analyze"], ["analyze", "--lenient"], ["oddness"], ["cyclic"],
+     ["cyclic", "--k", "6"], ["flow", "--k", "5"], ["flow", "--k", "1"]]
+)
+_G6_BODY = st.text(st.characters(min_codepoint=63, max_codepoint=126), max_size=12)
+_GRAPH_LINES = st.one_of(
+    st.sampled_from([serialize_graph6(g) for g in (petersen(), k4(), flower_snark(5))]),
+    st.builds(lambda n, body: chr(63 + n) + body, st.integers(0, 12), _G6_BODY),
+    st.builds(lambda n, body: ":" + chr(63 + n) + body, st.integers(0, 12), _G6_BODY),
+)
+_JSON_GRAPH = st.fixed_dictionaries(
+    {"n": _SMALL, "edges": st.one_of(_SMALL, st.lists(st.lists(_SMALL, max_size=3), max_size=12))}
+)
+_ENTRY = st.one_of(
+    _SMALL, st.dictionaries(st.sampled_from(["id", "tail", "head", "value"]), _SMALL)
+)
+_CERTIFICATES = st.one_of(
+    _SMALL,
+    st.fixed_dictionaries({"k": _SMALL, "edges": st.one_of(_SMALL, st.lists(_ENTRY, max_size=16))}),
+    st.lists(st.tuples(st.integers(0, 14), _ENTRY), max_size=3).map(_with_entries),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "petersen.g6").write_text(serialize_graph6(petersen()) + "\n")
+    return path
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.one_of(
+        st.tuples(_STREAM_ARGS, st.lists(_GRAPH_LINES, min_size=1, max_size=3).map("\n".join)),
+        st.tuples(_STREAM_ARGS, st.one_of(_JSON_GRAPH, st.lists(_JSON_GRAPH, max_size=3)).map(json.dumps)),
+        st.tuples(st.just(["certify"]), _CERTIFICATES.map(json.dumps)),
+    )
+)
+def test_main_never_raises(fuzz_dir, case):
+    """Arbitrary graph lines, JSON graphs and Petersen certificates end in a
+    documented exit code, never in an exception."""
+    args, text = case
+    path = fuzz_dir / "input"
+    path.write_text(text + "\n")
+    if args[0] == "certify":
+        argv = ["certify", str(fuzz_dir / "petersen.g6"), str(path)]
+    else:
+        argv = [args[0], str(path), *args[1:], "--max-work", "200"]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in range(5)

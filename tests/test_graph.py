@@ -34,6 +34,24 @@ def test_json_round_trip():
     assert MultiGraph.from_json(g.to_json()).edges == g.edges
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2, "edges": [[0]]},
+        {"n": 2, "edges": [[0, 1, 1]]},
+        {"n": 2, "edges": [[0, None]]},
+        {"n": 2, "edges": 5},
+        {"n": "2", "edges": []},
+        {"n": 2.0, "edges": []},
+        # as large as graph6 refuses; the check runs before any allocation
+        {"n": 2**18, "edges": []},
+    ],
+)
+def test_from_json_raises_only_value_error(doc):
+    with pytest.raises(ValueError):
+        MultiGraph.from_json(doc)
+
+
 def test_edge_cut_whole_vertex_set_is_empty():
     g = k4()
     assert edge_cut(g, range(4)).edges == frozenset()
