@@ -9,6 +9,7 @@ from .errors import (
     BudgetExceededError,
     InternalInconsistencyError,
     NZFlowError,
+    UnbalancedValuationError,
 )
 from .graph import (
     BasicChecks,

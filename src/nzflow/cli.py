@@ -218,6 +218,9 @@ def _stream(args) -> int:
     if min_k is not None and args.k is not None and args.k < min_k:
         print(f"input error: --k must be at least {min_k}", file=sys.stderr)
         return EXIT_INPUT
+    if args.max_work < 0:
+        print("input error: --max-work must be at least 0", file=sys.stderr)
+        return EXIT_INPUT
     code = EXIT_OK
 
     def tasks():

@@ -14,9 +14,14 @@ validators green is reported as an anomaly rather than swept aside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .coloring import Coloring4, canonical_coloring, color12_components, cut_color_profile
-from .errors import BudgetExceededError, InternalInconsistencyError
+from .errors import (
+    BudgetExceededError,
+    InternalInconsistencyError,
+    UnbalancedValuationError,
+)
 from .flows import (
     AugmentedGraph,
     Flow,
@@ -466,6 +471,9 @@ def parity_contradiction_check(qd: QuadDecomposition, c: Coloring4) -> ParityRep
 # ---------------------------------------------------------------------------
 
 
+_BALANCED = BalanceReport(True, None, Fraction(0), None)
+
+
 def _partition_variants(
     ag: AugmentedGraph, base_flow: Flow
 ) -> list[tuple[str, Flow, FlowPartition]]:
@@ -516,7 +524,12 @@ def five_flow_oddness4(
     """Run the whole pipeline on a cubic graph and emit a certificate.
 
     Oddness 0 or 2 uses the same machinery with zero or one switchable path;
-    oddness above 4 short-circuits to ``hypothesis_unmet``.  When both
+    oddness above 4 short-circuits to ``hypothesis_unmet``.  Each variant's
+    5-flow is built before its balance is checked: the valuation of a
+    nowhere-zero flow is balanced, so a successful build is the variant's
+    balance report.  The min-cut check runs once for a variant whose build
+    failed (its violator comes with the failure) and for the second variant
+    once a flow is in hand, so oddness-0 graphs run none.  When both
     candidate valuations are violated, every structural validator runs and
     the outcome depends on whether cyclic 6-edge-connectivity was verified
     (one exact cyclic-connectivity computation under ``cyclic_max_work``):
@@ -584,12 +597,23 @@ def five_flow_oddness4(
     base_flow = canonical_4flow(ag)
     variants = _partition_variants(ag, base_flow)
 
+    # construct first: a flow proves its valuation balanced, so a variant
+    # is checked only when its build fails or a flow is already in hand
     balanced_tag = None
-    balanced_val = None
+    flow5 = None
     partitions = {}
     for tag, fv, pv in variants:
         val = to_five_thirds(pv)
-        rep = check_balanced_mincut(g, val)
+        if flow5 is not None:
+            rep = check_balanced_mincut(g, val)
+        else:
+            try:
+                flow5 = valuation_to_flow(g, val, 5)
+            except UnbalancedValuationError as exc:
+                rep = exc.report
+            else:
+                rep = _BALANCED
+                balanced_tag = tag
         valuation_reports[tag] = rep
         partitions[tag] = (val, rep, pv)
         claim_log.append(
@@ -601,12 +625,8 @@ def five_flow_oddness4(
                 else f"violator={list(rep.violator)}, margin={rep.margin}",
             )
         )
-        if rep.balanced and balanced_tag is None:
-            balanced_tag = tag
-            balanced_val = val
 
-    if balanced_tag is not None:
-        flow5 = valuation_to_flow(g, balanced_val, 5)
+    if flow5 is not None:
         if verify_flow(g, flow5) or not is_nowhere_zero(flow5):
             raise InternalInconsistencyError("emitted flow failed verification")
         return mkcert(

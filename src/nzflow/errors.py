@@ -19,3 +19,18 @@ class InternalInconsistencyError(NZFlowError):
     Raised instead of ``AssertionError`` so callers can distinguish a broken
     invariant (a bug, or corrupted input) from ordinary misuse.
     """
+
+
+class UnbalancedValuationError(NZFlowError, ValueError):
+    """A valuation to be realized as a flow is not balanced.
+
+    ``report`` is the balance checker's :class:`BalanceReport`, with the
+    violating subset and its margin.
+    """
+
+    def __init__(self, report):
+        super().__init__(
+            f"valuation is not balanced: subset {report.violator} exceeds "
+            f"its cut by {report.margin}"
+        )
+        self.report = report

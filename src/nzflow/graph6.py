@@ -8,10 +8,18 @@ errors report the byte offset inside the record.
 
 from __future__ import annotations
 
+import re
+from math import isqrt
+
 from .errors import NZFlowError
 from .graph import _MAX_N, MultiGraph  # _MAX_N refuses the 36-bit size form
 
 _BIAS = 63
+_NONZERO = re.compile(r"[^?]")  # data characters with at least one set bit
+# positions of the set bits of a 6-bit value, most significant first
+_SET_BITS = tuple(
+    tuple(i for i in range(6) if (x >> (5 - i)) & 1) for x in range(64)
+)
 
 
 class Graph6Error(NZFlowError):
@@ -25,6 +33,8 @@ class Graph6Error(NZFlowError):
 
 
 def _check_chars(s: str, base: int) -> None:
+    if not s or ("?" <= min(s) and max(s) <= "~"):
+        return
     for i, ch in enumerate(s):
         code = ord(ch)
         if code < 63 or code > 126:
@@ -83,22 +93,26 @@ def _parse_graph6(s: str, base: int) -> MultiGraph:
     n, pos = _decode_size(s, 0, base)
     need = n * (n - 1) // 2
     nbytes = (need + 5) // 6
-    data = s[pos:]
-    if len(data) < nbytes:
+    have = len(s) - pos
+    if have < nbytes:
         raise Graph6Error(
-            f"truncated bit string: need {nbytes} data bytes, have {len(data)}",
+            f"truncated bit string: need {nbytes} data bytes, have {have}",
             base + len(s),
         )
-    if len(data) > nbytes:
+    if have > nbytes:
         raise Graph6Error("trailing data after graph6 record", base + pos + nbytes)
-    bits = _bit_stream(s, pos)
+    # bit k of the upper triangle, by column, is edge (k - j(j-1)/2, j) for
+    # the j with j(j-1)/2 <= k < j(j+1)/2; only set bits are visited, and
+    # padding bits past the triangle are ignored
     edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
+    for match in _NONZERO.finditer(s, pos):
+        start = 6 * (match.start() - pos)
+        for off in _SET_BITS[ord(match.group()) - _BIAS]:
+            k = start + off
+            if k >= need:
+                break
+            j = (1 + isqrt(8 * k + 1)) // 2
+            edges.append((k - j * (j - 1) // 2, j))
     return MultiGraph(n, edges)
 
 

@@ -4,7 +4,7 @@ A vertex valuation f is balanced when ``|sum over X of f| <= |cut(X)|`` for
 every vertex subset X.  All arithmetic is exact: values are integers over a
 fixed denominator, never floats.  Two independent checkers are provided: an
 exhaustive one over all subsets (small graphs) and a polynomial one that
-reduces each sign of the objective to an s-t min-cut.
+reads both signs of the objective off one s-t min-cut network.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, UnbalancedValuationError
 from .flows import AugmentedGraph, Flow, is_nowhere_zero, verify_flow
 from .graph import MultiGraph, check_vertex_set
 from .maxflow import MaxFlow, feasible_circulation
@@ -203,56 +203,61 @@ def check_balanced_bruteforce(
 
 
 def check_balanced_mincut(g: MultiGraph, val: Valuation) -> BalanceReport:
-    """Polynomial balancedness check via two s-t min-cut reductions.
+    """Polynomial balancedness check from one s-t min-cut network.
 
-    For each sign, maximizing ``sum over X of g - den*|cut(X)|`` is a project
-    selection problem: positive-weight vertices hang off the source,
-    negative off the sink, and each graph edge contributes capacity ``den``
-    both ways.  The valuation is balanced iff both maxima are zero (the
-    empty set always achieves zero).
+    Write ``F(X) = sum over X of f*den`` (integers) and ``T = F(V)``.  For
+    the plus sign, maximizing ``F(X) - den*|cut(X)|`` is a project selection
+    problem: positive-weight vertices hang off the source, negative off the
+    sink, and each graph edge contributes capacity ``den`` both ways.  A cut
+    with source side ``{s} + X`` costs ``P - F(X) + den*|cut(X)|``, where P
+    sums the positive weights, so the best plus value is ``P - C`` for the
+    min-cut value C, attained exactly by the min-cut source sides.
+
+    The minus sign needs no second network.  The complement Y of X has
+    ``cut(Y) = cut(X)`` and ``F(Y) = T - F(X)``, so
+    ``-F(Y) - den*|cut(Y)| = F(X) - den*|cut(X)| - T``: the best minus value
+    is ``P - C - T`` (N - C, with N the total of the negative weights'
+    magnitudes), and the minus-optimal sets are the complements of the
+    plus-optimal ones.  Each family is closed under union and intersection;
+    the candidate taken per sign is its inclusion-minimal member, as a
+    separate minus-sign network would give.  For the plus sign that is the
+    residual reach of s; for the minus sign it is the complement of the
+    inclusion-maximal plus side, i.e. the vertices that can still reach t
+    in the residual network.  Both are the same for every maximum flow.
+    The valuation is balanced iff both values are at most zero (the empty
+    set always achieves zero).  On a violation the larger value wins, ties
+    going to the smaller, then lexicographically first, candidate; for
+    ``T = 0``, as on pipeline valuations, both signs tie.
     """
     if len(val.numerators) != g.n:
         raise ValueError("valuation does not cover the vertex set")
     den = val.denominator
-    best_margin_num = 0
-    best_set: tuple[int, ...] | None = None
-    for sign in (1, -1):
-        weights = [sign * x for x in val.numerators]
-        positive_total = sum(w for w in weights if w > 0)
-        if positive_total == 0:
-            continue
-        net = MaxFlow(g.n + 2)
-        s, t = g.n, g.n + 1
-        for v, w in enumerate(weights):
-            if w > 0:
-                net.add_edge(s, v, w)
-            elif w < 0:
-                net.add_edge(v, t, -w)
-        for (u, v) in g.edges:
-            net.add_edge(u, v, den)
-            net.add_edge(v, u, den)
-        cut_value = net.max_flow(s, t)
-        objective = positive_total - cut_value
-        if objective <= 0:
-            continue
-        chosen = tuple(sorted(net.reachable(s) - {s}))
-        if (
-            best_set is None
-            or objective > best_margin_num
-            or (
-                objective == best_margin_num
-                and (len(chosen), chosen) < (len(best_set), best_set)
-            )
-        ):
-            best_margin_num = objective
-            best_set = chosen
-    if best_set is None:
+    weights = val.numerators
+    n = g.n
+    s, t = n, n + 1
+    net = MaxFlow(n + 2)
+    net.add_edges(
+        (s, v, w) if w > 0 else (v, t, -w) for v, w in enumerate(weights) if w
+    )
+    net.add_edges(
+        arc for (u, v) in g.edges for arc in ((u, v, den), (v, u, den))
+    )
+    plus = sum(w for w in weights if w > 0) - net.max_flow(s, t)
+    minus = plus - sum(weights)
+    best = max(plus, minus)
+    if best <= 0:
         return BalanceReport(True, None, Fraction(0), None)
+    sides = []
+    if plus == best:
+        sides.append(tuple(sorted(net.reachable(s) - {s})))
+    if minus == best:
+        sides.append(tuple(sorted(net.reaching(t) - {t})))
+    violator = min(sides, key=lambda side: (len(side), side))
     return BalanceReport(
         balanced=False,
-        violator=best_set,
-        margin=Fraction(best_margin_num, den),
-        class_difference=_class_difference(val, best_set),
+        violator=violator,
+        margin=Fraction(best, den),
+        class_difference=_class_difference(val, violator),
     )
 
 
@@ -271,18 +276,19 @@ def subset_margin(g: MultiGraph, val: Valuation, subset) -> Fraction:
 
 def _prescribed_out_degrees(g: MultiGraph, val: Valuation, k: int) -> list[int]:
     """Out-degrees forced by ``f(v) = k/(k-2) * (2*outdeg - deg)``."""
+    scale = val.denominator * k
     out = []
     for v in range(g.n):
-        f = val.value(v)
-        target = f * (k - 2) / k  # equals 2*outdeg - deg
-        two_outdeg = target + g.degree(v)
-        if two_outdeg.denominator != 1 or int(two_outdeg) % 2 != 0:
+        num, deg = val.numerators[v], g.degree(v)
+        # 2*outdeg = f(v) * (k-2)/k + deg = (num*(k-2) + deg*scale) / scale
+        two_outdeg, rem = divmod(num * (k - 2) + deg * scale, scale)
+        if rem or two_outdeg % 2:
             raise ValueError(
-                f"vertex {v}: valuation value {f} is not of the "
+                f"vertex {v}: valuation value {val.value(v)} is not of the "
                 f"degree form for k={k}"
             )
-        d = int(two_outdeg) // 2
-        if not 0 <= d <= g.degree(v):
+        d = two_outdeg // 2
+        if not 0 <= d <= deg:
             raise ValueError(f"vertex {v}: prescribed out-degree {d} infeasible")
         out.append(d)
     return out
@@ -292,27 +298,26 @@ def _initial_orientation(g: MultiGraph, out_deg: list[int]) -> list[int] | None:
     """Some orientation with the prescribed out-degrees, via max-flow.
 
     Nodes: one per edge (supplying its single unit) and one per vertex
-    (capped by its out-degree).  Returns the tail per edge, or None.
+    (capped by its out-degree).  Edge ``eid`` owns network arcs ``6*eid``
+    (from the source), ``6*eid + 2`` (to its first end) and ``6*eid + 4``.
+    Returns the tail per edge, or None.
     """
-    if sum(out_deg) != g.m:
+    m = g.m
+    if sum(out_deg) != m:
         return None
-    net = MaxFlow(g.m + g.n + 2)
-    s = g.m + g.n
+    net = MaxFlow(m + g.n + 2)
+    s = m + g.n
     t = s + 1
-    choice_arcs = []
+    arcs = []
     for eid, (u, v) in enumerate(g.edges):
-        net.add_edge(s, eid, 1)
-        a = net.add_edge(eid, g.m + u, 1)
-        b = net.add_edge(eid, g.m + v, 1)
-        choice_arcs.append((a, u, b, v))
-    for v in range(g.n):
-        net.add_edge(g.m + v, t, out_deg[v])
-    if net.max_flow(s, t) != g.m:
+        arcs += ((s, eid, 1), (eid, m + u, 1), (eid, m + v, 1))
+    arcs += ((m + v, t, d) for v, d in enumerate(out_deg))
+    net.add_edges(arcs)
+    if net.max_flow(s, t) != m:
         return None
-    tails = []
-    for eid, (a, u, b, v) in enumerate(choice_arcs):
-        tails.append(u if net.flow_on(a) == 1 else v)
-    return tails
+    return [
+        u if net.flow_on(6 * eid + 2) else v for eid, (u, v) in enumerate(g.edges)
+    ]
 
 
 def valuation_to_flow(g: MultiGraph, val: Valuation, k: int) -> Flow:
@@ -326,8 +331,15 @@ def valuation_to_flow(g: MultiGraph, val: Valuation, k: int) -> Flow:
     ``(k-1)|delta+(X)| >= |delta-(X)|`` for conserving values in 1..k-1 on
     it (Jaeger, *Balanced valuations and flows in multigraphs*, 1975).  So
     the first orientation found carries the flow: orient, circulate, verify.
-    Balance is only checked when a step fails, to reject unbalanced input
-    with its violator; a failure on balanced input is a broken invariant.
+
+    Conversely the valuation of any nowhere-zero k-flow is balanced, so a
+    returned flow is itself the proof of balance, and callers need no
+    separate check (construct first).  Balance is checked only when a step
+    fails: an unbalanced input raises :class:`UnbalancedValuationError`
+    carrying the checker's report, and a failure on balanced input is a
+    broken invariant (:class:`InternalInconsistencyError`).  A realized flow
+    that fails verification or induces another valuation raises a plain
+    ``ValueError``.
     """
     out_deg = _prescribed_out_degrees(g, val, k)
     tails = _initial_orientation(g, out_deg)
@@ -339,20 +351,17 @@ def valuation_to_flow(g: MultiGraph, val: Valuation, k: int) -> Flow:
     if values is None:
         report = check_balanced_mincut(g, val)
         if not report.balanced:
-            raise ValueError(
-                f"valuation is not balanced: subset {report.violator} exceeds "
-                f"its cut by {report.margin}"
-            )
+            raise UnbalancedValuationError(report)
         raise InternalInconsistencyError(
             "balanced valuation has no realizing orientation and circulation"
         )
     flow = Flow(graph=g, tails=tuple(tails), values=tuple(values), modulus=k)
     if verify_flow(g, flow) or not is_nowhere_zero(flow):
         raise ValueError("circulation produced an invalid flow")
-    if not _same_valuation(flow_to_valuation(g, flow, k), val, g.n):
+    # the out-degrees determine the valuation of a nowhere-zero flow
+    realized = [0] * g.n
+    for t in tails:
+        realized[t] += 1
+    if realized != out_deg:
         raise ValueError("realized flow disagrees with valuation")
     return flow
-
-
-def _same_valuation(a: Valuation, b: Valuation, n: int) -> bool:
-    return all(a.value(v) == b.value(v) for v in range(n))

@@ -4,16 +4,19 @@ These deliberately share no code with the implementations they check:
 the edge colorer is a plain backtracker, the cyclic-connectivity oracle
 enumerates vertex subsets, the cut reference contracts both vertex sets into
 a Dinic network, and the balance oracle recomputes margins from scratch with
-Fractions.
+Fractions.  The package's earlier implementations stay here as references
+for the ones that replaced them: the recursive Dinic, the balance check with
+one network per sign, and the graph6 decoder that expands every bit.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
 from nzflow.graph import MultiGraph
-from nzflow.maxflow import MaxFlow
+from nzflow.valuation import BalanceReport, Valuation, _class_difference
 
 
 def three_edge_colorable(g: MultiGraph) -> bool:
@@ -102,7 +105,7 @@ def dinic_min_cut_between(
         if v not in node:
             node[v] = nxt
             nxt += 1
-    net = MaxFlow(nxt)
+    net = RecursiveMaxFlow(nxt)
     for (u, v) in g.edges:
         a, b = node[u], node[v]
         if a == b:
@@ -127,3 +130,156 @@ def brute_is_balanced(g: MultiGraph, numerators, denominator) -> bool:
             if brute_margin(g, numerators, denominator, set(combo)) > 0:
                 return False
     return True
+
+
+class RecursiveMaxFlow:
+    """Dinic with a recursive blocking-flow search, arcs tried in insertion
+    order.  Arc ids come in (forward, reverse) pairs."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._to: list[int] = []
+        self._cap: list[int] = []
+        self._orig: list[int] = []
+        self._adj: list[list[int]] = [[] for _ in range(n)]
+
+    def add_edge(self, u: int, v: int, cap: int) -> int:
+        arc = len(self._to)
+        self._to.append(v)
+        self._cap.append(cap)
+        self._orig.append(cap)
+        self._adj[u].append(arc)
+        self._to.append(u)
+        self._cap.append(0)
+        self._orig.append(0)
+        self._adj[v].append(arc + 1)
+        return arc
+
+    def flow_on(self, arc: int) -> int:
+        return self._orig[arc] - self._cap[arc]
+
+    def _bfs_levels(self, s: int, t: int) -> list[int] | None:
+        level = [-1] * self.n
+        level[s] = 0
+        q = deque([s])
+        while q:
+            v = q.popleft()
+            for arc in self._adj[v]:
+                w = self._to[arc]
+                if self._cap[arc] > 0 and level[w] == -1:
+                    level[w] = level[v] + 1
+                    q.append(w)
+        return level if level[t] != -1 else None
+
+    def max_flow(self, s: int, t: int) -> int:
+        total = 0
+        while True:
+            level = self._bfs_levels(s, t)
+            if level is None:
+                return total
+            it = [0] * self.n
+            while True:
+                pushed = self._dfs(s, t, float("inf"), level, it)
+                if not pushed:
+                    break
+                total += pushed
+
+    def _dfs(self, v, t, limit, level, it):
+        if v == t:
+            return limit
+        while it[v] < len(self._adj[v]):
+            arc = self._adj[v][it[v]]
+            w = self._to[arc]
+            if self._cap[arc] > 0 and level[w] == level[v] + 1:
+                pushed = self._dfs(w, t, min(limit, self._cap[arc]), level, it)
+                if pushed:
+                    self._cap[arc] -= pushed
+                    self._cap[arc ^ 1] += pushed
+                    return pushed
+            it[v] += 1
+        return 0
+
+    def reachable(self, s: int) -> set[int]:
+        seen = {s}
+        q = deque([s])
+        while q:
+            v = q.popleft()
+            for arc in self._adj[v]:
+                w = self._to[arc]
+                if self._cap[arc] > 0 and w not in seen:
+                    seen.add(w)
+                    q.append(w)
+        return seen
+
+
+def two_network_check_balanced_mincut(
+    g: MultiGraph, val: Valuation
+) -> BalanceReport:
+    """Balance check with one project-selection network per sign: the best
+    set of each sign is the residual reach of its source, the larger value
+    wins, ties go to the smaller, then lexicographically first, set."""
+    den = val.denominator
+    best_margin_num = 0
+    best_set: tuple[int, ...] | None = None
+    for sign in (1, -1):
+        weights = [sign * x for x in val.numerators]
+        positive_total = sum(w for w in weights if w > 0)
+        if positive_total == 0:
+            continue
+        net = RecursiveMaxFlow(g.n + 2)
+        s, t = g.n, g.n + 1
+        for v, w in enumerate(weights):
+            if w > 0:
+                net.add_edge(s, v, w)
+            elif w < 0:
+                net.add_edge(v, t, -w)
+        for (u, v) in g.edges:
+            net.add_edge(u, v, den)
+            net.add_edge(v, u, den)
+        objective = positive_total - net.max_flow(s, t)
+        if objective <= 0:
+            continue
+        chosen = tuple(sorted(net.reachable(s) - {s}))
+        if (
+            best_set is None
+            or objective > best_margin_num
+            or (
+                objective == best_margin_num
+                and (len(chosen), chosen) < (len(best_set), best_set)
+            )
+        ):
+            best_margin_num = objective
+            best_set = chosen
+    if best_set is None:
+        return BalanceReport(True, None, Fraction(0), None)
+    return BalanceReport(
+        balanced=False,
+        violator=best_set,
+        margin=Fraction(best_margin_num, den),
+        class_difference=_class_difference(val, best_set),
+    )
+
+
+def bit_stream_graph6_edges(record: str) -> list[tuple[int, int]]:
+    """Edges of a well-formed graph6 record (no header), by expanding every
+    data character into its six bits and walking the upper triangle."""
+    if record[0] != "~":
+        n, pos = ord(record[0]) - 63, 1
+    else:
+        n = 0
+        for ch in record[1:4]:
+            n = (n << 6) | (ord(ch) - 63)
+        pos = 4
+    bits = []
+    for ch in record[pos:]:
+        val = ord(ch) - 63
+        for shift in range(5, -1, -1):
+            bits.append((val >> shift) & 1)
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.append((i, j))
+            k += 1
+    return edges

@@ -411,6 +411,17 @@ def test_flow_rejects_k_below_two(capsys, petersen_file, k):
     assert "input error: --k must be at least 2" in err
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_negative_max_work_is_an_input_error(capsys, petersen_file, command):
+    extra, _ = COMMANDS[command]
+    code, out, err = run_cli(
+        capsys, [command, petersen_file, *extra, "--max-work", "-1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "input error: --max-work must be at least 0\n"
+
+
 _PETERSEN = parse_graph6(serialize_graph6(petersen()))
 _PETERSEN_CERT = flow_to_json(solve_nowhere_zero_flow(_PETERSEN, 5))
 _SMALL = st.one_of(st.integers(-2, 16), st.none(), st.text(max_size=2))

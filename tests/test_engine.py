@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from nzflow import (
+    InternalInconsistencyError,
     MultiGraph,
     bad_cut_certificate,
     build_augmented,
@@ -22,6 +23,7 @@ from nzflow import (
     verify_flow,
 )
 from nzflow.engine import _partition_variants
+from nzflow.valuation import _initial_orientation
 from nzflow.catalog import (
     blanusa_snarks,
     flower_snark,
@@ -363,3 +365,119 @@ def test_pipeline_deterministic():
     a = five_flow_oddness4(g).to_json()
     b = five_flow_oddness4(g).to_json()
     assert a == b
+
+
+def _count_balance_checks(monkeypatch):
+    """Record the valuation of every check_balanced_mincut call, whether
+    the engine makes it or valuation_to_flow does on a failed build."""
+    import nzflow.engine
+    import nzflow.valuation
+
+    checked = []
+    real = nzflow.valuation.check_balanced_mincut
+
+    def counting(g, val):
+        checked.append(val)
+        return real(g, val)
+
+    monkeypatch.setattr(nzflow.engine, "check_balanced_mincut", counting)
+    monkeypatch.setattr(nzflow.valuation, "check_balanced_mincut", counting)
+    return checked
+
+
+def test_analyze_checks_balance_only_where_no_flow_proves_it(
+    monkeypatch, tmp_path, capsys
+):
+    from nzflow import serialize_graph6
+    from nzflow.catalog import prism
+    from nzflow.cli import main
+
+    checked = _count_balance_checks(monkeypatch)
+    # oddness 0: the one variant's flow is built, nothing is checked
+    for g in (k4(), k33(), prism(6)):
+        path = tmp_path / "g.g6"
+        path.write_text(serialize_graph6(g) + "\n")
+        assert main(["analyze", str(path), "--skip-cyclic"]) == 0
+        (rec,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert rec["oddness"] == 0
+        assert rec["outcome"]["outcome"] == "flow_found"
+        assert checked == []
+    # oddness 2, primary built: only the switched variant is checked
+    for g in (petersen(), flower_snark(5), *blanusa_snarks()):
+        checked.clear()
+        cert = five_flow_oddness4(g, check_cyclic=False)
+        assert cert.oddness == 2 and cert.balanced_partition == "primary"
+        assert len(checked) == 1
+        assert list(cert.valuations) == ["primary", "switched"]
+    # both builds fail: each variant is checked once, by its failed build
+    checked.clear()
+    cert = five_flow_oddness4(oddness4_snark(), check_cyclic=False, fallback=False)
+    assert cert.outcome == "hypothesis_unmet"
+    assert len(checked) == 2 and checked[0] != checked[1]
+
+
+def test_pipeline_builds_the_switched_variant_after_a_failed_primary(monkeypatch):
+    import nzflow.engine
+    from fractions import Fraction
+
+    from nzflow import BalanceReport, UnbalancedValuationError
+
+    checked = _count_balance_checks(monkeypatch)
+    real = nzflow.engine.valuation_to_flow
+    violated = BalanceReport(False, (0, 1), Fraction(2, 3), 2)
+    calls = []
+
+    def primary_fails(g, val, k):
+        calls.append(val)
+        if len(calls) == 1:
+            raise UnbalancedValuationError(violated)
+        return real(g, val, k)
+
+    monkeypatch.setattr(nzflow.engine, "valuation_to_flow", primary_fails)
+    cert = five_flow_oddness4(petersen(), check_cyclic=False)
+    assert cert.outcome == "flow_found"
+    assert cert.balanced_partition == "switched"
+    assert cert.valuations["primary"] == violated.to_json()
+    assert cert.valuations["switched"]["balanced"] is True
+    assert len(calls) == 2 and checked == []
+
+
+def _reversed_orientation(g, out_deg):
+    tails = _initial_orientation(g, out_deg)
+    return [g.other_end(eid, t) for eid, t in enumerate(tails)]
+
+
+@pytest.mark.parametrize(
+    "target, replacement, error, message",
+    [
+        (  # conservation fails
+            "feasible_circulation",
+            lambda n, arcs: [1] * len(arcs),
+            ValueError,
+            "invalid flow",
+        ),
+        (  # a valid flow of the opposite valuation
+            "_initial_orientation",
+            _reversed_orientation,
+            ValueError,
+            "disagrees with valuation",
+        ),
+        (  # no circulation although the check calls the valuation balanced
+            "feasible_circulation",
+            lambda n, arcs: None,
+            InternalInconsistencyError,
+            "balanced valuation",
+        ),
+    ],
+)
+def test_pipeline_never_reports_a_broken_build_as_violated(
+    monkeypatch, target, replacement, error, message
+):
+    import nzflow.valuation
+    from nzflow import UnbalancedValuationError
+
+    monkeypatch.setattr(nzflow.valuation, target, replacement)
+    for g in (k33(), petersen()):
+        with pytest.raises(error, match=message) as err:
+            five_flow_oddness4(g, check_cyclic=False)
+        assert not isinstance(err.value, UnbalancedValuationError)

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_is_balanced
+from helpers import brute_is_balanced, two_network_check_balanced_mincut
+
+import nzflow.valuation
 
 from nzflow import (
     InternalInconsistencyError,
+    UnbalancedValuationError,
     Valuation,
     build_augmented,
     canonical_coloring,
@@ -24,6 +27,7 @@ from nzflow import (
     verify_flow,
 )
 from nzflow.catalog import k4, k33, petersen
+from nzflow.maxflow import MaxFlow
 from test_coloring import ring_two_factor
 
 
@@ -199,6 +203,72 @@ def test_checkers_agree_on_random_assignments(corpus):
                 assert subset_margin(g, val, rm.violator) == rm.margin
 
 
+def _report(rep):
+    return (rep.balanced, rep.violator, rep.margin, rep.class_difference)
+
+
+def test_one_network_check_matches_references(corpus):
+    # +-5 valuations (T = 0 or not) and mixed magnitudes, where the sign of T
+    # decides which sign of the objective wins
+    rng = random.Random(4242)
+    won = {"plus": 0, "minus": 0, "tie": 0}
+    for name, g in corpus:
+        if g.n > 12:
+            continue
+        for i in range(12):
+            if i < 6:
+                nums = tuple(rng.choice((-5, 5)) for _ in range(g.n))
+            else:
+                nums = tuple(rng.randint(-9, 9) for _ in range(g.n))
+            val = Valuation(denominator=rng.choice((1, 3)), numerators=nums)
+            rm = check_balanced_mincut(g, val)
+            assert _report(rm) == _report(
+                two_network_check_balanced_mincut(g, val)
+            ), (name, val)
+            assert _report(rm) == _report(check_balanced_bruteforce(g, val)), (
+                name,
+                val,
+            )
+            if not rm.balanced:
+                total = sum(nums)
+                won["plus" if total > 0 else "minus" if total < 0 else "tie"] += 1
+    assert min(won.values()) > 0, won
+
+
+def test_one_network_check_matches_references_on_flow_partitions(corpus):
+    for name, g in corpus:
+        if g.n > 12:
+            continue
+        _, _, p = partition_for(g)
+        val = to_five_thirds(p)
+        rm = check_balanced_mincut(g, val)
+        assert _report(rm) == _report(two_network_check_balanced_mincut(g, val))
+        assert _report(rm) == _report(check_balanced_bruteforce(g, val))
+
+
+def test_mincut_check_builds_one_network(monkeypatch):
+    built = []
+
+    class Counted(MaxFlow):
+        def __init__(self, n):
+            super().__init__(n)
+            built.append(self)
+
+    monkeypatch.setattr(nzflow.valuation, "MaxFlow", Counted)
+    g = petersen()
+    cases = [
+        (5,) * 10,  # plus wins
+        (-5,) * 10,  # minus wins
+        (5, -5) * 5,  # T = 0
+        (0,) * 10,  # balanced, no source or sink arcs
+        flow_to_valuation(g, solve_nowhere_zero_flow(g, 5), 5).numerators,
+    ]
+    for nums in cases:
+        built.clear()
+        check_balanced_mincut(g, Valuation(denominator=3, numerators=nums))
+        assert len(built) == 1, nums
+
+
 def test_bruteforce_guard():
     g = petersen()
     val = Valuation(denominator=3, numerators=(5,) * 10)
@@ -233,8 +303,10 @@ def test_k33_three_flow_round_trip():
 def test_unbalanced_valuation_rejected():
     g = k4()
     val = Valuation(denominator=3, numerators=(5, 5, 5, 5))
-    with pytest.raises(ValueError, match="not balanced"):
+    with pytest.raises(UnbalancedValuationError, match="not balanced") as err:
         valuation_to_flow(g, val, 5)
+    assert isinstance(err.value, ValueError)
+    assert err.value.report == check_balanced_mincut(g, val)
 
 
 def test_wrong_form_valuation_rejected():
