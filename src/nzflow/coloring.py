@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError
-from .graph import EdgeCut, MultiGraph, trace_circuit
+from .graph import EdgeCut, MultiGraph, circuit_tails, walk_circuit
 from .structure import TwoFactor
 
 
@@ -54,14 +54,19 @@ def _check_two_factor(g: MultiGraph, tf: TwoFactor) -> None:
 
 
 def canonical_coloring(g: MultiGraph, tf: TwoFactor) -> Coloring4:
-    """Color ``g`` canonically with respect to the 2-factor ``tf``."""
+    """Color ``g`` canonically with respect to the 2-factor ``tf``.
+
+    Each circuit of ``tf`` must be in canonical order (see
+    :class:`~nzflow.structure.TwoFactor`); one that is not closed, or is
+    rotated or reversed, raises ``ValueError``.
+    """
     _check_two_factor(g, tf)
     colors = [-1] * g.m
     for eid in tf.matching:
         colors[eid] = 1
     missing2 = []
-    for circuit in tf.circuits:
-        _, edges, tails = trace_circuit(g, circuit)
+    for edges in tf.circuits:
+        tails = circuit_tails(g, edges)
         length = len(edges)
         if length % 2 == 0:
             for i, eid in enumerate(edges):
@@ -153,21 +158,14 @@ def color12_components(
         for eid in p:
             visited.update(g.endpoints(eid))
     circuits = []
+    # each unvisited vertex is the smallest of its circuit, so the circuits
+    # come out in canonical order, sorted by smallest vertex
     for v in range(g.n):
         if v in visited:
             continue
-        eids = set()
-        cur, prev = v, -1
-        while True:
-            visited.add(cur)
-            nxt = next(t for t in adj[cur] if t[0] != prev)
-            eids.add(nxt[0])
-            prev, cur = nxt[0], nxt[1]
-            if cur == v:
-                break
-        _, edges, _ = trace_circuit(g, eids)
+        vertices, edges, _ = walk_circuit(adj, v)
+        visited.update(vertices)
         circuits.append(edges)
-    circuits.sort(key=lambda c_: min(min(g.endpoints(e)) for e in c_))
     return tuple(circuits), c.paths
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .coloring import Coloring4, color12_components
 from .errors import BudgetExceededError, InternalInconsistencyError
-from .graph import MultiGraph, trace_circuit
+from .graph import MultiGraph, circuit_tails, trace_circuit
 
 
 @dataclass(frozen=True)
@@ -62,22 +62,24 @@ def make_flow(g: MultiGraph, signed_values, modulus: int) -> Flow:
     return Flow(graph=g, tails=tuple(tails), values=tuple(vals), modulus=modulus)
 
 
-def _check_domain(g: MultiGraph, f: Flow) -> None:
+def _imbalances(g: MultiGraph, f: Flow) -> list[int]:
+    """Outgoing minus incoming value at every vertex, after checking that
+    ``f`` lives on ``g``; one pass over the edges."""
     if f.graph is not g and f.graph.edges != g.edges:
         raise ValueError("flow is defined on a different graph")
     if len(f.values) != g.m or len(f.tails) != g.m:
         raise ValueError("flow does not cover the edge set")
-    for eid, tail in enumerate(f.tails):
-        if tail not in g.endpoints(eid):
+    delta = [0] * g.n
+    for eid, ((u, v), tail, x) in enumerate(zip(g.edges, f.tails, f.values)):
+        if tail == u:
+            delta[u] += x
+            delta[v] -= x
+        elif tail == v:
+            delta[v] += x
+            delta[u] -= x
+        else:
             raise ValueError(f"edge {eid}: tail {tail} is not an endpoint")
-
-
-def vertex_imbalance(g: MultiGraph, f: Flow, v: int) -> int:
-    """Outgoing minus incoming value at ``v``."""
-    total = 0
-    for eid, _ in g.incident(v):
-        total += f.values[eid] if f.tails[eid] == v else -f.values[eid]
-    return total
+    return delta
 
 
 def verify_flow(g: MultiGraph, f: Flow) -> list[tuple[int, int]]:
@@ -86,13 +88,7 @@ def verify_flow(g: MultiGraph, f: Flow) -> list[tuple[int, int]]:
     An empty list means the flow is valid.  Checking single vertices is
     enough: conservation at every vertex implies it for every vertex subset.
     """
-    _check_domain(g, f)
-    violations = []
-    for v in range(g.n):
-        d = vertex_imbalance(g, f, v)
-        if d != 0:
-            violations.append((v, d))
-    return violations
+    return [(v, d) for v, d in enumerate(_imbalances(g, f)) if d != 0]
 
 
 def is_nowhere_zero(f: Flow) -> bool:
@@ -195,18 +191,16 @@ def build_augmented(g: MultiGraph, c: Coloring4) -> AugmentedGraph:
         pairs.append(AddedPair(mate=mate, closure=closure, ends=ends))
     mg = MultiGraph(g.n, edges)
 
-    closed = []
-    for i, path in enumerate(c.paths):
-        _, eids, _ = trace_circuit(mg, set(path) | {pairs[i].closure})
-        closed.append(eids)
+    # augmentation keeps the base edge ids and endpoints, so the even
+    # circuits keep their canonical order; only the closed paths are traced
+    closed = [
+        trace_circuit(mg, path + (pair.closure,))[1]
+        for path, pair in zip(c.paths, pairs)
+    ]
     even_circuits, _ = color12_components(g, c)
-    for circ in even_circuits:
-        _, eids, _ = trace_circuit(mg, circ)
-        closed.append(eids)
-    twins = []
-    for p in pairs:
-        _, eids, _ = trace_circuit(mg, {p.closure, p.mate})
-        twins.append(eids)
+    closed.extend(even_circuits)
+    # the closure has the smaller id and the smaller end comes first
+    twins = [(p.closure, p.mate) for p in pairs]
 
     for v in range(mg.n):
         expected = 5 if v in c.missing2 else 3
@@ -257,13 +251,12 @@ def canonical_4flow(
     f_closed = _resolve_flips(flip_closed, len(ag.closed_circuits), "closed circuits")
 
     signed = [0] * g.m
-    for circ, flip in zip(factor_circuits, f_factor):
-        _, eids, tails = trace_circuit(g, circ)
-        _signed_add(signed, g, eids, tails, -2 if flip else 2)
+    for eids, flip in zip(factor_circuits, f_factor):
+        _signed_add(signed, g, eids, circuit_tails(g, eids), -2 if flip else 2)
 
     closure_tail: dict[int, int] = {}
-    for idx, (circ, flip) in enumerate(zip(ag.closed_circuits, f_closed)):
-        verts, eids, tails = trace_circuit(g, circ)
+    for idx, (eids, flip) in enumerate(zip(ag.closed_circuits, f_closed)):
+        tails = circuit_tails(g, eids)
         _signed_add(signed, g, eids, tails, -1 if flip else 1)
         if idx < len(ag.pairs):
             closure = ag.pairs[idx].closure
@@ -278,8 +271,8 @@ def canonical_4flow(
         t = closure_tail[pair.closure]
         h = g.other_end(pair.closure, t)
         if f_twin is not None:
-            _, eids, tails = trace_circuit(g, {pair.closure, pair.mate})
-            canonical_t = tails[eids.index(pair.closure)]
+            eids = ag.twin_circuits[idx]
+            canonical_t = circuit_tails(g, eids)[eids.index(pair.closure)]
             derived = canonical_t != t
             if f_twin[idx] != derived:
                 raise ValueError(
@@ -312,18 +305,18 @@ def switch_path(ag: AugmentedGraph, flow: Flow, index: int) -> Flow:
 
     # current direction of the closed circuit, read off a matching edge of
     # the path (it carries only this circuit's unit)
-    circ = ag.closed_circuits[index]
+    eids = ag.closed_circuits[index]
     probe = ag.coloring.paths[index][0]
-    _, eids, tails = trace_circuit(g, circ)
+    tails = circuit_tails(g, eids)
     canonical_tail = tails[eids.index(probe)]
     if flow.values[probe] != 1:
         raise ValueError("flow does not look like a canonical 4-flow here")
     direction = 1 if flow.tails[probe] == canonical_tail else -1
     _signed_add(signed, g, eids, tails, -2 * direction)
 
-    twin = ag.twin_circuits[index]
+    eids_t = ag.twin_circuits[index]
     mate = ag.pairs[index].mate
-    _, eids_t, tails_t = trace_circuit(g, twin)
+    tails_t = circuit_tails(g, eids_t)
     canonical_tail_t = tails_t[eids_t.index(mate)]
     if flow.values[mate] != 1:
         raise ValueError("flow does not look like a canonical 4-flow here")
@@ -420,20 +413,32 @@ def solve_nowhere_zero_flow(
         return best
 
     def search() -> bool:
+        # depth-first over (edge, next value to try, trail of the value
+        # being tried) frames; a popped frame first undoes its last try
         nonlocal work
         e = pick()
         if e is None:
             return True
-        for x in range(1, k):
+        stack: list[tuple[int, int, list[int] | None]] = [(e, 1, None)]
+        while stack:
+            e, x, trail = stack.pop()
+            if trail is not None:
+                undo(trail)
+            if x == k:
+                continue
             work += 1
             if max_work is not None and work > max_work:
                 raise BudgetExceededError(
                     f"flow search exceeded {max_work} assignments"
                 )
-            trail: list[int] = []
-            if assign(e, x, trail) and search():
-                return True
-            undo(trail)
+            trail = []
+            ok = assign(e, x, trail)
+            stack.append((e, x + 1, trail))
+            if ok:
+                child = pick()
+                if child is None:
+                    return True
+                stack.append((child, 1, None))
         return False
 
     if not search():
@@ -455,12 +460,11 @@ def mod_to_integer_flow(g: MultiGraph, f: Flow, k: int) -> Flow:
     k units of imbalance and never creates a zero value.  Input that already
     conserves exactly is returned unchanged.
     """
-    _check_domain(g, f)
+    delta = _imbalances(g, f)
     if f.modulus != k:
         raise ValueError("modulus mismatch")
     if any(not 1 <= x <= k - 1 for x in f.values):
         raise ValueError("modular flow values must lie in 1..k-1")
-    delta = [vertex_imbalance(g, f, v) for v in range(g.n)]
     if any(d % k for d in delta):
         raise ValueError("input does not conserve modulo k")
     surplus = [d // k for d in delta]
@@ -518,13 +522,10 @@ def flow_to_json(f: Flow) -> dict:
     return {
         "k": f.modulus,
         "edges": [
-            {
-                "id": eid,
-                "tail": f.tails[eid],
-                "head": f.head(eid),
-                "value": f.values[eid],
-            }
-            for eid in range(len(f.values))
+            {"id": eid, "tail": t, "head": v if t == u else u, "value": x}
+            for eid, ((u, v), t, x) in enumerate(
+                zip(f.graph.edges, f.tails, f.values)
+            )
         ],
     }
 

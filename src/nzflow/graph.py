@@ -235,15 +235,44 @@ def basic_checks(g: MultiGraph) -> BasicChecks:
     )
 
 
+def walk_circuit(
+    local, start: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Canonical traversal of the circuit through ``start``.
+
+    ``local[v]`` holds the two ``(edge id, other endpoint)`` pairs of the
+    circuit at each vertex ``v`` on it, and ``start`` must be the circuit's
+    smallest vertex.  The walk moves from ``start`` toward its smaller
+    neighbor (ties between parallel edges go to the smaller edge id) and
+    then always leaves a vertex by the circuit edge it did not arrive on.
+
+    Returns ``(vertices, edges, tails)`` as :func:`trace_circuit` does.
+    """
+    eid, cur = min(local[start], key=lambda t: (t[1], t[0]))
+    vertices = [start]
+    edges = [eid]
+    while cur != start:
+        vertices.append(cur)
+        a, b = local[cur]
+        eid, cur = b if a[0] == eid else a
+        edges.append(eid)
+    vertices_t = tuple(vertices)
+    return vertices_t, tuple(edges), vertices_t
+
+
 def trace_circuit(
     g: MultiGraph, edge_ids
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Canonical traversal of a circuit given as a set of edge ids.
 
     Every vertex touched must have exactly two of the given edges.  The walk
-    starts at the smallest vertex and moves toward its smaller-id neighbor
-    (ties between parallel edges broken by smaller edge id), which pins down
-    one of the two traversal directions.
+    (:func:`walk_circuit`) starts at the smallest vertex and moves toward its
+    smaller-id neighbor, ties between parallel edges broken by smaller edge
+    id, which pins down one of the two traversal directions.  This is the
+    canonical order contract: ``TwoFactor.circuits``, the colour-{1,2}
+    circuits and the augmented graph's circuits are stored in it, and the
+    colouring and 4-flow stages read tails off those tuples with
+    :func:`circuit_tails` instead of tracing again.
 
     Returns ``(vertices, edges, tails)`` where ``edges[i]`` goes from
     ``vertices[i]`` (its tail) to ``vertices[(i+1) % len]``.
@@ -257,19 +286,35 @@ def trace_circuit(
     for v, inc in local.items():
         if len(inc) != 2:
             raise ValueError(f"vertex {v} has degree {len(inc)} in the circuit")
-    start = min(local)
-    # pick the first step: smaller neighbor, then smaller edge id
-    first = min(local[start], key=lambda t: (t[1], t[0]))
-    vertices = [start]
-    edges = [first[0]]
-    tails = [start]
-    cur, prev_eid = first[1], first[0]
-    while cur != start:
-        vertices.append(cur)
-        nxt = next(t for t in local[cur] if t[0] != prev_eid)
-        edges.append(nxt[0])
-        tails.append(cur)
-        cur, prev_eid = nxt[1], nxt[0]
-    if len(vertices) != len(eids):
+    walk = walk_circuit(local, min(local))
+    if len(walk[1]) != len(eids):
         raise ValueError("edge ids do not form a single circuit")
-    return tuple(vertices), tuple(edges), tuple(tails)
+    return walk
+
+
+def circuit_tails(g: MultiGraph, edges: tuple[int, ...]) -> tuple[int, ...]:
+    """Tails of a circuit whose edge ids are already in canonical order.
+
+    ``edges[i]`` runs from ``tails[i]`` to ``tails[i + 1]``.  The first tail
+    is the smaller end of ``edges[0]``, because the canonical walk starts at
+    the circuit's smallest vertex.  Raises ``ValueError`` when the edges do
+    not close up into a walk back to that vertex, or when they do but not in
+    the order :func:`trace_circuit` gives (for example rotated or reversed).
+    """
+    if not edges:
+        raise ValueError("a circuit needs at least one edge")
+    start = min(g.endpoints(edges[0]))
+    tails = [start]
+    v = start
+    try:
+        for eid in edges:
+            v = g.other_end(eid, v)
+            tails.append(v)
+    except ValueError:
+        raise ValueError(f"edges {edges} are not a closed walk") from None
+    tails.pop()
+    if v != start:
+        raise ValueError(f"edges {edges} are not a closed walk")
+    if min(tails) != start or (tails[1], edges[0]) >= (tails[-1], edges[-1]):
+        raise ValueError(f"circuit {edges} is not in canonical order")
+    return tuple(tails)

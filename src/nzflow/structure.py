@@ -17,7 +17,7 @@ from itertools import permutations
 from typing import Iterator
 
 from .errors import BudgetExceededError, InternalInconsistencyError
-from .graph import EdgeCut, MultiGraph, trace_circuit
+from .graph import EdgeCut, MultiGraph, walk_circuit
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,11 @@ class TwoFactor:
     """A perfect matching together with its complementary 2-factor.
 
     ``circuits`` lists the circuits of the 2-factor, each as a tuple of edge
-    ids in canonical traversal order, ordered by their smallest vertex.
+    ids in the canonical traversal order of :func:`~nzflow.graph.trace_circuit`
+    (from the smallest vertex toward its smaller neighbor), ordered by their
+    smallest vertex.  Later stages read tails off these tuples without
+    tracing again, so :func:`~nzflow.coloring.canonical_coloring` rejects a
+    hand-built TwoFactor whose circuits break this order.
     """
 
     matching: frozenset[int]
@@ -55,26 +59,24 @@ def two_factor_from_matching(g: MultiGraph, matching) -> TwoFactor:
     if any(c != 1 for c in cover):
         raise ValueError("edge set is not a perfect matching")
     factor = frozenset(range(g.m)) - matching
-    # walk the 2-regular complement, one circuit per unvisited vertex
+    local: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        if eid in matching:
+            continue
+        local[u].append((eid, v))
+        local[v].append((eid, u))
+    if any(len(inc) != 2 for inc in local):
+        raise ValueError("complement of the matching is not 2-regular")
+    # each unvisited vertex is the smallest of its circuit, where the
+    # canonical walk starts
     visited = [False] * g.n
     circuits = []
     for start in range(g.n):
         if visited[start]:
             continue
-        circuit_edges = set()
-        v, prev = start, -1
-        while True:
+        vertices, edges, _ = walk_circuit(local, start)
+        for v in vertices:
             visited[v] = True
-            nxt = next(
-                (eid, w)
-                for eid, w in g.incident(v)
-                if eid in factor and eid != prev
-            )
-            circuit_edges.add(nxt[0])
-            prev, v = nxt[0], nxt[1]
-            if v == start:
-                break
-        _, edges, _ = trace_circuit(g, circuit_edges)
         circuits.append(edges)
     odd = sum(1 for c in circuits if len(c) % 2 == 1)
     return TwoFactor(

@@ -93,8 +93,8 @@ def flow_partition(ag: AugmentedGraph, f4: Flow) -> FlowPartition:
     if verify_flow(g, f4) or not is_nowhere_zero(f4):
         raise ValueError("partition requires a verified nowhere-zero flow")
     weights = []
-    for v in range(g.n):
-        s = 2 * f4.out_degree(v) - g.degree(v)
+    for v, out in enumerate(_out_degrees(g, f4)):
+        s = 2 * out - g.degree(v)
         if s not in (-1, 1):
             raise ValueError(
                 f"vertex {v}: 2*outdeg - deg = {s}, flow is not canonical"
@@ -128,9 +128,18 @@ def flow_to_valuation(g: MultiGraph, f: Flow, k: int) -> Valuation:
     return Valuation(
         denominator=k - 2,
         numerators=tuple(
-            k * (2 * f.out_degree(v) - g.degree(v)) for v in range(g.n)
+            k * (2 * out - g.degree(v))
+            for v, out in enumerate(_out_degrees(g, f))
         ),
     )
+
+
+def _out_degrees(g: MultiGraph, f: Flow) -> list[int]:
+    """Edges leaving each vertex under a nowhere-zero flow ``f``."""
+    out = [0] * g.n
+    for tail in f.tails:
+        out[tail] += 1
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ enumerates vertex subsets, the cut reference contracts both vertex sets into
 a Dinic network, and the balance oracle recomputes margins from scratch with
 Fractions.  The package's earlier implementations stay here as references
 for the ones that replaced them: the recursive Dinic, the balance check with
-one network per sign, and the graph6 decoder that expands every bit.
+one network per sign, the graph6 decoder that expands every bit, the
+recursive flow solver, and the 2-factor, colour-{1,2}, augmented-graph and
+4-flow constructions that re-trace every circuit with ``trace_circuit``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from nzflow.graph import MultiGraph
+from nzflow.errors import BudgetExceededError
+from nzflow.flows import Flow, make_flow, mod_to_integer_flow
+from nzflow.graph import MultiGraph, trace_circuit
 from nzflow.valuation import BalanceReport, Valuation, _class_difference
 
 
@@ -283,3 +287,195 @@ def bit_stream_graph6_edges(record: str) -> list[tuple[int, int]]:
                 edges.append((i, j))
             k += 1
     return edges
+
+
+def recursive_solve_nowhere_zero_flow(
+    g: MultiGraph, k: int, *, max_work: int | None = 5_000_000
+) -> Flow | None:
+    """The nowhere-zero k-flow search with one Python frame per decision:
+    the same edge picks, value order, work count and integer conversion as
+    ``solve_nowhere_zero_flow``."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    if g.m == 0:
+        return Flow(graph=g, tails=(), values=(), modulus=k)
+    m, n = g.m, g.n
+    incid: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(g.edges):
+        incid[u].append((eid, 1))
+        incid[v].append((eid, -1))
+
+    value: list[int | None] = [None] * m
+    unassigned = [g.degree(v) for v in range(n)]
+    vsum = [0] * n
+    work = 0
+
+    def assign(eid: int, val: int, trail: list[int]) -> bool:
+        queue = [(eid, val)]
+        while queue:
+            e, x = queue.pop()
+            if value[e] is not None:
+                if value[e] != x:
+                    return False
+                continue
+            value[e] = x
+            trail.append(e)
+            u, v = g.endpoints(e)
+            for w, s in ((u, 1), (v, -1)):
+                vsum[w] = (vsum[w] + s * x) % k
+                unassigned[w] -= 1
+            for w in (u, v):
+                if unassigned[w] == 0:
+                    if vsum[w] % k != 0:
+                        return False
+                elif unassigned[w] == 1:
+                    e2, s2 = next(
+                        (e3, s3) for e3, s3 in incid[w] if value[e3] is None
+                    )
+                    forced = (-vsum[w] * s2) % k
+                    if forced == 0:
+                        return False
+                    queue.append((e2, forced))
+        return True
+
+    def undo(trail: list[int]) -> None:
+        for e in reversed(trail):
+            x = value[e]
+            value[e] = None
+            u, v = g.endpoints(e)
+            for w, s in ((u, 1), (v, -1)):
+                vsum[w] = (vsum[w] - s * x) % k
+                unassigned[w] += 1
+
+    def pick() -> int | None:
+        best = None
+        best_key = None
+        for e in range(m):
+            if value[e] is not None:
+                continue
+            u, v = g.endpoints(e)
+            key = (min(unassigned[u], unassigned[v]), e)
+            if best_key is None or key < best_key:
+                best, best_key = e, key
+        return best
+
+    def search() -> bool:
+        nonlocal work
+        e = pick()
+        if e is None:
+            return True
+        for x in range(1, k):
+            work += 1
+            if max_work is not None and work > max_work:
+                raise BudgetExceededError(
+                    f"flow search exceeded {max_work} assignments"
+                )
+            trail: list[int] = []
+            if assign(e, x, trail) and search():
+                return True
+            undo(trail)
+        return False
+
+    if not search():
+        return None
+    modular = Flow(
+        graph=g,
+        tails=tuple(u for (u, _) in g.edges),
+        values=tuple(value),  # type: ignore[arg-type]
+        modulus=k,
+    )
+    return mod_to_integer_flow(g, modular, k)
+
+
+def traced_two_factor_circuits(g: MultiGraph, matching) -> tuple[tuple[int, ...], ...]:
+    """Circuits of the complement of a perfect matching: walk each from its
+    smallest unvisited vertex, then put its edge set in canonical order with
+    ``trace_circuit``."""
+    factor = frozenset(range(g.m)) - frozenset(matching)
+    visited = [False] * g.n
+    circuits = []
+    for start in range(g.n):
+        if visited[start]:
+            continue
+        circuit_edges = set()
+        v, prev = start, -1
+        while True:
+            visited[v] = True
+            eid, w = next(
+                (eid, w) for eid, w in g.incident(v) if eid in factor and eid != prev
+            )
+            circuit_edges.add(eid)
+            prev, v = eid, w
+            if v == start:
+                break
+        circuits.append(trace_circuit(g, circuit_edges)[1])
+    return tuple(circuits)
+
+
+def traced_color12_circuits(g: MultiGraph, c) -> tuple[tuple[int, ...], ...]:
+    """Even circuits of the colour-{1,2} subgraph, each traced canonically,
+    sorted by smallest vertex."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        if c.colors[eid] in (1, 2):
+            adj[u].append((eid, v))
+            adj[v].append((eid, u))
+    visited = {v for p in c.paths for eid in p for v in g.endpoints(eid)}
+    circuits = []
+    for v in range(g.n):
+        if v in visited:
+            continue
+        eids = set()
+        cur, prev = v, -1
+        while True:
+            visited.add(cur)
+            eid, w = next(t for t in adj[cur] if t[0] != prev)
+            eids.add(eid)
+            prev, cur = eid, w
+            if cur == v:
+                break
+        circuits.append(trace_circuit(g, eids)[1])
+    circuits.sort(key=lambda circ: min(min(g.endpoints(e)) for e in circ))
+    return tuple(circuits)
+
+
+def traced_augmented_circuits(ag) -> tuple[tuple, tuple]:
+    """``(closed_circuits, twin_circuits)`` of an augmented graph, every one
+    re-traced on the augmented graph."""
+    mg, c = ag.graph, ag.coloring
+    closed = [
+        trace_circuit(mg, set(path) | {pair.closure})[1]
+        for path, pair in zip(c.paths, ag.pairs)
+    ]
+    closed += [trace_circuit(mg, circ)[1] for circ in traced_color12_circuits(ag.base, c)]
+    twins = [trace_circuit(mg, {p.closure, p.mate})[1] for p in ag.pairs]
+    return tuple(closed), tuple(twins)
+
+
+def traced_canonical_4flow(ag, flip_factor=None, flip_closed=None) -> Flow:
+    """The canonical 4-flow with every circuit's tails from ``trace_circuit``:
+    value 2 around each 2-factor circuit, 1 around each closed circuit, and 1
+    around each twin 2-circuit in the direction of its closure edge."""
+    g = ag.graph
+    factor = ag.coloring.factor.circuits
+    flip_factor = flip_factor or [False] * len(factor)
+    flip_closed = flip_closed or [False] * len(ag.closed_circuits)
+    signed = [0] * g.m
+
+    def add(eids, tails, value):
+        for eid, tail in zip(eids, tails):
+            signed[eid] += value if tail == g.endpoints(eid)[0] else -value
+
+    for circ, flip in zip(factor, flip_factor):
+        _, eids, tails = trace_circuit(g, circ)
+        add(eids, tails, -2 if flip else 2)
+    for idx, (circ, flip) in enumerate(zip(ag.closed_circuits, flip_closed)):
+        _, eids, tails = trace_circuit(g, circ)
+        add(eids, tails, -1 if flip else 1)
+        if idx < len(ag.pairs):
+            pair = ag.pairs[idx]
+            t = tails[eids.index(pair.closure)]
+            if flip:
+                t = g.other_end(pair.closure, t)
+            add((pair.closure, pair.mate), (t, g.other_end(pair.closure, t)), 1)
+    return make_flow(g, signed, 4)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from nzflow import (
@@ -167,3 +169,41 @@ def test_inconsistent_two_factor_rejected():
     other = next(iter(enumerate_two_factors(k4())))
     with pytest.raises(ValueError):
         canonical_coloring(g, other)
+
+
+def _with_circuit(tf, index, circuit):
+    circuits = list(tf.circuits)
+    circuits[index] = circuit
+    return dataclasses.replace(tf, circuits=tuple(circuits))
+
+
+def _witness(g):
+    return g, compute_oddness(g).witness
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _witness(petersen()), lambda: _witness(k33()), ring_two_factor],
+    ids=["petersen", "k33", "triangle-ring"],
+)
+def test_coloring_rejects_circuits_out_of_canonical_order(make):
+    # later stages read tails off the stored order instead of re-tracing,
+    # so a rotated or reversed circuit is an error, not re-canonicalised
+    g, tf = make()
+    canonical_coloring(g, tf)
+    for i, circ in enumerate(tf.circuits):
+        for bad in (circ[1:] + circ[:1], circ[::-1]):
+            with pytest.raises(ValueError, match="canonical order|closed walk"):
+                canonical_coloring(g, _with_circuit(tf, i, bad))
+
+
+def test_coloring_rejects_a_circuit_that_does_not_close():
+    g = petersen()
+    tf = compute_oddness(g).witness
+    circ = tf.circuits[0]
+    with pytest.raises(ValueError, match="closed walk"):
+        canonical_coloring(g, _with_circuit(tf, 0, circ[:-1]))
+    # an edge of another circuit in place of the last one
+    other = tf.circuits[1][0]
+    with pytest.raises(ValueError, match="closed walk"):
+        canonical_coloring(g, _with_circuit(tf, 0, circ[:-1] + (other,)))

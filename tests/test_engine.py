@@ -416,6 +416,44 @@ def test_analyze_checks_balance_only_where_no_flow_proves_it(
     assert len(checked) == 2 and checked[0] != checked[1]
 
 
+def test_analyze_traces_circuits_only_to_close_odd_paths(
+    monkeypatch, tmp_path, capsys
+):
+    import sys
+
+    import nzflow.graph
+    from nzflow import serialize_graph6
+    from nzflow.catalog import generalized_petersen, prism
+    from nzflow.cli import main
+
+    real = nzflow.graph.trace_circuit
+    calls = []
+
+    def counting(g, edge_ids):
+        calls.append(edge_ids)
+        return real(g, edge_ids)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nzflow") and getattr(module, "trace_circuit", None) is real:
+            monkeypatch.setattr(module, "trace_circuit", counting)
+
+    def analyze(g):
+        calls.clear()
+        path = tmp_path / "g.g6"
+        path.write_text(serialize_graph6(g) + "\n")
+        main(["analyze", str(path), "--skip-cyclic"])
+        (rec,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        return rec
+
+    # every circuit is walked once, in canonical order, where it is built
+    for g in (prism(6), generalized_petersen(10, 2)):
+        assert analyze(g)["oddness"] == 0
+        assert calls == []
+    rec = analyze(oddness4_snark())
+    assert rec["oddness"] == 4
+    assert 0 < len(calls) <= 2 * 2
+
+
 def test_pipeline_builds_the_switched_variant_after_a_failed_primary(monkeypatch):
     import nzflow.engine
     from fractions import Fraction

@@ -1,6 +1,16 @@
+import random
+import sys
+
 import pytest
 
-from helpers import three_edge_colorable
+from helpers import (
+    recursive_solve_nowhere_zero_flow,
+    three_edge_colorable,
+    traced_augmented_circuits,
+    traced_canonical_4flow,
+    traced_color12_circuits,
+    traced_two_factor_circuits,
+)
 
 from nzflow import (
     BudgetExceededError,
@@ -10,7 +20,9 @@ from nzflow import (
     canonical_coloring,
     canonical_4flow,
     circulation_on_circuit,
+    color12_components,
     compute_oddness,
+    enumerate_two_factors,
     flow_from_json,
     flow_to_json,
     is_nowhere_zero,
@@ -22,8 +34,18 @@ from nzflow import (
     switch_path,
     verify_flow,
 )
-from nzflow.catalog import k4, k33, petersen
+from nzflow.catalog import (
+    blanusa_snarks,
+    flower_snark,
+    k4,
+    k33,
+    oddness4_snark,
+    petersen,
+    prism,
+    random_bridgeless_cubic,
+)
 from test_coloring import ring_two_factor
+from test_structure import _PARALLEL_4
 
 
 def square_circuit_edges(g):
@@ -335,3 +357,110 @@ def test_certificate_rejects_mismatches():
     broken["edges"][0]["head"] = 8
     with pytest.raises(ValueError, match="endpoints"):
         flow_from_json(g, broken)
+
+
+def _circuit_graphs(corpus):
+    graphs = list(corpus)
+    graphs += [(f"flower-{k}", flower_snark(k)) for k in (5, 7, 9)]
+    graphs += [(f"blanusa-{i}", g) for i, g in enumerate(blanusa_snarks(), 1)]
+    graphs += [("oddness4", oddness4_snark()), ("parallel-4", _PARALLEL_4)]
+    rng = random.Random(7)
+    for i in range(20):
+        n = rng.randrange(16, 41, 2)
+        graphs.append((f"random-{n}-{i}", random_bridgeless_cubic(n, rng)))
+    return graphs
+
+
+def test_circuits_traced_once_match_traced_references(corpus):
+    # every stage reads its circuits in the order the 2-factor walk or the
+    # colour-{1,2} walk produced; compare each with a construction that
+    # re-traces every circuit from its edge set
+    for name, g in _circuit_graphs(corpus):
+        factors = [compute_oddness(g).witness]
+        if g.n <= 8:
+            factors += list(enumerate_two_factors(g))
+        for tf in factors:
+            assert tf.circuits == traced_two_factor_circuits(g, tf.matching), name
+            c = canonical_coloring(g, tf)
+            assert color12_components(g, c)[0] == traced_color12_circuits(g, c), name
+            ag = build_augmented(g, c)
+            assert (ag.closed_circuits, ag.twin_circuits) == traced_augmented_circuits(
+                ag
+            ), name
+            f = canonical_4flow(ag)
+            assert f == traced_canonical_4flow(ag), name
+            heads = [e["head"] for e in flow_to_json(f)["edges"]]
+            assert heads == [f.head(e) for e in range(ag.graph.m)], name
+            flips = [i % 2 == 0 for i in range(len(tf.circuits))]
+            assert canonical_4flow(ag, flip_factor=flips) == traced_canonical_4flow(
+                ag, flip_factor=flips
+            ), name
+            for i in range(len(ag.pairs)):
+                flips = [j == i for j in range(len(ag.closed_circuits))]
+                switched = traced_canonical_4flow(ag, flip_closed=flips)
+                assert canonical_4flow(ag, flip_closed=flips) == switched, name
+                assert switch_path(ag, f, i) == switched, name
+
+
+def test_solver_matches_recursive_reference(corpus):
+    rng = random.Random(3)
+    graphs = list(corpus)
+    graphs += [
+        (f"random-{i}", random_bridgeless_cubic(rng.randrange(12, 23, 2), rng))
+        for i in range(10)
+    ]
+    for name, g in graphs:
+        for k in (3, 4, 5):
+            got = solve_nowhere_zero_flow(g, k)
+            assert got == recursive_solve_nowhere_zero_flow(g, k), (name, k)
+
+
+def _work_needed(solve, g, k):
+    """Smallest ``max_work`` under which ``solve`` finishes."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            solve(g, k, max_work=hi)
+            break
+        except BudgetExceededError:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            solve(g, k, max_work=mid)
+            hi = mid
+        except BudgetExceededError:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize(
+    "g,k",
+    [(petersen(), 4), (petersen(), 5), (k33(), 3), (flower_snark(5), 4), (prism(5), 3)],
+    ids=["petersen-4", "petersen-5", "k33-3", "flower5-4", "prism5-3"],
+)
+def test_solver_spends_the_reference_work(g, k):
+    # the same work count means the same budget error points
+    assert _work_needed(solve_nowhere_zero_flow, g, k) == _work_needed(
+        recursive_solve_nowhere_zero_flow, g, k
+    )
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_solver_needs_no_recursion():
+    g = prism(300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        with pytest.raises(RecursionError):
+            recursive_solve_nowhere_zero_flow(g, 5)
+        f = solve_nowhere_zero_flow(g, 5)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verify_flow(g, f) == [] and is_nowhere_zero(f)
