@@ -1,4 +1,5 @@
-"""Balanced valuations: two exact checkers and the flow correspondence.
+"""Balanced valuations: the min-cut checker, an exhaustive loop, and the
+flow correspondence.
 
 A vertex weighting is balanced when no vertex subset's weight sum exceeds
 its cut size.  For cubic graphs, a nowhere-zero 5-flow exists exactly when
@@ -7,30 +8,41 @@ some +-5/3 weighting is balanced, and the flow's orientation encodes it.
 Run: python3 demos/05_balanced_valuations.py
 """
 
+from itertools import combinations
+
 from nzflow import (
     Valuation,
-    check_balanced_bruteforce,
     check_balanced_mincut,
     flow_to_valuation,
     solve_nowhere_zero_flow,
+    subset_margin,
     valuation_to_flow,
     verify_flow,
 )
 from nzflow.catalog import k4, petersen
 
+
+def worst_subset(g, val):
+    """The subset of largest margin over all 2**n, fewest vertices first."""
+    subsets = (s for size in range(g.n + 1) for s in combinations(range(g.n), size))
+    return max(subsets, key=lambda s: subset_margin(g, val, s))
+
+
 print("== an unbalanced weighting ==")
 allpos = Valuation(denominator=3, numerators=(5, 5, 5, 5))
-for label, checker in (("exhaustive", check_balanced_bruteforce), ("min-cut", check_balanced_mincut)):
-    rep = checker(k4(), allpos)
-    print(f"  {label:10s}: balanced={rep.balanced}, violator={rep.violator}, margin={rep.margin}")
+rep = check_balanced_mincut(k4(), allpos)
+print(f"  min-cut   : balanced={rep.balanced}, violator={rep.violator}, margin={rep.margin}")
+worst = worst_subset(k4(), allpos)
+print(f"  all 16 subsets: worst={worst}, margin={subset_margin(k4(), allpos, worst)}")
 
 print("\n== valuation of a real 5-flow is balanced ==")
 g = petersen()
 f = solve_nowhere_zero_flow(g, 5)
 val = flow_to_valuation(g, f, 5)
 print(f"  numerators over 3: {val.numerators}")
-print(f"  exhaustive check over all {2**g.n} subsets: "
-      f"balanced={check_balanced_bruteforce(g, val).balanced}")
+print(f"  min-cut check: balanced={check_balanced_mincut(g, val).balanced}")
+print(f"  largest margin over all {2**g.n} subsets: "
+      f"{subset_margin(g, val, worst_subset(g, val))}")
 
 print("\n== and the correspondence runs backwards ==")
 back = valuation_to_flow(g, val, 5)

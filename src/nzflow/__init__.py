@@ -37,7 +37,6 @@ from .structure import (
 from .coloring import (
     Coloring4,
     canonical_coloring,
-    color12_components,
     cut_color_profile,
     with_profile,
 )
@@ -63,7 +62,6 @@ from .valuation import (
     BalanceReport,
     FlowPartition,
     Valuation,
-    check_balanced_bruteforce,
     check_balanced_mincut,
     flow_partition,
     flow_to_valuation,

@@ -1,15 +1,13 @@
 """Named cubic graphs and a deterministic corpus generator.
 
 Everything here is reproducible: fixed constructions, fixed seeds, and
-isomorphism-deduplicated sampling (networkx does the isomorphism tests).
+sampling deduplicated up to isomorphism by :func:`canonical_form`.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-
-import networkx as nx
 
 from .graph import MultiGraph, bridges, components
 
@@ -169,18 +167,59 @@ def dot_product(
     return MultiGraph(g.n + h.n - 2, edges)
 
 
-def to_networkx(g: MultiGraph) -> nx.MultiGraph:
-    out = nx.MultiGraph()
-    out.add_nodes_from(range(g.n))
-    for (u, v) in g.edges:
-        out.add_edge(u, v)
-    return out
+def canonical_form(g: MultiGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """A form that two graphs share exactly when they are isomorphic.
+
+    Individualization-refinement (McKay & Piperno, *Practical graph
+    isomorphism, II*, 2014) with no pruning.  Colour refinement recolours
+    every vertex by its colour and the sorted colours of its neighbours,
+    ranked, until no class splits; every vertex of the first class with
+    more than one vertex is then individualized in turn (it moves to a
+    class of its own just ahead of its old class) and the result refined
+    again, down to colourings that tell all vertices apart.  Each step
+    depends only on the colours, so isomorphic graphs explore the same
+    leaves up to relabelling, and the least edge list relabelled by a
+    leaf's colours is the form.  Without pruning every leaf is visited;
+    the corpus and the snarks need at most 120 (Petersen).
+    """
+    nbrs = [[w for _, w in g.incident(v)] for v in range(g.n)]
+    best = None
+    stack = [[0] * g.n]
+    while stack:
+        colour = _refine(nbrs, stack.pop())
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colour):
+            cells.setdefault(c, []).append(v)
+        split = min((c for c, vs in cells.items() if len(vs) > 1), default=None)
+        if split is None:
+            form = tuple(sorted(
+                (min(colour[u], colour[v]), max(colour[u], colour[v]))
+                for (u, v) in g.edges
+            ))
+            best = form if best is None else min(best, form)
+            continue
+        for v in cells[split]:
+            # v goes just ahead of the rest of its class
+            stack.append(
+                [2 * c + (c == split and w != v) for w, c in enumerate(colour)]
+            )
+    return g.n, best
 
 
-def isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
-    if a.n != b.n or a.m != b.m:
-        return False
-    return nx.is_isomorphic(to_networkx(a), to_networkx(b))
+def _refine(nbrs: list[list[int]], colour: list[int]) -> list[int]:
+    """The coarsest equitable refinement of ``colour``, colours ranked by
+    (old colour, sorted neighbour colours)."""
+    classes = len(set(colour))
+    while True:
+        keys = [
+            (colour[v], tuple(sorted(colour[w] for w in ws)))
+            for v, ws in enumerate(nbrs)
+        ]
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colour = [rank[key] for key in keys]
+        if len(rank) == classes:
+            return colour
+        classes = len(rank)
 
 
 @lru_cache(maxsize=1)
@@ -195,6 +234,7 @@ def blanusa_snarks() -> tuple[MultiGraph, MultiGraph]:
     e1 = next(e for e, (u, v) in enumerate(p.edges) if {u, v} == {0, 1})
     a, b = p.endpoints(e1)
     classes: list[MultiGraph] = []
+    seen = set()
     # vary the second removed edge over all positions relative to the first;
     # the second factor's removed vertex pair is immaterial (edge-transitive)
     for e2 in range(p.m):
@@ -204,7 +244,9 @@ def blanusa_snarks() -> tuple[MultiGraph, MultiGraph]:
         for sw1 in (False, True):
             for sw2 in (False, True):
                 cand = dot_product(p, p, (e1, e2), 0, sw1, sw2)
-                if not any(isomorphic(cand, seen) for seen in classes):
+                form = canonical_form(cand)
+                if form not in seen:
+                    seen.add(form)
                     classes.append(cand)
         if len(classes) >= 2:
             break
@@ -262,6 +304,7 @@ def corpus(max_vertices: int = 14) -> tuple[tuple[str, MultiGraph], ...]:
         ("heawood-like-gp-7-2", generalized_petersen(7, 2)),
     ]
     out = [(name, g) for name, g in named if g.n <= max_vertices]
+    seen = {canonical_form(g) for _, g in out}
     rng = random.Random(_CORPUS_SEED)
     for n, want in _CORPUS_SIZES.items():
         if n > max_vertices:
@@ -273,8 +316,10 @@ def corpus(max_vertices: int = 14) -> tuple[tuple[str, MultiGraph], ...]:
             if attempts > 40 * want:
                 break
             g = random_bridgeless_cubic(n, rng)
-            if any(isomorphic(g, other) for _, other in out if other.n == n):
+            form = canonical_form(g)
+            if form in seen:
                 continue
+            seen.add(form)
             idx = len([x for x in out if x[1].n == n])
             out.append((f"rand-{n}-{idx}", g))
     return tuple(out)

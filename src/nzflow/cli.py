@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections import deque
@@ -131,9 +132,7 @@ def _analyze(record: dict, g: MultiGraph, args) -> None:
         cert = five_flow_oddness4(
             g,
             check_cyclic=not args.skip_cyclic,
-            cyclic_max_work=args.max_work,
-            oddness_max_work=args.max_work,
-            solver_max_work=args.max_work,
+            max_work=args.max_work,
         )
         record["oddness"] = cert.oddness
         record["outcome"] = cert.to_json()
@@ -221,6 +220,12 @@ def _stream(args) -> int:
     if args.max_work < 0:
         print("input error: --max-work must be at least 0", file=sys.stderr)
         return EXIT_INPUT
+    jobs = getattr(args, "jobs", 1)
+    if jobs < 1:
+        print("input error: --jobs must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
+    # the fork start method launches every worker at the first submit
+    jobs = min(jobs, os.cpu_count() or 1)
     code = EXIT_OK
 
     def tasks():
@@ -239,7 +244,6 @@ def _stream(args) -> int:
             print(f"{record['name']}: {record['error']}", file=sys.stderr)
         code = max(code, _exit_code(record))
 
-    jobs = getattr(args, "jobs", 1)
     if jobs > 1:
         # windowed submission keeps memory flat while preserving input order
         window = 4 * jobs
@@ -327,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full pipeline, JSON record per graph")
     add_common(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
     p.add_argument(
         "--skip-cyclic",
         action="store_true",

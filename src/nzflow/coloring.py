@@ -29,12 +29,16 @@ class Coloring4:
     ``missing2`` lists the vertices missing color 2, ordered so that
     ``paths[i]`` joins ``missing2[2*i]`` and ``missing2[2*i + 1]``; paths are
     edge-id tuples walking from the smaller endpoint to the larger.
+    ``circuits`` are the even circuits of the color-{1,2} subgraph, each in
+    canonical order (see :func:`~nzflow.graph.walk_circuit`), sorted by
+    smallest vertex.
     """
 
     colors: tuple[int, ...]
     missing2: tuple[int, ...]
     paths: tuple[tuple[int, ...], ...]
     factor: TwoFactor
+    circuits: tuple[tuple[int, ...], ...]
 
     @property
     def path_count(self) -> int:
@@ -82,7 +86,7 @@ def canonical_coloring(g: MultiGraph, tf: TwoFactor) -> Coloring4:
     if any(c == -1 for c in colors):
         raise InternalInconsistencyError("coloring left an edge unassigned")
 
-    paths = _collect_paths(g, colors, frozenset(missing2))
+    circuits, paths = _color12_components(g, colors, frozenset(missing2))
     ordered: list[int] = []
     for path in paths:
         ends = _path_ends(g, path)
@@ -92,6 +96,7 @@ def canonical_coloring(g: MultiGraph, tf: TwoFactor) -> Coloring4:
         missing2=tuple(ordered),
         paths=tuple(paths),
         factor=tf,
+        circuits=circuits,
     )
 
 
@@ -116,10 +121,14 @@ def _path_ends(g: MultiGraph, path: tuple[int, ...]) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _collect_paths(
+def _color12_components(
     g: MultiGraph, colors, endpoints: frozenset[int]
-) -> list[tuple[int, ...]]:
-    """Paths of the color-{1,2} subgraph, walked small end to large end."""
+) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, ...]]]:
+    """Split the color-{1,2} subgraph into (even circuits, odd paths).
+
+    Paths are walked small end to large end; each circuit is walked
+    canonically from its smallest vertex, so they come out sorted by it.
+    """
     adj = _h_adjacency(g, colors)
     for v in range(g.n):
         expected = 1 if v in endpoints else 2
@@ -129,44 +138,30 @@ def _collect_paths(
                 f"expected {expected}"
             )
     paths = []
-    done: set[int] = set()
+    visited = [False] * g.n
     for start in sorted(endpoints):
-        if start in done:
+        if visited[start]:
             continue
         edges = []
         v, prev = start, -1
+        visited[v] = True
         while True:
             nxt = next(t for t in adj[v] if t[0] != prev)
             edges.append(nxt[0])
             prev, v = nxt[0], nxt[1]
+            visited[v] = True
             if v in endpoints:
                 break
-        done.add(start)
-        done.add(v)
         paths.append(tuple(edges))
     paths.sort(key=lambda p: min(_path_ends(g, p)))
-    return paths
-
-
-def color12_components(
-    g: MultiGraph, c: Coloring4
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Split the color-{1,2} subgraph into (even circuits, odd paths)."""
-    adj = _h_adjacency(g, c.colors)
-    visited: set[int] = set()
-    for p in c.paths:
-        for eid in p:
-            visited.update(g.endpoints(eid))
     circuits = []
-    # each unvisited vertex is the smallest of its circuit, so the circuits
-    # come out in canonical order, sorted by smallest vertex
     for v in range(g.n):
-        if v in visited:
-            continue
-        vertices, edges, _ = walk_circuit(adj, v)
-        visited.update(vertices)
-        circuits.append(edges)
-    return tuple(circuits), c.paths
+        if not visited[v]:
+            vertices, edges, _ = walk_circuit(adj, v)
+            for w in vertices:
+                visited[w] = True
+            circuits.append(edges)
+    return tuple(circuits), paths
 
 
 def cut_color_profile(

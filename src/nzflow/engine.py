@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coloring import Coloring4, canonical_coloring, color12_components, cut_color_profile
+from .coloring import Coloring4, canonical_coloring, cut_color_profile
 from .errors import (
     BudgetExceededError,
     InternalInconsistencyError,
@@ -453,8 +453,7 @@ def parity_contradiction_check(qd: QuadDecomposition, c: Coloring4) -> ParityRep
             f"{on_paths} of {len(boundary0)} edges on odd paths",
         )
     )
-    circuits, _ = color12_components(g, c)
-    circuit_crossings = [len(set(circ) & boundary0) for circ in circuits]
+    circuit_crossings = [len(set(circ) & boundary0) for circ in c.circuits]
     checks.append(
         ClaimCheck(
             "circuits_cross_part0_boundary_evenly",
@@ -516,9 +515,7 @@ def five_flow_oddness4(
     g: MultiGraph,
     *,
     check_cyclic: bool = True,
-    cyclic_max_work: int | None = 300_000,
-    oddness_max_work: int | None = None,
-    solver_max_work: int | None = 5_000_000,
+    max_work: int | None = 2_000_000,
     fallback: bool = True,
 ) -> FiveFlowCertificate:
     """Run the whole pipeline on a cubic graph and emit a certificate.
@@ -532,11 +529,12 @@ def five_flow_oddness4(
     once a flow is in hand, so oddness-0 graphs run none.  When both
     candidate valuations are violated, every structural validator runs and
     the outcome depends on whether cyclic 6-edge-connectivity was verified
-    (one exact cyclic-connectivity computation under ``cyclic_max_work``):
+    (one exact cyclic-connectivity computation):
     if yes, ``bad_pair_anomaly`` (cyclically 6-edge-connected cubic graphs
     of oddness at most 4 always admit a nowhere-zero 5-flow, so this state
     signals a bug); otherwise ``hypothesis_unmet`` with a fallback flow from
-    the generic solver.
+    the generic solver.  ``max_work`` bounds each of the three searches
+    (cyclic connectivity, oddness, fallback solver), as ``--max-work`` does.
     """
     audit = basic_checks(g)
     if not audit.is_cubic:
@@ -567,7 +565,7 @@ def five_flow_oddness4(
 
     if check_cyclic:
         try:
-            cyclic_res = cyclic_connectivity(g, max_work=cyclic_max_work)
+            cyclic_res = cyclic_connectivity(g, max_work=max_work)
         except BudgetExceededError:
             cyclic_info = {"status": "budget_exceeded"}
         else:
@@ -579,10 +577,10 @@ def five_flow_oddness4(
     if not audit.is_connected or not audit.is_bridgeless:
         return mkcert(reason="graph must be connected and bridgeless")
 
-    odd = compute_oddness(g, max_work=oddness_max_work)
+    odd = compute_oddness(g, max_work=max_work)
     if odd.oddness > 4:
         fb = (
-            solve_nowhere_zero_flow(g, 5, max_work=solver_max_work)
+            solve_nowhere_zero_flow(g, 5, max_work=max_work)
             if fallback
             else None
         )
@@ -699,7 +697,7 @@ def five_flow_oddness4(
             ),
         )
     fb = (
-        solve_nowhere_zero_flow(g, 5, max_work=solver_max_work)
+        solve_nowhere_zero_flow(g, 5, max_work=max_work)
         if fallback
         else None
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import Coloring4, color12_components
+from .coloring import Coloring4
 from .errors import BudgetExceededError, InternalInconsistencyError
 from .graph import MultiGraph, circuit_tails, trace_circuit
 
@@ -197,8 +197,7 @@ def build_augmented(g: MultiGraph, c: Coloring4) -> AugmentedGraph:
         trace_circuit(mg, path + (pair.closure,))[1]
         for path, pair in zip(c.paths, pairs)
     ]
-    even_circuits, _ = color12_components(g, c)
-    closed.extend(even_circuits)
+    closed.extend(c.circuits)
     # the closure has the smaller id and the smaller end comes first
     twins = [(p.closure, p.mate) for p in pairs]
 

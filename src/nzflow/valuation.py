@@ -2,18 +2,15 @@
 
 A vertex valuation f is balanced when ``|sum over X of f| <= |cut(X)|`` for
 every vertex subset X.  All arithmetic is exact: values are integers over a
-fixed denominator, never floats.  Two independent checkers are provided: an
-exhaustive one over all subsets (small graphs) and a polynomial one that
-reads both signs of the objective off one s-t min-cut network.
+fixed denominator, never floats.  Balance is checked in polynomial time by
+reading both signs of the objective off one s-t min-cut network; the test
+suite cross-checks it against an exhaustive checker over all subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-import numpy as np
 
 from .errors import InternalInconsistencyError, UnbalancedValuationError
 from .flows import AugmentedGraph, Flow, is_nowhere_zero, verify_flow
@@ -143,24 +140,8 @@ def _out_degrees(g: MultiGraph, f: Flow) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# balancedness checkers
+# balancedness check
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=32)
-def _subset_tables(g: MultiGraph):
-    """Per-graph cut sizes and popcounts of every subset mask (n <= 20)."""
-    n = g.n
-    size = 1 << n
-    idx = np.arange(size, dtype=np.uint32)
-    bits = ((idx[None, :] >> np.arange(n, dtype=np.uint32)[:, None]) & 1).astype(
-        np.int8
-    )
-    cut = np.zeros(size, dtype=np.int64)
-    for (u, v) in g.edges:
-        cut += (bits[u] ^ bits[v]).astype(np.int64)
-    popcount = bits.sum(axis=0, dtype=np.int64)
-    return cut, popcount
 
 
 def _class_difference(val: Valuation, subset) -> int | None:
@@ -172,43 +153,6 @@ def _class_difference(val: Valuation, subset) -> int | None:
         return None
     total = sum(val.numerators[v] for v in subset)
     return abs(total) // unit
-
-
-def check_balanced_bruteforce(
-    g: MultiGraph, val: Valuation, *, max_vertices: int = 20
-) -> BalanceReport:
-    """Exhaustive balancedness check over all vertex subsets.
-
-    Exact and complete, but exponential: guarded to ``max_vertices``.
-    """
-    if g.n > max_vertices:
-        raise ValueError(
-            f"{g.n} vertices exceeds brute-force guard of {max_vertices}"
-        )
-    if len(val.numerators) != g.n:
-        raise ValueError("valuation does not cover the vertex set")
-    cut, popcount = _subset_tables(g)
-    # sums[mask] over the set bits of mask, by doubling: the masks whose top
-    # bit is i are the masks below 1 << i plus vertex i
-    sums = np.zeros(1 << g.n, dtype=np.int64)
-    for i, w in enumerate(val.numerators):
-        np.add(sums[: 1 << i], w, out=sums[1 << i : 2 << i])
-    margins = np.abs(sums) - val.denominator * cut
-    best = int(margins.max())
-    if best <= 0:
-        return BalanceReport(True, None, Fraction(0), None)
-    candidates = np.nonzero(margins == best)[0]
-    smallest = candidates[popcount[candidates] == popcount[candidates].min()]
-    decoded = sorted(
-        (tuple(v for v in range(g.n) if (int(mask) >> v) & 1) for mask in smallest)
-    )
-    violator = decoded[0]
-    return BalanceReport(
-        balanced=False,
-        violator=violator,
-        margin=Fraction(best, val.denominator),
-        class_difference=_class_difference(val, violator),
-    )
 
 
 def check_balanced_mincut(g: MultiGraph, val: Valuation) -> BalanceReport:

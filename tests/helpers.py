@@ -5,17 +5,25 @@ the edge colorer is a plain backtracker, the cyclic-connectivity oracle
 enumerates vertex subsets, the cut reference contracts both vertex sets into
 a Dinic network, and the balance oracle recomputes margins from scratch with
 Fractions.  The package's earlier implementations stay here as references
-for the ones that replaced them: the recursive Dinic, the balance check with
+for the ones that replaced them: VF2 isomorphism through networkx (replaced
+by ``catalog.canonical_form``), the recursive Dinic, the balance check with
 one network per sign, the graph6 decoder that expands every bit, the
 recursive flow solver, and the 2-factor, colour-{1,2}, augmented-graph and
 4-flow constructions that re-trace every circuit with ``trace_circuit``.
+The exhaustive balance checker, vectorized over all subsets with numpy, is
+the reference for ``check_balanced_mincut``.  numpy and networkx are test
+dependencies only.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+
+import networkx as nx
+import numpy as np
 
 from nzflow.errors import BudgetExceededError
 from nzflow.flows import Flow, make_flow, mod_to_integer_flow
@@ -135,6 +143,76 @@ def brute_is_balanced(g: MultiGraph, numerators, denominator) -> bool:
                 return False
     return True
 
+
+
+def to_networkx(g: MultiGraph) -> nx.MultiGraph:
+    out = nx.MultiGraph()
+    out.add_nodes_from(range(g.n))
+    for (u, v) in g.edges:
+        out.add_edge(u, v)
+    return out
+
+
+def isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
+    """Isomorphism by networkx's VF2."""
+    if a.n != b.n or a.m != b.m:
+        return False
+    return nx.is_isomorphic(to_networkx(a), to_networkx(b))
+
+
+@lru_cache(maxsize=32)
+def _subset_tables(g: MultiGraph):
+    """Per-graph cut sizes and popcounts of every subset mask (n <= 20)."""
+    n = g.n
+    size = 1 << n
+    idx = np.arange(size, dtype=np.uint32)
+    bits = ((idx[None, :] >> np.arange(n, dtype=np.uint32)[:, None]) & 1).astype(
+        np.int8
+    )
+    cut = np.zeros(size, dtype=np.int64)
+    for (u, v) in g.edges:
+        cut += (bits[u] ^ bits[v]).astype(np.int64)
+    popcount = bits.sum(axis=0, dtype=np.int64)
+    return cut, popcount
+
+
+def check_balanced_bruteforce(
+    g: MultiGraph, val: Valuation, *, max_vertices: int = 20
+) -> BalanceReport:
+    """Exhaustive balancedness check over all vertex subsets.
+
+    Exact and complete, but exponential: guarded to ``max_vertices``.  On a
+    violation the violator is a maximal-margin subset with the fewest
+    vertices, then lexicographically first.
+    """
+    if g.n > max_vertices:
+        raise ValueError(
+            f"{g.n} vertices exceeds brute-force guard of {max_vertices}"
+        )
+    if len(val.numerators) != g.n:
+        raise ValueError("valuation does not cover the vertex set")
+    cut, popcount = _subset_tables(g)
+    # sums[mask] over the set bits of mask, by doubling: the masks whose top
+    # bit is i are the masks below 1 << i plus vertex i
+    sums = np.zeros(1 << g.n, dtype=np.int64)
+    for i, w in enumerate(val.numerators):
+        np.add(sums[: 1 << i], w, out=sums[1 << i : 2 << i])
+    margins = np.abs(sums) - val.denominator * cut
+    best = int(margins.max())
+    if best <= 0:
+        return BalanceReport(True, None, Fraction(0), None)
+    candidates = np.nonzero(margins == best)[0]
+    smallest = candidates[popcount[candidates] == popcount[candidates].min()]
+    decoded = sorted(
+        (tuple(v for v in range(g.n) if (int(mask) >> v) & 1) for mask in smallest)
+    )
+    violator = decoded[0]
+    return BalanceReport(
+        balanced=False,
+        violator=violator,
+        margin=Fraction(best, val.denominator),
+        class_difference=_class_difference(val, violator),
+    )
 
 class RecursiveMaxFlow:
     """Dinic with a recursive blocking-flow search, arcs tried in insertion

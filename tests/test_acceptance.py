@@ -11,14 +11,13 @@ import time
 
 import networkx as nx
 
-from helpers import brute_margin
+from helpers import brute_margin, check_balanced_bruteforce, isomorphic, to_networkx
 
 from nzflow import (
     Valuation,
     build_augmented,
     canonical_coloring,
     canonical_4flow,
-    check_balanced_bruteforce,
     check_balanced_mincut,
     compute_oddness,
     enumerate_two_factors,
@@ -34,15 +33,33 @@ from nzflow import (
 )
 from nzflow.catalog import (
     blanusa_snarks,
+    canonical_form,
     flower_snark,
-    isomorphic,
     oddness4_snark,
     petersen,
-    to_networkx,
 )
 from nzflow.cli import main as cli_main
 from nzflow.graph6 import serialize_graph6
 from test_coloring import ring_two_factor
+
+
+def short_cycle_profile(g):
+    """The sorted per-vertex counts of cycles of lengths 3 to 6, with n: an
+    isomorphism invariant of simple graphs."""
+    nbrs = [sorted({w for _, w in g.incident(v)}) for v in range(g.n)]
+    counts = [[0] * 4 for _ in range(g.n)]
+    for start in range(g.n):
+        # paths from their smallest vertex; a cycle closes in one direction
+        stack = [(start,)]
+        while stack:
+            path = stack.pop()
+            for w in nbrs[path[-1]]:
+                if w == start and len(path) >= 3 and path[1] < path[-1]:
+                    for x in path:
+                        counts[x][len(path) - 3] += 1
+                elif w > start and w not in path and len(path) < 6:
+                    stack.append(path + (w,))
+    return g.n, tuple(sorted(map(tuple, counts)))
 
 
 def report(num: int, description: str, ok: bool, started: float, extra: str = ""):
@@ -76,7 +93,7 @@ def test_criterion_1_flow_suite(corpus, shared_results):
     problems = []
     if len(corpus) < 100:
         problems.append(f"corpus has only {len(corpus)} graphs")
-    hashes = {}
+    buckets = {}
     for name, g in corpus:
         if g.n > 14:
             problems.append(f"{name}: too many vertices")
@@ -85,11 +102,14 @@ def test_criterion_1_flow_suite(corpus, shared_results):
         chk = basic_checks(g)
         if not (chk.is_cubic and chk.is_bridgeless and chk.is_connected):
             problems.append(f"{name}: not a connected bridgeless cubic graph")
-        key = (g.n, nx.weisfeiler_lehman_graph_hash(nx.Graph(to_networkx(g))))
-        for other_name, other in hashes.get(key, []):
+        # VF2 on every pair that the invariant cannot tell apart
+        key = short_cycle_profile(g)
+        for other_name, other in buckets.get(key, []):
             if isomorphic(g, other):
                 problems.append(f"{name} isomorphic to {other_name}")
-        hashes.setdefault(key, []).append((name, g))
+        buckets.setdefault(key, []).append((name, g))
+    if len({canonical_form(g) for _, g in corpus}) != len(corpus):
+        problems.append("two corpus graphs share a canonical form")
     for name, (g, f) in flows_for(corpus, shared_results).items():
         if f is None:
             problems.append(f"{name}: no 5-flow found")

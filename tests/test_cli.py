@@ -1,5 +1,6 @@
 import io
 import json
+from concurrent.futures import Future
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -420,6 +421,54 @@ def test_negative_max_work_is_an_input_error(capsys, petersen_file, command):
     assert code == 2
     assert out == ""
     assert err == "input error: --max-work must be at least 0\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_an_input_error(capsys, monkeypatch, mixed_file, jobs):
+    def no_reading(*args):
+        raise AssertionError("a record was read")
+
+    monkeypatch.setattr(nzflow.cli, "_iter_records", no_reading)
+    code, out, err = run_cli(capsys, ["analyze", mixed_file, "--jobs", jobs])
+    assert code == 2
+    assert out == ""
+    assert err == "input error: --jobs must be at least 1\n"
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, size", [("5000", 3, 3), ("2", 3, 2), ("3", 3, 3), ("4", 1, None), ("4", None, None)]
+)
+def test_jobs_pool_is_capped_at_the_cpu_count(
+    capsys, monkeypatch, mixed_file, jobs, cpus, size
+):
+    monkeypatch.setattr(nzflow.cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(nzflow.cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    code, out, _ = run_cli(capsys, ["analyze", mixed_file, "--jobs", jobs])
+    assert code == 0
+    # one worker runs in-process, with no pool
+    assert _RecordingPool.sizes == ([size] if size else [])
+    assert [r["name"] for r in records(out)] == ["line-1", "line-2"]
 
 
 _PETERSEN = parse_graph6(serialize_graph6(petersen()))

@@ -4,7 +4,6 @@ import pytest
 
 from nzflow import (
     canonical_coloring,
-    color12_components,
     compute_oddness,
     cut_color_profile,
     edge_cut,
@@ -118,7 +117,7 @@ def test_color12_components_shapes():
     g = k33()
     tf = next(iter(enumerate_two_factors(g)))
     c = canonical_coloring(g, tf)
-    circuits, paths = color12_components(g, c)
+    circuits, paths = c.circuits, c.paths
     assert paths == ()
     assert all(len(circ) % 2 == 0 for circ in circuits)
     covered = set()
@@ -129,7 +128,7 @@ def test_color12_components_shapes():
 
     g = petersen()
     c = canonical_coloring(g, compute_oddness(g).witness)
-    circuits, paths = color12_components(g, c)
+    circuits, paths = c.circuits, c.paths
     assert len(paths) == 1
     assert all(len(circ) % 2 == 0 for circ in circuits)
     # every component edge set is exactly the color-{1,2} subgraph

@@ -3,14 +3,16 @@ from itertools import combinations
 
 import pytest
 
+from helpers import check_balanced_bruteforce
+
 from nzflow import (
+    BudgetExceededError,
     InternalInconsistencyError,
     MultiGraph,
     bad_cut_certificate,
     build_augmented,
     canonical_coloring,
     canonical_4flow,
-    check_balanced_bruteforce,
     edge_cut,
     five_flow_oddness4,
     is_bad_cut,
@@ -308,6 +310,17 @@ def test_pipeline_never_anomalous_on_catalog():
     for g in graphs:
         cert = five_flow_oddness4(g, check_cyclic=False)
         assert cert.outcome != "bad_pair_anomaly"
+
+
+def test_pipeline_max_work_bounds_cyclic_and_oddness():
+    # one budget: each search the pipeline runs gets max_work units
+    g = petersen()
+    assert five_flow_oddness4(g, max_work=300).cyclic["status"] == "checked"
+    cert = five_flow_oddness4(g, max_work=100)
+    assert cert.cyclic == {"status": "budget_exceeded"}
+    assert cert.outcome == "flow_found"
+    with pytest.raises(BudgetExceededError, match="oddness"):
+        five_flow_oddness4(g, max_work=10)
 
 
 def test_pipeline_rejects_non_cubic():

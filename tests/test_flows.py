@@ -20,7 +20,6 @@ from nzflow import (
     canonical_coloring,
     canonical_4flow,
     circulation_on_circuit,
-    color12_components,
     compute_oddness,
     enumerate_two_factors,
     flow_from_json,
@@ -382,7 +381,7 @@ def test_circuits_traced_once_match_traced_references(corpus):
         for tf in factors:
             assert tf.circuits == traced_two_factor_circuits(g, tf.matching), name
             c = canonical_coloring(g, tf)
-            assert color12_components(g, c)[0] == traced_color12_circuits(g, c), name
+            assert c.circuits == traced_color12_circuits(g, c), name
             ag = build_augmented(g, c)
             assert (ag.closed_circuits, ag.twin_circuits) == traced_augmented_circuits(
                 ag

@@ -6,10 +6,10 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import bit_stream_graph6_edges
+from helpers import bit_stream_graph6_edges, to_networkx
 
 from nzflow import Graph6Error, MultiGraph, parse_graph6, serialize_graph6
-from nzflow.catalog import _moebius_ladder, generalized_petersen, k4, petersen, to_networkx
+from nzflow.catalog import _moebius_ladder, generalized_petersen, k4, petersen
 
 
 def test_k4_is_c_tilde():

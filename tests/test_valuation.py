@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_is_balanced, two_network_check_balanced_mincut
+from helpers import (
+    brute_is_balanced,
+    check_balanced_bruteforce,
+    two_network_check_balanced_mincut,
+)
 
 import nzflow.valuation
 
@@ -14,7 +18,6 @@ from nzflow import (
     build_augmented,
     canonical_coloring,
     canonical_4flow,
-    check_balanced_bruteforce,
     check_balanced_mincut,
     compute_oddness,
     flow_partition,
