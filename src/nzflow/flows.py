@@ -9,6 +9,7 @@ flows compare equal.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .coloring import Coloring4
@@ -398,24 +399,57 @@ def solve_nowhere_zero_flow(
             for w, s in ((u, 1), (v, -1)):
                 vsum[w] = (vsum[w] - s * x) % k
                 unassigned[w] += 1
+            if dropped[e]:
+                dropped[e] = False
+                heapq.heappush(heap, key(e))
 
-    def pick() -> int | None:
-        best = None
-        best_key = None
-        for e in range(m):
-            if value[e] is not None:
-                continue
-            u, v = g.endpoints(e)
-            key = (min(unassigned[u], unassigned[v]), e)
-            if best_key is None or key < best_key:
-                best, best_key = e, key
-        return best
+    # pick() returns the unassigned edge with the least key, and so the
+    # least (min(unassigned[u], unassigned[v]), e) over its ends u, v.  The
+    # heap may hold stale entries, but every unassigned edge keeps one no
+    # larger than its key: assignments only lower keys, and pick() first
+    # pushes the keys of the edges next to the trail just assigned; undo
+    # only raises keys, and pushes again an edge whose entry pick() dropped
+    # while it was assigned.  A larger entry is then a duplicate, and a
+    # smaller one is filed again under the current key
+    def key(e: int) -> int:
+        u, v = g.endpoints(e)
+        return min(unassigned[u], unassigned[v]) * m + e
+
+    heap = [key(e) for e in range(m)]
+    heapq.heapify(heap)
+    dropped = [False] * m
+    pushed_at = [0] * m  # the last pick() that pushed each edge
+    picks = 0
+
+    def pick(trail: list[int]) -> int | None:
+        nonlocal picks
+        picks += 1
+        for t in trail:
+            for w in g.endpoints(t):
+                for e, _ in incid[w]:
+                    if value[e] is None and pushed_at[e] != picks:
+                        pushed_at[e] = picks
+                        heapq.heappush(heap, key(e))
+        while heap:
+            top = heap[0]
+            e = top % m
+            if value[e] is None:
+                current = key(e)
+                if top == current:
+                    return e
+                if top < current:
+                    heapq.heapreplace(heap, current)
+                    continue
+            else:
+                dropped[e] = True
+            heapq.heappop(heap)
+        return None
 
     def search() -> bool:
         # depth-first over (edge, next value to try, trail of the value
         # being tried) frames; a popped frame first undoes its last try
         nonlocal work
-        e = pick()
+        e = pick([])
         if e is None:
             return True
         stack: list[tuple[int, int, list[int] | None]] = [(e, 1, None)]
@@ -434,7 +468,7 @@ def solve_nowhere_zero_flow(
             ok = assign(e, x, trail)
             stack.append((e, x + 1, trail))
             if ok:
-                child = pick()
+                child = pick(trail)
                 if child is None:
                     return True
                 stack.append((child, 1, None))

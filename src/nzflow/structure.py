@@ -11,7 +11,6 @@ lets that search stop before exhausting the matchings of a snark.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
@@ -628,19 +627,44 @@ class _UnitCuts:
         return value, side
 
 
+def _edge_connectivity(
+    g: MultiGraph, cuts: _UnitCuts, limit: int, budget: _Budget
+) -> int:
+    """The edge-connectivity of ``g``, or ``limit`` if it is not smaller.
+
+    Every edge cut separates vertex 0 from some other vertex, so it is the
+    least of the n - 1 cuts between vertex 0 and each other vertex, each
+    flow stopped at the least cut so far.  Each flow costs 4 work units.
+    """
+    least = limit
+    for v in range(1, g.n):
+        if least == 0:
+            break
+        budget.spend(4)
+        least, _ = cuts.min_cut((0,), (v,), least)
+    return least
+
+
 def _cycle_pair_sweep(
     g: MultiGraph,
     cycles: list[tuple[int, ...]],
+    small_cap: int,
     budget: _Budget,
     stop_below: int | None,
 ) -> tuple[int | None, frozenset[int] | None]:
     """Minimum cut over disjoint cycle pairs; early exit below ``stop_below``.
 
-    A pair's flow stops growing once it reaches the best cut so far, since
-    that pair can no longer lower the minimum.
+    ``cycles`` is sorted by length, and the first cycle of every pair is at
+    most ``small_cap`` long.  A pair's flow stops growing once it reaches
+    the best cut so far, since that pair can no longer lower the minimum.
+    Every cut between two cycles is an edge cut, so the sweep also stops
+    once the best cut equals the graph's edge-connectivity, which is
+    computed the first time the best cut is at most the minimum degree.
     """
     best: int | None = None
     best_side: frozenset[int] | None = None
+    floor: int | None = None  # the edge-connectivity, once computed
+    min_degree = min(g.degrees(), default=0)
     cuts = _UnitCuts(g)
     # bit j of through[v] is set when cycle j passes through v, so the
     # cycles disjoint from cycle i are the bits that no vertex of i sets
@@ -650,6 +674,8 @@ def _cycle_pair_sweep(
             through[v] |= 1 << j
     everything = (1 << len(cycles)) - 1
     for i in range(len(cycles)):
+        if len(cycles[i]) > small_cap:
+            break
         hit = 0
         for v in cycles[i]:
             hit |= through[v]
@@ -665,14 +691,96 @@ def _cycle_pair_sweep(
                 best_side = side
                 if stop_below is not None and best < stop_below:
                     return best, best_side
+                if floor is None and best <= min_degree:
+                    floor = _edge_connectivity(g, cuts, best, budget)
+                if best == floor:
+                    return best, best_side
     return best, best_side
 
 
-def _length_bound(n: int, cut_size: int) -> int:
-    # a minimum cycle-separating cut of size c has, on each side, a chordless
-    # cycle of length <= c + 2*ceil(log2 n) + 2 (degree-2 chains are globally
-    # bounded by the cut size, the cubic core has logarithmic girth)
-    return cut_size + 2 * math.ceil(math.log2(max(n, 2))) + 2
+def _moore_girth(order: int) -> int:
+    """The largest girth a cubic multigraph on ``order`` vertices can have
+    by the Moore bound, and 0 for the empty graph.
+
+    A cubic multigraph of girth at least 2r + 1 has at least
+    n0(3, 2r + 1) = 3 * 2^r - 2 vertices (the ball of radius r around a
+    vertex is a tree), and one of girth at least 2r has at least
+    n0(3, 2r) = 2^(r + 1) - 2 (the same around an edge).  Loops and
+    parallel edges give girth 1 and 2, which the same counts allow.
+    """
+    g = 0
+    while True:
+        r, odd = divmod(g + 1, 2)
+        if (3 * 2**r - 2 if odd else 2 ** (r + 1) - 2) > order:
+            return g
+        g += 1
+
+
+def _side_caps(g: MultiGraph, cut_size: int) -> tuple[int, int]:
+    """Lengths ``(small, large)`` such that, if ``g`` has a cycle-separating
+    cut of at most ``cut_size`` edges, then some minimum one separates a
+    chordless cycle of at most ``small`` vertices from one of at most
+    ``large``.
+
+    Lemma.  Let G be cubic and S a vertex set with exactly c edges leaving
+    it whose induced subgraph G[S] is connected and has a cycle.  Then S
+    holds a chordless cycle of at most c + m(|S| - c) vertices, where m is
+    :func:`_moore_girth`.
+
+    Proof.  Counting degrees, G[S] has (3|S| - c)/2 edges, so its
+    cyclomatic number is (|S| - c)/2 + 1 >= 1 and |S| >= c.  Prune its
+    pendant trees, leaving its core, in which every vertex has degree 2 or
+    3.  The core loses 3 - d degrees at a vertex of core degree d, and
+    those degrees belong to cut edges or to pendant trees.  A pendant tree
+    on t vertices, hanging from one core vertex, has t - 1 inner edges and
+    one edge to the core; its vertices have 3t degrees, so t + 1 >= 2 of
+    its edges are cut edges.  A core vertex of degree 2 has either a cut
+    edge or one pendant tree, so the core has at most c of them.
+    Suppressing them leaves a cubic multigraph H with the same cyclomatic
+    number, so on 2((|S| - c)/2 + 1) - 2 = |S| - c vertices; if that is
+    0, the core is a single cycle through at most c vertices.
+    Otherwise H has a cycle of at most m(|S| - c) edges, which runs
+    through as many vertices of H and at most c suppressed ones: a cycle
+    of G[S] with at most c + m(|S| - c) vertices.  A shortest cycle of
+    G[S] is chordless, since a chord would lie in G[S] and close a
+    shorter one.
+
+    Sides.  Let c now be the cyclic edge-connectivity.  If G is
+    connected, both sides of a minimum cycle-separating cut are
+    connected: were S a union of parts S1, S2 with no edge between them,
+    S1 having a cycle, then the edges leaving S1 would separate that cycle
+    from the other side's with fewer edges, since some edge leaves S2.  If
+    G is disconnected, c = 0, and two components with cycles serve as S
+    and T.  Either way S and T are disjoint, so the smaller has at most
+    n // 2 vertices and, as each has at least c, the larger at most n - c.
+    As m grows with the order, the smaller side has a chordless cycle of
+    at most c + m(n // 2 - c) vertices and the larger one of at most
+    c + m(n - 2c).  The cut between those two cycles is at most c, since
+    S separates them, and at least c, since it separates two cycles.
+
+    The caps are the maxima of these bounds over every c <= ``cut_size``
+    and c <= n // 2 (the smaller side has at least c vertices).  The lemma
+    counts degrees, so on graphs that are not cubic both caps are n: no
+    cycle is dropped.
+    """
+    n = g.n
+    if any(d != 3 for d in g.degrees()):
+        return n, n
+    small = large = 0
+    for c in range(min(cut_size, n // 2) + 1):
+        small = max(small, c + _moore_girth(n // 2 - c))
+        large = max(large, c + _moore_girth(n - 2 * c))
+    return small, large
+
+
+def _capped_sweep(
+    g: MultiGraph, cut_size: int, budget: _Budget, stop_below: int | None
+) -> tuple[int | None, frozenset[int] | None]:
+    """The sweep over the chordless cycles that :func:`_side_caps` keeps
+    for cuts of at most ``cut_size`` edges."""
+    small, large = _side_caps(g, cut_size)
+    cycles = _chordless_cycles(g, large, budget)
+    return _cycle_pair_sweep(g, cycles, small, budget, stop_below)
 
 
 def is_cyclically_k_connected(
@@ -682,13 +790,13 @@ def is_cyclically_k_connected(
 
     On failure the witness is a cycle-separating cut with fewer than k edges.
     Graphs without two vertex-disjoint cycles are vacuously k-connected for
-    every k.
+    every k.  A cut of fewer than k edges, if there is one, is found among
+    the chordless cycles that :func:`_side_caps` keeps for k - 1.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     budget = _Budget(max_work)
-    cycles = _chordless_cycles(g, _length_bound(g.n, k - 1), budget)
-    value, side = _cycle_pair_sweep(g, cycles, budget, stop_below=k)
+    value, side = _capped_sweep(g, k - 1, budget, stop_below=k)
     if value is not None and value < k:
         cut = frozenset(
             eid for eid, (u, v) in enumerate(g.edges) if (u in side) != (v in side)
@@ -740,11 +848,24 @@ def cyclic_connectivity(
     contraction.  The sweep builds the graph's unit arcs once and, for each
     pair, grows the flow by augmenting paths from one cycle to the other,
     stopping once it reaches the best cut found so far (such a pair cannot
-    lower the minimum).  Cycle lengths are capped by a bound derived from
-    the best cut found so far and the sweep repeats until the cap is
-    self-consistent.  Every disjoint pair costs 4 work units and every
-    extension step of the cycle enumeration 1; more than ``max_work`` units
-    raise :class:`BudgetExceededError`.
+    lower the minimum).
+
+    Proof of the caps (in full at :func:`_side_caps`).  Both sides of a
+    minimum cut of size c are connected.  A side S, with its pendant trees
+    pruned and its at most c degree-2 vertices suppressed, is a cubic
+    multigraph on |S| - c vertices, whose girth the Moore bound limits; so
+    S has a chordless cycle of at most c + m(|S| - c) vertices, with m
+    :func:`_moore_girth`.  The smaller side has at most n // 2 vertices
+    and the larger at most n - c.  A sweep under the caps for cuts below
+    ``upper`` therefore finds any such cut, and a cut of exactly ``upper``
+    it finds is minimum.  ``upper`` starts at the girth and rises to the
+    sweep's value until the sweep settles at or below it.  Only pairs whose
+    first (shorter) cycle is within the smaller side's cap are tried, and
+    the sweep stops once its best cut equals the edge-connectivity.
+
+    Every disjoint pair and every flow of the edge-connectivity check costs
+    4 work units and every extension step of the cycle enumeration 1; more
+    than ``max_work`` units raise :class:`BudgetExceededError`.
     """
     budget = _Budget(max_work)
     gi = girth(g)
@@ -752,12 +873,11 @@ def cyclic_connectivity(
         return CyclicConnectivity(value=None, vacuous=True, witness=None)
     upper = gi
     while True:
-        cycles = _chordless_cycles(g, _length_bound(g.n, upper - 1), budget)
-        value, side = _cycle_pair_sweep(g, cycles, budget, stop_below=None)
+        value, side = _capped_sweep(g, upper - 1, budget, stop_below=None)
         if value is None:
-            # nothing disjoint at this cap: decide vacuity with no cap
+            # nothing disjoint at these caps: decide vacuity with no cap
             cycles = _chordless_cycles(g, g.n, budget)
-            value, side = _cycle_pair_sweep(g, cycles, budget, stop_below=None)
+            value, side = _cycle_pair_sweep(g, cycles, g.n, budget, stop_below=None)
             if value is None:
                 return CyclicConnectivity(value=None, vacuous=True, witness=None)
         if value <= upper:

@@ -8,15 +8,18 @@ Fractions.  The package's earlier implementations stay here as references
 for the ones that replaced them: VF2 isomorphism through networkx (replaced
 by ``catalog.canonical_form``), the recursive Dinic, the balance check with
 one network per sign, the graph6 decoder that expands every bit, the
-recursive flow solver, and the 2-factor, colour-{1,2}, augmented-graph and
-4-flow constructions that re-trace every circuit with ``trace_circuit``.
-The exhaustive balance checker, vectorized over all subsets with numpy, is
-the reference for ``check_balanced_mincut``.  numpy and networkx are test
-dependencies only.
+recursive flow solver, the 2-factor, colour-{1,2}, augmented-graph and
+4-flow constructions that re-trace every circuit with ``trace_circuit``, and
+the cyclic-connectivity sweep under its earlier length cap.  The exhaustive
+balance checker and the table of every vertex bipartition's cut, both
+vectorized over all subsets with numpy, are the references for
+``check_balanced_mincut`` and for the cyclic sweep's cycle caps.  numpy and
+networkx are test dependencies only.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +31,7 @@ import numpy as np
 from nzflow.errors import BudgetExceededError
 from nzflow.flows import Flow, make_flow, mod_to_integer_flow
 from nzflow.graph import MultiGraph, trace_circuit
+from nzflow.structure import _Budget, _UnitCuts, _chordless_cycles, girth
 from nzflow.valuation import BalanceReport, Valuation, _class_difference
 
 
@@ -82,20 +86,12 @@ def brute_cyclic_min_cut(g: MultiGraph) -> int | None:
     """Minimum size of a cycle-separating edge cut, by full enumeration.
 
     None when no vertex subset splits the graph into two cycle-containing
-    sides.  Exponential; keep to small graphs.
+    sides.  Exponential (every bipartition, from :func:`bipartition_table`);
+    keep to small graphs.
     """
-    best = None
-    all_v = frozenset(range(g.n))
-    for size in range(1, g.n // 2 + 1):
-        for combo in combinations(range(g.n), size):
-            side = frozenset(combo)
-            other = all_v - side
-            if not _has_cycle(g, side) or not _has_cycle(g, other):
-                continue
-            cut = sum(1 for (u, v) in g.edges if (u in side) != (v in side))
-            if best is None or cut < best:
-                best = cut
-    return best
+    _, cut, cyclic_in, cyclic_out = bipartition_table(g)
+    both = cyclic_in & cyclic_out
+    return int(cut[both].min()) if both.any() else None
 
 
 def dinic_min_cut_between(
@@ -128,6 +124,121 @@ def dinic_min_cut_between(
     reach = net.reachable(0)
     side = frozenset(v for v in range(g.n) if node[v] in reach)
     return value, side
+
+
+def bipartition_table(g: MultiGraph):
+    """Every vertex bipartition of ``g``, vectorized over subset masks.
+
+    Returns ``(masks, cut, cyclic_in, cyclic_out)``: the masks run over the
+    nonempty vertex sets S without vertex n - 1, ``cut`` counts the edges
+    leaving S, and ``cyclic_in`` / ``cyclic_out`` tell whether S and its
+    complement induce a subgraph with a cycle (a nonempty 2-core, found by
+    peeling vertices of induced degree below 2).
+    """
+    n = g.n
+    masks = np.arange(1, 1 << (n - 1), dtype=np.int64)
+    inside = [((masks >> v) & 1).astype(bool) for v in range(n)]
+    cut = np.zeros(len(masks), dtype=np.int64)
+    for u, v in g.edges:
+        cut += inside[u] ^ inside[v]
+
+    def has_cycle(alive):
+        while True:
+            degree = [np.zeros(len(masks), dtype=np.int64) for _ in range(n)]
+            for u, v in g.edges:
+                both = alive[u] & alive[v]
+                degree[u] += both
+                degree[v] += both
+            peeled = [a & (d >= 2) for a, d in zip(alive, degree)]
+            if all(np.array_equal(a, b) for a, b in zip(alive, peeled)):
+                return np.logical_or.reduce(alive)
+            alive = peeled
+
+    return masks, cut, has_cycle(inside), has_cycle([~x for x in inside])
+
+
+def induced_girth(g: MultiGraph, vertices: frozenset[int]) -> int | None:
+    """Length of a shortest cycle inside ``vertices``, or None if they
+    induce a forest: for each edge, a shortest path between its ends that
+    avoids it, by BFS."""
+    best = None
+    for eid, (a, b) in enumerate(g.edges):
+        if a not in vertices or b not in vertices:
+            continue
+        dist = {a: 0}
+        queue = deque([a])
+        while queue:
+            x = queue.popleft()
+            for e2, y in g.incident(x):
+                if e2 != eid and y in vertices and y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        if b in dist and (best is None or dist[b] + 1 < best):
+            best = dist[b] + 1
+    return best
+
+
+def reference_length_bound(n: int, cut_size: int) -> int:
+    """The earlier cycle length cap of the cyclic sweep, never proved: a
+    minimum cycle-separating cut of size c was taken to have, on each side,
+    a chordless cycle of length <= c + 2*ceil(log2 n) + 2."""
+    return cut_size + 2 * math.ceil(math.log2(max(n, 2))) + 2
+
+
+def reference_pair_sweep(g: MultiGraph, cycles, stop_below: int | None):
+    """The earlier sweep over every disjoint pair of ``cycles``, in order,
+    each flow stopped at the best cut so far.  Returns the best cut and the
+    side of the first pair that reached it, or ``(None, None)``."""
+    cuts = _UnitCuts(g)
+    # bit j of through[v] is set when cycle j passes through v
+    through = [0] * g.n
+    for j, c in enumerate(cycles):
+        for v in c:
+            through[v] |= 1 << j
+    everything = (1 << len(cycles)) - 1
+    best = best_side = None
+    for i, a in enumerate(cycles):
+        hit = 0
+        for v in a:
+            hit |= through[v]
+        later = (everything ^ hit) >> i  # bit d stands for cycle i + d
+        while later:
+            low = later & -later
+            later ^= low
+            j = i + low.bit_length() - 1
+            value, side = cuts.min_cut(a, cycles[j], best)
+            if best is None or value < best:
+                best, best_side = value, side
+                if stop_below is not None and best < stop_below:
+                    return best, best_side
+    return best, best_side
+
+
+def reference_cyclic_connectivity(g: MultiGraph):
+    """``cyclic_connectivity`` under ``reference_length_bound``: the value
+    and the witness side, or ``(None, None)`` for the vacuous verdict."""
+    upper = girth(g)
+    if upper is None:
+        return None, None
+    while True:
+        cycles = _chordless_cycles(g, reference_length_bound(g.n, upper - 1), _Budget(None))
+        value, side = reference_pair_sweep(g, cycles, None)
+        if value is None:
+            cycles = _chordless_cycles(g, g.n, _Budget(None))
+            value, side = reference_pair_sweep(g, cycles, None)
+            if value is None:
+                return None, None
+        if value <= upper:
+            return value, side
+        upper = value
+
+
+def reference_cyclically_k_connected(g: MultiGraph, k: int):
+    """``is_cyclically_k_connected`` under ``reference_length_bound``: the
+    side of a cut of fewer than k edges, or None."""
+    cycles = _chordless_cycles(g, reference_length_bound(g.n, k - 1), _Budget(None))
+    value, side = reference_pair_sweep(g, cycles, k)
+    return side if value is not None and value < k else None
 
 
 def brute_margin(g: MultiGraph, numerators, denominator, subset) -> Fraction:

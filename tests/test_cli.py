@@ -208,6 +208,21 @@ def test_analyze_computes_cyclic_connectivity_once(capsys, monkeypatch, mixed_fi
     assert k4_rec["outcome"]["cyclic"] == {"status": "checked", "at_least_six": True}
 
 
+def test_analyze_verifies_flower_snarks_cyclically_six_connected(capsys, tmp_path):
+    # J7-J13, under the default --max-work
+    path = tmp_path / "flowers.g6"
+    records6 = (serialize_graph6(flower_snark(k)) for k in (7, 9, 11, 13))
+    path.write_text("".join(r + "\n" for r in records6))
+    code, out, _ = run_cli(capsys, ["analyze", str(path)])
+    assert code == 0
+    recs = records(out)
+    assert len(recs) == 4
+    for rec in recs:
+        assert rec["oddness"] == 2
+        assert rec["cyclic_connectivity"] == {"status": "exact", "value": 6}
+        assert rec["outcome"]["cyclic"] == {"status": "checked", "at_least_six": True}
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_internal_error_spares_later_records(capsys, monkeypatch, mixed_file, command):
     extra, attr = COMMANDS[command]

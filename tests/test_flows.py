@@ -463,3 +463,25 @@ def test_solver_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert verify_flow(g, f) == [] and is_nowhere_zero(f)
+
+
+def test_solver_edge_picks_are_not_quadratic(monkeypatch):
+    # unit propagation forces almost every edge of a prism, so a pick that
+    # scanned every edge would make the endpoint lookups per edge grow
+    # with the prism; with the queue of picks they stay flat
+    lookups = [0]
+    endpoints = MultiGraph.endpoints
+
+    def counted(self, eid):
+        lookups[0] += 1
+        return endpoints(self, eid)
+
+    monkeypatch.setattr(MultiGraph, "endpoints", counted)
+    per_edge = []
+    for n in (150, 600):
+        g = prism(n)
+        lookups[0] = 0
+        f = solve_nowhere_zero_flow(g, 5)
+        per_edge.append(lookups[0] / g.m)
+        assert verify_flow(g, f) == [] and is_nowhere_zero(f)
+    assert per_edge[1] < 1.25 * per_edge[0], per_edge

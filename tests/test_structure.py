@@ -3,7 +3,16 @@ from itertools import permutations, product
 
 import pytest
 
-from helpers import brute_cyclic_min_cut, dinic_min_cut_between, three_edge_colorable
+from helpers import (
+    bipartition_table,
+    brute_cyclic_min_cut,
+    dinic_min_cut_between,
+    induced_girth,
+    reference_cyclic_connectivity,
+    reference_cyclically_k_connected,
+    reference_length_bound,
+    three_edge_colorable,
+)
 
 import nzflow.structure
 from nzflow import (
@@ -32,7 +41,9 @@ from nzflow.structure import (
     _Budget,
     _UnitCuts,
     _chordless_cycles,
-    _length_bound,
+    _edge_connectivity,
+    _moore_girth,
+    _side_caps,
     _state_bound,
 )
 
@@ -339,15 +350,126 @@ def test_girth():
 
 
 def _disjoint_pairs(cycles):
+    sets = [frozenset(c) for c in cycles]
     for i, a in enumerate(cycles):
-        for b in cycles[i + 1 :]:
-            if not set(a) & set(b):
-                yield a, b
+        for j in range(i + 1, len(cycles)):
+            if not sets[i] & sets[j]:
+                yield a, cycles[j]
+
+
+def _disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.n
+    return MultiGraph(offset, edges)
+
+
+# two copies of K4 with one edge subdivided, joined at the subdivision
+# vertices: cubic, with a bridge
+_BRIDGED = MultiGraph(
+    10,
+    [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 0), (4, 1),
+     (5, 7), (5, 8), (6, 7), (6, 8), (7, 8), (9, 5), (9, 6), (4, 9)],
+)
+_PARALLEL_6 = MultiGraph(
+    6, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (2, 5), (3, 4)]
+)
+
+
+def _small_cap_graphs(corpus):
+    graphs = list(corpus)
+    graphs += [
+        (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
+        for n in (10, 12, 14, 16)
+        for s in range(3)
+    ]
+    graphs += [
+        ("parallel-4", _PARALLEL_4),
+        ("parallel-6", _PARALLEL_6),
+        ("bridged-10", _BRIDGED),
+        ("2k33", _disjoint_union(k33(), k33())),
+        ("k4+k33", _disjoint_union(k4(), k33())),
+    ]
+    return graphs
+
+
+def test_moore_girth_is_the_moore_bound():
+    # orders 0..30: K4 (4), K3,3 (6), Petersen (10), Heawood (14) and
+    # Tutte-Coxeter (30) attain the bound; 22 is n0(3, 7)
+    expected = [0, 1, 2, 2, 3, 3] + [4] * 4 + [5] * 4 + [6] * 8 + [7] * 8 + [8]
+    assert [_moore_girth(order) for order in range(31)] == expected
+    for g in (k4(), k33(), petersen()):
+        assert girth(g) == _moore_girth(g.n)
+
+
+def test_side_caps_never_shrink_as_the_cut_grows():
+    # a cap for cuts of at most c edges covers every smaller minimum cut;
+    # c + m(n - 2c) alone drops from n/2 + 1 to n/2 at c = n/2
+    for n in range(3, 40):
+        g = prism(n)
+        caps = [_side_caps(g, c) for c in range(g.n)]
+        for c in range(1, g.n):
+            (small, large), (smaller, larger) = caps[c], caps[c - 1]
+            assert small >= smaller and large >= larger, (n, c)
+
+
+def test_side_caps_hold_on_every_minimum_cyclic_cut(corpus):
+    # every vertex bipartition: each side of every minimum cycle-separating
+    # cut has a cycle (hence a chordless one) within the lemma's bound and
+    # within its side's cap
+    checked = 0
+    for name, g in _small_cap_graphs(corpus):
+        masks, cut, cyclic_in, cyclic_out = bipartition_table(g)
+        both = cyclic_in & cyclic_out
+        if not both.any():
+            assert cyclic_connectivity(g).vacuous, name
+            continue
+        c = int(cut[both].min())
+        assert cyclic_connectivity(g).value == c, name
+        small, large = _side_caps(g, c)
+        everything = frozenset(range(g.n))
+        for mask in masks[both & (cut == c)]:
+            side = frozenset(v for v in range(g.n) if int(mask) >> v & 1)
+            for part in (side, everything - side):
+                shortest = induced_girth(g, part)
+                assert shortest <= c + _moore_girth(len(part) - c), (name, sorted(part))
+                cap = small if len(part) <= g.n // 2 else large
+                assert shortest <= cap, (name, sorted(part))
+                checked += 1
+    assert checked > 500
+
+
+def test_edge_connectivity_matches_every_bipartition(corpus):
+    for name, g in _small_cap_graphs(corpus):
+        _, cut, _, _ = bipartition_table(g)
+        least = int(cut.min())
+        for limit in range(5):
+            got = _edge_connectivity(g, _UnitCuts(g), limit, _Budget(None))
+            assert got == min(least, limit), (name, limit)
+
+
+def test_side_caps_drop_nothing_on_graphs_that_are_not_cubic():
+    # two 30-cycles joined by one edge (id 60), and two triangles, each
+    # joined to the first cycle by two edges: the only 1-edge
+    # cycle-separating cut splits the long cycles, which the caps for a
+    # cubic graph on 66 vertices would drop
+    edges = [(i, (i + 1) % 30) for i in range(30)]
+    edges += [(30 + i, 30 + (i + 1) % 30) for i in range(30)]
+    edges += [(0, 30)]
+    for t, a in ((60, 5), (63, 15)):
+        edges += [(t, t + 1), (t + 1, t + 2), (t + 2, t), (a, t), (a + 1, t + 1)]
+    g = MultiGraph(66, edges)
+    assert _side_caps(g, 2) == (66, 66)
+    res = cyclic_connectivity(g)
+    assert res.value == 1 and res.witness.edges == frozenset({60})
+    chk = is_cyclically_k_connected(g, 2)
+    assert not chk.connected and chk.witness.edges == frozenset({60})
 
 
 def test_cyclic_length_cap_matches_brute_force_at_16_vertices():
-    # _length_bound(16, c - 1) = c + 9 < 16, so the cap is below n here,
-    # though no chordless cycle of these graphs is longer than the cap
+    # _side_caps at n = 16 keeps cycles of at most 8 vertices for cuts
+    # below 5, half of n
     graphs = [("prism-8", prism(8)), ("moebius-16", _moebius_ladder(16))]
     graphs += [
         (f"random-16-{s}", random_bridgeless_cubic(16, random.Random(s)))
@@ -359,15 +481,19 @@ def test_cyclic_length_cap_matches_brute_force_at_16_vertices():
 
 def test_cyclic_length_cap_matches_uncapped_sweep_where_it_prunes():
     # the minimum over all disjoint chordless-cycle pairs is the cyclic
-    # connectivity; on these graphs the cap drops some chordless cycles
-    for n, seed in ((24, 0), (24, 2), (28, 2)):
+    # connectivity; on these graphs the caps drop chordless cycles, from
+    # the list and from the first place of a pair
+    graphs = ((24, 0), (24, 2), (28, 2), (28, 3), (32, 2), (36, 11), (40, 4))
+    for n, seed in graphs:
         g = random_bridgeless_cubic(n, random.Random(seed))
         got = cyclic_connectivity(g).value
+        small, large = _side_caps(g, got - 1)
         cycles = _chordless_cycles(g, g.n, _Budget(None))
-        assert any(len(c) > _length_bound(g.n, got - 1) for c in cycles)
+        assert any(small < len(c) <= large for c in cycles), (n, seed)
+        assert any(len(c) > large for c in cycles), (n, seed)
         assert got == min(
             dinic_min_cut_between(g, a, b)[0] for a, b in _disjoint_pairs(cycles)
-        )
+        ), (n, seed)
 
 
 _REFERENCE_GRAPHS = [
@@ -375,13 +501,7 @@ _REFERENCE_GRAPHS = [
     ("flower-5", flower_snark(5)),
     ("blanusa-1", blanusa_snarks()[0]),
     ("parallel-4", _PARALLEL_4),
-    (
-        "parallel-6",
-        MultiGraph(
-            6,
-            [(0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (2, 5), (3, 4)],
-        ),
-    ),
+    ("parallel-6", _PARALLEL_6),
     # some of its minimum cuts need augmenting paths that cancel flow
     ("random-28-7", random_bridgeless_cubic(28, random.Random(7))),
 ]
@@ -404,7 +524,7 @@ def test_cyclic_witness_is_first_reference_minimum(name, g):
     res = cyclic_connectivity(g)
     # every graph here settles in the first sweep, capped from the girth
     assert res.value <= girth(g)
-    cycles = _chordless_cycles(g, _length_bound(g.n, girth(g) - 1), _Budget(None))
+    cycles = _chordless_cycles(g, reference_length_bound(g.n, girth(g) - 1), _Budget(None))
     best = None
     for a, b in _disjoint_pairs(cycles):
         value, side = dinic_min_cut_between(g, a, b)
@@ -418,13 +538,59 @@ def test_cyclic_witness_is_first_reference_minimum(name, g):
     )
 
 
+_SWEEP_GRAPHS = [(f"flower-{k}", flower_snark(k)) for k in (5, 7, 9, 11)]
+_SWEEP_GRAPHS += [(f"blanusa-{i}", g) for i, g in enumerate(blanusa_snarks(), 1)]
+_SWEEP_GRAPHS += [
+    ("oddness4", oddness4_snark()),
+    ("parallel-4", _PARALLEL_4),
+    ("parallel-6", _PARALLEL_6),
+    ("2k33", _disjoint_union(k33(), k33())),
+]
+
+
+def _assert_matches_reference_sweep(name, g, ks):
+    res = cyclic_connectivity(g)
+    value, side = reference_cyclic_connectivity(g)
+    assert (res.value, res.vacuous) == (value, value is None), name
+    if value is None:
+        assert res.witness is None, name
+    else:
+        assert res.witness.side == tuple(sorted(side)), name
+    for k in ks:
+        side = reference_cyclically_k_connected(g, k)
+        chk = is_cyclically_k_connected(g, k)
+        assert chk.connected == (side is None), (name, k)
+        if side is not None:
+            assert chk.witness.side == tuple(sorted(side)), (name, k)
+
+
+@pytest.mark.parametrize("name,g", _SWEEP_GRAPHS, ids=[n for n, _ in _SWEEP_GRAPHS])
+def test_cyclic_sweep_matches_the_earlier_length_cap(name, g):
+    # the caps keep a subsequence of the earlier pairs, and on these graphs
+    # the first pair reaching the minimum survives, so values, verdicts and
+    # witnesses are unchanged.  Under the earlier cap the k-sweeps of J9
+    # and J11 take seconds, so they are left out
+    _assert_matches_reference_sweep(name, g, (4, 5, 6) if g.n < 36 else ())
+
+
+def test_cyclic_sweep_matches_the_earlier_length_cap_on_the_corpus(corpus):
+    for name, g in corpus:
+        _assert_matches_reference_sweep(name, g, (4, 5, 6))
+
+
 @pytest.mark.parametrize(
     "make,units",
-    [(lambda: flower_snark(5), 2_695), (oddness4_snark, 43_127)],
+    [(lambda: flower_snark(5), 1_910), (oddness4_snark, 3_089)],
     ids=["flower-5", "oddness4"],
 )
 def test_cyclic_work_units_are_pinned(make, units):
-    # chordless-cycle extensions plus 4 units per disjoint cycle pair
+    # chordless-cycle extensions plus 4 units per disjoint cycle pair and
+    # per flow of the edge-connectivity check.  Under the earlier length
+    # cap J5 took 2,695 (1,631 extensions, 266 pairs) and the oddness-4
+    # snark 43,127 (23,575 extensions, 4,888 pairs).  Now J5 takes 950
+    # extensions and 240 pairs; the snark takes 2,945 extensions, and its
+    # first pair gives a 3-edge cut, which 35 flows show is its
+    # edge-connectivity, so the sweep stops there
     g = make()
     assert cyclic_connectivity(g, max_work=units).value is not None
     with pytest.raises(BudgetExceededError):
