@@ -40,10 +40,6 @@ class Coloring4:
     factor: TwoFactor
     circuits: tuple[tuple[int, ...], ...]
 
-    @property
-    def path_count(self) -> int:
-        return len(self.paths)
-
 
 def _check_two_factor(g: MultiGraph, tf: TwoFactor) -> None:
     if tf.matching | tf.factor != frozenset(range(g.m)) or tf.matching & tf.factor:

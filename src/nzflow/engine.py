@@ -28,11 +28,7 @@ from .flows import (
     build_augmented,
     canonical_4flow,
     flow_to_json,
-    is_nowhere_zero,
-    reverse_flow,
     solve_nowhere_zero_flow,
-    switch_path,
-    verify_flow,
 )
 from .graph import MultiGraph, basic_checks, check_vertex_set, edge_cut, pair_cut
 from .structure import CyclicConnectivity, compute_oddness, cyclic_connectivity
@@ -69,14 +65,6 @@ class BadCutCertificate:
     color_counts: tuple[int, int, int, int]
     split: tuple[tuple[int, int], tuple[int, int]]
     partition_tag: str
-
-    def to_json(self) -> dict:
-        return {
-            "edges": sorted(self.edges),
-            "color_counts": list(self.color_counts),
-            "split": [list(self.split[0]), list(self.split[1])],
-            "partition_tag": self.partition_tag,
-        }
 
 
 @dataclass(frozen=True)
@@ -475,33 +463,37 @@ _BALANCED = BalanceReport(True, None, Fraction(0), None)
 
 def _partition_variants(
     ag: AugmentedGraph, base_flow: Flow
-) -> list[tuple[str, Flow, FlowPartition]]:
+) -> list[tuple[str, FlowPartition]]:
     """The two normalized flow partitions used by the proof strategy.
 
     Primary: first missing-2 vertex white, and (with two paths) the third
     one white as well.  Switched: flip the first path, then recolor so the
-    first missing-2 vertex is white again.
+    first missing-2 vertex is white again.  Both are read off the one
+    partition of ``base_flow``: reversing the flow exchanges the classes of
+    every vertex, and reversing the closed circuit of odd path i with its
+    twin (:func:`~nzflow.flows.switch_path`) exchanges them exactly on the
+    vertices of that path, so no other flow is built.
     """
+    g = ag.graph
     z = ag.coloring.missing2
-    f = base_flow
-    part = flow_partition(ag, f)
+
+    def path_vertices(i: int) -> set[int]:
+        return {v for eid in ag.coloring.paths[i] for v in g.endpoints(eid)}
+
+    part = flow_partition(ag, base_flow)
     if z and not part.is_white(z[0]):
-        f = reverse_flow(f)
-        part = flow_partition(ag, f)
+        part = part.swapped(range(g.n))
     if len(z) == 4 and not part.is_white(z[2]):
-        f = switch_path(ag, f, 1)
-        part = flow_partition(ag, f)
+        part = part.swapped(path_vertices(1))
         if not part.is_white(z[0]) or not part.is_white(z[2]):
             raise InternalInconsistencyError("normalization failed")
-    variants = [("primary", f, part)]
+    variants = [("primary", part)]
     if z:
-        f2 = switch_path(ag, f, 0)
-        p2 = flow_partition(ag, f2)
+        p2 = part.swapped(path_vertices(0))
         if not p2.is_white(z[0]):
-            f2 = reverse_flow(f2)
-            p2 = flow_partition(ag, f2)
-        variants.append(("switched", f2, p2))
-    for _tag, _f, pv in variants:
+            p2 = p2.swapped(range(g.n))
+        variants.append(("switched", p2))
+    for _tag, pv in variants:
         for i in range(len(z) // 2):
             a, b = z[2 * i], z[2 * i + 1]
             if pv.is_white(a) == pv.is_white(b):
@@ -592,15 +584,14 @@ def five_flow_oddness4(
 
     coloring = canonical_coloring(g, odd.witness)
     ag = build_augmented(g, coloring)
-    base_flow = canonical_4flow(ag)
-    variants = _partition_variants(ag, base_flow)
+    variants = _partition_variants(ag, canonical_4flow(ag))
 
     # construct first: a flow proves its valuation balanced, so a variant
     # is checked only when its build fails or a flow is already in hand
     balanced_tag = None
     flow5 = None
     partitions = {}
-    for tag, fv, pv in variants:
+    for tag, pv in variants:
         val = to_five_thirds(pv)
         if flow5 is not None:
             rep = check_balanced_mincut(g, val)
@@ -625,8 +616,6 @@ def five_flow_oddness4(
         )
 
     if flow5 is not None:
-        if verify_flow(g, flow5) or not is_nowhere_zero(flow5):
-            raise InternalInconsistencyError("emitted flow failed verification")
         return mkcert(
             outcome="flow_found",
             oddness=odd.oddness,

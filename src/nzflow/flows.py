@@ -220,67 +220,32 @@ def build_augmented(g: MultiGraph, c: Coloring4) -> AugmentedGraph:
     )
 
 
-def _resolve_flips(flips, count, label) -> list[bool]:
-    if flips is None:
-        return [False] * count
-    flips = list(flips)
-    if len(flips) != count:
-        raise ValueError(f"expected {count} orientation choices for {label}")
-    return [bool(x) for x in flips]
-
-
-def canonical_4flow(
-    ag: AugmentedGraph,
-    *,
-    flip_factor=None,
-    flip_closed=None,
-    flip_twin=None,
-) -> Flow:
+def canonical_4flow(ag: AugmentedGraph) -> Flow:
     """The explicit nowhere-zero 4-flow on the augmented graph.
 
     Sum of: value-2 circulations around every circuit of the 2-factor,
     value-1 circulations around every color-{1,2} circuit of the augmented
     graph, and value-1 circulations around every added 2-circuit, the latter
     oriented so the closure edge agrees with its direction in the circuit it
-    closes.  Each ``flip_*`` entry reverses one circulation; twin flips are
-    forced by the closure agreement and rejected when inconsistent.
+    closes.  Every circuit runs in its canonical order, and the result is
+    verified.  Reversing one closed circuit with its twin is
+    :func:`switch_path`; the pipeline never builds that flow, it reads the
+    switched partition off this one's (switching lemma).
     """
     g = ag.graph
-    factor_circuits = ag.coloring.factor.circuits
-    f_factor = _resolve_flips(flip_factor, len(factor_circuits), "factor circuits")
-    f_closed = _resolve_flips(flip_closed, len(ag.closed_circuits), "closed circuits")
-
     signed = [0] * g.m
-    for eids, flip in zip(factor_circuits, f_factor):
-        _signed_add(signed, g, eids, circuit_tails(g, eids), -2 if flip else 2)
+    for eids in ag.coloring.factor.circuits:
+        _signed_add(signed, g, eids, circuit_tails(g, eids), 2)
 
-    closure_tail: dict[int, int] = {}
-    for idx, (eids, flip) in enumerate(zip(ag.closed_circuits, f_closed)):
+    for idx, eids in enumerate(ag.closed_circuits):
         tails = circuit_tails(g, eids)
-        _signed_add(signed, g, eids, tails, -1 if flip else 1)
+        _signed_add(signed, g, eids, tails, 1)
         if idx < len(ag.pairs):
-            closure = ag.pairs[idx].closure
-            pos = eids.index(closure)
-            t = tails[pos]
-            closure_tail[closure] = g.other_end(closure, t) if flip else t
-
-    f_twin = None if flip_twin is None else _resolve_flips(
-        flip_twin, len(ag.pairs), "twin circuits"
-    )
-    for idx, pair in enumerate(ag.pairs):
-        t = closure_tail[pair.closure]
-        h = g.other_end(pair.closure, t)
-        if f_twin is not None:
-            eids = ag.twin_circuits[idx]
-            canonical_t = circuit_tails(g, eids)[eids.index(pair.closure)]
-            derived = canonical_t != t
-            if f_twin[idx] != derived:
-                raise ValueError(
-                    f"twin circuit {idx}: requested orientation disagrees "
-                    "with the closure edge's direction"
-                )
-        # closure runs t -> h, the mate returns h -> t
-        _signed_add(signed, g, (pair.closure, pair.mate), (t, h), 1)
+            pair = ag.pairs[idx]
+            t = tails[eids.index(pair.closure)]
+            h = g.other_end(pair.closure, t)
+            # closure runs t -> h, the mate returns h -> t
+            _signed_add(signed, g, (pair.closure, pair.mate), (t, h), 1)
 
     flow = make_flow(g, signed, 4)
     if verify_flow(g, flow) or not is_nowhere_zero(flow):

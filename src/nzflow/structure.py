@@ -36,10 +36,6 @@ class TwoFactor:
     circuits: tuple[tuple[int, ...], ...]
     odd_count: int
 
-    def parities(self) -> tuple[bool, ...]:
-        """True for each odd circuit."""
-        return tuple(len(c) % 2 == 1 for c in self.circuits)
-
 
 @dataclass(frozen=True)
 class OddnessResult:

@@ -28,11 +28,27 @@ class FlowPartition:
     white: tuple[int, ...]
     black: tuple[int, ...]
     augmented: AugmentedGraph
-    flow: Flow
     base_weights: tuple[int, ...]
 
     def is_white(self, v: int) -> bool:
         return self.base_weights[v] == -2
+
+    def swapped(self, vertices) -> "FlowPartition":
+        """The partition with the classes of ``vertices`` exchanged."""
+        flip = set(vertices)
+        return _partition_of(
+            self.augmented,
+            [-w if v in flip else w for v, w in enumerate(self.base_weights)],
+        )
+
+
+def _partition_of(ag: AugmentedGraph, weights) -> FlowPartition:
+    return FlowPartition(
+        white=tuple(v for v, w in enumerate(weights) if w == -2),
+        black=tuple(v for v, w in enumerate(weights) if w == 2),
+        augmented=ag,
+        base_weights=tuple(weights),
+    )
 
 
 @dataclass(frozen=True)
@@ -44,16 +60,6 @@ class Valuation:
 
     def value(self, v: int) -> Fraction:
         return Fraction(self.numerators[v], self.denominator)
-
-    def to_json(self) -> dict:
-        return {"denominator": self.denominator, "values": list(self.numerators)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Valuation":
-        return cls(
-            denominator=int(obj["denominator"]),
-            numerators=tuple(int(x) for x in obj["values"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,9 @@ def flow_partition(ag: AugmentedGraph, f4: Flow) -> FlowPartition:
     """Split the vertices by the sign of ``2*outdeg - deg`` under ``f4``.
 
     Requires a nowhere-zero 4-flow on the augmented graph for which that
-    quantity is +-1 everywhere, as the canonical construction guarantees.
+    quantity is +-1 everywhere, as the canonical construction guarantees;
+    the input is verified.  Other partitions of the pipeline are read off
+    this one with :meth:`FlowPartition.swapped`, so it runs once per record.
     """
     g = ag.graph
     if verify_flow(g, f4) or not is_nowhere_zero(f4):
@@ -97,15 +105,7 @@ def flow_partition(ag: AugmentedGraph, f4: Flow) -> FlowPartition:
                 f"vertex {v}: 2*outdeg - deg = {s}, flow is not canonical"
             )
         weights.append(2 * s)
-    white = tuple(v for v in range(g.n) if weights[v] == -2)
-    black = tuple(v for v in range(g.n) if weights[v] == 2)
-    return FlowPartition(
-        white=white,
-        black=black,
-        augmented=ag,
-        flow=f4,
-        base_weights=tuple(weights),
-    )
+    return _partition_of(ag, weights)
 
 
 def to_five_thirds(p: FlowPartition) -> Valuation:
@@ -290,9 +290,9 @@ def valuation_to_flow(g: MultiGraph, val: Valuation, k: int) -> Flow:
     separate check (construct first).  Balance is checked only when a step
     fails: an unbalanced input raises :class:`UnbalancedValuationError`
     carrying the checker's report, and a failure on balanced input is a
-    broken invariant (:class:`InternalInconsistencyError`).  A realized flow
-    that fails verification or induces another valuation raises a plain
-    ``ValueError``.
+    broken invariant (:class:`InternalInconsistencyError`), as is a
+    realized flow that fails verification or induces another valuation.
+    The pipeline emits the returned flow without verifying it again.
     """
     out_deg = _prescribed_out_degrees(g, val, k)
     tails = _initial_orientation(g, out_deg)
@@ -310,11 +310,11 @@ def valuation_to_flow(g: MultiGraph, val: Valuation, k: int) -> Flow:
         )
     flow = Flow(graph=g, tails=tuple(tails), values=tuple(values), modulus=k)
     if verify_flow(g, flow) or not is_nowhere_zero(flow):
-        raise ValueError("circulation produced an invalid flow")
+        raise InternalInconsistencyError("circulation produced an invalid flow")
     # the out-degrees determine the valuation of a nowhere-zero flow
     realized = [0] * g.n
     for t in tails:
         realized[t] += 1
     if realized != out_deg:
-        raise ValueError("realized flow disagrees with valuation")
+        raise InternalInconsistencyError("realized flow disagrees with valuation")
     return flow

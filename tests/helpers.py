@@ -9,8 +9,10 @@ for the ones that replaced them: VF2 isomorphism through networkx (replaced
 by ``catalog.canonical_form``), the recursive Dinic, the balance check with
 one network per sign, the graph6 decoder that expands every bit, the
 recursive flow solver, the 2-factor, colour-{1,2}, augmented-graph and
-4-flow constructions that re-trace every circuit with ``trace_circuit``, and
-the cyclic-connectivity sweep under its earlier length cap.  The exhaustive
+4-flow constructions that re-trace every circuit with ``trace_circuit``,
+the partition variants that rebuild and re-partition each switched or
+reversed flow, and the cyclic-connectivity sweep under its earlier length
+cap.  The exhaustive
 balance checker and the table of every vertex bipartition's cut, both
 vectorized over all subsets with numpy, are the references for
 ``check_balanced_mincut`` and for the cyclic sweep's cycle caps.  numpy and
@@ -28,11 +30,22 @@ from itertools import combinations
 import networkx as nx
 import numpy as np
 
-from nzflow.errors import BudgetExceededError
-from nzflow.flows import Flow, make_flow, mod_to_integer_flow
+from nzflow.errors import BudgetExceededError, InternalInconsistencyError
+from nzflow.flows import (
+    Flow,
+    make_flow,
+    mod_to_integer_flow,
+    reverse_flow,
+    switch_path,
+)
 from nzflow.graph import MultiGraph, trace_circuit
 from nzflow.structure import _Budget, _UnitCuts, _chordless_cycles, girth
-from nzflow.valuation import BalanceReport, Valuation, _class_difference
+from nzflow.valuation import (
+    BalanceReport,
+    Valuation,
+    _class_difference,
+    flow_partition,
+)
 
 
 def three_edge_colorable(g: MultiGraph) -> bool:
@@ -641,13 +654,12 @@ def traced_augmented_circuits(ag) -> tuple[tuple, tuple]:
     return tuple(closed), tuple(twins)
 
 
-def traced_canonical_4flow(ag, flip_factor=None, flip_closed=None) -> Flow:
+def traced_canonical_4flow(ag, flip_closed=None) -> Flow:
     """The canonical 4-flow with every circuit's tails from ``trace_circuit``:
     value 2 around each 2-factor circuit, 1 around each closed circuit, and 1
-    around each twin 2-circuit in the direction of its closure edge."""
+    around each twin 2-circuit in the direction of its closure edge.  A true
+    ``flip_closed[i]`` reverses closed circuit i, and with it its twin."""
     g = ag.graph
-    factor = ag.coloring.factor.circuits
-    flip_factor = flip_factor or [False] * len(factor)
     flip_closed = flip_closed or [False] * len(ag.closed_circuits)
     signed = [0] * g.m
 
@@ -655,9 +667,9 @@ def traced_canonical_4flow(ag, flip_factor=None, flip_closed=None) -> Flow:
         for eid, tail in zip(eids, tails):
             signed[eid] += value if tail == g.endpoints(eid)[0] else -value
 
-    for circ, flip in zip(factor, flip_factor):
+    for circ in ag.coloring.factor.circuits:
         _, eids, tails = trace_circuit(g, circ)
-        add(eids, tails, -2 if flip else 2)
+        add(eids, tails, 2)
     for idx, (circ, flip) in enumerate(zip(ag.closed_circuits, flip_closed)):
         _, eids, tails = trace_circuit(g, circ)
         add(eids, tails, -1 if flip else 1)
@@ -668,3 +680,34 @@ def traced_canonical_4flow(ag, flip_factor=None, flip_closed=None) -> Flow:
                 t = g.other_end(pair.closure, t)
             add((pair.closure, pair.mate), (t, g.other_end(pair.closure, t)), 1)
     return make_flow(g, signed, 4)
+
+
+def flow_built_partition_variants(ag, base_flow):
+    """Reference for ``engine._partition_variants`` that takes no lemma on
+    trust: every reversal and path switch builds its flow with
+    ``reverse_flow`` or ``switch_path`` and partitions that flow again."""
+    z = ag.coloring.missing2
+    f = base_flow
+    part = flow_partition(ag, f)
+    if z and not part.is_white(z[0]):
+        f = reverse_flow(f)
+        part = flow_partition(ag, f)
+    if len(z) == 4 and not part.is_white(z[2]):
+        f = switch_path(ag, f, 1)
+        part = flow_partition(ag, f)
+        if not part.is_white(z[0]) or not part.is_white(z[2]):
+            raise InternalInconsistencyError("normalization failed")
+    variants = [("primary", part)]
+    if z:
+        f2 = switch_path(ag, f, 0)
+        p2 = flow_partition(ag, f2)
+        if not p2.is_white(z[0]):
+            p2 = flow_partition(ag, reverse_flow(f2))
+        variants.append(("switched", p2))
+    for _tag, pv in variants:
+        for i in range(len(z) // 2):
+            if pv.is_white(z[2 * i]) == pv.is_white(z[2 * i + 1]):
+                raise InternalInconsistencyError(
+                    "path ends landed in the same partition class"
+                )
+    return variants

@@ -311,13 +311,13 @@ def _collect_partition_violators():
         tf = compute_oddness(g).witness
         c = canonical_coloring(g, tf)
         ag = build_augmented(g, c)
-        for tag, _f, p in _partition_variants(ag, canonical_4flow(ag)):
+        for tag, p in _partition_variants(ag, canonical_4flow(ag)):
             rep = check_balanced_mincut(g, to_five_thirds(p))
             if not rep.balanced:
                 out.append((g, c, p, rep))
     c = canonical_coloring(ring_g, ring_tf)
     ag = build_augmented(ring_g, c)
-    for tag, _f, p in _partition_variants(ag, canonical_4flow(ag)):
+    for tag, p in _partition_variants(ag, canonical_4flow(ag)):
         rep = check_balanced_mincut(ring_g, to_five_thirds(p))
         if not rep.balanced:
             out.append((ring_g, c, p, rep))

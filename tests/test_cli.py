@@ -248,6 +248,20 @@ def test_internal_error_spares_later_records(capsys, monkeypatch, mixed_file, co
         assert second["outcome"]["outcome"] == "flow_found"
 
 
+def test_broken_realization_is_an_internal_error(capsys, monkeypatch, petersen_file):
+    import nzflow.valuation
+
+    # a circulation that conserves nothing: the emitted flow's one check
+    monkeypatch.setattr(
+        nzflow.valuation, "feasible_circulation", lambda n, arcs: [1] * len(arcs)
+    )
+    code, out, err = run_cli(capsys, ["analyze", petersen_file])
+    assert code == EXIT_INTERNAL == 4
+    (rec,) = records(out)
+    assert rec["internal_error"] is True
+    assert "invalid flow" in rec["error"]
+
+
 @pytest.mark.parametrize("command", ["analyze", "oddness"])
 def test_graph_outside_the_domain_exits_2(capsys, tmp_path, command):
     # sparse6 for a triangle plus four isolated vertices: not cubic
@@ -486,13 +500,23 @@ def test_jobs_pool_is_capped_at_the_cpu_count(
     assert [r["name"] for r in records(out)] == ["line-1", "line-2"]
 
 
-_PETERSEN = parse_graph6(serialize_graph6(petersen()))
-_PETERSEN_CERT = flow_to_json(solve_nowhere_zero_flow(_PETERSEN, 5))
 _SMALL = st.one_of(st.integers(-2, 16), st.none(), st.text(max_size=2))
 
 
-def _with_entries(replaced) -> dict:
-    cert = json.loads(json.dumps(_PETERSEN_CERT))
+@pytest.fixture(scope="module")
+def petersen_cert():
+    """A 5-flow certificate of Petersen as graph6 numbers its edges; built
+    here rather than at import, so a solver fault fails only its users."""
+    g = parse_graph6(serialize_graph6(petersen()))
+    return flow_to_json(solve_nowhere_zero_flow(g, 5))
+
+
+class _Edits(tuple):
+    """(edge index, entry) replacements for the Petersen certificate."""
+
+
+def _with_entries(cert, replaced) -> dict:
+    cert = json.loads(json.dumps(cert))
     for i, entry in replaced:
         cert["edges"][i] = entry
     return cert
@@ -517,7 +541,7 @@ _ENTRY = st.one_of(
 _CERTIFICATES = st.one_of(
     _SMALL,
     st.fixed_dictionaries({"k": _SMALL, "edges": st.one_of(_SMALL, st.lists(_ENTRY, max_size=16))}),
-    st.lists(st.tuples(st.integers(0, 14), _ENTRY), max_size=3).map(_with_entries),
+    st.lists(st.tuples(st.integers(0, 14), _ENTRY), max_size=3).map(_Edits),
 )
 
 
@@ -533,13 +557,17 @@ def fuzz_dir(tmp_path_factory):
     case=st.one_of(
         st.tuples(_STREAM_ARGS, st.lists(_GRAPH_LINES, min_size=1, max_size=3).map("\n".join)),
         st.tuples(_STREAM_ARGS, st.one_of(_JSON_GRAPH, st.lists(_JSON_GRAPH, max_size=3)).map(json.dumps)),
-        st.tuples(st.just(["certify"]), _CERTIFICATES.map(json.dumps)),
+        st.tuples(st.just(["certify"]), _CERTIFICATES),
     )
 )
-def test_main_never_raises(fuzz_dir, case):
+def test_main_never_raises(fuzz_dir, petersen_cert, case):
     """Arbitrary graph lines, JSON graphs and Petersen certificates end in a
     documented exit code, never in an exception."""
     args, text = case
+    if args[0] == "certify":
+        if isinstance(text, _Edits):
+            text = _with_entries(petersen_cert, text)
+        text = json.dumps(text)
     path = fuzz_dir / "input"
     path.write_text(text + "\n")
     if args[0] == "certify":

@@ -45,8 +45,7 @@ def snark_setting():
     tf = compute_oddness(g).witness
     c = canonical_coloring(g, tf)
     ag = build_augmented(g, c)
-    variants = _partition_variants(ag, canonical_4flow(ag))
-    return g, c, ag, dict((tag, (f, p)) for tag, f, p in variants)
+    return g, c, ag, dict(_partition_variants(ag, canonical_4flow(ag)))
 
 
 def ring_setting():
@@ -54,16 +53,15 @@ def ring_setting():
     g, tf = ring_two_factor()
     c = canonical_coloring(g, tf)
     ag = build_augmented(g, c)
-    variants = _partition_variants(ag, canonical_4flow(ag))
-    return g, c, ag, dict((tag, (f, p)) for tag, f, p in variants)
+    return g, c, ag, dict(_partition_variants(ag, canonical_4flow(ag)))
 
 
 def test_partition_normalization():
     for setting in (snark_setting, ring_setting):
         g, c, ag, parts = setting()
         z = c.missing2
-        _, primary = parts["primary"]
-        _, switched = parts["switched"]
+        primary = parts["primary"]
+        switched = parts["switched"]
         assert primary.is_white(z[0]) and primary.is_white(z[2])
         assert not primary.is_white(z[1]) and not primary.is_white(z[3])
         assert switched.is_white(z[0]) and switched.is_white(z[3])
@@ -74,7 +72,7 @@ def test_path_ends_in_different_classes_everywhere():
     for setting in (snark_setting, ring_setting):
         g, c, ag, parts = setting()
         z = c.missing2
-        for _tag, (_f, p) in parts.items():
+        for _tag, p in parts.items():
             for i in range(len(z) // 2):
                 assert p.is_white(z[2 * i]) != p.is_white(z[2 * i + 1])
 
@@ -83,7 +81,7 @@ def test_violator_cut_is_bad_on_the_snark():
     g, c, ag, parts = snark_setting()
     from nzflow import check_balanced_mincut
 
-    for tag, (_f, p) in parts.items():
+    for tag, p in parts.items():
         rep = check_balanced_mincut(g, to_five_thirds(p))
         assert not rep.balanced
         cut = edge_cut(g, rep.violator)
@@ -99,8 +97,8 @@ def test_violator_cut_is_bad_on_the_snark():
 
 def test_bad_cut_rejects_wrong_profile_and_wrong_partition():
     g, c, ag, parts = snark_setting()
-    _f, primary = parts["primary"]
-    _f2, switched = parts["switched"]
+    primary = parts["primary"]
+    switched = parts["switched"]
     from nzflow import check_balanced_mincut
 
     rep = check_balanced_mincut(g, to_five_thirds(primary))
@@ -130,7 +128,7 @@ def test_bad_cut_requires_four_missing2():
     tf = compute_oddness(g).witness
     c = canonical_coloring(g, tf)
     ag = build_augmented(g, c)
-    _tag, f, p = _partition_variants(ag, canonical_4flow(ag))[0]
+    _tag, p = _partition_variants(ag, canonical_4flow(ag))[0]
     with pytest.raises(ValueError, match="four"):
         is_bad_cut(c, p, frozenset(range(6)))
 
@@ -148,7 +146,7 @@ def test_separating_the_first_path_ends_is_never_bad():
                 ec = edge_cut(g, s)
                 if len(ec.edges) != 6:
                     continue
-                for _tag, (_f, p) in parts.items():
+                for _tag, p in parts.items():
                     assert not is_bad_cut(c, p, ec.edges)
                 checked += 1
     assert checked > 0
@@ -158,7 +156,7 @@ def test_validate_violator_claims_on_snark():
     g, c, ag, parts = snark_setting()
     from nzflow import check_balanced_mincut
 
-    for tag, (_f, p) in parts.items():
+    for tag, p in parts.items():
         rep = check_balanced_mincut(g, to_five_thirds(p))
         checks = validate_violator_claims(g, c, p, rep.violator)
         assert all(ch.passed for ch in checks), [
@@ -197,7 +195,7 @@ def test_failing_checks_are_localized_with_observed_numbers():
 
 def test_validate_violator_rejects_non_violator():
     g, c, ag, parts = snark_setting()
-    _f, p = parts["primary"]
+    p = parts["primary"]
     with pytest.raises(ValueError, match="not a violator"):
         validate_violator_claims(g, c, p, [0])
 
@@ -207,7 +205,7 @@ def test_quad_decomposition_invariants():
     from nzflow import check_balanced_mincut
 
     cuts = {}
-    for tag, (_f, p) in parts.items():
+    for tag, p in parts.items():
         rep = check_balanced_mincut(g, to_five_thirds(p))
         cuts[tag] = bad_cut_certificate(c, p, edge_cut(g, rep.violator).edges, tag)
     qd = quad_decompose(g, cuts["primary"].edges, cuts["switched"].edges, c.missing2)
@@ -243,7 +241,7 @@ def test_parity_report_reproduces_counts():
     from nzflow import check_balanced_mincut
 
     cuts = {}
-    for tag, (_f, p) in parts.items():
+    for tag, p in parts.items():
         rep = check_balanced_mincut(g, to_five_thirds(p))
         cuts[tag] = bad_cut_certificate(c, p, edge_cut(g, rep.violator).edges, tag)
     qd = quad_decompose(g, cuts["primary"].edges, cuts["switched"].edges, c.missing2)
@@ -283,9 +281,7 @@ def test_pipeline_balanced_valuation_confirmed_by_bruteforce():
     tf = compute_oddness(g).witness
     c = canonical_coloring(g, tf)
     ag = build_augmented(g, c)
-    variants = dict(
-        (t, p) for t, _f, p in _partition_variants(ag, canonical_4flow(ag))
-    )
+    variants = dict(_partition_variants(ag, canonical_4flow(ag)))
     assert check_balanced_bruteforce(g, to_five_thirds(variants[tag])).balanced
 
 
@@ -467,6 +463,106 @@ def test_analyze_traces_circuits_only_to_close_odd_paths(
     assert 0 < len(calls) <= 2 * 2
 
 
+def _variant_cases(corpus):
+    """(name, augmented graph) for every 2-factor of every corpus graph, the
+    oddness witness of the snark families and of random graphs with
+    n = 20-50, and the triangle ring."""
+    import random
+
+    from nzflow import compute_oddness, enumerate_two_factors
+    from nzflow.catalog import random_bridgeless_cubic
+
+    for name, g in corpus:
+        for i, tf in enumerate(enumerate_two_factors(g)):
+            yield f"{name}/{i}", build_augmented(g, canonical_coloring(g, tf))
+    graphs = [(f"blanusa-{i}", g) for i, g in enumerate(blanusa_snarks(), 1)]
+    graphs += [(f"flower-{k}", flower_snark(k)) for k in (5, 7, 9)]
+    graphs += [("oddness4", oddness4_snark())]
+    rng = random.Random(11)
+    for i in range(60):
+        n = rng.randrange(20, 51, 2)
+        graphs.append((f"random-{n}-{i}", random_bridgeless_cubic(n, rng)))
+    for name, g in graphs:
+        tf = compute_oddness(g).witness
+        yield name, build_augmented(g, canonical_coloring(g, tf))
+    g, tf = ring_two_factor()
+    yield "triangle-ring", build_augmented(g, canonical_coloring(g, tf))
+
+
+def test_partition_variants_match_the_flow_built_reference(corpus):
+    # the switching lemma: reading both variants off one partition gives
+    # what rebuilding every reversed or switched flow gives
+    from helpers import flow_built_partition_variants
+
+    count = 0
+    for name, ag in _variant_cases(corpus):
+        f = canonical_4flow(ag)
+        got = _partition_variants(ag, f)
+        want = flow_built_partition_variants(ag, f)
+        assert [t for t, _p in got] == [t for t, _p in want], name
+        for (tag, p), (_t, q) in zip(got, want):
+            assert p.base_weights == q.base_weights, (name, tag)
+            assert (p.white, p.black) == (q.white, q.black), (name, tag)
+        count += 1
+    assert count > 1200
+
+
+def test_analyze_partitions_once_and_verifies_the_5flow_at_most_once(
+    monkeypatch, tmp_path, capsys
+):
+    import sys
+
+    import nzflow.flows
+    import nzflow.valuation
+    from nzflow import serialize_graph6
+    from nzflow.catalog import prism
+    from nzflow.cli import main
+
+    calls = {"flow_partition": 0, "switch_path": 0, "reverse_flow": 0}
+    verified_5flows = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    real_verify = nzflow.flows.verify_flow
+
+    def counting_verify(g, f):
+        if f.modulus == 5:
+            verified_5flows.append(f)
+        return real_verify(g, f)
+
+    wrappers = {
+        nzflow.valuation.flow_partition: counting(
+            "flow_partition", nzflow.valuation.flow_partition
+        ),
+        nzflow.flows.switch_path: counting("switch_path", nzflow.flows.switch_path),
+        nzflow.flows.reverse_flow: counting("reverse_flow", nzflow.flows.reverse_flow),
+        real_verify: counting_verify,
+    }
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("nzflow"):
+            continue
+        for attr, value in list(vars(module).items()):
+            if callable(value) and value in wrappers:
+                monkeypatch.setattr(module, attr, wrappers[value])
+
+    for g, oddness in ((prism(6), 0), (petersen(), 2), (oddness4_snark(), 4)):
+        for key in calls:
+            calls[key] = 0
+        verified_5flows.clear()
+        path = tmp_path / "g.g6"
+        path.write_text(serialize_graph6(g) + "\n")
+        assert main(["analyze", str(path)]) == 0
+        (rec,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert rec["oddness"] == oddness
+        assert calls == {"flow_partition": 1, "switch_path": 0, "reverse_flow": 0}
+        assert len(verified_5flows) <= 1
+
+
 def test_pipeline_builds_the_switched_variant_after_a_failed_primary(monkeypatch):
     import nzflow.engine
     from fractions import Fraction
@@ -504,13 +600,13 @@ def _reversed_orientation(g, out_deg):
         (  # conservation fails
             "feasible_circulation",
             lambda n, arcs: [1] * len(arcs),
-            ValueError,
+            InternalInconsistencyError,
             "invalid flow",
         ),
         (  # a valid flow of the opposite valuation
             "_initial_orientation",
             _reversed_orientation,
-            ValueError,
+            InternalInconsistencyError,
             "disagrees with valuation",
         ),
         (  # no circulation although the check calls the valuation balanced

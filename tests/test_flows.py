@@ -195,30 +195,6 @@ def test_canonical_4flow_four_missing():
     _canonical_flow_checks(build_augmented(g, c))
 
 
-def test_canonical_4flow_orientation_choices_stay_valid():
-    g = petersen()
-    ag = _augmented_for(g)
-    n_factor = len(ag.coloring.factor.circuits)
-    n_closed = len(ag.closed_circuits)
-    for i in range(n_factor):
-        flips = [j == i for j in range(n_factor)]
-        f = canonical_4flow(ag, flip_factor=flips)
-        assert verify_flow(ag.graph, f) == [] and is_nowhere_zero(f)
-    for i in range(n_closed):
-        flips = [j == i for j in range(n_closed)]
-        f = canonical_4flow(ag, flip_closed=flips)
-        assert verify_flow(ag.graph, f) == [] and is_nowhere_zero(f)
-
-
-def test_canonical_4flow_inconsistent_twin_rejected():
-    g = petersen()
-    ag = _augmented_for(g)
-    base = canonical_4flow(ag, flip_twin=[False])  # consistent with default
-    with pytest.raises(ValueError, match="disagrees"):
-        canonical_4flow(ag, flip_twin=[True])
-    assert base == canonical_4flow(ag)
-
-
 def test_switch_path_is_involution_and_valid():
     g = petersen()
     ag = _augmented_for(g)
@@ -390,14 +366,9 @@ def test_circuits_traced_once_match_traced_references(corpus):
             assert f == traced_canonical_4flow(ag), name
             heads = [e["head"] for e in flow_to_json(f)["edges"]]
             assert heads == [f.head(e) for e in range(ag.graph.m)], name
-            flips = [i % 2 == 0 for i in range(len(tf.circuits))]
-            assert canonical_4flow(ag, flip_factor=flips) == traced_canonical_4flow(
-                ag, flip_factor=flips
-            ), name
             for i in range(len(ag.pairs)):
                 flips = [j == i for j in range(len(ag.closed_circuits))]
                 switched = traced_canonical_4flow(ag, flip_closed=flips)
-                assert canonical_4flow(ag, flip_closed=flips) == switched, name
                 assert switch_path(ag, f, i) == switched, name
 
 

@@ -22,6 +22,7 @@ from nzflow import (
     compute_oddness,
     flow_partition,
     flow_to_valuation,
+    reverse_flow,
     solve_nowhere_zero_flow,
     subset_margin,
     switch_path,
@@ -76,6 +77,9 @@ def test_switch_swaps_exactly_the_path_vertices():
         on_path.update(ag.graph.endpoints(e))
     assert set(p.white) ^ set(p2.white) == on_path
     assert set(p.black) ^ set(p2.black) == on_path
+    assert p.swapped(on_path) == p2
+    # reversing the whole flow exchanges every vertex's class
+    assert p.swapped(range(g.n)) == flow_partition(ag, reverse_flow(f))
 
 
 def test_switch_lemma_on_two_paths():
@@ -90,6 +94,7 @@ def test_switch_lemma_on_two_paths():
         for e in c.paths[i]:
             on_path.update(g.endpoints(e))
         assert set(p.white) ^ set(p2.white) == on_path
+        assert p.swapped(on_path) == p2
 
 
 def test_every_switch_combination_gives_a_valid_partition():
