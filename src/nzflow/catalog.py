@@ -10,6 +10,7 @@ import random
 from functools import lru_cache
 
 from .graph import MultiGraph, bridges, components
+from .symmetry import canonical_form
 
 
 def complete_graph(n: int) -> MultiGraph:
@@ -165,61 +166,6 @@ def dot_product(
     edges.append((c, relabel[y_nb[0]]))
     edges.append((d, relabel[y_nb[1]]))
     return MultiGraph(g.n + h.n - 2, edges)
-
-
-def canonical_form(g: MultiGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """A form that two graphs share exactly when they are isomorphic.
-
-    Individualization-refinement (McKay & Piperno, *Practical graph
-    isomorphism, II*, 2014) with no pruning.  Colour refinement recolours
-    every vertex by its colour and the sorted colours of its neighbours,
-    ranked, until no class splits; every vertex of the first class with
-    more than one vertex is then individualized in turn (it moves to a
-    class of its own just ahead of its old class) and the result refined
-    again, down to colourings that tell all vertices apart.  Each step
-    depends only on the colours, so isomorphic graphs explore the same
-    leaves up to relabelling, and the least edge list relabelled by a
-    leaf's colours is the form.  Without pruning every leaf is visited;
-    the corpus and the snarks need at most 120 (Petersen).
-    """
-    nbrs = [[w for _, w in g.incident(v)] for v in range(g.n)]
-    best = None
-    stack = [[0] * g.n]
-    while stack:
-        colour = _refine(nbrs, stack.pop())
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colour):
-            cells.setdefault(c, []).append(v)
-        split = min((c for c, vs in cells.items() if len(vs) > 1), default=None)
-        if split is None:
-            form = tuple(sorted(
-                (min(colour[u], colour[v]), max(colour[u], colour[v]))
-                for (u, v) in g.edges
-            ))
-            best = form if best is None else min(best, form)
-            continue
-        for v in cells[split]:
-            # v goes just ahead of the rest of its class
-            stack.append(
-                [2 * c + (c == split and w != v) for w, c in enumerate(colour)]
-            )
-    return g.n, best
-
-
-def _refine(nbrs: list[list[int]], colour: list[int]) -> list[int]:
-    """The coarsest equitable refinement of ``colour``, colours ranked by
-    (old colour, sorted neighbour colours)."""
-    classes = len(set(colour))
-    while True:
-        keys = [
-            (colour[v], tuple(sorted(colour[w] for w in ws)))
-            for v, ws in enumerate(nbrs)
-        ]
-        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-        colour = [rank[key] for key in keys]
-        if len(rank) == classes:
-            return colour
-        classes = len(rank)
 
 
 @lru_cache(maxsize=1)

@@ -11,12 +11,14 @@ lets that search stop before exhausting the matchings of a snark.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
 from .errors import BudgetExceededError, InternalInconsistencyError
 from .graph import EdgeCut, MultiGraph, walk_circuit
+from .symmetry import automorphisms, orbits
 
 
 @dataclass(frozen=True)
@@ -641,12 +643,54 @@ def _edge_connectivity(
     return least
 
 
+# The sweeps of one call search for automorphisms once they have tried this
+# many cycle pairs per vertex.  Measured against the mean pair of the same
+# graph, the search costs 0.3 to 1.7 pairs per vertex from 30 vertices up
+# (flower snarks, GP(40, 2), random cubic graphs with a trivial group) and
+# up to 3.8 below 20, so waiting about as long as the search would take
+# bounds what a graph that stops soon after pays for it.  No graph of the
+# 109-graph corpus (at most 2.6 pairs per vertex) reaches it.
+_GROUP_AFTER = 3
+
+
+class _Symmetry:
+    """The automorphisms of one graph, searched for once, when the sweeps
+    of one call have tried ``_GROUP_AFTER`` pairs per vertex; the search
+    spends 4 units of the call's budget per node."""
+
+    def __init__(self, g: MultiGraph, budget: _Budget):
+        self.g = g
+        self.budget = budget
+        self.pairs = 0
+        self.gens: list[list[int]] | None = None
+
+    def orbit_firsts(
+        self, cycles: list[tuple[int, ...]], count: int
+    ) -> list[bool] | None:
+        """Whether each of the first ``count`` cycles comes first in its
+        orbit, or None while the group is not known."""
+        if self.gens is None:
+            if self.pairs < _GROUP_AFTER * self.g.n:
+                return None
+            self.gens = automorphisms(self.g, lambda: self.budget.spend(4))
+        # automorphisms keep lengths, so the first ``count`` cycles (sorted
+        # by length, ``count`` at a length boundary) are closed under them;
+        # a chordless cycle is its vertex set's induced subgraph
+        head = cycles[:count]
+        index = {frozenset(c): i for i, c in enumerate(head)}
+        least = orbits(count, [
+            [index[frozenset(gamma[v] for v in c)] for c in head] for gamma in self.gens
+        ])
+        return [least[i] == i for i in range(count)]
+
+
 def _cycle_pair_sweep(
     g: MultiGraph,
     cycles: list[tuple[int, ...]],
     small_cap: int,
     budget: _Budget,
     stop_below: int | None,
+    symmetry: _Symmetry,
 ) -> tuple[int | None, frozenset[int] | None]:
     """Minimum cut over disjoint cycle pairs; early exit below ``stop_below``.
 
@@ -656,6 +700,8 @@ def _cycle_pair_sweep(
     Every cut between two cycles is an edge cut, so the sweep also stops
     once the best cut equals the graph's edge-connectivity, which is
     computed the first time the best cut is at most the minimum degree.
+    Once ``symmetry`` knows the automorphisms, a first cycle that is not
+    the first of its orbit is skipped (see :func:`cyclic_connectivity`).
     """
     best: int | None = None
     best_side: frozenset[int] | None = None
@@ -669,13 +715,18 @@ def _cycle_pair_sweep(
         for v in c:
             through[v] |= 1 << j
     everything = (1 << len(cycles)) - 1
-    for i in range(len(cycles)):
-        if len(cycles[i]) > small_cap:
-            break
+    outer = bisect_right([len(c) for c in cycles], small_cap)
+    firsts = None
+    for i in range(outer):
+        if firsts is None:
+            firsts = symmetry.orbit_firsts(cycles, outer)
+        if firsts is not None and not firsts[i]:
+            continue
         hit = 0
         for v in cycles[i]:
             hit |= through[v]
         later = (everything ^ hit) >> i  # bit d stands for cycle i + d
+        symmetry.pairs += later.bit_count()
         while later:
             low = later & -later
             later ^= low
@@ -770,13 +821,17 @@ def _side_caps(g: MultiGraph, cut_size: int) -> tuple[int, int]:
 
 
 def _capped_sweep(
-    g: MultiGraph, cut_size: int, budget: _Budget, stop_below: int | None
+    g: MultiGraph,
+    cut_size: int,
+    budget: _Budget,
+    stop_below: int | None,
+    symmetry: _Symmetry,
 ) -> tuple[int | None, frozenset[int] | None]:
     """The sweep over the chordless cycles that :func:`_side_caps` keeps
     for cuts of at most ``cut_size`` edges."""
     small, large = _side_caps(g, cut_size)
     cycles = _chordless_cycles(g, large, budget)
-    return _cycle_pair_sweep(g, cycles, small, budget, stop_below)
+    return _cycle_pair_sweep(g, cycles, small, budget, stop_below, symmetry)
 
 
 def is_cyclically_k_connected(
@@ -787,12 +842,17 @@ def is_cyclically_k_connected(
     On failure the witness is a cycle-separating cut with fewer than k edges.
     Graphs without two vertex-disjoint cycles are vacuously k-connected for
     every k.  A cut of fewer than k edges, if there is one, is found among
-    the chordless cycles that :func:`_side_caps` keeps for k - 1.
+    the chordless cycles that :func:`_side_caps` keeps for k - 1.  The
+    sweep skips first cycles outside their orbit's first as
+    :func:`cyclic_connectivity` does, under the same budget; being below
+    k is kept by automorphisms, so the verdict and witness do not change.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     budget = _Budget(max_work)
-    value, side = _capped_sweep(g, k - 1, budget, stop_below=k)
+    value, side = _capped_sweep(
+        g, k - 1, budget, stop_below=k, symmetry=_Symmetry(g, budget)
+    )
     if value is not None and value < k:
         cut = frozenset(
             eid for eid, (u, v) in enumerate(g.edges) if (u in side) != (v in side)
@@ -859,21 +919,48 @@ def cyclic_connectivity(
     first (shorter) cycle is within the smaller side's cap are tried, and
     the sweep stops once its best cut equals the edge-connectivity.
 
-    Every disjoint pair and every flow of the edge-connectivity check costs
-    4 work units and every extension step of the cycle enumeration 1; more
-    than ``max_work`` units raise :class:`BudgetExceededError`.
+    Orbit representatives.  Once the sweeps have tried 3 pairs per vertex
+    (``_GROUP_AFTER``), :func:`~nzflow.symmetry.automorphisms` gives the
+    automorphism group, and from then on a pair's first cycle must be the
+    earliest cycle of its orbit.  This keeps the value, the vacuous verdict
+    and the witness.  Automorphisms keep cycle lengths, vertex sets and
+    disjointness, so the pairs the caps keep, and their cut values, are
+    closed under them.  Let P = (C_i, C_j), i < j, be the first pair in
+    sweep order with some property that automorphisms keep, such as
+    reaching the minimum or being below k.  If an automorphism mapped C_i
+    to an earlier cycle C_h, h < i, then {C_h, image of C_j} would be a
+    kept pair with the same property, tried before P (its first cycle is
+    C_h or an even earlier one); so C_i comes first in its orbit and the
+    restricted sweep tries P.  Before P both sweeps keep a best cut above
+    P's value (the restricted one tries a subset of the same pairs), so
+    both compute P's cut in full; the side is everything the residual
+    graph reaches from C_i, the inclusion-minimal minimum-cut side, which
+    does not depend on the flow.  After P neither sweep improves.  The
+    edge-connectivity stop fires at the first pair whose cut equals it,
+    again P.  Any group of automorphisms would do, so the restriction may
+    start mid-sweep.
+
+    Every disjoint pair, every flow of the edge-connectivity check and
+    every node of the automorphism search costs 4 work units, and every
+    extension step of the cycle enumeration 1; more than ``max_work``
+    units raise :class:`BudgetExceededError`.
     """
     budget = _Budget(max_work)
+    symmetry = _Symmetry(g, budget)
     gi = girth(g)
     if gi is None:
         return CyclicConnectivity(value=None, vacuous=True, witness=None)
     upper = gi
     while True:
-        value, side = _capped_sweep(g, upper - 1, budget, stop_below=None)
+        value, side = _capped_sweep(
+            g, upper - 1, budget, stop_below=None, symmetry=symmetry
+        )
         if value is None:
             # nothing disjoint at these caps: decide vacuity with no cap
             cycles = _chordless_cycles(g, g.n, budget)
-            value, side = _cycle_pair_sweep(g, cycles, g.n, budget, stop_below=None)
+            value, side = _cycle_pair_sweep(
+                g, cycles, g.n, budget, stop_below=None, symmetry=symmetry
+            )
             if value is None:
                 return CyclicConnectivity(value=None, vacuous=True, witness=None)
         if value <= upper:

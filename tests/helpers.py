@@ -4,7 +4,8 @@ These deliberately share no code with the implementations they check:
 the edge colorer is a plain backtracker, the cyclic-connectivity oracle
 enumerates vertex subsets, the cut reference contracts both vertex sets into
 a Dinic network, and the balance oracle recomputes margins from scratch with
-Fractions.  The package's earlier implementations stay here as references
+Fractions.  Automorphism orbits come from every automorphism networkx's VF2++
+enumerates.  The package's earlier implementations stay here as references
 for the ones that replaced them: VF2 isomorphism through networkx (replaced
 by ``catalog.canonical_form``), the recursive Dinic, the balance check with
 one network per sign, the graph6 decoder that expands every bit, the
@@ -282,6 +283,28 @@ def isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
     if a.n != b.n or a.m != b.m:
         return False
     return nx.is_isomorphic(to_networkx(a), to_networkx(b))
+
+
+def shuffled(g: MultiGraph, rng) -> MultiGraph:
+    """``g`` with its vertices relabelled, its edges reordered and each edge
+    written either way round."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+             for u, v in g.edges]
+    rng.shuffle(edges)
+    return MultiGraph(g.n, edges)
+
+
+def vf2_orbits(g: MultiGraph) -> list[int]:
+    """The least vertex of each vertex's orbit, over every automorphism
+    networkx's VF2++ enumerates."""
+    nxg = to_networkx(g)
+    least = list(range(g.n))
+    for iso in nx.vf2pp_all_isomorphisms(nxg, nxg):
+        for v, w in iso.items():
+            least[w] = min(least[w], v)
+    return least
 
 
 @lru_cache(maxsize=32)

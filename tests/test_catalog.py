@@ -5,10 +5,11 @@ import json
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
-from helpers import isomorphic
+from helpers import isomorphic, shuffled
 
 from nzflow import MultiGraph
 from nzflow.catalog import (
@@ -16,8 +17,10 @@ from nzflow.catalog import (
     canonical_form,
     dot_product,
     flower_snark,
+    k33,
     oddness4_snark,
     petersen,
+    prism,
 )
 
 # digests of the graphs as networkx VF2 deduplicated them
@@ -27,17 +30,6 @@ BLANUSA_SHA256 = "a73578d842c3c0589c6c2bb83640b135817fad2ddbc7ba64e10ab354f42f4e
 
 def _sha256(obj, **kw) -> str:
     return hashlib.sha256(json.dumps(obj, **kw).encode()).hexdigest()
-
-
-def _shuffled(g: MultiGraph, rng: random.Random) -> MultiGraph:
-    """``g`` with its vertices relabelled, its edges reordered and each edge
-    written either way round."""
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
-             for u, v in g.edges]
-    rng.shuffle(edges)
-    return MultiGraph(g.n, edges)
 
 
 def test_corpus_matches_pinned_digest(corpus):
@@ -55,7 +47,20 @@ def test_canonical_form_ignores_labels(corpus):
     graphs = [g for _, g in corpus]
     graphs += [*blanusa_snarks(), flower_snark(5), oddness4_snark()]
     for g in graphs:
-        assert canonical_form(_shuffled(g, rng)) == canonical_form(g)
+        assert canonical_form(shuffled(g, rng)) == canonical_form(g)
+
+
+def test_canonical_form_prunes_by_automorphisms():
+    # without pruning every automorphism costs a leaf: prism(40) has 160
+    # and three disjoint copies of K3,3 have 72**3 * 6
+    three_k33 = MultiGraph(
+        18, [(a + 6 * c, b + 6 * c) for c in range(3) for a, b in k33().edges]
+    )
+    for g in (prism(40), three_k33):
+        started = time.perf_counter()
+        form = canonical_form(g)
+        assert time.perf_counter() - started < 1.0
+        assert form == canonical_form(shuffled(g, random.Random(2)))
 
 
 def _dot_product_candidates() -> list[MultiGraph]:

@@ -10,8 +10,8 @@ import nzflow.cli
 import nzflow.engine
 import nzflow.structure
 from nzflow import InternalInconsistencyError
-from nzflow.cli import EXIT_INTERNAL, main
-from nzflow.catalog import flower_snark, k4, petersen
+from nzflow.cli import EXIT_INTERNAL, EXIT_RECURSION, main
+from nzflow.catalog import flower_snark, k4, petersen, prism
 from nzflow.flows import flow_to_json, solve_nowhere_zero_flow
 from nzflow.graph6 import parse_graph6, serialize_graph6
 
@@ -246,6 +246,25 @@ def test_internal_error_spares_later_records(capsys, monkeypatch, mixed_file, co
     if command == "analyze":
         assert second["n"] == 4
         assert second["outcome"]["outcome"] == "flow_found"
+
+
+@pytest.mark.parametrize("command", ["analyze", "oddness"])
+def test_recursion_limit_is_a_record_naming_its_stage(capsys, tmp_path, command):
+    # the oddness search nests one call per matching edge, 1,500 on
+    # prism(1500), past Python's default limit of 1,000 frames
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps([prism(1500).to_json(), petersen().to_json()]))
+    extra = ["--skip-cyclic"] if command == "analyze" else []
+    code, out, err = run_cli(capsys, [command, str(path), *extra])
+    assert code == EXIT_RECURSION == 5
+    first, second = records(out)
+    assert first["recursion_limit"] is True
+    assert first["stage"] == "compute_oddness"
+    assert first["error"].startswith("recursion limit: compute_oddness nested deeper than")
+    assert first["n"] == 3000
+    assert "json-0: recursion limit: compute_oddness" in err
+    assert second["name"] == "json-1" and "error" not in second
+    assert second["oddness"] == 2
 
 
 def test_broken_realization_is_an_internal_error(capsys, monkeypatch, petersen_file):

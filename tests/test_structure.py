@@ -580,17 +580,20 @@ def test_cyclic_sweep_matches_the_earlier_length_cap_on_the_corpus(corpus):
 
 @pytest.mark.parametrize(
     "make,units",
-    [(lambda: flower_snark(5), 1_910), (oddness4_snark, 3_089)],
+    [(lambda: flower_snark(5), 1_338), (oddness4_snark, 3_089)],
     ids=["flower-5", "oddness4"],
 )
 def test_cyclic_work_units_are_pinned(make, units):
-    # chordless-cycle extensions plus 4 units per disjoint cycle pair and
-    # per flow of the edge-connectivity check.  Under the earlier length
-    # cap J5 took 2,695 (1,631 extensions, 266 pairs) and the oddness-4
-    # snark 43,127 (23,575 extensions, 4,888 pairs).  Now J5 takes 950
-    # extensions and 240 pairs; the snark takes 2,945 extensions, and its
-    # first pair gives a 3-edge cut, which 35 flows show is its
-    # edge-connectivity, so the sweep stops there
+    # chordless-cycle extensions plus 4 units per disjoint cycle pair, per
+    # flow of the edge-connectivity check and per node of the automorphism
+    # search.  Under the earlier length cap J5 took 2,695 (1,631
+    # extensions, 266 pairs) and the oddness-4 snark 43,127 (23,575
+    # extensions, 4,888 pairs).  With the side caps J5 took 1,910 (950
+    # extensions, 240 pairs).  Now J5 tries 60 pairs (3 per vertex), then
+    # searches its group in 15 nodes and sweeps only orbit-first cycles,
+    # 22 more pairs: 950 + 4 * (82 + 15) = 1,338.  The snark takes 2,945
+    # extensions, and its first pair gives a 3-edge cut, which 35 flows
+    # show is its edge-connectivity, so the sweep stops before the search
     g = make()
     assert cyclic_connectivity(g, max_work=units).value is not None
     with pytest.raises(BudgetExceededError):
