@@ -8,18 +8,17 @@ of graph6/sparse6 lines, a JSON edge list, or ``-`` for stdin.
 ``analyze``, ``oddness``, ``cyclic`` and ``flow`` stream through one driver,
 :func:`_stream`: it reads one graph at a time and emits one JSON record per
 graph, filled by the command's record function.  When that computation
-fails, the record carries ``"error"`` (with ``"budget_exceeded": true``,
-``"internal_error": true`` or ``"recursion_limit": true`` and its
-``"stage"`` where they apply), one ``<name>: <error>`` line goes to stderr,
-and the stream goes on.  A malformed input record is
+fails, the record carries ``"error"`` (with ``"budget_exceeded": true`` or
+``"internal_error": true`` where they apply), one ``<name>: <error>`` line
+goes to stderr, and the stream goes on.  A malformed input record is
 reported on stderr as ``input error: ...`` and, without ``--lenient``, ends
-the stream after the records before it.
+the stream after the records before it.  No search recurses, so a large
+graph needs no more Python stack than a small one.
 
 Exit codes, the worst one seen wins: 0 success, 1 anomaly found or
 certificate rejected, 2 input error (also a graph outside the command's
 domain, such as a non-cubic one for ``analyze`` or ``oddness``), 3 budget
-exceeded, 4 internal error (a broken invariant, that is, a bug), 5
-recursion limit (a search nested deeper than Python's recursion limit).
+exceeded, 4 internal error (a broken invariant, that is, a bug).
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ EXIT_ANOMALY = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-EXIT_RECURSION = 5
-
-_PACKAGE = os.path.dirname(os.path.abspath(__file__))
 
 
 def _read_text(path: str) -> str:
@@ -190,37 +186,12 @@ def _run(task) -> dict:
     except InternalInconsistencyError as exc:
         record["error"] = f"internal error: {exc}"
         record["internal_error"] = True
-    except RecursionError as exc:
-        stage = _recursing_stage(exc)
-        limit = sys.getrecursionlimit()
-        record["error"] = f"recursion limit: {stage} nested deeper than {limit} frames"
-        record["recursion_limit"] = True
-        record["stage"] = stage
     except ValueError as exc:
         record["error"] = str(exc)
     return record
 
 
-def _recursing_stage(exc: RecursionError) -> str:
-    """The innermost public function of the package (no part of its
-    qualified name private) that was running when ``exc`` was raised."""
-    stage = "unknown"
-    tb = exc.__traceback__
-    while tb is not None:
-        code = tb.tb_frame.f_code
-        name = getattr(code, "co_qualname", code.co_name)
-        if (
-            os.path.dirname(os.path.abspath(code.co_filename)) == _PACKAGE
-            and not any(part.startswith("_") for part in name.split("."))
-        ):
-            stage = name
-        tb = tb.tb_next
-    return stage
-
-
 def _exit_code(record: dict) -> int:
-    if record.get("recursion_limit"):
-        return EXIT_RECURSION
     if record.get("budget_exceeded"):
         return EXIT_BUDGET
     if record.get("internal_error"):

@@ -508,7 +508,6 @@ def five_flow_oddness4(
     *,
     check_cyclic: bool = True,
     max_work: int | None = 2_000_000,
-    fallback: bool = True,
 ) -> FiveFlowCertificate:
     """Run the whole pipeline on a cubic graph and emit a certificate.
 
@@ -571,15 +570,10 @@ def five_flow_oddness4(
 
     odd = compute_oddness(g, max_work=max_work)
     if odd.oddness > 4:
-        fb = (
-            solve_nowhere_zero_flow(g, 5, max_work=max_work)
-            if fallback
-            else None
-        )
         return mkcert(
             oddness=odd.oddness,
             reason=f"oddness {odd.oddness} exceeds 4",
-            fallback_flow=fb,
+            fallback_flow=solve_nowhere_zero_flow(g, 5, max_work=max_work),
         )
 
     coloring = canonical_coloring(g, odd.witness)
@@ -685,16 +679,11 @@ def five_flow_oddness4(
                 "always admit a nowhere-zero 5-flow, so this indicates a bug"
             ),
         )
-    fb = (
-        solve_nowhere_zero_flow(g, 5, max_work=max_work)
-        if fallback
-        else None
-    )
     return mkcert(
         oddness=odd.oddness,
         reason=(
             "both flow-partition valuations violated and cyclic "
             "6-edge-connectivity is not established"
         ),
-        fallback_flow=fb,
+        fallback_flow=solve_nowhere_zero_flow(g, 5, max_work=max_work),
     )

@@ -1,7 +1,8 @@
 """2-factor enumeration, oddness, and cyclic edge-connectivity of cubic graphs.
 
 A 2-factor of a cubic graph is the complement of a perfect matching, so both
-are enumerated by deterministic backtracking over ascending edge ids.  The
+are enumerated by deterministic backtracking over ascending edge ids, on an
+explicit stack rather than by recursion.  The
 oddness search additionally tracks circuits of the complement as they close
 and prunes branches that can no longer beat the current best; a dynamic
 program over a vertex order's frontier decides 3-edge-colourability, which
@@ -94,29 +95,37 @@ def enumerate_two_factors(g: MultiGraph) -> Iterator[TwoFactor]:
     """Yield every matching/2-factor pair of a cubic graph, exactly once.
 
     Deterministic order: the search always matches the lowest unmatched
-    vertex and tries its incident edges in ascending id order.
+    vertex and tries its incident edges in ascending id order.  It runs on
+    an explicit stack of (vertex, untried incident edges) frames, so its
+    depth is not bounded by Python's recursion limit.
     """
     _require_cubic(g)
     matched = [False] * g.n
-    chosen: list[int] = []
-
-    def rec() -> Iterator[TwoFactor]:
+    chosen: list[int] = []  # the matching edge of every frame with a child open
+    frames: list[tuple[int, Iterator]] = []
+    while True:
+        # enter a node
         v = next((u for u in range(g.n) if not matched[u]), None)
         if v is None:
             yield two_factor_from_matching(g, chosen)
+        else:
+            matched[v] = True
+            frames.append((v, iter(g.incident(v))))
+        # close the open child of the deepest frame and open its next one
+        while frames:
+            v, untried = frames[-1]
+            if len(chosen) == len(frames):
+                matched[g.other_end(chosen.pop(), v)] = False
+            step = next(((eid, w) for eid, w in untried if not matched[w]), None)
+            if step is not None:
+                eid, w = step
+                matched[w] = True
+                chosen.append(eid)
+                break
+            matched[v] = False
+            frames.pop()
+        else:
             return
-        matched[v] = True
-        for eid, w in g.incident(v):
-            if matched[w]:
-                continue
-            matched[w] = True
-            chosen.append(eid)
-            yield from rec()
-            chosen.pop()
-            matched[w] = False
-        matched[v] = False
-
-    yield from rec()
 
 
 def _frontier_order(g: MultiGraph) -> tuple[list[int], list[int]]:
@@ -243,6 +252,14 @@ class _OddnessSearch:
     the best complete 2-factor seen so far (odd counts are always even, so
     ``closed_odd >= best - 1`` suffices).
 
+    The search is depth-first on an explicit stack, so its depth is not
+    bounded by Python's recursion limit.  Each node matches the lowest
+    unmatched vertex and tries its incident edges in ascending id order.
+    Every change a child makes (its matched pair, and each 2-factor edge
+    with the path bookkeeping it replaced) goes on one shared undo trail,
+    so a frame is just its vertex, an iterator over its untried incident
+    edges and the trail length before its first child.
+
     The search stops at the first complete 2-factor with at most ``floor``
     odd circuits.  ``floor`` starts at 0; once the work reaches an upper
     bound on the cost of the frontier DP, the DP runs once, and if the
@@ -266,7 +283,7 @@ class _OddnessSearch:
         self.path_len = [0] * n  # edge count of the path, stored at its ends
         self.is_end = [True] * n
         self.closed_odd = 0
-        self.found_any = False
+        self.trail: list[tuple] = []  # undo records, oldest first
         self.floor = 0
         # the DP expands at least one state per vertex, so its bound is
         # worth computing only once the search has spent n units
@@ -274,10 +291,67 @@ class _OddnessSearch:
         self.order: list[int] | None = None
 
     def run(self) -> None:
-        try:
-            self._extend(0)
-        except _StopSearch:
-            pass
+        g = self.g
+        matched = self.matched
+        trail = self.trail
+        frames: list[tuple[int, Iterator, int]] = []  # (vertex, untried, mark)
+        n = g.n
+        v = 0  # every vertex below v is matched
+        while True:
+            # enter a node: its vertex is the lowest unmatched one
+            while v < n and matched[v]:
+                v += 1
+            if v == n:
+                if self._complete():
+                    return
+            elif self._tick():
+                return
+            elif self.best is None or self.closed_odd < self.best - 1:
+                frames.append((v, iter(g.incident(v)), len(trail)))
+            # undo the last child of the deepest frame and enter its next one
+            while frames:
+                v, untried, mark = frames[-1]
+                if len(trail) > mark:
+                    self._undo(mark)
+                for eid, w in untried:
+                    if not matched[w]:
+                        break
+                else:
+                    frames.pop()
+                    continue
+                if self._match(v, eid, w):
+                    break
+            else:
+                return
+
+    def _complete(self) -> bool:
+        """Record a complete 2-factor; True when the search should stop."""
+        if self.best is None or self.closed_odd < self.best:
+            self.best = self.closed_odd
+            self.best_matching = frozenset(
+                eid for eid in range(self.g.m) if not self.in_factor[eid]
+            )
+            return self.best <= self.floor
+        return False
+
+    def _match(self, v: int, eid: int, w: int) -> bool:
+        """Match edge ``eid`` = (v, w) and commit the other edges at v and w
+        to the 2-factor; False when the branch is dead."""
+        g = self.g
+        in_factor, is_end = self.in_factor, self.is_end
+        self.matched[v] = self.matched[w] = True
+        self.trail.append(("match", v, w))
+        for x in (v, w):
+            for e2, y in g.incident(x):
+                if e2 == eid or in_factor[e2]:
+                    continue
+                if not is_end[y]:
+                    # y already has two 2-factor edges
+                    return False
+                in_factor[e2] = True
+                if not self._add_factor_edge(e2):
+                    return False
+        return True
 
     def _spend(self, units: int) -> None:
         self.work += units
@@ -286,30 +360,31 @@ class _OddnessSearch:
                 f"oddness search exceeded {self.max_work} work units"
             )
 
-    def _tick(self) -> None:
+    def _tick(self) -> bool:
+        """Spend a node's unit; True when the search should stop."""
         self._spend(1)
-        if self.work == self.gate:
-            self._open_gate()
+        return self.work == self.gate and self._open_gate()
 
-    def _open_gate(self) -> None:
+    def _open_gate(self) -> bool:
         if self.order is None:
             self.order, widths = _frontier_order(self.g)
             self.gate = sum(_state_bound(w) for w in widths)
             if self.gate > self.work:
-                return
+                return False
         self.gate = None
-        if not _frontier_colourable(self.g, self.order, self._spend):
-            self.floor = 2
-            if self.best is not None and self.best <= self.floor:
-                raise _StopSearch
+        if _frontier_colourable(self.g, self.order, self._spend):
+            return False
+        self.floor = 2
+        return self.best is not None and self.best <= self.floor
 
-    def _add_factor_edge(self, a: int, b: int, trail: list) -> bool:
-        """Commit edge (a, b) to the 2-factor; False when an odd circuit
+    def _add_factor_edge(self, eid: int) -> bool:
+        """Commit edge ``eid`` to the 2-factor; False when an odd circuit
         closes and the branch is already hopeless."""
+        a, b = self.g.endpoints(eid)
         if self.is_end[a] and self.path_end[a] == b and self.is_end[b]:
             # closing a circuit
             length = self.path_len[a] + 1
-            trail.append(("close", a, b))
+            self.trail.append(("close", eid, a, b))
             self.is_end[a] = self.is_end[b] = False
             if length % 2 == 1:
                 self.closed_odd += 1
@@ -318,8 +393,8 @@ class _OddnessSearch:
             return True
         ea, eb = self.path_end[a], self.path_end[b]
         new_len = self.path_len[a] + self.path_len[b] + 1
-        trail.append(
-            ("merge", a, b, ea, eb, self.path_len[ea], self.path_len[eb])
+        self.trail.append(
+            ("merge", eid, a, b, ea, eb, self.path_len[ea], self.path_len[eb])
         )
         if a != ea:
             self.is_end[a] = False
@@ -330,81 +405,32 @@ class _OddnessSearch:
         self.path_len[ea] = self.path_len[eb] = new_len
         return True
 
-    def _undo(self, trail: list) -> None:
-        for rec in reversed(trail):
-            if rec[0] == "close":
-                _, a, b = rec
-                self.is_end[a] = self.is_end[b] = True
-                if (self.path_len[a] + 1) % 2 == 1:
-                    self.closed_odd -= 1
+    def _undo(self, mark: int) -> None:
+        """Undo the trail's records back to its length ``mark``."""
+        trail = self.trail
+        matched, in_factor = self.matched, self.in_factor
+        is_end, path_end, path_len = self.is_end, self.path_end, self.path_len
+        for rec in reversed(trail[mark:]):
+            kind = rec[0]
+            if kind == "merge":
+                _, eid, a, b, ea, eb, la, lb = rec
+                in_factor[eid] = False
+                is_end[a] = is_end[b] = True
+                # a merge changed path_end and path_len only at ea and eb
+                path_end[ea] = a
+                path_len[ea] = la
+                path_end[eb] = b
+                path_len[eb] = lb
+            elif kind == "match":
+                _, v, w = rec
+                matched[v] = matched[w] = False
             else:
-                _, a, b, ea, eb, la, lb = rec
-                self.is_end[a] = True
-                self.is_end[b] = True
-                self.path_end[ea] = a
-                self.path_len[ea] = la
-                self.path_end[eb] = b
-                self.path_len[eb] = lb
-                self.path_end[a] = ea
-                self.path_end[b] = eb
-
-    def _extend(self, lo: int) -> None:
-        """Match the lowest unmatched vertex; every vertex below ``lo`` is
-        already matched."""
-        g = self.g
-        v = next((u for u in range(lo, g.n) if not self.matched[u]), None)
-        if v is None:
-            self.found_any = True
-            total = self.closed_odd
-            if self.best is None or total < self.best:
-                self.best = total
-                self.best_matching = frozenset(
-                    eid
-                    for eid in range(g.m)
-                    if not self.in_factor[eid]
-                )
-                if self.best <= self.floor:
-                    raise _StopSearch
-            return
-        self._tick()
-        if (
-            self.best is not None
-            and self.closed_odd >= self.best - 1
-        ):
-            return
-        for eid, w in g.incident(v):
-            if self.matched[w]:
-                continue
-            self.matched[v] = self.matched[w] = True
-            factor_added = []
-            trail: list = []
-            ok = True
-            for x in (v, w):
-                for e2, y in g.incident(x):
-                    if e2 == eid or self.in_factor[e2]:
-                        continue
-                    if not self.is_end[y]:
-                        # y already has two 2-factor edges
-                        ok = False
-                        break
-                    self.in_factor[e2] = True
-                    factor_added.append(e2)
-                    p, q = g.endpoints(e2)
-                    if not self._add_factor_edge(p, q, trail):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                self._extend(v + 1)
-            self._undo(trail)
-            for e2 in factor_added:
-                self.in_factor[e2] = False
-            self.matched[v] = self.matched[w] = False
-
-
-class _StopSearch(Exception):
-    pass
+                _, eid, a, b = rec
+                in_factor[eid] = False
+                is_end[a] = is_end[b] = True
+                if (path_len[a] + 1) % 2 == 1:
+                    self.closed_odd -= 1
+        del trail[mark:]
 
 
 def compute_oddness(
@@ -412,9 +438,10 @@ def compute_oddness(
 ) -> OddnessResult:
     """Minimum number of odd circuits over all 2-factors, with a witness.
 
-    A branch-and-bound over perfect matchings in DFS order; the witness is
-    the first 2-factor in that order attaining the oddness.  The search
-    exits at an all-even 2-factor.  Oddness is 0 exactly when the graph is
+    A branch-and-bound over perfect matchings in DFS order, on an explicit
+    stack, so any graph size runs within Python's recursion limit; the
+    witness is the first 2-factor in that order attaining the oddness.  The
+    search exits at an all-even 2-factor.  Oddness is 0 exactly when the graph is
     3-edge-colourable and at least 2 otherwise, so once the search has
     spent as many units as the frontier DP of :func:`three_edge_colourable`
     can cost (the sum of :func:`_state_bound` over its frontier widths), the
@@ -427,12 +454,10 @@ def compute_oddness(
     search = _OddnessSearch(g, max_work)
     search.run()
     if search.best_matching is None:
-        if not search.found_any:
-            raise InternalInconsistencyError(
-                "cubic graph has no perfect matching; "
-                "bridgeless cubic graphs always have one"
-            )
-        raise InternalInconsistencyError("search finished without a witness")
+        raise InternalInconsistencyError(
+            "cubic graph has no perfect matching; "
+            "bridgeless cubic graphs always have one"
+        )
     witness = two_factor_from_matching(g, search.best_matching)
     if witness.odd_count != search.best:
         raise InternalInconsistencyError("witness odd count disagrees with search")

@@ -8,8 +8,9 @@ Fractions.  Automorphism orbits come from every automorphism networkx's VF2++
 enumerates.  The package's earlier implementations stay here as references
 for the ones that replaced them: VF2 isomorphism through networkx (replaced
 by ``catalog.canonical_form``), the recursive Dinic, the balance check with
-one network per sign, the graph6 decoder that expands every bit, the
-recursive flow solver, the 2-factor, colour-{1,2}, augmented-graph and
+one network per sign, the graph6 decoder that expands every bit and the
+encoder that fills an adjacency matrix, the recursive flow solver, oddness
+search and 2-factor enumeration, the 2-factor, colour-{1,2}, augmented-graph and
 4-flow constructions that re-trace every circuit with ``trace_circuit``,
 the partition variants that rebuild and re-partition each switched or
 reversed flow, and the cyclic-connectivity sweep under its earlier length
@@ -23,7 +24,9 @@ networkx are test dependencies only.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -40,7 +43,15 @@ from nzflow.flows import (
     switch_path,
 )
 from nzflow.graph import MultiGraph, trace_circuit
-from nzflow.structure import _Budget, _UnitCuts, _chordless_cycles, girth
+from nzflow.structure import (
+    _Budget,
+    _UnitCuts,
+    _chordless_cycles,
+    _frontier_colourable,
+    _frontier_order,
+    _state_bound,
+    girth,
+)
 from nzflow.valuation import (
     BalanceReport,
     Valuation,
@@ -514,6 +525,53 @@ def bit_stream_graph6_edges(record: str) -> list[tuple[int, int]]:
     return edges
 
 
+def matrix_serialize_graph6(g: MultiGraph) -> str:
+    """graph6 record of a simple graph through an n x n adjacency matrix
+    and the list of all n(n-1)/2 upper-triangle bits, padded to whole
+    characters."""
+    seen: set[tuple[int, int]] = set()
+    adj = [[False] * g.n for _ in range(g.n)]
+    for (u, v) in g.edges:
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError("graph6 cannot encode parallel edges")
+        seen.add(key)
+        adj[u][v] = adj[v][u] = True
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
+    else:
+        head = "~" + "".join(chr(((n >> shift) & 0x3F) + 63) for shift in (12, 6, 0))
+    bits: list[int] = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(1 if adj[i][j] else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    body = []
+    for i in range(0, len(bits), 6):
+        val = 0
+        for b in bits[i : i + 6]:
+            val = (val << 1) | b
+        body.append(chr(val + 63))
+    return head + "".join(body)
+
+
+@contextmanager
+def recursion_headroom(frames: int = 50):
+    """Lower Python's recursion limit to ``frames`` above the caller's
+    stack depth, and restore it on exit."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def recursive_solve_nowhere_zero_flow(
     g: MultiGraph, k: int, *, max_work: int | None = 5_000_000
 ) -> Flow | None:
@@ -734,3 +792,214 @@ def flow_built_partition_variants(ag, base_flow):
                     "path ends landed in the same partition class"
                 )
     return variants
+
+
+class RecursiveOddnessSearch:
+    """The oddness search with one Python frame per matched vertex: the same
+    nodes in the same order, the same work count and the same stopping
+    rule as ``structure._OddnessSearch``.
+
+    Branch-and-bound over perfect matchings, tracking complement circuits.
+
+    When a vertex gets matched, its two non-matching edges are committed to
+    the 2-factor.  The partial 2-factor is a union of paths; a circuit closes
+    when an edge joins the two ends of one path, and its parity is then
+    final.  A branch dies once its closed odd circuits rule out improving on
+    the best complete 2-factor seen so far (odd counts are always even, so
+    ``closed_odd >= best - 1`` suffices).
+
+    The search stops at the first complete 2-factor with at most ``floor``
+    odd circuits.  ``floor`` starts at 0; once the work reaches an upper
+    bound on the cost of the frontier DP, the DP runs once, and if the
+    graph has no 3-edge-colouring ``floor`` becomes 2.  Pruning only drops
+    branches that cannot beat ``best``, so the first such 2-factor in DFS
+    order is always visited and is the same witness an exhaustive search
+    returns.
+    """
+
+    def __init__(self, g: MultiGraph, max_work: int | None):
+        self.g = g
+        self.max_work = max_work
+        self.work = 0
+        self.best: int | None = None
+        self.best_matching: frozenset[int] | None = None
+        n = g.n
+        self.matched = [False] * n
+        self.in_factor = [False] * g.m
+        # path bookkeeping for the partial 2-factor
+        self.path_end = list(range(n))  # far end of the path, for end vertices
+        self.path_len = [0] * n  # edge count of the path, stored at its ends
+        self.is_end = [True] * n
+        self.closed_odd = 0
+        self.found_any = False
+        self.floor = 0
+        # the DP expands at least one state per vertex, so its bound is
+        # worth computing only once the search has spent n units
+        self.gate: int | None = n
+        self.order: list[int] | None = None
+
+    def run(self) -> None:
+        try:
+            self._extend(0)
+        except _StopSearch:
+            pass
+
+    def _spend(self, units: int) -> None:
+        self.work += units
+        if self.max_work is not None and self.work > self.max_work:
+            raise BudgetExceededError(
+                f"oddness search exceeded {self.max_work} work units"
+            )
+
+    def _tick(self) -> None:
+        self._spend(1)
+        if self.work == self.gate:
+            self._open_gate()
+
+    def _open_gate(self) -> None:
+        if self.order is None:
+            self.order, widths = _frontier_order(self.g)
+            self.gate = sum(_state_bound(w) for w in widths)
+            if self.gate > self.work:
+                return
+        self.gate = None
+        if not _frontier_colourable(self.g, self.order, self._spend):
+            self.floor = 2
+            if self.best is not None and self.best <= self.floor:
+                raise _StopSearch
+
+    def _add_factor_edge(self, a: int, b: int, trail: list) -> bool:
+        """Commit edge (a, b) to the 2-factor; False when an odd circuit
+        closes and the branch is already hopeless."""
+        if self.is_end[a] and self.path_end[a] == b and self.is_end[b]:
+            # closing a circuit
+            length = self.path_len[a] + 1
+            trail.append(("close", a, b))
+            self.is_end[a] = self.is_end[b] = False
+            if length % 2 == 1:
+                self.closed_odd += 1
+                if self.best is not None and self.closed_odd >= self.best - 1:
+                    return False
+            return True
+        ea, eb = self.path_end[a], self.path_end[b]
+        new_len = self.path_len[a] + self.path_len[b] + 1
+        trail.append(
+            ("merge", a, b, ea, eb, self.path_len[ea], self.path_len[eb])
+        )
+        if a != ea:
+            self.is_end[a] = False
+        if b != eb:
+            self.is_end[b] = False
+        self.path_end[ea] = eb
+        self.path_end[eb] = ea
+        self.path_len[ea] = self.path_len[eb] = new_len
+        return True
+
+    def _undo(self, trail: list) -> None:
+        for rec in reversed(trail):
+            if rec[0] == "close":
+                _, a, b = rec
+                self.is_end[a] = self.is_end[b] = True
+                if (self.path_len[a] + 1) % 2 == 1:
+                    self.closed_odd -= 1
+            else:
+                _, a, b, ea, eb, la, lb = rec
+                self.is_end[a] = True
+                self.is_end[b] = True
+                self.path_end[ea] = a
+                self.path_len[ea] = la
+                self.path_end[eb] = b
+                self.path_len[eb] = lb
+                self.path_end[a] = ea
+                self.path_end[b] = eb
+
+    def _extend(self, lo: int) -> None:
+        """Match the lowest unmatched vertex; every vertex below ``lo`` is
+        already matched."""
+        g = self.g
+        v = next((u for u in range(lo, g.n) if not self.matched[u]), None)
+        if v is None:
+            self.found_any = True
+            total = self.closed_odd
+            if self.best is None or total < self.best:
+                self.best = total
+                self.best_matching = frozenset(
+                    eid
+                    for eid in range(g.m)
+                    if not self.in_factor[eid]
+                )
+                if self.best <= self.floor:
+                    raise _StopSearch
+            return
+        self._tick()
+        if (
+            self.best is not None
+            and self.closed_odd >= self.best - 1
+        ):
+            return
+        for eid, w in g.incident(v):
+            if self.matched[w]:
+                continue
+            self.matched[v] = self.matched[w] = True
+            factor_added = []
+            trail: list = []
+            ok = True
+            for x in (v, w):
+                for e2, y in g.incident(x):
+                    if e2 == eid or self.in_factor[e2]:
+                        continue
+                    if not self.is_end[y]:
+                        # y already has two 2-factor edges
+                        ok = False
+                        break
+                    self.in_factor[e2] = True
+                    factor_added.append(e2)
+                    p, q = g.endpoints(e2)
+                    if not self._add_factor_edge(p, q, trail):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                self._extend(v + 1)
+            self._undo(trail)
+            for e2 in factor_added:
+                self.in_factor[e2] = False
+            self.matched[v] = self.matched[w] = False
+
+
+class _StopSearch(Exception):
+    pass
+
+
+def recursive_oddness(g: MultiGraph, max_work: int | None = None):
+    """``(oddness, witness matching, work)`` of the recursive search."""
+    search = RecursiveOddnessSearch(g, max_work)
+    search.run()
+    return search.best, search.best_matching, search.work
+
+
+def recursive_enumerate_two_factors(g: MultiGraph):
+    """Every perfect matching of a cubic graph, as a frozenset of edge ids,
+    by one Python frame per matched vertex: the lowest unmatched vertex
+    first, its incident edges in ascending id order."""
+    matched = [False] * g.n
+    chosen: list[int] = []
+
+    def rec():
+        v = next((u for u in range(g.n) if not matched[u]), None)
+        if v is None:
+            yield frozenset(chosen)
+            return
+        matched[v] = True
+        for eid, w in g.incident(v):
+            if matched[w]:
+                continue
+            matched[w] = True
+            chosen.append(eid)
+            yield from rec()
+            chosen.pop()
+            matched[w] = False
+        matched[v] = False
+
+    yield from rec()

@@ -1,16 +1,20 @@
+import ast
 import io
 import json
 from concurrent.futures import Future
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from helpers import recursion_headroom
 
 import nzflow.cli
 import nzflow.engine
 import nzflow.structure
 from nzflow import InternalInconsistencyError
-from nzflow.cli import EXIT_INTERNAL, EXIT_RECURSION, main
+from nzflow.cli import EXIT_INTERNAL, main
 from nzflow.catalog import flower_snark, k4, petersen, prism
 from nzflow.flows import flow_to_json, solve_nowhere_zero_flow
 from nzflow.graph6 import parse_graph6, serialize_graph6
@@ -249,22 +253,60 @@ def test_internal_error_spares_later_records(capsys, monkeypatch, mixed_file, co
 
 
 @pytest.mark.parametrize("command", ["analyze", "oddness"])
-def test_recursion_limit_is_a_record_naming_its_stage(capsys, tmp_path, command):
-    # the oddness search nests one call per matching edge, 1,500 on
-    # prism(1500), past Python's default limit of 1,000 frames
-    path = tmp_path / "deep.json"
-    path.write_text(json.dumps([prism(1500).to_json(), petersen().to_json()]))
+def test_deep_oddness_search_needs_no_recursion(capsys, tmp_path, command):
+    # a recursive oddness search would nest one frame per matched edge,
+    # 1,500 on prism(1500); here the stack has 50 frames to spare
+    path = tmp_path / "deep.g6"
+    path.write_text(serialize_graph6(prism(1500)) + "\n" + serialize_graph6(petersen()) + "\n")
     extra = ["--skip-cyclic"] if command == "analyze" else []
-    code, out, err = run_cli(capsys, [command, str(path), *extra])
-    assert code == EXIT_RECURSION == 5
+    with recursion_headroom():
+        code, out, err = run_cli(capsys, [command, str(path), *extra])
+    assert code == 0 and err == ""
     first, second = records(out)
-    assert first["recursion_limit"] is True
-    assert first["stage"] == "compute_oddness"
-    assert first["error"].startswith("recursion limit: compute_oddness nested deeper than")
-    assert first["n"] == 3000
-    assert "json-0: recursion limit: compute_oddness" in err
-    assert second["name"] == "json-1" and "error" not in second
+    assert first["n"] == 3000 and first["oddness"] == 0
+    assert "error" not in first
+    if command == "analyze":
+        assert first["outcome"]["outcome"] == "flow_found"
+    assert second["name"] == "line-2" and "error" not in second
     assert second["oddness"] == 2
+
+
+def _self_calls(path):
+    """``(function, line)`` for each call of a function by its own name,
+    directly or through ``self``/``cls``, anywhere in its body."""
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                name = f.id
+            elif (
+                isinstance(f, ast.Attribute)
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("self", "cls")
+            ):
+                name = f.attr
+            else:
+                continue  # a call through another object, such as super()
+            if name == fn.name:
+                found.append((fn.name, node.lineno))
+    return found
+
+
+def test_no_package_function_calls_itself():
+    # the CLI has no handler for RecursionError: no search may recurse
+    tests = Path(__file__).resolve().parent
+    package = tests.parent / "src" / "nzflow"
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) >= 10
+    assert {p.name: calls for p in sources if (calls := _self_calls(p))} == {}
+    # the guard sees the recursive references the searches replaced
+    names = {name for name, _ in _self_calls(tests / "helpers.py")}
+    assert {"_extend", "rec"} <= names
 
 
 def test_broken_realization_is_an_internal_error(capsys, monkeypatch, petersen_file):

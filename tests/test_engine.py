@@ -355,7 +355,7 @@ def test_pipeline_oddness_above_four_reported():
     for j in range(3):
         edges.append((s[j][2], s[j + 3][2]))
     g = MultiGraph(54, edges)
-    cert = five_flow_oddness4(g, check_cyclic=False, fallback=False)
+    cert = five_flow_oddness4(g, check_cyclic=False)
     assert cert.outcome == "hypothesis_unmet"
     assert cert.oddness == 6
     assert "exceeds 4" in cert.reason
@@ -420,7 +420,7 @@ def test_analyze_checks_balance_only_where_no_flow_proves_it(
         assert list(cert.valuations) == ["primary", "switched"]
     # both builds fail: each variant is checked once, by its failed build
     checked.clear()
-    cert = five_flow_oddness4(oddness4_snark(), check_cyclic=False, fallback=False)
+    cert = five_flow_oddness4(oddness4_snark(), check_cyclic=False)
     assert cert.outcome == "hypothesis_unmet"
     assert len(checked) == 2 and checked[0] != checked[1]
 

@@ -1,9 +1,9 @@
 import random
-import sys
 
 import pytest
 
 from helpers import (
+    recursion_headroom,
     recursive_solve_nowhere_zero_flow,
     three_edge_colorable,
     traced_augmented_circuits,
@@ -416,23 +416,12 @@ def test_solver_spends_the_reference_work(g, k):
     )
 
 
-def _stack_depth():
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_solver_needs_no_recursion():
     g = prism(300)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 50)
-    try:
+    with recursion_headroom():
         with pytest.raises(RecursionError):
             recursive_solve_nowhere_zero_flow(g, 5)
         f = solve_nowhere_zero_flow(g, 5)
-    finally:
-        sys.setrecursionlimit(limit)
     assert verify_flow(g, f) == [] and is_nowhere_zero(f)
 
 

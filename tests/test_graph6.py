@@ -6,9 +6,10 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import bit_stream_graph6_edges, to_networkx
+from helpers import bit_stream_graph6_edges, matrix_serialize_graph6, to_networkx
 
 from nzflow import Graph6Error, MultiGraph, parse_graph6, serialize_graph6
+from nzflow.graph import _MAX_N
 from nzflow.catalog import _moebius_ladder, generalized_petersen, k4, petersen
 
 
@@ -100,6 +101,32 @@ def test_sparse6_loop_rejected():
 def test_serialize_rejects_parallel_edges():
     with pytest.raises(ValueError, match="parallel"):
         serialize_graph6(MultiGraph(2, [(0, 1), (0, 1)]))
+
+
+def test_serialize_matches_the_matrix_encoder():
+    # every padding length a record can have: n(n-1)/2 mod 6 is 0, 1, 3 or 4
+    rng = random.Random(5)
+    sizes = [0, 1, 2, 62, 63, 64, 258, *range(3, 15)]
+    paddings = set()
+    for n in sizes:
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        for density in (0.0, 0.1, 0.5, 1.0):
+            edges = [(j, i) if rng.random() < 0.5 else (i, j)
+                     for i, j in pairs if rng.random() < density]
+            rng.shuffle(edges)
+            g = MultiGraph(n, edges)
+            assert serialize_graph6(g) == matrix_serialize_graph6(g), (n, density)
+        paddings.add(-(n * (n - 1) // 2) % 6)
+    assert paddings == {0, 2, 3, 5}
+
+
+def test_serialize_errors_match_the_matrix_encoder():
+    g = MultiGraph(70, [(0, 69), (5, 6), (69, 0)])
+    for encode in (serialize_graph6, matrix_serialize_graph6):
+        with pytest.raises(ValueError, match="^graph6 cannot encode parallel edges$"):
+            encode(g)
+    with pytest.raises(ValueError, match=f"^vertex count {_MAX_N} too large for this encoder$"):
+        serialize_graph6(MultiGraph(_MAX_N, []))
 
 
 @st.composite

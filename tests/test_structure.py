@@ -10,7 +10,11 @@ from helpers import (
     induced_girth,
     reference_cyclic_connectivity,
     reference_cyclically_k_connected,
+    recursion_headroom,
+    recursive_enumerate_two_factors,
+    recursive_oddness,
     reference_length_bound,
+    shuffled,
     three_edge_colorable,
 )
 
@@ -28,6 +32,7 @@ from nzflow import (
 )
 from nzflow.catalog import (
     blanusa_snarks,
+    dot_product,
     flower_snark,
     k4,
     k33,
@@ -39,6 +44,7 @@ from nzflow.catalog import (
 )
 from nzflow.structure import (
     _Budget,
+    _OddnessSearch,
     _UnitCuts,
     _chordless_cycles,
     _edge_connectivity,
@@ -293,6 +299,63 @@ def test_oddness_work_is_pinned_on_flower_snarks(k, units):
     assert compute_oddness(g, max_work=units).oddness == 2
     with pytest.raises(BudgetExceededError):
         compute_oddness(g, max_work=units - 1)
+
+
+def _iterative_oddness(g, max_work=None):
+    search = _OddnessSearch(g, max_work)
+    search.run()
+    return search.best, search.best_matching, search.work
+
+
+def _outcome(search, g, max_work):
+    try:
+        return search(g, max_work)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def test_oddness_search_visits_what_the_recursive_search_visits(corpus):
+    # the same nodes in the same order: the same oddness, witness and work,
+    # and so the same budget errors
+    graphs = list(corpus)
+    graphs += [(f"flower-{k}", flower_snark(k)) for k in range(5, 22, 2)]
+    graphs += [(f"blanusa-{i}", g) for i, g in enumerate(blanusa_snarks(), 1)]
+    graphs += [("oddness4", oddness4_snark())]
+    graphs += [
+        (f"dot-{k}", dot_product(oddness4_snark(), flower_snark(k), (0, 21), 0))
+        for k in (5, 7, 9)
+    ]
+    graphs += [("flower-11-shuffled", shuffled(flower_snark(11), random.Random(1)))]
+    graphs += [
+        (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
+        for n in range(40, 51, 2)
+        for s in range(10)
+    ]
+    for name, g in graphs:
+        expected = recursive_oddness(g)
+        assert _iterative_oddness(g) == expected, name
+        for max_work in (50, 400, 3_000):
+            assert _outcome(_iterative_oddness, g, max_work) == _outcome(
+                recursive_oddness, g, max_work
+            ), (name, max_work)
+
+
+def test_two_factors_come_in_the_recursive_order(corpus):
+    for name, g in corpus:
+        got = [tf.matching for tf in enumerate_two_factors(g)]
+        assert got == list(recursive_enumerate_two_factors(g)), name
+
+
+def test_searches_need_no_recursion():
+    g = prism(1500)
+    with recursion_headroom():
+        with pytest.raises(RecursionError):
+            recursive_oddness(g)
+        res = compute_oddness(g)
+        first = next(enumerate_two_factors(g))
+    assert res.oddness == 0
+    _check_two_factor_invariants(g, res.witness)
+    _check_two_factor_invariants(g, first)
 
 
 def test_cyclic_k_connectivity_petersen():
