@@ -6,6 +6,8 @@ valuations, and the 5-flow pipeline for cubic graphs of small oddness.
 """
 
 from .errors import (
+    DEFAULT_MAX_WORK,
+    Budget,
     BudgetExceededError,
     InternalInconsistencyError,
     NZFlowError,

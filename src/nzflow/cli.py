@@ -31,7 +31,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import BudgetExceededError, InternalInconsistencyError
+from .errors import DEFAULT_MAX_WORK, BudgetExceededError, InternalInconsistencyError
 from .flows import flow_from_json, flow_to_json, is_nowhere_zero, solve_nowhere_zero_flow, verify_flow
 from .graph import MultiGraph
 from .graph6 import Graph6Error, parse_graph6
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-work",
             type=int,
-            default=2_000_000,
+            default=DEFAULT_MAX_WORK,
             help="work budget for bounded searches",
         )
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .coloring import Coloring4, canonical_coloring, cut_color_profile
 from .errors import (
+    DEFAULT_MAX_WORK,
     BudgetExceededError,
     InternalInconsistencyError,
     UnbalancedValuationError,
@@ -30,7 +31,14 @@ from .flows import (
     flow_to_json,
     solve_nowhere_zero_flow,
 )
-from .graph import MultiGraph, basic_checks, check_vertex_set, edge_cut, pair_cut
+from .graph import (
+    MultiGraph,
+    basic_checks,
+    check_vertex_set,
+    component_labels,
+    edge_cut,
+    pair_cut,
+)
 from .structure import CyclicConnectivity, compute_oddness, cyclic_connectivity
 from .valuation import (
     BalanceReport,
@@ -137,25 +145,6 @@ class FiveFlowCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _components_avoiding(g: MultiGraph, removed: frozenset[int]) -> list[int]:
-    label = [-1] * g.n
-    cur = 0
-    for start in range(g.n):
-        if label[start] != -1:
-            continue
-        label[start] = cur
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for eid, w in g.incident(v):
-                if eid in removed or label[w] != -1:
-                    continue
-                label[w] = cur
-                stack.append(w)
-        cur += 1
-    return label
-
-
 def bad_cut_certificate(
     c: Coloring4, p: FlowPartition, edge_ids, tag: str = "partition"
 ) -> BadCutCertificate | None:
@@ -170,7 +159,7 @@ def bad_cut_certificate(
     profile = cut_color_profile(c, cut)
     if profile[1] != 4 or profile[2] != 2:
         return None
-    label = _components_avoiding(g, cut)
+    label = component_labels(g, cut)
     groups: dict[int, list[int]] = {}
     for v in z:
         groups.setdefault(label[v], []).append(v)
@@ -200,21 +189,6 @@ def is_bad_cut(c: Coloring4, p: FlowPartition, edge_ids) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _induced_connected(g: MultiGraph, vertices: frozenset[int]) -> bool:
-    if not vertices:
-        return False
-    start = min(vertices)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for _, w in g.incident(v):
-            if w in vertices and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vertices
-
-
 def validate_violator_claims(
     g: MultiGraph, c: Coloring4, p: FlowPartition, subset
 ) -> tuple[ClaimCheck, ...]:
@@ -239,6 +213,9 @@ def validate_violator_claims(
     inside_z = [z for z in c.missing2 if z in S]
     q_white = sum(1 for z in inside_z if p.is_white(z))
     q = abs((len(inside_z) - q_white) - q_white)
+    # G minus the cut is G[S] beside G[V - S]: two components exactly when
+    # both sides are nonempty and connected
+    sides = max(component_labels(g, cut.edges), default=-1) + 1
 
     checks = [
         ClaimCheck(
@@ -268,8 +245,7 @@ def validate_violator_claims(
         ),
         ClaimCheck(
             "both_sides_connected",
-            _induced_connected(g, S)
-            and _induced_connected(g, frozenset(range(g.n)) - S),
+            0 < len(S) < g.n and sides == 2,
             f"|S|={len(S)}",
         ),
     ]
@@ -296,7 +272,7 @@ def quad_decompose(
     cut_b = frozenset(int(e) for e in cut_b)
 
     def two_sides(cut: frozenset[int], mate: int, label: str):
-        comp = _components_avoiding(g, cut)
+        comp = component_labels(g, cut)
         ids = sorted(set(comp))
         if len(ids) != 2:
             raise ValueError(
@@ -507,7 +483,7 @@ def five_flow_oddness4(
     g: MultiGraph,
     *,
     check_cyclic: bool = True,
-    max_work: int | None = 2_000_000,
+    max_work: int | None = DEFAULT_MAX_WORK,
 ) -> FiveFlowCertificate:
     """Run the whole pipeline on a cubic graph and emit a certificate.
 

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the work budget whose
+exhaustion raises :class:`BudgetExceededError`.
+
+Every bounded search (the cyclic pair sweep, the oddness search and the
+fallback flow solver) charges one :class:`Budget`, and every public
+``max_work`` parameter, like the CLI's ``--max-work``, defaults to
+:data:`DEFAULT_MAX_WORK`.
+"""
+
+DEFAULT_MAX_WORK = 2_000_000
 
 
 class NZFlowError(Exception):
@@ -11,6 +20,31 @@ class BudgetExceededError(NZFlowError):
     Distinct from a negative answer: the search was cut off, nothing was
     decided.
     """
+
+
+class Budget:
+    """The work units one search has ``used`` out of ``limit`` (None: no
+    limit).  Spending past the limit raises :class:`BudgetExceededError`
+    with the message "<search> search exceeded <limit> <unit>"."""
+
+    __slots__ = ("limit", "used", "search", "unit")
+
+    def __init__(
+        self, limit: int | None, search: str = "bounded", unit: str = "work units"
+    ):
+        self.limit = limit
+        self.used = 0
+        self.search = search
+        self.unit = unit
+
+    def spend(self, units: int = 1) -> int:
+        """Charge ``units`` and return the units used so far."""
+        self.used += units
+        if self.limit is not None and self.used > self.limit:
+            raise BudgetExceededError(
+                f"{self.search} search exceeded {self.limit} {self.unit}"
+            )
+        return self.used
 
 
 class InternalInconsistencyError(NZFlowError):

@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 
 from .coloring import Coloring4
-from .errors import BudgetExceededError, InternalInconsistencyError
+from .errors import DEFAULT_MAX_WORK, Budget, InternalInconsistencyError
 from .graph import MultiGraph, circuit_tails, trace_circuit
 
 
@@ -300,7 +300,7 @@ def switch_path(ag: AugmentedGraph, flow: Flow, index: int) -> Flow:
 
 
 def solve_nowhere_zero_flow(
-    g: MultiGraph, k: int, *, max_work: int | None = 5_000_000
+    g: MultiGraph, k: int, *, max_work: int | None = DEFAULT_MAX_WORK
 ) -> Flow | None:
     """Search for a nowhere-zero k-flow; None means provably none exists.
 
@@ -324,7 +324,7 @@ def solve_nowhere_zero_flow(
     value: list[int | None] = [None] * m
     unassigned = [g.degree(v) for v in range(n)]
     vsum = [0] * n
-    work = 0
+    spend = Budget(max_work, "flow", "assignments").spend
 
     def assign(eid: int, val: int, trail: list[int]) -> bool:
         # unit-propagate; False on contradiction.  Counter updates per edge
@@ -413,7 +413,6 @@ def solve_nowhere_zero_flow(
     def search() -> bool:
         # depth-first over (edge, next value to try, trail of the value
         # being tried) frames; a popped frame first undoes its last try
-        nonlocal work
         e = pick([])
         if e is None:
             return True
@@ -424,11 +423,7 @@ def solve_nowhere_zero_flow(
                 undo(trail)
             if x == k:
                 continue
-            work += 1
-            if max_work is not None and work > max_work:
-                raise BudgetExceededError(
-                    f"flow search exceeded {max_work} assignments"
-                )
+            spend()
             trail = []
             ok = assign(e, x, trail)
             stack.append((e, x + 1, trail))

@@ -156,25 +156,33 @@ class BasicChecks:
     bridges: frozenset[int]
 
 
-def components(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
-    """Connected components as sorted vertex tuples, ordered by minimum id."""
-    seen = [False] * g.n
-    comps = []
+def component_labels(g: MultiGraph, removed=frozenset()) -> list[int]:
+    """The component of every vertex of ``g`` without the edge ids in
+    ``removed``, numbered 0, 1, ... in order of each component's minimum."""
+    label = [-1] * g.n
+    count = 0
     for start in range(g.n):
-        if seen[start]:
+        if label[start] != -1:
             continue
-        comp = [start]
-        seen[start] = True
+        label[start] = count
         stack = [start]
         while stack:
             v = stack.pop()
-            for _, w in g.incident(v):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
+            for eid, w in g.incident(v):
+                if label[w] == -1 and eid not in removed:
+                    label[w] = count
                     stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+        count += 1
+    return label
+
+
+def components(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
+    """Connected components as sorted vertex tuples, ordered by minimum id."""
+    label = component_labels(g)
+    comps: list[list[int]] = [[] for _ in range(max(label, default=-1) + 1)]
+    for v, c in enumerate(label):
+        comps[c].append(v)
+    return tuple(map(tuple, comps))
 
 
 def bridges(g: MultiGraph) -> frozenset[int]:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .errors import BudgetExceededError, InternalInconsistencyError
-from .graph import EdgeCut, MultiGraph, walk_circuit
+from .errors import DEFAULT_MAX_WORK, Budget, InternalInconsistencyError
+from .graph import EdgeCut, MultiGraph, edge_cut, walk_circuit
 from .symmetry import automorphisms, orbits
 
 
@@ -271,8 +271,7 @@ class _OddnessSearch:
 
     def __init__(self, g: MultiGraph, max_work: int | None):
         self.g = g
-        self.max_work = max_work
-        self.work = 0
+        self.budget = Budget(max_work, "oddness")
         self.best: int | None = None
         self.best_matching: frozenset[int] | None = None
         n = g.n
@@ -295,6 +294,7 @@ class _OddnessSearch:
         matched = self.matched
         trail = self.trail
         frames: list[tuple[int, Iterator, int]] = []  # (vertex, untried, mark)
+        spend = self.budget.spend
         n = g.n
         v = 0  # every vertex below v is matched
         while True:
@@ -304,8 +304,8 @@ class _OddnessSearch:
             if v == n:
                 if self._complete():
                     return
-            elif self._tick():
-                return
+            elif spend() == self.gate and self._open_gate():
+                return  # the node's unit opened the gate and the DP settled it
             elif self.best is None or self.closed_odd < self.best - 1:
                 frames.append((v, iter(g.incident(v)), len(trail)))
             # undo the last child of the deepest frame and enter its next one
@@ -353,26 +353,16 @@ class _OddnessSearch:
                     return False
         return True
 
-    def _spend(self, units: int) -> None:
-        self.work += units
-        if self.max_work is not None and self.work > self.max_work:
-            raise BudgetExceededError(
-                f"oddness search exceeded {self.max_work} work units"
-            )
-
-    def _tick(self) -> bool:
-        """Spend a node's unit; True when the search should stop."""
-        self._spend(1)
-        return self.work == self.gate and self._open_gate()
-
     def _open_gate(self) -> bool:
+        """Run the frontier DP once the work reaches its bound; True when
+        the search should stop."""
         if self.order is None:
             self.order, widths = _frontier_order(self.g)
             self.gate = sum(_state_bound(w) for w in widths)
-            if self.gate > self.work:
+            if self.gate > self.budget.used:
                 return False
         self.gate = None
-        if _frontier_colourable(self.g, self.order, self._spend):
+        if _frontier_colourable(self.g, self.order, self.budget.spend):
             return False
         self.floor = 2
         return self.best is not None and self.best <= self.floor
@@ -434,7 +424,7 @@ class _OddnessSearch:
 
 
 def compute_oddness(
-    g: MultiGraph, *, max_work: int | None = None
+    g: MultiGraph, *, max_work: int | None = DEFAULT_MAX_WORK
 ) -> OddnessResult:
     """Minimum number of odd circuits over all 2-factors, with a witness.
 
@@ -490,19 +480,6 @@ class CyclicConnectivity:
     witness: EdgeCut | None
 
 
-class _Budget:
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, units: int = 1) -> None:
-        self.used += units
-        if self.limit is not None and self.used > self.limit:
-            raise BudgetExceededError(
-                f"cyclic connectivity search exceeded {self.limit} work units"
-            )
-
-
 def _adjacency_masks(g: MultiGraph) -> list[int]:
     masks = [0] * g.n
     for (u, v) in g.edges:
@@ -512,7 +489,7 @@ def _adjacency_masks(g: MultiGraph) -> list[int]:
 
 
 def _chordless_cycles(
-    g: MultiGraph, max_len: int, budget: _Budget
+    g: MultiGraph, max_len: int, budget: Budget
 ) -> list[tuple[int, ...]]:
     """All chordless cycles with at most ``max_len`` vertices.
 
@@ -651,7 +628,7 @@ class _UnitCuts:
 
 
 def _edge_connectivity(
-    g: MultiGraph, cuts: _UnitCuts, limit: int, budget: _Budget
+    g: MultiGraph, cuts: _UnitCuts, limit: int, budget: Budget
 ) -> int:
     """The edge-connectivity of ``g``, or ``limit`` if it is not smaller.
 
@@ -683,7 +660,7 @@ class _Symmetry:
     of one call have tried ``_GROUP_AFTER`` pairs per vertex; the search
     spends 4 units of the call's budget per node."""
 
-    def __init__(self, g: MultiGraph, budget: _Budget):
+    def __init__(self, g: MultiGraph, budget: Budget):
         self.g = g
         self.budget = budget
         self.pairs = 0
@@ -713,7 +690,7 @@ def _cycle_pair_sweep(
     g: MultiGraph,
     cycles: list[tuple[int, ...]],
     small_cap: int,
-    budget: _Budget,
+    budget: Budget,
     stop_below: int | None,
     symmetry: _Symmetry,
 ) -> tuple[int | None, frozenset[int] | None]:
@@ -847,20 +824,20 @@ def _side_caps(g: MultiGraph, cut_size: int) -> tuple[int, int]:
 
 def _capped_sweep(
     g: MultiGraph,
-    cut_size: int,
-    budget: _Budget,
+    caps: tuple[int, int],
+    budget: Budget,
     stop_below: int | None,
     symmetry: _Symmetry,
 ) -> tuple[int | None, frozenset[int] | None]:
-    """The sweep over the chordless cycles that :func:`_side_caps` keeps
-    for cuts of at most ``cut_size`` edges."""
-    small, large = _side_caps(g, cut_size)
+    """The sweep over the chordless cycles within ``caps``, the ``(small,
+    large)`` lengths of :func:`_side_caps`."""
+    small, large = caps
     cycles = _chordless_cycles(g, large, budget)
     return _cycle_pair_sweep(g, cycles, small, budget, stop_below, symmetry)
 
 
 def is_cyclically_k_connected(
-    g: MultiGraph, k: int, *, max_work: int | None = 2_000_000
+    g: MultiGraph, k: int, *, max_work: int | None = DEFAULT_MAX_WORK
 ) -> CyclicCheck:
     """Whether every edge cut separating two cycles has at least k edges.
 
@@ -874,15 +851,12 @@ def is_cyclically_k_connected(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    budget = _Budget(max_work)
+    budget = Budget(max_work, "cyclic connectivity")
     value, side = _capped_sweep(
-        g, k - 1, budget, stop_below=k, symmetry=_Symmetry(g, budget)
+        g, _side_caps(g, k - 1), budget, stop_below=k, symmetry=_Symmetry(g, budget)
     )
     if value is not None and value < k:
-        cut = frozenset(
-            eid for eid, (u, v) in enumerate(g.edges) if (u in side) != (v in side)
-        )
-        return CyclicCheck(False, EdgeCut(side=tuple(sorted(side)), edges=cut))
+        return CyclicCheck(False, edge_cut(g, side))
     return CyclicCheck(True, None)
 
 
@@ -920,7 +894,7 @@ def girth(g: MultiGraph) -> int | None:
 
 
 def cyclic_connectivity(
-    g: MultiGraph, *, max_work: int | None = 2_000_000
+    g: MultiGraph, *, max_work: int | None = DEFAULT_MAX_WORK
 ) -> CyclicConnectivity:
     """Exact cyclic edge-connectivity via disjoint chordless cycle pairs.
 
@@ -940,7 +914,10 @@ def cyclic_connectivity(
     and the larger at most n - c.  A sweep under the caps for cuts below
     ``upper`` therefore finds any such cut, and a cut of exactly ``upper``
     it finds is minimum.  ``upper`` starts at the girth and rises to the
-    sweep's value until the sweep settles at or below it.  Only pairs whose
+    sweep's value until the sweep settles at or below it, or until the
+    caps for cuts below the new ``upper`` are the ones just swept (always,
+    on a graph that is not cubic), when the next sweep would repeat this
+    one and return its value and witness.  Only pairs whose
     first (shorter) cycle is within the smaller side's cap are tried, and
     the sweep stops once its best cut equals the edge-connectivity.
 
@@ -970,33 +947,22 @@ def cyclic_connectivity(
     extension step of the cycle enumeration 1; more than ``max_work``
     units raise :class:`BudgetExceededError`.
     """
-    budget = _Budget(max_work)
+    budget = Budget(max_work, "cyclic connectivity")
     symmetry = _Symmetry(g, budget)
     gi = girth(g)
     if gi is None:
         return CyclicConnectivity(value=None, vacuous=True, witness=None)
     upper = gi
     while True:
-        value, side = _capped_sweep(
-            g, upper - 1, budget, stop_below=None, symmetry=symmetry
-        )
+        caps = _side_caps(g, upper - 1)
+        value, side = _capped_sweep(g, caps, budget, None, symmetry)
         if value is None:
             # nothing disjoint at these caps: decide vacuity with no cap
-            cycles = _chordless_cycles(g, g.n, budget)
-            value, side = _cycle_pair_sweep(
-                g, cycles, g.n, budget, stop_below=None, symmetry=symmetry
-            )
+            value, side = _capped_sweep(g, (g.n, g.n), budget, None, symmetry)
             if value is None:
                 return CyclicConnectivity(value=None, vacuous=True, witness=None)
-        if value <= upper:
-            cut = frozenset(
-                eid
-                for eid, (u, v) in enumerate(g.edges)
-                if (u in side) != (v in side)
-            )
+        if value <= upper or _side_caps(g, value - 1) == caps:
             return CyclicConnectivity(
-                value=value,
-                vacuous=False,
-                witness=EdgeCut(side=tuple(sorted(side)), edges=cut),
+                value=value, vacuous=False, witness=edge_cut(g, side)
             )
         upper = value

@@ -15,9 +15,10 @@ search and 2-factor enumeration, the 2-factor, colour-{1,2}, augmented-graph and
 the partition variants that rebuild and re-partition each switched or
 reversed flow, and the cyclic-connectivity sweep under its earlier length
 cap.  The exhaustive
-balance checker and the table of every vertex bipartition's cut, both
-vectorized over all subsets with numpy, are the references for
-``check_balanced_mincut`` and for the cyclic sweep's cycle caps.  numpy and
+balance checker (also batched over many weightings of one graph) and the
+table of every vertex bipartition's cut, both vectorized over all subsets
+with numpy, are the references for ``check_balanced_mincut`` and for the
+cyclic sweep's cycle caps.  numpy and
 networkx are test dependencies only.
 """
 
@@ -34,7 +35,7 @@ from itertools import combinations
 import networkx as nx
 import numpy as np
 
-from nzflow.errors import BudgetExceededError, InternalInconsistencyError
+from nzflow.errors import Budget, BudgetExceededError, InternalInconsistencyError
 from nzflow.flows import (
     Flow,
     make_flow,
@@ -44,7 +45,6 @@ from nzflow.flows import (
 )
 from nzflow.graph import MultiGraph, trace_circuit
 from nzflow.structure import (
-    _Budget,
     _UnitCuts,
     _chordless_cycles,
     _frontier_colourable,
@@ -246,10 +246,10 @@ def reference_cyclic_connectivity(g: MultiGraph):
     if upper is None:
         return None, None
     while True:
-        cycles = _chordless_cycles(g, reference_length_bound(g.n, upper - 1), _Budget(None))
+        cycles = _chordless_cycles(g, reference_length_bound(g.n, upper - 1), Budget(None))
         value, side = reference_pair_sweep(g, cycles, None)
         if value is None:
-            cycles = _chordless_cycles(g, g.n, _Budget(None))
+            cycles = _chordless_cycles(g, g.n, Budget(None))
             value, side = reference_pair_sweep(g, cycles, None)
             if value is None:
                 return None, None
@@ -261,7 +261,7 @@ def reference_cyclic_connectivity(g: MultiGraph):
 def reference_cyclically_k_connected(g: MultiGraph, k: int):
     """``is_cyclically_k_connected`` under ``reference_length_bound``: the
     side of a cut of fewer than k edges, or None."""
-    cycles = _chordless_cycles(g, reference_length_bound(g.n, k - 1), _Budget(None))
+    cycles = _chordless_cycles(g, reference_length_bound(g.n, k - 1), Budget(None))
     value, side = reference_pair_sweep(g, cycles, k)
     return side if value is not None and value < k else None
 
@@ -371,6 +371,38 @@ def check_balanced_bruteforce(
         margin=Fraction(best, val.denominator),
         class_difference=_class_difference(val, violator),
     )
+
+
+def brute_max_margins(
+    g: MultiGraph, rows, denominator: int, *, chunk: int = 256
+) -> list[int]:
+    """For each row of vertex numerators, the largest |sum| - denominator *
+    cut over every vertex subset: the margin numerator that
+    :func:`check_balanced_bruteforce` maximizes, for many valuations of one
+    graph at once.
+
+    Each chunk of rows is one int16 array of every row's subset sums, built
+    by the same doubling; the asserts keep every sum and every
+    denominator * cut inside int16.
+    """
+    n = g.n
+    weights = np.array(rows, dtype=np.int16).reshape(len(rows), n)
+    cut, _ = _subset_tables(g)
+    limit = np.iinfo(np.int16).max
+    assert int(np.abs(weights.astype(np.int64)).sum(axis=1).max(initial=0)) <= limit
+    assert denominator * int(cut.max()) <= limit
+    scaled_cut = (denominator * cut).astype(np.int16)
+    best: list[int] = []
+    for lo in range(0, len(rows), chunk):
+        w = weights[lo : lo + chunk]
+        sums = np.zeros((len(w), 1 << n), dtype=np.int16)
+        for i in range(n):
+            np.add(sums[:, : 1 << i], w[:, i : i + 1], out=sums[:, 1 << i : 2 << i])
+        np.abs(sums, out=sums)
+        sums -= scaled_cut
+        best.extend(int(x) for x in sums.max(axis=1))
+    return best
+
 
 class RecursiveMaxFlow:
     """Dinic with a recursive blocking-flow search, arcs tried in insertion

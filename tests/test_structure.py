@@ -1,5 +1,5 @@
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -20,6 +20,7 @@ from helpers import (
 
 import nzflow.structure
 from nzflow import (
+    Budget,
     BudgetExceededError,
     MultiGraph,
     compute_oddness,
@@ -43,7 +44,6 @@ from nzflow.catalog import (
     _moebius_ladder,
 )
 from nzflow.structure import (
-    _Budget,
     _OddnessSearch,
     _UnitCuts,
     _chordless_cycles,
@@ -304,7 +304,7 @@ def test_oddness_work_is_pinned_on_flower_snarks(k, units):
 def _iterative_oddness(g, max_work=None):
     search = _OddnessSearch(g, max_work)
     search.run()
-    return search.best, search.best_matching, search.work
+    return search.best, search.best_matching, search.budget.used
 
 
 def _outcome(search, g, max_work):
@@ -508,7 +508,7 @@ def test_edge_connectivity_matches_every_bipartition(corpus):
         _, cut, _, _ = bipartition_table(g)
         least = int(cut.min())
         for limit in range(5):
-            got = _edge_connectivity(g, _UnitCuts(g), limit, _Budget(None))
+            got = _edge_connectivity(g, _UnitCuts(g), limit, Budget(None))
             assert got == min(least, limit), (name, limit)
 
 
@@ -551,7 +551,7 @@ def test_cyclic_length_cap_matches_uncapped_sweep_where_it_prunes():
         g = random_bridgeless_cubic(n, random.Random(seed))
         got = cyclic_connectivity(g).value
         small, large = _side_caps(g, got - 1)
-        cycles = _chordless_cycles(g, g.n, _Budget(None))
+        cycles = _chordless_cycles(g, g.n, Budget(None))
         assert any(small < len(c) <= large for c in cycles), (n, seed)
         assert any(len(c) > large for c in cycles), (n, seed)
         assert got == min(
@@ -573,7 +573,7 @@ _REFERENCE_GRAPHS = [
 @pytest.mark.parametrize("name,g", _REFERENCE_GRAPHS, ids=[n for n, _ in _REFERENCE_GRAPHS])
 def test_unit_cuts_match_dinic_reference_on_every_pair(name, g):
     cuts = _UnitCuts(g)  # one flow list, reused by every query
-    pairs = list(_disjoint_pairs(_chordless_cycles(g, g.n, _Budget(None))))
+    pairs = list(_disjoint_pairs(_chordless_cycles(g, g.n, Budget(None))))
     assert pairs
     for a, b in pairs:
         value, side = dinic_min_cut_between(g, a, b)
@@ -587,7 +587,7 @@ def test_cyclic_witness_is_first_reference_minimum(name, g):
     res = cyclic_connectivity(g)
     # every graph here settles in the first sweep, capped from the girth
     assert res.value <= girth(g)
-    cycles = _chordless_cycles(g, reference_length_bound(g.n, girth(g) - 1), _Budget(None))
+    cycles = _chordless_cycles(g, reference_length_bound(g.n, girth(g) - 1), Budget(None))
     best = None
     for a, b in _disjoint_pairs(cycles):
         value, side = dinic_min_cut_between(g, a, b)
@@ -661,3 +661,21 @@ def test_cyclic_work_units_are_pinned(make, units):
     assert cyclic_connectivity(g, max_work=units).value is not None
     with pytest.raises(BudgetExceededError):
         cyclic_connectivity(g, max_work=units - 1)
+
+
+@pytest.mark.parametrize("n, value", [(6, 9), (7, 12)])
+def test_non_cubic_graph_sweeps_once(monkeypatch, n, value):
+    # a graph that is not cubic gets no caps, so its first sweep is exact;
+    # with lambda_c above the girth (3), a second sweep would repeat it
+    sweeps = []
+    sweep = nzflow.structure._cycle_pair_sweep
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[2])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(nzflow.structure, "_cycle_pair_sweep", counted)
+    res = cyclic_connectivity(MultiGraph(n, combinations(range(n), 2)))
+    assert res.value == value
+    assert len(res.witness.edges) == value
+    assert sweeps == [n]

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     brute_is_balanced,
+    brute_max_margins,
     check_balanced_bruteforce,
     two_network_check_balanced_mincut,
 )
@@ -209,6 +210,18 @@ def test_checkers_agree_on_random_assignments(corpus):
                 # both violators check out when recomputed from scratch
                 assert subset_margin(g, val, rb.violator) == rb.margin
                 assert subset_margin(g, val, rm.violator) == rm.margin
+
+
+def test_batched_brute_margins_match_the_brute_force(corpus):
+    # the batched helper behind acceptance criterion 3, row by row against
+    # the exhaustive checker, across several chunks of rows
+    rng = random.Random(2024)
+    for name, g in corpus[::9] + [("petersen", petersen())]:
+        rows = [tuple(rng.randint(-7, 7) for _ in range(g.n)) for _ in range(30)]
+        for nums, best in zip(rows, brute_max_margins(g, rows, 3, chunk=7)):
+            rb = check_balanced_bruteforce(g, Valuation(denominator=3, numerators=nums))
+            assert Fraction(best, 3) == rb.margin, name
+            assert (best == 0) == rb.balanced, name
 
 
 def _report(rep):
