@@ -15,6 +15,11 @@ reported on stderr as ``input error: ...`` and, without ``--lenient``, ends
 the stream after the records before it.  No search recurses, so a large
 graph needs no more Python stack than a small one.
 
+:func:`main` may be called repeatedly in one process: it builds its argument
+parser once, at the first call, and every call parses, computes and verifies
+its own records from scratch.  Importing this module builds no parser, and
+only ``--jobs N`` with N > 1 loads the process pool.
+
 Exit codes, the worst one seen wins: 0 success, 1 anomaly found or
 certificate rejected, 2 input error (also a graph outside the command's
 domain, such as a non-cubic one for ``analyze`` or ``oddness``), 3 budget
@@ -24,12 +29,12 @@ exceeded, 4 internal error (a broken invariant, that is, a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import DEFAULT_MAX_WORK, BudgetExceededError, InternalInconsistencyError
 from .flows import flow_from_json, flow_to_json, is_nowhere_zero, solve_nowhere_zero_flow, verify_flow
@@ -225,8 +230,9 @@ def _stream(args) -> int:
     if jobs < 1:
         print("input error: --jobs must be at least 1", file=sys.stderr)
         return EXIT_INPUT
-    # the fork start method launches every worker at the first submit
-    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        # the fork start method launches every worker at the first submit
+        jobs = min(jobs, os.cpu_count() or 1)
     code = EXIT_OK
 
     def tasks():
@@ -246,6 +252,8 @@ def _stream(args) -> int:
         code = max(code, _exit_code(record))
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # windowed submission keeps memory flat while preserving input order
         window = 4 * jobs
         pending = deque()
@@ -309,7 +317,10 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``nzflow`` parser, built at the first call and shared after it;
+    ``parse_args`` returns a fresh namespace every time."""
     parser = argparse.ArgumentParser(
         prog="nzflow",
         description="Nowhere-zero flow analysis of cubic graphs",
@@ -366,11 +377,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, UnicodeDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BrokenPipeError:
         return EXIT_OK
+    except (OSError, UnicodeDecodeError) as exc:
+        # a missing or unreadable input, or a directory given as a file
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

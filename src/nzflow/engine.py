@@ -448,7 +448,9 @@ def _partition_variants(
     partition of ``base_flow``: reversing the flow exchanges the classes of
     every vertex, and reversing the closed circuit of odd path i with its
     twin (:func:`~nzflow.flows.switch_path`) exchanges them exactly on the
-    vertices of that path, so no other flow is built.
+    vertices of that path, so no other flow is built.  ``base_flow`` is
+    :func:`~nzflow.flows.canonical_4flow`'s, verified only here: its
+    rejection is a broken invariant.
     """
     g = ag.graph
     z = ag.coloring.missing2
@@ -456,7 +458,10 @@ def _partition_variants(
     def path_vertices(i: int) -> set[int]:
         return {v for eid in ag.coloring.paths[i] for v in g.endpoints(eid)}
 
-    part = flow_partition(ag, base_flow)
+    try:
+        part = flow_partition(ag, base_flow)
+    except ValueError as exc:
+        raise InternalInconsistencyError(f"constructed 4-flow rejected: {exc}") from exc
     if z and not part.is_white(z[0]):
         part = part.swapped(range(g.n))
     if len(z) == 4 and not part.is_white(z[2]):

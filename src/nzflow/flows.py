@@ -227,10 +227,12 @@ def canonical_4flow(ag: AugmentedGraph) -> Flow:
     value-1 circulations around every color-{1,2} circuit of the augmented
     graph, and value-1 circulations around every added 2-circuit, the latter
     oriented so the closure edge agrees with its direction in the circuit it
-    closes.  Every circuit runs in its canonical order, and the result is
-    verified.  Reversing one closed circuit with its twin is
-    :func:`switch_path`; the pipeline never builds that flow, it reads the
-    switched partition off this one's (switching lemma).
+    closes.  Every circuit runs in its canonical order.  The result is not
+    verified here: :func:`~nzflow.valuation.flow_partition` verifies its
+    input, and the pipeline turns a rejection there into an internal error.
+    Reversing one closed circuit with its twin is :func:`switch_path`; the
+    pipeline never builds that flow, it reads the switched partition off
+    this one's (switching lemma).
     """
     g = ag.graph
     signed = [0] * g.m
@@ -247,10 +249,7 @@ def canonical_4flow(ag: AugmentedGraph) -> Flow:
             # closure runs t -> h, the mate returns h -> t
             _signed_add(signed, g, (pair.closure, pair.mate), (t, h), 1)
 
-    flow = make_flow(g, signed, 4)
-    if verify_flow(g, flow) or not is_nowhere_zero(flow):
-        raise InternalInconsistencyError("constructed 4-flow failed verification")
-    return flow
+    return make_flow(g, signed, 4)
 
 
 def switch_path(ag: AugmentedGraph, flow: Flow, index: int) -> Flow:

@@ -1,6 +1,11 @@
+import argparse
 import ast
+import concurrent.futures
 import io
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -16,7 +21,7 @@ import nzflow.structure
 from nzflow import InternalInconsistencyError
 from nzflow.cli import EXIT_INTERNAL, main
 from nzflow.catalog import flower_snark, k4, petersen, prism
-from nzflow.flows import flow_to_json, solve_nowhere_zero_flow
+from nzflow.flows import Flow, flow_to_json, solve_nowhere_zero_flow
 from nzflow.graph6 import parse_graph6, serialize_graph6
 
 # each streaming command: its extra arguments, and the name in nzflow.cli
@@ -309,6 +314,22 @@ def test_no_package_function_calls_itself():
     assert {"_extend", "rec"} <= names
 
 
+def test_rejected_canonical_4flow_is_an_internal_error(capsys, monkeypatch, petersen_file):
+    real = nzflow.engine.canonical_4flow
+
+    def zeroed(ag):
+        f = real(ag)
+        return Flow(f.graph, f.tails, (0,) + f.values[1:], f.modulus)
+
+    monkeypatch.setattr(nzflow.engine, "canonical_4flow", zeroed)
+    code, out, err = run_cli(capsys, ["analyze", petersen_file])
+    assert code == EXIT_INTERNAL == 4
+    (rec,) = records(out)
+    assert rec["internal_error"] is True
+    assert "constructed 4-flow rejected" in rec["error"]
+    assert err.startswith("line-1: internal error: ")
+
+
 def test_broken_realization_is_an_internal_error(capsys, monkeypatch, petersen_file):
     import nzflow.valuation
 
@@ -356,6 +377,24 @@ def test_unreadable_input_is_an_input_error(capsys, tmp_path, petersen_file, con
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
         assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{dir}"],
+        ["oddness", "{dir}"],
+        ["cyclic", "{dir}"],
+        ["flow", "{dir}", "--k", "5"],
+        ["certify", "{graph}", "{dir}"],
+    ],
+    ids=["analyze", "oddness", "cyclic", "flow", "certify"],
+)
+def test_directory_path_is_an_input_error(capsys, tmp_path, petersen_file, argv):
+    argv = [a.format(dir=tmp_path, graph=petersen_file) for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and str(tmp_path) in err
 
 
 def test_oddness_command(capsys, mixed_file):
@@ -551,7 +590,7 @@ class _RecordingPool:
 def test_jobs_pool_is_capped_at_the_cpu_count(
     capsys, monkeypatch, mixed_file, jobs, cpus, size
 ):
-    monkeypatch.setattr(nzflow.cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(nzflow.cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     code, out, _ = run_cli(capsys, ["analyze", mixed_file, "--jobs", jobs])
@@ -559,6 +598,81 @@ def test_jobs_pool_is_capped_at_the_cpu_count(
     # one worker runs in-process, with no pool
     assert _RecordingPool.sizes == ([size] if size else [])
     assert [r["name"] for r in records(out)] == ["line-1", "line-2"]
+
+
+def _outcome(call):
+    """(exit code, stdout with ``timings`` masked, stderr) of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    masked = []
+    for line in out.getvalue().splitlines():
+        rec = json.loads(line)
+        if "timings" in rec:
+            rec["timings"] = "masked"
+        masked.append(rec)
+    return code, masked, err.getvalue()
+
+
+def test_main_reuses_one_parser_without_leaking_flags(
+    monkeypatch, tmp_path, mixed_file, petersen_file, petersen_cert
+):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(petersen_cert))
+    calls = [
+        ["analyze", mixed_file, "--skip-cyclic"],
+        ["analyze", mixed_file],
+        ["cyclic", mixed_file, "--k", "6"],
+        ["cyclic", mixed_file],
+        ["flow", mixed_file, "--k", "5"],
+        ["analyze", mixed_file, "--jobs"],
+        ["oddness", mixed_file],
+        ["certify", petersen_file, str(cert)],
+    ]
+
+    builds = []
+    real_add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting_add_subparsers(self, **kwargs):
+        builds.append(self.prog)
+        return real_add_subparsers(self, **kwargs)
+
+    nzflow.cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting_add_subparsers)
+    reused = [_outcome(lambda: main(argv)) for argv in calls]
+    assert builds == ["nzflow"]
+    # the same calls, each on a parser built for it alone
+    monkeypatch.setattr(nzflow.cli, "build_parser", nzflow.cli.build_parser.__wrapped__)
+    fresh = [_outcome(lambda: main(argv)) for argv in calls]
+    assert builds == ["nzflow"] * (1 + len(calls))
+    assert reused == fresh
+    codes = [code for code, _out, _err in reused]
+    assert codes == [0, 0, 0, 0, 0, ("SystemExit", 2), 0, 0]
+    assert reused[0][1][0]["cyclic_connectivity"] == {"status": "skipped"}
+    assert reused[1][1][0]["cyclic_connectivity"]["status"] == "exact"
+    assert "k" in reused[2][1][0] and "k" not in reused[3][1][0]
+    assert reused[7][1] == [{"k": 5, "verdict": "ACCEPT"}]
+
+
+def test_importing_the_cli_loads_no_pool_and_builds_no_parser():
+    import nzflow
+
+    src = str(Path(nzflow.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    probe = (
+        "import sys, nzflow.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules), nzflow.cli.build_parser.cache_info().misses)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 0\n"
 
 
 _SMALL = st.one_of(st.integers(-2, 16), st.none(), st.text(max_size=2))
