@@ -534,6 +534,7 @@ def five_flow_oddness4(
     valuation_reports: dict[str, BalanceReport] = {}
     cyclic_info: dict = {"status": "skipped"}
     cyclic_res: CyclicConnectivity | None = None
+    at_least_six = False
 
     if check_cyclic:
         try:
@@ -646,11 +647,7 @@ def five_flow_oddness4(
         except (ValueError, InternalInconsistencyError) as exc:
             claim_log.append(ClaimCheck("quad_decomposition", False, str(exc)))
 
-    verified_six = (
-        cyclic_info.get("status") == "checked"
-        and cyclic_info.get("at_least_six") is True
-    )
-    if verified_six:
+    if at_least_six:
         return mkcert(
             outcome="bad_pair_anomaly",
             oddness=odd.oddness,

@@ -645,45 +645,14 @@ def _edge_connectivity(
     return least
 
 
-# The sweeps of one call search for automorphisms once they have tried this
-# many cycle pairs per vertex.  Measured against the mean pair of the same
-# graph, the search costs 0.3 to 1.7 pairs per vertex from 30 vertices up
-# (flower snarks, GP(40, 2), random cubic graphs with a trivial group) and
-# up to 3.8 below 20, so waiting about as long as the search would take
-# bounds what a graph that stops soon after pays for it.  No graph of the
+# A sweep searches for automorphisms once it has tried this many cycle
+# pairs per vertex.  Measured against the mean pair of the same graph, the
+# search costs 0.3 to 1.7 pairs per vertex from 30 vertices up (flower
+# snarks, GP(40, 2), random cubic graphs with a trivial group) and up to
+# 3.8 below 20, so waiting about as long as the search would take bounds
+# what a graph that stops soon after pays for it.  No graph of the
 # 109-graph corpus (at most 2.6 pairs per vertex) reaches it.
 _GROUP_AFTER = 3
-
-
-class _Symmetry:
-    """The automorphisms of one graph, searched for once, when the sweeps
-    of one call have tried ``_GROUP_AFTER`` pairs per vertex; the search
-    spends 4 units of the call's budget per node."""
-
-    def __init__(self, g: MultiGraph, budget: Budget):
-        self.g = g
-        self.budget = budget
-        self.pairs = 0
-        self.gens: list[list[int]] | None = None
-
-    def orbit_firsts(
-        self, cycles: list[tuple[int, ...]], count: int
-    ) -> list[bool] | None:
-        """Whether each of the first ``count`` cycles comes first in its
-        orbit, or None while the group is not known."""
-        if self.gens is None:
-            if self.pairs < _GROUP_AFTER * self.g.n:
-                return None
-            self.gens = automorphisms(self.g, lambda: self.budget.spend(4))
-        # automorphisms keep lengths, so the first ``count`` cycles (sorted
-        # by length, ``count`` at a length boundary) are closed under them;
-        # a chordless cycle is its vertex set's induced subgraph
-        head = cycles[:count]
-        index = {frozenset(c): i for i, c in enumerate(head)}
-        least = orbits(count, [
-            [index[frozenset(gamma[v] for v in c)] for c in head] for gamma in self.gens
-        ])
-        return [least[i] == i for i in range(count)]
 
 
 def _cycle_pair_sweep(
@@ -692,7 +661,6 @@ def _cycle_pair_sweep(
     small_cap: int,
     budget: Budget,
     stop_below: int | None,
-    symmetry: _Symmetry,
 ) -> tuple[int | None, frozenset[int] | None]:
     """Minimum cut over disjoint cycle pairs; early exit below ``stop_below``.
 
@@ -702,8 +670,9 @@ def _cycle_pair_sweep(
     Every cut between two cycles is an edge cut, so the sweep also stops
     once the best cut equals the graph's edge-connectivity, which is
     computed the first time the best cut is at most the minimum degree.
-    Once ``symmetry`` knows the automorphisms, a first cycle that is not
-    the first of its orbit is skipped (see :func:`cyclic_connectivity`).
+    Once the sweep has tried ``_GROUP_AFTER`` pairs per vertex, it searches
+    for the automorphisms, and from then on skips a first cycle that is not
+    the first of its orbit (see :func:`cyclic_connectivity`).
     """
     best: int | None = None
     best_side: frozenset[int] | None = None
@@ -718,17 +687,28 @@ def _cycle_pair_sweep(
             through[v] |= 1 << j
     everything = (1 << len(cycles)) - 1
     outer = bisect_right([len(c) for c in cycles], small_cap)
-    firsts = None
+    pairs = 0
+    firsts: list[bool] | None = None  # orbit-first flags, once searched
     for i in range(outer):
-        if firsts is None:
-            firsts = symmetry.orbit_firsts(cycles, outer)
+        if firsts is None and pairs >= _GROUP_AFTER * g.n:
+            # automorphisms keep lengths, so the first ``outer`` cycles
+            # (sorted by length, ``outer`` at a length boundary) are closed
+            # under them; a chordless cycle is its vertex set's induced
+            # subgraph.  The search spends 4 units per node
+            head = cycles[:outer]
+            index = {frozenset(c): h for h, c in enumerate(head)}
+            least = orbits(outer, [
+                [index[frozenset(gamma[v] for v in c)] for c in head]
+                for gamma in automorphisms(g, lambda: budget.spend(4))
+            ])
+            firsts = [least[h] == h for h in range(outer)]
         if firsts is not None and not firsts[i]:
             continue
         hit = 0
         for v in cycles[i]:
             hit |= through[v]
         later = (everything ^ hit) >> i  # bit d stands for cycle i + d
-        symmetry.pairs += later.bit_count()
+        pairs += later.bit_count()
         while later:
             low = later & -later
             later ^= low
@@ -822,20 +802,6 @@ def _side_caps(g: MultiGraph, cut_size: int) -> tuple[int, int]:
     return small, large
 
 
-def _capped_sweep(
-    g: MultiGraph,
-    caps: tuple[int, int],
-    budget: Budget,
-    stop_below: int | None,
-    symmetry: _Symmetry,
-) -> tuple[int | None, frozenset[int] | None]:
-    """The sweep over the chordless cycles within ``caps``, the ``(small,
-    large)`` lengths of :func:`_side_caps`."""
-    small, large = caps
-    cycles = _chordless_cycles(g, large, budget)
-    return _cycle_pair_sweep(g, cycles, small, budget, stop_below, symmetry)
-
-
 def is_cyclically_k_connected(
     g: MultiGraph, k: int, *, max_work: int | None = DEFAULT_MAX_WORK
 ) -> CyclicCheck:
@@ -852,9 +818,9 @@ def is_cyclically_k_connected(
     if k < 1:
         raise ValueError("k must be at least 1")
     budget = Budget(max_work, "cyclic connectivity")
-    value, side = _capped_sweep(
-        g, _side_caps(g, k - 1), budget, stop_below=k, symmetry=_Symmetry(g, budget)
-    )
+    small, large = _side_caps(g, k - 1)
+    cycles = _chordless_cycles(g, large, budget)
+    value, side = _cycle_pair_sweep(g, cycles, small, budget, k)
     if value is not None and value < k:
         return CyclicCheck(False, edge_cut(g, side))
     return CyclicCheck(True, None)
@@ -911,17 +877,32 @@ def cyclic_connectivity(
     multigraph on |S| - c vertices, whose girth the Moore bound limits; so
     S has a chordless cycle of at most c + m(|S| - c) vertices, with m
     :func:`_moore_girth`.  The smaller side has at most n // 2 vertices
-    and the larger at most n - c.  A sweep under the caps for cuts below
-    ``upper`` therefore finds any such cut, and a cut of exactly ``upper``
-    it finds is minimum.  ``upper`` starts at the girth and rises to the
-    sweep's value until the sweep settles at or below it, or until the
-    caps for cuts below the new ``upper`` are the ones just swept (always,
-    on a graph that is not cubic), when the next sweep would repeat this
-    one and return its value and witness.  Only pairs whose
-    first (shorter) cycle is within the smaller side's cap are tried, and
-    the sweep stops once its best cut equals the edge-connectivity.
+    and the larger at most n - c.  The one sweep, under the caps for cuts
+    below the girth, therefore finds a minimum cut whenever one is below
+    the girth, and a cut of exactly the girth that it finds is minimum.
+    Only pairs whose first (shorter) cycle is within the smaller side's cap
+    are tried, and the sweep stops once its best cut equals the
+    edge-connectivity.  A graph that is not cubic gets no caps, so its
+    sweep is exact.
 
-    Orbit representatives.  Once the sweeps have tried 3 pairs per vertex
+    Girth lemma.  Let G be cubic with girth g and C a shortest cycle, with
+    e_in edges inside V(C) and e_out leaving it.  Counting degrees,
+    3g = 2 e_in + e_out with e_in >= g, so e_out <= g.  Two disjoint cycles
+    need 2g vertices, so G is vacuous when 2g > n.  When 2g <= n, G - V(C)
+    has n - g vertices and 3n/2 - (e_in + e_out) = 3n/2 - 3g + e_in
+    >= n - g edges, so it has a cycle, which the e_out edges leaving V(C)
+    separate from C: the cyclic connectivity is at most g.  So when the
+    sweep finds no cut below the girth, a cubic graph is vacuous exactly
+    when 2g > n, and otherwise its value is g, with the edges leaving
+    ``cycles[0]`` as witness.  When 2g <= n both caps are at least g, so
+    ``cycles[0]`` is the first shortest chordless cycle.  Its cut is the
+    witness of the sweep with no caps: that sweep's first pair is
+    ``cycles[0]`` with the first later cycle disjoint from it (a shortest
+    cycle of G - V(C) has no chord); that pair's cut is at most e_out <= g,
+    so minimum, and the residual side is the inclusion-minimal minimum-cut
+    side around V(C), which is V(C), itself such a side.
+
+    Orbit representatives.  Once the sweep has tried 3 pairs per vertex
     (``_GROUP_AFTER``), :func:`~nzflow.symmetry.automorphisms` gives the
     automorphism group, and from then on a pair's first cycle must be the
     earliest cycle of its orbit.  This keeps the value, the vacuous verdict
@@ -948,21 +929,15 @@ def cyclic_connectivity(
     units raise :class:`BudgetExceededError`.
     """
     budget = Budget(max_work, "cyclic connectivity")
-    symmetry = _Symmetry(g, budget)
     gi = girth(g)
     if gi is None:
         return CyclicConnectivity(value=None, vacuous=True, witness=None)
-    upper = gi
-    while True:
-        caps = _side_caps(g, upper - 1)
-        value, side = _capped_sweep(g, caps, budget, None, symmetry)
-        if value is None:
-            # nothing disjoint at these caps: decide vacuity with no cap
-            value, side = _capped_sweep(g, (g.n, g.n), budget, None, symmetry)
-            if value is None:
-                return CyclicConnectivity(value=None, vacuous=True, witness=None)
-        if value <= upper or _side_caps(g, value - 1) == caps:
-            return CyclicConnectivity(
-                value=value, vacuous=False, witness=edge_cut(g, side)
-            )
-        upper = value
+    small, large = _side_caps(g, gi - 1)
+    cycles = _chordless_cycles(g, large, budget)
+    value, side = _cycle_pair_sweep(g, cycles, small, budget, None)
+    if (value is None or value > gi) and all(d == 3 for d in g.degrees()):
+        # nothing below the girth: the girth lemma decides
+        value, side = (None, None) if 2 * gi > g.n else (gi, frozenset(cycles[0]))
+    if value is None:
+        return CyclicConnectivity(value=None, vacuous=True, witness=None)
+    return CyclicConnectivity(value=value, vacuous=False, witness=edge_cut(g, side))

@@ -119,6 +119,18 @@ def brute_cyclic_min_cut(g: MultiGraph) -> int | None:
     return int(cut[both].min()) if both.any() else None
 
 
+def random_cubic_multigraph(n: int, rng) -> MultiGraph:
+    """A cubic multigraph on ``n`` vertices from the pairing model: the 3n
+    half-edges are paired at random, and a pairing with a loop is drawn
+    again.  Parallel edges and disconnected graphs are kept."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = list(zip(stubs[::2], stubs[1::2]))
+        if all(u != v for u, v in edges):
+            return MultiGraph(n, edges)
+
+
 def dinic_min_cut_between(
     g: MultiGraph, side_a: tuple[int, ...], side_b: tuple[int, ...]
 ) -> tuple[int, frozenset[int]]:

@@ -8,6 +8,7 @@ from helpers import (
     brute_cyclic_min_cut,
     dinic_min_cut_between,
     induced_girth,
+    random_cubic_multigraph,
     reference_cyclic_connectivity,
     reference_cyclically_k_connected,
     recursion_headroom,
@@ -503,6 +504,52 @@ def test_side_caps_hold_on_every_minimum_cyclic_cut(corpus):
     assert checked > 500
 
 
+# cubic multigraphs from the pairing model, parallel edges kept: n = 2
+# gives the theta graph, most of the others have girth 2, and nine of the
+# forty are vacuous
+_MULTIGRAPHS = [
+    (f"multi-{n}-{s}", random_cubic_multigraph(n, random.Random(s)))
+    for s in range(40)
+    for n in [2 + 2 * (s % 7)]
+]
+
+
+def test_girth_lemma_holds_on_every_bipartition(corpus):
+    # a cubic multigraph is vacuous exactly when 2 * girth > n, and has a
+    # cycle-separating cut of at most girth edges otherwise: by full
+    # enumeration, with the girth from the edge-by-edge BFS of the helpers
+    graphs = [(name, g) for name, g in _small_cap_graphs(corpus)
+              if all(d == 3 for d in g.degrees())]
+    vacuous = 0
+    for name, g in graphs + _MULTIGRAPHS:
+        shortest = induced_girth(g, frozenset(range(g.n)))
+        least = brute_cyclic_min_cut(g)
+        if 2 * shortest > g.n:
+            assert least is None, name
+            vacuous += 1
+        else:
+            assert least is not None and least <= shortest, name
+    assert vacuous >= 5
+
+
+def test_girth_lemma_gives_the_value_and_witness_of_the_full_sweep(monkeypatch, corpus):
+    # with no pair left to the sweep, the lemma alone decides: wherever the
+    # graph is vacuous or lambda_c is the girth, the value, the verdict and
+    # the witness (the cut around the first shortest chordless cycle) are
+    # those of the sweep
+    graphs = [(name, g) for name, g in _small_cap_graphs(corpus) + _MULTIGRAPHS
+              if all(d == 3 for d in g.degrees())]
+    settled = [(name, g, cyclic_connectivity(g)) for name, g in graphs]
+    caps = nzflow.structure._side_caps
+    monkeypatch.setattr(nzflow.structure, "_side_caps", lambda g, c: (0, caps(g, c)[1]))
+    decided = 0
+    for name, g, res in settled:
+        if res.vacuous or res.value == girth(g):
+            assert cyclic_connectivity(g) == res, name
+            decided += 1
+    assert decided >= 50
+
+
 def test_edge_connectivity_matches_every_bipartition(corpus):
     for name, g in _small_cap_graphs(corpus):
         _, cut, _, _ = bipartition_table(g)
@@ -641,12 +688,32 @@ def test_cyclic_sweep_matches_the_earlier_length_cap_on_the_corpus(corpus):
         _assert_matches_reference_sweep(name, g, (4, 5, 6))
 
 
+_RESWEPT_GRAPHS = [
+    ("theta", MultiGraph(2, [(0, 1)] * 3)),
+    ("k5", MultiGraph(5, combinations(range(5), 2))),
+    ("k4+k4", _disjoint_union(k4(), k4())),
+] + _MULTIGRAPHS
+
+
+def test_cyclic_sweep_matches_the_reference_where_it_swept_again():
+    # the reference rises from the girth and, when nothing disjoint is
+    # within the caps, sweeps again with no cap; the girth lemma settles
+    # these graphs in one sweep with the same values, verdicts and sides
+    for name, g in _RESWEPT_GRAPHS:
+        _assert_matches_reference_sweep(name, g, (4, 5, 6))
+
+
 @pytest.mark.parametrize(
-    "make,units",
-    [(lambda: flower_snark(5), 1_338), (oddness4_snark, 3_089)],
-    ids=["flower-5", "oddness4"],
+    "make,units,value",
+    [
+        (lambda: flower_snark(5), 1_338, 5),
+        (oddness4_snark, 3_089, 3),
+        (k4, 6, None),
+        (k33, 18, None),
+    ],
+    ids=["flower-5", "oddness4", "k4", "k33"],
 )
-def test_cyclic_work_units_are_pinned(make, units):
+def test_cyclic_work_units_are_pinned(make, units, value):
     # chordless-cycle extensions plus 4 units per disjoint cycle pair, per
     # flow of the edge-connectivity check and per node of the automorphism
     # search.  Under the earlier length cap J5 took 2,695 (1,631
@@ -656,26 +723,62 @@ def test_cyclic_work_units_are_pinned(make, units):
     # searches its group in 15 nodes and sweeps only orbit-first cycles,
     # 22 more pairs: 950 + 4 * (82 + 15) = 1,338.  The snark takes 2,945
     # extensions, and its first pair gives a 3-edge cut, which 35 flows
-    # show is its edge-connectivity, so the sweep stops before the search
+    # show is its edge-connectivity, so the sweep stops before the search.
+    # K4 and K3,3 have no disjoint pair: they took 12 and 36 while an empty
+    # sweep was followed by a second enumeration with no cap, and the girth
+    # lemma now decides them after one enumeration
     g = make()
-    assert cyclic_connectivity(g, max_work=units).value is not None
+    assert cyclic_connectivity(g, max_work=units).value == value
     with pytest.raises(BudgetExceededError):
         cyclic_connectivity(g, max_work=units - 1)
 
 
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The calls of the cycle enumeration and of the pair sweep, in order,
+    each with its length cap: ``max_len``, and the sweep's ``small_cap``."""
+    calls = []
+    for name, cap in (("_chordless_cycles", 1), ("_cycle_pair_sweep", 2)):
+        def counted(*args, _real=getattr(nzflow.structure, name), _name=name,
+                    _cap=cap, **kwargs):
+            calls.append((_name, args[_cap]))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(nzflow.structure, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("n, value", [(6, 9), (7, 12)])
-def test_non_cubic_graph_sweeps_once(monkeypatch, n, value):
-    # a graph that is not cubic gets no caps, so its first sweep is exact;
-    # with lambda_c above the girth (3), a second sweep would repeat it
-    sweeps = []
-    sweep = nzflow.structure._cycle_pair_sweep
-
-    def counted(*args, **kwargs):
-        sweeps.append(args[2])
-        return sweep(*args, **kwargs)
-
-    monkeypatch.setattr(nzflow.structure, "_cycle_pair_sweep", counted)
+def test_non_cubic_graph_sweeps_once(sweeps, n, value):
+    # a graph that is not cubic gets no caps, so its one sweep is exact,
+    # also with lambda_c above the girth (3)
     res = cyclic_connectivity(MultiGraph(n, combinations(range(n), 2)))
     assert res.value == value
     assert len(res.witness.edges) == value
-    assert sweeps == [n]
+    assert sweeps == [("_chordless_cycles", n), ("_cycle_pair_sweep", n)]
+
+
+_ONE_SWEEP_GRAPHS = [
+    ("k4", k4(), None),
+    ("k33", k33(), None),
+    ("k5", MultiGraph(5, combinations(range(5), 2)), None),
+    ("theta", MultiGraph(2, [(0, 1)] * 3), None),
+    ("2k33", _disjoint_union(k33(), k33()), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "name,g,value", _ONE_SWEEP_GRAPHS, ids=[n for n, _, _ in _ONE_SWEEP_GRAPHS]
+)
+def test_every_cyclic_call_sweeps_once(sweeps, name, g, value):
+    # one enumeration and one sweep per call, also where no disjoint pair
+    # is within the caps: the girth lemma decides vacuity without a second
+    # sweep with no cap
+    res = cyclic_connectivity(g)
+    assert (res.value, res.vacuous) == (value, value is None), name
+    assert [call for call, _ in sweeps] == ["_chordless_cycles", "_cycle_pair_sweep"]
+    for k in (1, 3, 6):
+        sweeps.clear()
+        chk = is_cyclically_k_connected(g, k)
+        assert chk.connected == (value is None or value >= k), (name, k)
+        assert [call for call, _ in sweeps] == ["_chordless_cycles", "_cycle_pair_sweep"]
