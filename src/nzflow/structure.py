@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import permutations
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import DEFAULT_MAX_WORK, Budget, InternalInconsistencyError
 from .graph import EdgeCut, MultiGraph, edge_cut, walk_circuit
@@ -467,17 +468,40 @@ class CyclicCheck:
     witness: EdgeCut | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CyclicConnectivity:
     """Exact cyclic edge-connectivity, or the vacuous verdict.
 
     ``value`` is None when the graph has no two vertex-disjoint cycles, in
     which case it counts as cyclically k-edge-connected for every k.
+    ``witness`` is a minimum cycle-separating cut, None when vacuous.  It
+    is named on first read and then kept; naming it charges the budget of
+    the call that made the result, so that read can raise
+    :class:`BudgetExceededError`.  Two results are equal when their values,
+    verdicts and witnesses are.
     """
 
     value: int | None
     vacuous: bool
-    witness: EdgeCut | None
+    _witness_step: Callable[[], EdgeCut | None] = field(repr=False)
+
+    @cached_property
+    def witness(self) -> EdgeCut | None:
+        return self._witness_step()
+
+    def _key(self) -> tuple:
+        return self.value, self.vacuous, self.witness
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CyclicConnectivity):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+_VACUOUS = CyclicConnectivity(None, True, lambda: None)
 
 
 def _adjacency_masks(g: MultiGraph) -> list[int]:
@@ -645,14 +669,57 @@ def _edge_connectivity(
     return least
 
 
-# A sweep searches for automorphisms once it has tried this many cycle
-# pairs per vertex.  Measured against the mean pair of the same graph, the
-# search costs 0.3 to 1.7 pairs per vertex from 30 vertices up (flower
-# snarks, GP(40, 2), random cubic graphs with a trivial group) and up to
-# 3.8 below 20, so waiting about as long as the search would take bounds
-# what a graph that stops soon after pays for it.  No graph of the
-# 109-graph corpus (at most 2.6 pairs per vertex) reaches it.
+# A sweep, over cycle pairs or closed-neighbourhood pairs, searches for
+# automorphisms once it has tried this many pairs per vertex.  Measured
+# against the mean cycle pair of the same graph, the search costs 0.3 to
+# 1.7 pairs per vertex from 30 vertices up (flower snarks, GP(40, 2),
+# random cubic graphs with a trivial group) and up to 3.8 below 20, so
+# waiting about as long as the search would take bounds what a graph that
+# stops soon after pays for it.  No graph of the 109-graph corpus (at most
+# 2.6 cycle pairs per vertex) reaches it.
 _GROUP_AFTER = 3
+
+
+def _neighbourhood_cut(g: MultiGraph, limit: int, budget: Budget) -> int:
+    """The least cut between two disjoint closed neighbourhoods N[u], N[w]
+    of the simple cubic graph ``g``, or ``limit`` if it is not smaller.
+
+    The edge-connectivity, capped at ``limit``, comes first: no cut goes
+    below it, so the pairs stop once the best cut reaches it.  Each pair's
+    flow stops at the best cut so far.  Once ``_GROUP_AFTER`` pairs per
+    vertex have been tried, u runs over the first vertex of each orbit of
+    the automorphism group only (see :func:`cyclic_connectivity`).  Each
+    flow and each node of the group search costs 4 work units.
+    """
+    n = g.n
+    if n < 8:
+        return limit  # four vertices each: no two are disjoint
+    cuts = _UnitCuts(g)
+    floor = _edge_connectivity(g, cuts, limit, budget)
+    closed = [(v, *(w for _, w in g.incident(v))) for v in range(n)]
+    masks = [sum(1 << x for x in c) for c in closed]
+    best = limit
+    pairs = 0
+    firsts: list[bool] | None = None  # orbit-first flags, once searched
+    for u in range(n):
+        if best <= floor:
+            break
+        if firsts is None and pairs >= _GROUP_AFTER * n:
+            least = orbits(n, automorphisms(g, lambda: budget.spend(4)))
+            firsts = [least[v] == v for v in range(n)]
+        if firsts is not None and not firsts[u]:
+            continue
+        for w in range(u + 1, n):
+            if masks[u] & masks[w]:
+                continue
+            pairs += 1
+            budget.spend(4)
+            value, _ = cuts.min_cut(closed[u], closed[w], best)
+            if value < best:
+                best = value
+                if best <= floor:
+                    break
+    return best
 
 
 def _cycle_pair_sweep(
@@ -802,6 +869,28 @@ def _side_caps(g: MultiGraph, cut_size: int) -> tuple[int, int]:
     return small, large
 
 
+def _in_lemma_scope(g: MultiGraph, gi: int | None) -> bool:
+    """Whether ``g``, of girth ``gi``, is cubic with 3 <= gi <= 6, so that
+    closed neighbourhoods decide it (see :func:`cyclic_connectivity`)."""
+    return gi is not None and 3 <= gi <= 6 and all(d == 3 for d in g.degrees())
+
+
+def _neighbourhood_witness(
+    g: MultiGraph, gi: int, value: int, budget: Budget
+) -> EdgeCut:
+    """The witness the cycle-pair sweep names for a graph of girth ``gi``
+    whose cyclic connectivity ``value`` closed neighbourhoods decided: the
+    cut around the first shortest chordless cycle at the girth, and
+    otherwise the sweep under the caps for cuts below the girth, stopped
+    at its first pair reaching ``value``."""
+    if value == gi:
+        return edge_cut(g, _chordless_cycles(g, gi, budget)[0])
+    small, large = _side_caps(g, gi - 1)
+    cycles = _chordless_cycles(g, large, budget)
+    _, side = _cycle_pair_sweep(g, cycles, small, budget, value + 1)
+    return edge_cut(g, side)
+
+
 def is_cyclically_k_connected(
     g: MultiGraph, k: int, *, max_work: int | None = DEFAULT_MAX_WORK
 ) -> CyclicCheck:
@@ -814,10 +903,22 @@ def is_cyclically_k_connected(
     sweep skips first cycles outside their orbit's first as
     :func:`cyclic_connectivity` does, under the same budget; being below
     k is kept by automorphisms, so the verdict and witness do not change.
+
+    A cubic graph of girth g, 3 <= g <= 6, is swept only when it has such
+    a cut, to name the witness.  It is vacuous when 2g > n.  Otherwise
+    its cyclic connectivity is at most g, by the girth lemma of
+    :func:`cyclic_connectivity`, so below k when g < k; and when k <= g it
+    is below k exactly when some two disjoint closed neighbourhoods are
+    separated by fewer than k edges, by parts (a) and (b) of the
+    neighbourhood lemma there.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     budget = Budget(max_work, "cyclic connectivity")
+    gi = girth(g)
+    if _in_lemma_scope(g, gi):
+        if 2 * gi > g.n or (gi >= k and _neighbourhood_cut(g, k, budget) == k):
+            return CyclicCheck(True, None)
     small, large = _side_caps(g, k - 1)
     cycles = _chordless_cycles(g, large, budget)
     value, side = _cycle_pair_sweep(g, cycles, small, budget, k)
@@ -835,20 +936,19 @@ def girth(g: MultiGraph) -> int | None:
     if any(c >= 2 for c in pair_counts.values()):
         return 2
     best: int | None = None
+    dist = [-1] * g.n  # -1 outside the current search
+    parent_edge = [-1] * g.n
     for root in range(g.n):
-        dist = {root: 0}
-        parent_edge = {root: -1}
+        dist[root] = 0
+        parent_edge[root] = -1
         queue = [root]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
+        for v in queue:
             if best is not None and dist[v] * 2 >= best:
                 break
             for eid, w in g.incident(v):
                 if eid == parent_edge[v]:
                     continue
-                if w in dist:
+                if dist[w] >= 0:
                     length = dist[v] + dist[w] + 1
                     if best is None or length < best:
                         best = length
@@ -856,20 +956,71 @@ def girth(g: MultiGraph) -> int | None:
                     dist[w] = dist[v] + 1
                     parent_edge[w] = eid
                     queue.append(w)
+        for v in queue:
+            dist[v] = -1
     return best
 
 
 def cyclic_connectivity(
     g: MultiGraph, *, max_work: int | None = DEFAULT_MAX_WORK
 ) -> CyclicConnectivity:
-    """Exact cyclic edge-connectivity via disjoint chordless cycle pairs.
+    """Exact cyclic edge-connectivity, with a minimum cut as witness.
 
-    The minimum cut separating two cycles equals the minimum, over pairs of
-    vertex-disjoint chordless cycles, of the max-flow between them after
-    contraction.  The sweep builds the graph's unit arcs once and, for each
-    pair, grows the flow by augmenting paths from one cycle to the other,
-    stopping once it reaches the best cut found so far (such a pair cannot
-    lower the minimum).
+    A cubic graph of girth g, 3 <= g <= 6, is decided by the cuts between
+    closed neighbourhoods (the value step); its chordless cycles are
+    enumerated and swept only when the result's ``witness`` is first read
+    (the witness step).  Every other graph (girth at most 2 or at least 7,
+    or not cubic) is swept over disjoint chordless cycle pairs at once.
+
+    Neighbourhood lemma.  Let G be cubic with girth g >= 3, so each closed
+    neighbourhood N[u] has 4 vertices.  (a) Each side S of a minimum
+    cycle-separating cut of size c < g holds some N[u].  If G is
+    connected, S is connected (the "Sides" paragraph of
+    :func:`_side_caps`).  Were every vertex of S incident with a cut edge,
+    then c >= |S|, and G[S] would have (3|S| - c)/2 <= |S| edges; being
+    connected with a cycle, it has exactly |S|, each vertex with degree 2
+    in it: a cycle on c < g vertices.  If G is disconnected, c = 0 and no
+    vertex of S has an edge leaving it.  (b) A connected acyclic vertex
+    set T has 3|T| - 2(|T| - 1) = |T| + 2 edges leaving it.  Let X hold
+    N[u] and avoid N[w], with fewer than 6 edges leaving it.  The
+    component of G[X] holding N[u] has at least 4 vertices and no leaving
+    edge outside those of X, so it is not a tree; nor, likewise, is the
+    component of G - X holding N[w].  So the edges leaving X separate two
+    cycles.  Let mu be the least cut between disjoint closed
+    neighbourhoods.  If the cyclic connectivity c is below g, (a) puts
+    disjoint N[u] and N[w] on the two sides of a minimum cut, so
+    mu <= c; and if mu < g <= 6, (b) gives c <= mu.  So c = mu when
+    mu < g, and otherwise c >= g, which the girth lemma below decides.
+
+    The value step first takes the edge-connectivity, capped at g
+    (:func:`_edge_connectivity`).  No cut goes below it, so the pairs stop
+    once mu reaches it, and none is tried when it is g.  Each pair's flow
+    stops at the best cut so far.  Below 8 vertices no two closed
+    neighbourhoods are disjoint.  Once 3 pairs (u, w), u < w, per vertex
+    have been tried (``_GROUP_AFTER``), u runs over the first vertex of
+    each orbit of :func:`~nzflow.symmetry.automorphisms` only.  This keeps
+    mu: automorphisms map closed neighbourhoods to closed neighbourhoods
+    and keep disjointness and cut values.  Among the images of a pair
+    attaining mu take one, {p, q} with p < q, whose least vertex p is
+    least.  An automorphism mapping p to an earlier vertex would give an
+    image with a smaller least vertex, so p is first in its orbit and
+    (p, q) is tried, also when the restriction starts mid-search.
+
+    The witness step charges the call's budget, so ``max_work`` bounds the
+    value and the witness together.  When the value is g, the witness is
+    the cut around ``cycles[0]``, the first shortest chordless cycle: the
+    girth lemma's witness below.  When it is below g, the witness is that
+    of the cycle-pair sweep under the caps for cuts below the girth,
+    stopped at its first pair reaching the value.  The sweep with no stop
+    tries the same pairs up to that one and never improves after it, so
+    it names the same pair and side.
+
+    Cycle-pair sweep.  The minimum cut separating two cycles equals the
+    minimum, over pairs of vertex-disjoint chordless cycles, of the
+    max-flow between them after contraction.  The sweep builds the graph's
+    unit arcs once and, for each pair, grows the flow by augmenting paths
+    from one cycle to the other, stopping once it reaches the best cut
+    found so far (such a pair cannot lower the minimum).
 
     Proof of the caps (in full at :func:`_side_caps`).  Both sides of a
     minimum cut of size c are connected.  A side S, with its pendant trees
@@ -892,15 +1043,15 @@ def cyclic_connectivity(
     has n - g vertices and 3n/2 - (e_in + e_out) = 3n/2 - 3g + e_in
     >= n - g edges, so it has a cycle, which the e_out edges leaving V(C)
     separate from C: the cyclic connectivity is at most g.  So when the
-    sweep finds no cut below the girth, a cubic graph is vacuous exactly
-    when 2g > n, and otherwise its value is g, with the edges leaving
-    ``cycles[0]`` as witness.  When 2g <= n both caps are at least g, so
-    ``cycles[0]`` is the first shortest chordless cycle.  Its cut is the
-    witness of the sweep with no caps: that sweep's first pair is
-    ``cycles[0]`` with the first later cycle disjoint from it (a shortest
-    cycle of G - V(C) has no chord); that pair's cut is at most e_out <= g,
-    so minimum, and the residual side is the inclusion-minimal minimum-cut
-    side around V(C), which is V(C), itself such a side.
+    sweep or the value step finds no cut below the girth, a cubic graph is
+    vacuous exactly when 2g > n, and otherwise its value is g, with the
+    edges leaving ``cycles[0]`` as witness.  When 2g <= n both caps are at
+    least g, so ``cycles[0]`` is the first shortest chordless cycle.  Its
+    cut is the witness of the sweep with no caps: that sweep's first pair
+    is ``cycles[0]`` with the first later cycle disjoint from it (a
+    shortest cycle of G - V(C) has no chord); that pair's cut is at most
+    e_out <= g, so minimum, and the residual side is the inclusion-minimal
+    minimum-cut side around V(C), which is V(C), itself such a side.
 
     Orbit representatives.  Once the sweep has tried 3 pairs per vertex
     (``_GROUP_AFTER``), :func:`~nzflow.symmetry.automorphisms` gives the
@@ -923,15 +1074,24 @@ def cyclic_connectivity(
     again P.  Any group of automorphisms would do, so the restriction may
     start mid-sweep.
 
-    Every disjoint pair, every flow of the edge-connectivity check and
-    every node of the automorphism search costs 4 work units, and every
-    extension step of the cycle enumeration 1; more than ``max_work``
-    units raise :class:`BudgetExceededError`.
+    Every disjoint pair of cycles or of closed neighbourhoods, every flow
+    of the edge-connectivity check and every node of the automorphism
+    search costs 4 work units, and every extension step of the cycle
+    enumeration 1; more than ``max_work`` units raise
+    :class:`BudgetExceededError`, from the call or from the first read of
+    ``witness``.
     """
     budget = Budget(max_work, "cyclic connectivity")
     gi = girth(g)
+    if _in_lemma_scope(g, gi):
+        value = _neighbourhood_cut(g, gi, budget)
+        if value == gi and 2 * gi > g.n:
+            return _VACUOUS
+        return CyclicConnectivity(
+            value, False, partial(_neighbourhood_witness, g, gi, value, budget)
+        )
     if gi is None:
-        return CyclicConnectivity(value=None, vacuous=True, witness=None)
+        return _VACUOUS
     small, large = _side_caps(g, gi - 1)
     cycles = _chordless_cycles(g, large, budget)
     value, side = _cycle_pair_sweep(g, cycles, small, budget, None)
@@ -939,5 +1099,5 @@ def cyclic_connectivity(
         # nothing below the girth: the girth lemma decides
         value, side = (None, None) if 2 * gi > g.n else (gi, frozenset(cycles[0]))
     if value is None:
-        return CyclicConnectivity(value=None, vacuous=True, witness=None)
-    return CyclicConnectivity(value=value, vacuous=False, witness=edge_cut(g, side))
+        return _VACUOUS
+    return CyclicConnectivity(value, False, partial(edge_cut, g, side))

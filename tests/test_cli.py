@@ -60,6 +60,17 @@ def mixed_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def costly_file(tmp_path):
+    # two graphs on which every command spends work: K4's cyclic
+    # connectivity costs none, so no budget runs it out
+    path = tmp_path / "costly.g6"
+    path.write_text(
+        serialize_graph6(petersen()) + "\n" + serialize_graph6(prism(4)) + "\n"
+    )
+    return str(path)
+
+
 def test_analyze_petersen(capsys, petersen_file):
     code, out, _ = run_cli(capsys, ["analyze", petersen_file])
     assert code == 0
@@ -503,9 +514,9 @@ def test_missing_file(capsys):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_budget_exit_code(capsys, mixed_file, command):
+def test_budget_exit_code(capsys, costly_file, command):
     code, out, err = run_cli(
-        capsys, [command, mixed_file, "--max-work", "1", *COMMANDS[command][0]]
+        capsys, [command, costly_file, "--max-work", "1", *COMMANDS[command][0]]
     )
     assert code == 3
     assert "budget" in err
@@ -515,8 +526,8 @@ def test_budget_exit_code(capsys, mixed_file, command):
 
 
 @pytest.mark.parametrize("k_args", [[], ["--k", "6"]], ids=["exact", "k"])
-def test_cyclic_budget_exceeded_is_a_record_per_graph(capsys, mixed_file, k_args):
-    code, out, _ = run_cli(capsys, ["cyclic", mixed_file, "--max-work", "5", *k_args])
+def test_cyclic_budget_exceeded_is_a_record_per_graph(capsys, costly_file, k_args):
+    code, out, _ = run_cli(capsys, ["cyclic", costly_file, "--max-work", "5", *k_args])
     assert code == 3
     recs = records(out)
     assert [r["name"] for r in recs] == ["line-1", "line-2"]

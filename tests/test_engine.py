@@ -312,7 +312,9 @@ def test_pipeline_max_work_bounds_cyclic_and_oddness():
     # one budget: each search the pipeline runs gets max_work units
     g = petersen()
     assert five_flow_oddness4(g, max_work=300).cyclic["status"] == "checked"
-    cert = five_flow_oddness4(g, max_work=100)
+    # the cyclic step takes 36 units (nine edge-connectivity flows) and
+    # the oddness search 12
+    cert = five_flow_oddness4(g, max_work=20)
     assert cert.cyclic == {"status": "budget_exceeded"}
     assert cert.outcome == "flow_found"
     with pytest.raises(BudgetExceededError, match="oddness"):

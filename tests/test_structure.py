@@ -1,6 +1,7 @@
 import random
 from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -8,6 +9,7 @@ from helpers import (
     brute_cyclic_min_cut,
     dinic_min_cut_between,
     induced_girth,
+    on_fresh_thread,
     random_cubic_multigraph,
     reference_cyclic_connectivity,
     reference_cyclically_k_connected,
@@ -36,6 +38,7 @@ from nzflow.catalog import (
     blanusa_snarks,
     dot_product,
     flower_snark,
+    generalized_petersen,
     k4,
     k33,
     oddness4_snark,
@@ -50,6 +53,7 @@ from nzflow.structure import (
     _chordless_cycles,
     _edge_connectivity,
     _moore_girth,
+    _neighbourhood_cut,
     _side_caps,
     _state_bound,
 )
@@ -332,12 +336,15 @@ def test_oddness_search_visits_what_the_recursive_search_visits(corpus):
         for n in range(40, 51, 2)
         for s in range(10)
     ]
+    def reference(g, max_work=None):
+        return on_fresh_thread(recursive_oddness, g, max_work)
+
     for name, g in graphs:
-        expected = recursive_oddness(g)
+        expected = reference(g)
         assert _iterative_oddness(g) == expected, name
         for max_work in (50, 400, 3_000):
             assert _outcome(_iterative_oddness, g, max_work) == _outcome(
-                recursive_oddness, g, max_work
+                reference, g, max_work
             ), (name, max_work)
 
 
@@ -550,6 +557,67 @@ def test_girth_lemma_gives_the_value_and_witness_of_the_full_sweep(monkeypatch, 
     assert decided >= 50
 
 
+def test_neighbourhood_lemma_holds_on_every_bipartition(corpus):
+    # on the simple cubic graphs of the girth-lemma test, by full
+    # enumeration: (a) each side of every minimum cycle-separating cut
+    # below the girth holds a closed neighbourhood N[u]; (b) every cut of
+    # fewer than 6 edges with an N[u] on each side separates two cycles.
+    # So the least such cut, when below the girth, is the cyclic
+    # connectivity, and the value step computes it
+    graphs = [(name, g) for name, g in _small_cap_graphs(corpus) + _MULTIGRAPHS
+              if all(d == 3 for d in g.degrees()) and (girth(g) or 0) >= 3]
+    below = separated = 0
+    for name, g in graphs:
+        masks, cut, cyclic_in, cyclic_out = bipartition_table(g)
+        rest = ((1 << g.n) - 1) ^ masks
+        closed = [sum(1 << x for x in (v, *(w for _, w in g.incident(v))))
+                  for v in range(g.n)]
+        apart = (np.logical_or.reduce([masks & c == c for c in closed])
+                 & np.logical_or.reduce([rest & c == c for c in closed]))
+        both = cyclic_in & cyclic_out
+        shortest = girth(g)
+        least = brute_cyclic_min_cut(g)
+        if least is not None and least < shortest:
+            assert apart[both & (cut == least)].all(), name
+            below += 1
+        small = apart & (cut < 6)
+        assert both[small].all(), name
+        separated += int(small.sum())
+        mu = min(int(cut[apart].min()) if apart.any() else shortest, shortest)
+        if mu < shortest:
+            assert least == mu, name
+        else:
+            assert least == (None if 2 * shortest > g.n else shortest), name
+        assert _neighbourhood_cut(g, shortest, Budget(None)) == mu, name
+    assert below >= 10 and separated >= 1_000
+
+
+_ORACLE_GRAPHS = [
+    (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
+    for n, seeds in ((24, range(8)), (32, range(8)), (40, range(3)), (44, [5]), (60, [0]))
+    for s in seeds
+]
+_ORACLE_GRAPHS += [(f"gp-{n}-2", generalized_petersen(n, 2)) for n in (8, 10, 12, 16)]
+_ORACLE_GRAPHS += [(f"gp-{n}-3", generalized_petersen(n, 3)) for n in (8, 10, 12, 16)]
+_ORACLE_GRAPHS += [(f"prism-{n}", prism(n)) for n in (4, 5, 8, 15, 30)]
+_ORACLE_GRAPHS += [(f"moebius-{n}", _moebius_ladder(n)) for n in (8, 10, 20, 60)]
+_ORACLE_GRAPHS += [
+    ("dot-petersen", dot_product(petersen(), petersen(), (0, 2), 0)),
+    ("dot-5", dot_product(oddness4_snark(), flower_snark(5), (0, 21), 0)),
+]
+
+
+@pytest.mark.parametrize("name,g", _ORACLE_GRAPHS, ids=[n for n, _ in _ORACLE_GRAPHS])
+def test_neighbourhood_value_matches_the_full_sweep(name, g):
+    # closed-neighbourhood cuts with the girth lemma against the sweep over
+    # every disjoint pair of chordless cycles under the earlier length cap:
+    # the two share no argument.  Random graphs 32-3, 32-5 and 44-5 and the
+    # dot products have a cut below the girth
+    res = cyclic_connectivity(g)
+    value, _ = reference_cyclic_connectivity(g)
+    assert (res.value, res.vacuous) == (value, value is None)
+
+
 def test_edge_connectivity_matches_every_bipartition(corpus):
     for name, g in _small_cap_graphs(corpus):
         _, cut, _, _ = bipartition_table(g)
@@ -706,31 +774,44 @@ def test_cyclic_sweep_matches_the_reference_where_it_swept_again():
 @pytest.mark.parametrize(
     "make,units,value",
     [
-        (lambda: flower_snark(5), 1_338, 5),
-        (oddness4_snark, 3_089, 3),
-        (k4, 6, None),
-        (k33, 18, None),
+        (lambda: flower_snark(5), 396, 5),
+        (oddness4_snark, 144, 3),
+        (k4, 0, None),
+        (k33, 0, None),
     ],
     ids=["flower-5", "oddness4", "k4", "k33"],
 )
 def test_cyclic_work_units_are_pinned(make, units, value):
-    # chordless-cycle extensions plus 4 units per disjoint cycle pair, per
-    # flow of the edge-connectivity check and per node of the automorphism
-    # search.  Under the earlier length cap J5 took 2,695 (1,631
-    # extensions, 266 pairs) and the oddness-4 snark 43,127 (23,575
-    # extensions, 4,888 pairs).  With the side caps J5 took 1,910 (950
-    # extensions, 240 pairs).  Now J5 tries 60 pairs (3 per vertex), then
-    # searches its group in 15 nodes and sweeps only orbit-first cycles,
-    # 22 more pairs: 950 + 4 * (82 + 15) = 1,338.  The snark takes 2,945
-    # extensions, and its first pair gives a 3-edge cut, which 35 flows
-    # show is its edge-connectivity, so the sweep stops before the search.
-    # K4 and K3,3 have no disjoint pair: they took 12 and 36 while an empty
-    # sweep was followed by a second enumeration with no cap, and the girth
-    # lemma now decides them after one enumeration
+    # 4 units per flow of the edge-connectivity check, per disjoint pair of
+    # closed neighbourhoods and per node of the automorphism search.  Under
+    # the earlier length cap J5 took 2,695 and the oddness-4 snark 43,127;
+    # the cycle-pair sweep with side caps and orbits took 1,338 and 3,089.
+    # Now J5 runs 19 flows to find its edge-connectivity 3, tries 60 pairs
+    # (3 per vertex), searches its group in 15 nodes and tries 5 more
+    # pairs from orbit-first vertices: 4 * (19 + 65 + 15) = 396.  The
+    # snark's 35 flows find its edge-connectivity 3, which its first pair
+    # attains: 4 * 36 = 144.  K4 and K3,3 have fewer than 8 vertices, so no
+    # two closed neighbourhoods are disjoint and the girth lemma decides
+    # them with no work (12 and 36 with a second enumeration with no cap,
+    # then 6 and 18 with one enumeration)
     g = make()
     assert cyclic_connectivity(g, max_work=units).value == value
+    if units:
+        with pytest.raises(BudgetExceededError):
+            cyclic_connectivity(g, max_work=units - 1)
+
+
+def test_cyclic_witness_charges_the_call_budget():
+    # the witness is named on first read, under the budget of the call:
+    # the oddness-4 snark's value costs 144 units and its witness, the
+    # cycle-pair sweep down to the known value, 2,949 more
+    g = oddness4_snark()
+    res = cyclic_connectivity(g, max_work=3_093)
+    assert res.witness == cyclic_connectivity(g).witness
+    short = cyclic_connectivity(g, max_work=3_092)
+    assert short.value == 3
     with pytest.raises(BudgetExceededError):
-        cyclic_connectivity(g, max_work=units - 1)
+        short.witness
 
 
 @pytest.fixture
@@ -759,26 +840,37 @@ def test_non_cubic_graph_sweeps_once(sweeps, n, value):
 
 
 _ONE_SWEEP_GRAPHS = [
-    ("k4", k4(), None),
-    ("k33", k33(), None),
-    ("k5", MultiGraph(5, combinations(range(5), 2)), None),
-    ("theta", MultiGraph(2, [(0, 1)] * 3), None),
-    ("2k33", _disjoint_union(k33(), k33()), 0),
+    ("k4", k4(), None, False),
+    ("k33", k33(), None, False),
+    ("k5", MultiGraph(5, combinations(range(5), 2)), None, True),
+    ("theta", MultiGraph(2, [(0, 1)] * 3), None, True),
+    ("2k33", _disjoint_union(k33(), k33()), 0, False),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,g,value", _ONE_SWEEP_GRAPHS, ids=[n for n, _, _ in _ONE_SWEEP_GRAPHS]
+    "name,g,value,swept", _ONE_SWEEP_GRAPHS, ids=[n for n, *_ in _ONE_SWEEP_GRAPHS]
 )
-def test_every_cyclic_call_sweeps_once(sweeps, name, g, value):
-    # one enumeration and one sweep per call, also where no disjoint pair
-    # is within the caps: the girth lemma decides vacuity without a second
-    # sweep with no cap
+def test_every_cyclic_call_sweeps_once(sweeps, name, g, value, swept):
+    # at most one enumeration and one sweep per call, also where no
+    # disjoint pair is within the caps: the girth lemma decides vacuity
+    # without a second sweep with no cap.  A cubic graph of girth 3 to 6
+    # (K4, K3,3 and 2K3,3) is decided by closed neighbourhoods and sweeps
+    # only to name a witness: when the result's witness is first read, or
+    # when is_cyclically_k_connected finds a cut below k
+    once = ["_chordless_cycles", "_cycle_pair_sweep"]
     res = cyclic_connectivity(g)
     assert (res.value, res.vacuous) == (value, value is None), name
-    assert [call for call, _ in sweeps] == ["_chordless_cycles", "_cycle_pair_sweep"]
+    assert [call for call, _ in sweeps] == (once if swept else [])
+    sweeps.clear()
+    for _ in range(2):
+        assert (res.witness is None) == (value is None), name
+    named = swept or value is not None
+    assert [call for call, _ in sweeps] == (once if named and not swept else [])
     for k in (1, 3, 6):
         sweeps.clear()
         chk = is_cyclically_k_connected(g, k)
         assert chk.connected == (value is None or value >= k), (name, k)
-        assert [call for call, _ in sweeps] == ["_chordless_cycles", "_cycle_pair_sweep"]
+        assert [call for call, _ in sweeps] == (
+            once if swept or not chk.connected else []
+        ), (name, k)

@@ -131,8 +131,12 @@ def test_group_search_waits_for_long_sweeps(monkeypatch, corpus):
     for _, g in corpus + [("blanusa-1", blanusa_snarks()[0])]:
         cyclic_connectivity(g)
         is_cyclically_k_connected(g, 6)
-    assert searched == [18]  # Blanusa-1's exact sweep, once
+    # Blanusa-1's value step, once: its edge-connectivity 3 is below its
+    # cyclic connectivity 4, so it tries every pair of closed
+    # neighbourhoods; its girth 5 is below 6, so the k = 6 check sweeps
+    # cycle pairs at once and stops at its first pair
+    assert searched == [18]
     searched.clear()
-    # the oddness-4 snark's first pair is its minimum cut
+    # the oddness-4 snark's first pair attains its edge-connectivity
     cyclic_connectivity(oddness4_snark())
     assert searched == []
