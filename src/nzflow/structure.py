@@ -175,8 +175,6 @@ def _state_bound(width: int) -> int:
     return (3**width + 3) // 24 + 1
 
 
-# the six relabelings of colours 0, 1, 2, as bytes.translate tables
-_RENAMINGS = [bytes(p) + bytes(253) for p in permutations(range(3))]
 # _COMPLETIONS[k][used]: the colours missing from bitmask ``used``, in every
 # order, when k coloured edges meet at a vertex; empty if two share a colour
 _COMPLETIONS = [
@@ -188,17 +186,60 @@ _COMPLETIONS = [
     ]
     for k in range(4)
 ]
+# _GROWTH[k]: the most words one state grows into at a vertex with k edges
+# to placed vertices: 6, 2, 1, 1
+_GROWTH = tuple(max(map(len, completions)) for completions in _COMPLETIONS)
+
+
+def _dp_bound(widths: list[int]) -> int:
+    """Upper bound on the units :func:`_frontier_colourable` spends along an
+    order of a cubic graph whose frontier width entering each vertex is
+    ``widths``.
+
+    The DP spends, before placing the i-th vertex v_i, the number S_i of its
+    states.  S_0 = 1.  Placing v_i, with k_i edges to placed vertices, turns
+    each state into at most _GROWTH[k_i] words, and renaming colours only
+    merges words, so S_{i+1} <= S_i * _GROWTH[k_i].  S_{i+1} is also at most
+    :func:`_state_bound` of the width after v_i.  So S_i <= B_i, where
+    B_0 = 1 and B_{i+1} = min(_state_bound(widths[i+1]), B_i * _GROWTH[k_i]),
+    and the DP spends at most the sum of the B_i.  v_i has 3 - k_i edges to
+    unplaced vertices, so k_i = (3 + widths[i] - widths[i+1]) / 2.
+    """
+    bound = total = 1
+    for before, after in zip(widths, widths[1:]):
+        k = (3 + before - after) // 2
+        bound = min(_state_bound(after), bound * _GROWTH[k])
+        total += bound
+    return total
+
+
+# _FIRST_APPEARANCE[head]: the bytes.translate table renaming head[0] to 0
+# and head[1] to 1, where head holds a word's first colour and its first
+# other colour (fewer if the word has fewer colours)
+_FIRST_APPEARANCE = {
+    bytes(p[:size]): bytes(map(p.index, range(3))) + bytes(253)
+    for p in permutations(range(3))
+    for size in range(3)
+}
+
+
+def _renamed(word: bytes) -> bytes:
+    """``word`` with its colours renamed in order of first appearance: the
+    least of its six relabelings."""
+    return word.translate(
+        _FIRST_APPEARANCE[word[:1] + word.lstrip(word[:1])[:1]]
+    )
 
 
 def _frontier_colourable(g: MultiGraph, order: list[int], spend) -> bool:
     """3-edge-colourability by dynamic programming along ``order``.
 
     A state colours the frontier edges (bytes, in frontier order) and is
-    stored with its colours renamed by first appearance, the least of its
-    six relabelings.  Placing a vertex checks the colours of its edges to
-    placed vertices and gives its other edges the remaining colours in
-    every order.  ``spend(k)`` is charged one unit per state expanded.
-    ``MultiGraph`` has no loops, so every edge has two distinct ends.
+    stored with its colours renamed by first appearance (:func:`_renamed`).
+    Placing a vertex checks the colours of its edges to placed vertices and
+    gives its other edges the remaining colours in every order.
+    ``spend(k)`` is charged one unit per state expanded.  ``MultiGraph`` has
+    no loops, so every edge has two distinct ends.
     """
     placed = [False] * g.n
     frontier: list[int] = []  # edge ids with exactly one placed end
@@ -223,8 +264,7 @@ def _frontier_colourable(g: MultiGraph, order: list[int], spend) -> bool:
                 used |= 1 << state[i]
             head = bytes(map(state.__getitem__, keep))
             for tail in completions[used]:
-                word = head + tail
-                grown.add(min(word.translate(r) for r in _RENAMINGS))
+                grown.add(_renamed(head + tail))
         if not grown:
             return False
         states = grown
@@ -235,8 +275,8 @@ def three_edge_colourable(g: MultiGraph) -> bool:
     """Whether the cubic graph ``g`` has a proper 3-edge-colouring.
 
     A dynamic program over the frontier of :func:`_frontier_order`; its
-    cost is at most the sum of :func:`_state_bound` over the frontier
-    widths, and on graphs such as flower snarks that frontier stays narrow.
+    cost is at most :func:`_dp_bound` of the frontier widths, and on graphs
+    such as flower snarks that frontier stays narrow.
     """
     _require_cubic(g)
     order, _ = _frontier_order(g)
@@ -256,18 +296,21 @@ class _OddnessSearch:
     The search is depth-first on an explicit stack, so its depth is not
     bounded by Python's recursion limit.  Each node matches the lowest
     unmatched vertex and tries its incident edges in ascending id order.
-    Every change a child makes (its matched pair, and each 2-factor edge
-    with the path bookkeeping it replaced) goes on one shared undo trail,
-    so a frame is just its vertex, an iterator over its untried incident
-    edges and the trail length before its first child.
+    Every change a child makes goes on one shared undo trail as a tuple
+    told apart by its length: ``(v, w)`` for its matched pair, and for each
+    2-factor edge ``(eid, a, b)`` if it closed a circuit or ``(eid, a, b,
+    ea, eb, la, lb)`` with the path ends and lengths a merge replaced.  So
+    a frame is just its vertex, an iterator over its untried incident edges
+    and the trail length before its first child.
 
     The search stops at the first complete 2-factor with at most ``floor``
-    odd circuits.  ``floor`` starts at 0; once the work reaches an upper
-    bound on the cost of the frontier DP, the DP runs once, and if the
-    graph has no 3-edge-colouring ``floor`` becomes 2.  Pruning only drops
-    branches that cannot beat ``best``, so the first such 2-factor in DFS
-    order is always visited and is the same witness an exhaustive search
-    returns.
+    odd circuits.  ``floor`` starts at 0; once the work reaches
+    :func:`_dp_bound`, an upper bound on the cost of the frontier DP, the
+    DP runs once, and if the graph has no 3-edge-colouring ``floor``
+    becomes 2.  The DP then costs at most what the search has spent.
+    Pruning only drops branches that cannot beat ``best``, so the first
+    such 2-factor in DFS order is always visited and is the same witness an
+    exhaustive search returns.
     """
 
     def __init__(self, g: MultiGraph, max_work: int | None):
@@ -275,91 +318,128 @@ class _OddnessSearch:
         self.budget = Budget(max_work, "oddness")
         self.best: int | None = None
         self.best_matching: frozenset[int] | None = None
-        n = g.n
-        self.matched = [False] * n
-        self.in_factor = [False] * g.m
-        # path bookkeeping for the partial 2-factor
-        self.path_end = list(range(n))  # far end of the path, for end vertices
-        self.path_len = [0] * n  # edge count of the path, stored at its ends
-        self.is_end = [True] * n
-        self.closed_odd = 0
-        self.trail: list[tuple] = []  # undo records, oldest first
         self.floor = 0
         # the DP expands at least one state per vertex, so its bound is
         # worth computing only once the search has spent n units
-        self.gate: int | None = n
+        self.gate: int | None = g.n
         self.order: list[int] | None = None
 
     def run(self) -> None:
         g = self.g
-        matched = self.matched
-        trail = self.trail
+        n, m = g.n, g.m
+        edges = g.edges
+        incidence = [g.incident(x) for x in range(n)]
+        matched = [False] * n
+        in_factor = [False] * m
+        # path bookkeeping for the partial 2-factor
+        path_end = list(range(n))  # far end of the path, for end vertices
+        path_len = [0] * n  # edge count of the path, stored at its ends
+        is_end = [True] * n
+        closed_odd = 0
+        dead = n + 1  # a branch with this many closed odd circuits dies
+        trail: list[tuple] = []  # undo records, oldest first
         frames: list[tuple[int, Iterator, int]] = []  # (vertex, untried, mark)
         spend = self.budget.spend
-        n = g.n
+        gate = self.gate
         v = 0  # every vertex below v is matched
         while True:
             # enter a node: its vertex is the lowest unmatched one
             while v < n and matched[v]:
                 v += 1
             if v == n:
-                if self._complete():
-                    return
-            elif spend() == self.gate and self._open_gate():
-                return  # the node's unit opened the gate and the DP settled it
-            elif self.best is None or self.closed_odd < self.best - 1:
-                frames.append((v, iter(g.incident(v)), len(trail)))
+                # a complete 2-factor
+                if self.best is None or closed_odd < self.best:
+                    self.best = closed_odd
+                    self.best_matching = frozenset(
+                        eid for eid in range(m) if not in_factor[eid]
+                    )
+                    if closed_odd <= self.floor:
+                        return
+                    dead = closed_odd - 1
+            else:
+                if spend() == gate:
+                    if self._open_gate():
+                        return  # the node's unit opened the gate; the DP settled it
+                    gate = self.gate
+                if closed_odd < dead:
+                    frames.append((v, iter(incidence[v]), len(trail)))
             # undo the last child of the deepest frame and enter its next one
             while frames:
                 v, untried, mark = frames[-1]
-                if len(trail) > mark:
-                    self._undo(mark)
+                while len(trail) > mark:
+                    rec = trail.pop()
+                    if len(rec) == 7:
+                        eid, a, b, ea, eb, la, lb = rec
+                        in_factor[eid] = False
+                        is_end[a] = is_end[b] = True
+                        # a merge changed path_end and path_len only at ea, eb
+                        path_end[ea] = a
+                        path_len[ea] = la
+                        path_end[eb] = b
+                        path_len[eb] = lb
+                    elif len(rec) == 2:
+                        a, b = rec
+                        matched[a] = matched[b] = False
+                    else:
+                        eid, a, b = rec
+                        in_factor[eid] = False
+                        is_end[a] = is_end[b] = True
+                        if path_len[a] % 2 == 0:
+                            closed_odd -= 1
                 for eid, w in untried:
                     if not matched[w]:
                         break
                 else:
                     frames.pop()
                     continue
-                if self._match(v, eid, w):
+                # match (v, w) and commit the other edges at v and w to the
+                # 2-factor; the child is entered unless the branch dies
+                matched[v] = matched[w] = True
+                trail.append((v, w))
+                alive = True
+                for x in (v, w):
+                    for e2, y in incidence[x]:
+                        if e2 == eid or in_factor[e2]:
+                            continue
+                        if not is_end[y]:
+                            # y already has two 2-factor edges
+                            alive = False
+                            break
+                        in_factor[e2] = True
+                        a, b = edges[e2]
+                        ea, eb = path_end[a], path_end[b]
+                        if ea == b and is_end[a] and is_end[b]:
+                            # closing a circuit of path_len[a] + 1 edges
+                            trail.append((e2, a, b))
+                            is_end[a] = is_end[b] = False
+                            if path_len[a] % 2 == 0:
+                                closed_odd += 1
+                                if closed_odd >= dead:
+                                    alive = False
+                                    break
+                            continue
+                        la, lb = path_len[ea], path_len[eb]
+                        trail.append((e2, a, b, ea, eb, la, lb))
+                        if a != ea:
+                            is_end[a] = False
+                        if b != eb:
+                            is_end[b] = False
+                        path_end[ea] = eb
+                        path_end[eb] = ea
+                        path_len[ea] = path_len[eb] = la + lb + 1
+                    if not alive:
+                        break
+                if alive:
                     break
             else:
                 return
-
-    def _complete(self) -> bool:
-        """Record a complete 2-factor; True when the search should stop."""
-        if self.best is None or self.closed_odd < self.best:
-            self.best = self.closed_odd
-            self.best_matching = frozenset(
-                eid for eid in range(self.g.m) if not self.in_factor[eid]
-            )
-            return self.best <= self.floor
-        return False
-
-    def _match(self, v: int, eid: int, w: int) -> bool:
-        """Match edge ``eid`` = (v, w) and commit the other edges at v and w
-        to the 2-factor; False when the branch is dead."""
-        g = self.g
-        in_factor, is_end = self.in_factor, self.is_end
-        self.matched[v] = self.matched[w] = True
-        self.trail.append(("match", v, w))
-        for x in (v, w):
-            for e2, y in g.incident(x):
-                if e2 == eid or in_factor[e2]:
-                    continue
-                if not is_end[y]:
-                    # y already has two 2-factor edges
-                    return False
-                in_factor[e2] = True
-                if not self._add_factor_edge(e2):
-                    return False
-        return True
 
     def _open_gate(self) -> bool:
         """Run the frontier DP once the work reaches its bound; True when
         the search should stop."""
         if self.order is None:
             self.order, widths = _frontier_order(self.g)
-            self.gate = sum(_state_bound(w) for w in widths)
+            self.gate = _dp_bound(widths)
             if self.gate > self.budget.used:
                 return False
         self.gate = None
@@ -367,61 +447,6 @@ class _OddnessSearch:
             return False
         self.floor = 2
         return self.best is not None and self.best <= self.floor
-
-    def _add_factor_edge(self, eid: int) -> bool:
-        """Commit edge ``eid`` to the 2-factor; False when an odd circuit
-        closes and the branch is already hopeless."""
-        a, b = self.g.endpoints(eid)
-        if self.is_end[a] and self.path_end[a] == b and self.is_end[b]:
-            # closing a circuit
-            length = self.path_len[a] + 1
-            self.trail.append(("close", eid, a, b))
-            self.is_end[a] = self.is_end[b] = False
-            if length % 2 == 1:
-                self.closed_odd += 1
-                if self.best is not None and self.closed_odd >= self.best - 1:
-                    return False
-            return True
-        ea, eb = self.path_end[a], self.path_end[b]
-        new_len = self.path_len[a] + self.path_len[b] + 1
-        self.trail.append(
-            ("merge", eid, a, b, ea, eb, self.path_len[ea], self.path_len[eb])
-        )
-        if a != ea:
-            self.is_end[a] = False
-        if b != eb:
-            self.is_end[b] = False
-        self.path_end[ea] = eb
-        self.path_end[eb] = ea
-        self.path_len[ea] = self.path_len[eb] = new_len
-        return True
-
-    def _undo(self, mark: int) -> None:
-        """Undo the trail's records back to its length ``mark``."""
-        trail = self.trail
-        matched, in_factor = self.matched, self.in_factor
-        is_end, path_end, path_len = self.is_end, self.path_end, self.path_len
-        for rec in reversed(trail[mark:]):
-            kind = rec[0]
-            if kind == "merge":
-                _, eid, a, b, ea, eb, la, lb = rec
-                in_factor[eid] = False
-                is_end[a] = is_end[b] = True
-                # a merge changed path_end and path_len only at ea and eb
-                path_end[ea] = a
-                path_len[ea] = la
-                path_end[eb] = b
-                path_len[eb] = lb
-            elif kind == "match":
-                _, v, w = rec
-                matched[v] = matched[w] = False
-            else:
-                _, eid, a, b = rec
-                in_factor[eid] = False
-                is_end[a] = is_end[b] = True
-                if (path_len[a] + 1) % 2 == 1:
-                    self.closed_odd -= 1
-        del trail[mark:]
 
 
 def compute_oddness(
@@ -435,9 +460,11 @@ def compute_oddness(
     search exits at an all-even 2-factor.  Oddness is 0 exactly when the graph is
     3-edge-colourable and at least 2 otherwise, so once the search has
     spent as many units as the frontier DP of :func:`three_edge_colourable`
-    can cost (the sum of :func:`_state_bound` over its frontier widths), the
-    DP runs once; if it finds no colouring, the search exits at its first
-    2-factor with two odd circuits instead of exhausting every matching.
+    can cost (:func:`_dp_bound`, which caps each step's state count by the
+    states before it times the colourings a vertex can add), the DP runs
+    once; if it finds no colouring, the search exits at its first 2-factor
+    with two odd circuits instead of exhausting every matching.  The DP
+    thus costs at most what the search has spent.
     Each matching choice and each DP state costs one work unit; more than
     ``max_work`` units raise :class:`BudgetExceededError`.
     """

@@ -48,9 +48,9 @@ from nzflow.graph import MultiGraph, trace_circuit
 from nzflow.structure import (
     _UnitCuts,
     _chordless_cycles,
+    _dp_bound,
     _frontier_colourable,
     _frontier_order,
-    _state_bound,
     girth,
 )
 from nzflow.valuation import (
@@ -878,12 +878,12 @@ class RecursiveOddnessSearch:
     ``closed_odd >= best - 1`` suffices).
 
     The search stops at the first complete 2-factor with at most ``floor``
-    odd circuits.  ``floor`` starts at 0; once the work reaches an upper
-    bound on the cost of the frontier DP, the DP runs once, and if the
-    graph has no 3-edge-colouring ``floor`` becomes 2.  Pruning only drops
-    branches that cannot beat ``best``, so the first such 2-factor in DFS
-    order is always visited and is the same witness an exhaustive search
-    returns.
+    odd circuits.  ``floor`` starts at 0; once the work reaches
+    ``structure._dp_bound``, an upper bound on the cost of the frontier DP,
+    the DP runs once, and if the graph has no 3-edge-colouring ``floor``
+    becomes 2.  Pruning only drops branches that cannot beat ``best``, so
+    the first such 2-factor in DFS order is always visited and is the same
+    witness an exhaustive search returns.
     """
 
     def __init__(self, g: MultiGraph, max_work: int | None):
@@ -928,7 +928,7 @@ class RecursiveOddnessSearch:
     def _open_gate(self) -> None:
         if self.order is None:
             self.order, widths = _frontier_order(self.g)
-            self.gate = sum(_state_bound(w) for w in widths)
+            self.gate = _dp_bound(widths)
             if self.gate > self.work:
                 return
         self.gate = None

@@ -51,9 +51,13 @@ from nzflow.structure import (
     _OddnessSearch,
     _UnitCuts,
     _chordless_cycles,
+    _dp_bound,
     _edge_connectivity,
+    _frontier_colourable,
+    _frontier_order,
     _moore_girth,
     _neighbourhood_cut,
+    _renamed,
     _side_caps,
     _state_bound,
 )
@@ -229,6 +233,42 @@ def test_state_bound_covers_every_parity_respecting_frontier():
         assert _state_bound(width) - len(classes) == width % 2
 
 
+def test_renaming_by_first_appearance_is_the_least_relabeling():
+    relabelings = [bytes(p) + bytes(253) for p in permutations(range(3))]
+    for width in range(9):
+        for word in product(range(3), repeat=width):
+            word = bytes(word)
+            assert _renamed(word) == min(word.translate(r) for r in relabelings)
+
+
+def test_dp_bound_covers_the_states_the_dp_expands(corpus):
+    graphs = list(corpus)
+    graphs += [(f"flower-{k}", flower_snark(k)) for k in range(5, 22, 2)]
+    graphs += [
+        (f"dot-{k}", dot_product(oddness4_snark(), flower_snark(k), (0, 21), 0))
+        for k in range(5, 14, 2)
+    ]
+    graphs += [
+        (f"flower-11-shuffled-{s}", shuffled(flower_snark(11), random.Random(s)))
+        for s in (1, 2, 3)
+    ]
+    graphs += [
+        (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
+        for n in range(10, 41, 2)
+        for s in range(6)
+    ]
+    checked = 0
+    for name, g in graphs:
+        order, widths = _frontier_order(g)
+        if max(widths) > 13:  # keeps each DP within 66,430 states a step
+            continue
+        spent = []
+        _frontier_colourable(g, order, spent.append)
+        assert sum(spent) <= _dp_bound(widths), name
+        checked += 1
+    assert checked >= 200
+
+
 def test_oddness_witness_is_first_attaining_two_factor(corpus):
     graphs = list(corpus)
     graphs += [(f"flower-{k}", flower_snark(k)) for k in (5, 7, 9, 11)]
@@ -261,7 +301,7 @@ def test_oddness_witness_does_not_depend_on_when_the_dp_runs(monkeypatch, make):
     g = make()
     results = []
     for bound in (1, 10**9):
-        monkeypatch.setattr(nzflow.structure, "_state_bound", lambda w: bound)
+        monkeypatch.setattr(nzflow.structure, "_dp_bound", lambda widths: bound)
         res = compute_oddness(g)
         results.append((res.oddness, res.witness.matching))
     assert results[0] == results[1]
@@ -295,11 +335,15 @@ def test_dp_runs_once_on_flower_15(monkeypatch):
     assert runs == [60]
 
 
-@pytest.mark.parametrize("k,units", [(15, 7_622), (21, 120_262)], ids=["flower-15", "flower-21"])
+@pytest.mark.parametrize(
+    "k,units",
+    [(11, 3_574), (15, 5_842), (21, 120_262)],
+    ids=["flower-11", "flower-15", "flower-21"],
+)
 def test_oddness_work_is_pinned_on_flower_snarks(k, units):
-    # an exhaustive search needs far more.  On J15 the DP runs after the
+    # an exhaustive search needs far more.  On J11 the DP runs after the
     # first 2-factor with two odd circuits and the search stops at once; on
-    # J21 it runs before, and the search stops at that 2-factor
+    # J15 and J21 it runs before, and the search stops at that 2-factor
     g = flower_snark(k)
     assert compute_oddness(g, max_work=units).oddness == 2
     with pytest.raises(BudgetExceededError):
