@@ -696,129 +696,128 @@ def _edge_connectivity(
     return least
 
 
-# A sweep, over cycle pairs or closed-neighbourhood pairs, searches for
-# automorphisms once it has tried this many pairs per vertex.  Measured
-# against the mean cycle pair of the same graph, the search costs 0.3 to
-# 1.7 pairs per vertex from 30 vertices up (flower snarks, GP(40, 2),
-# random cubic graphs with a trivial group) and up to 3.8 below 20, so
-# waiting about as long as the search would take bounds what a graph that
-# stops soon after pays for it.  No graph of the 109-graph corpus (at most
-# 2.6 cycle pairs per vertex) reaches it.
+# The pair sweep searches for automorphisms once it has tried this many
+# pairs per vertex.  Measured against the mean cycle pair of the same
+# graph, the search costs 0.3 to 1.7 pairs per vertex from 30 vertices up
+# (flower snarks, GP(40, 2), random cubic graphs with a trivial group) and
+# up to 3.8 below 20, so waiting about as long as the search would take
+# bounds what a graph that stops soon after pays for it.  No graph of the
+# 109-graph corpus (at most 2.6 cycle pairs per vertex) reaches it.
 _GROUP_AFTER = 3
 
 
-def _neighbourhood_cut(g: MultiGraph, limit: int, budget: Budget) -> int:
-    """The least cut between two disjoint closed neighbourhoods N[u], N[w]
-    of the simple cubic graph ``g``, or ``limit`` if it is not smaller.
-
-    The edge-connectivity, capped at ``limit``, comes first: no cut goes
-    below it, so the pairs stop once the best cut reaches it.  Each pair's
-    flow stops at the best cut so far.  Once ``_GROUP_AFTER`` pairs per
-    vertex have been tried, u runs over the first vertex of each orbit of
-    the automorphism group only (see :func:`cyclic_connectivity`).  Each
-    flow and each node of the group search costs 4 work units.
-    """
-    n = g.n
-    if n < 8:
-        return limit  # four vertices each: no two are disjoint
-    cuts = _UnitCuts(g)
-    floor = _edge_connectivity(g, cuts, limit, budget)
-    closed = [(v, *(w for _, w in g.incident(v))) for v in range(n)]
-    masks = [sum(1 << x for x in c) for c in closed]
-    best = limit
-    pairs = 0
-    firsts: list[bool] | None = None  # orbit-first flags, once searched
-    for u in range(n):
-        if best <= floor:
-            break
-        if firsts is None and pairs >= _GROUP_AFTER * n:
-            least = orbits(n, automorphisms(g, lambda: budget.spend(4)))
-            firsts = [least[v] == v for v in range(n)]
-        if firsts is not None and not firsts[u]:
-            continue
-        for w in range(u + 1, n):
-            if masks[u] & masks[w]:
-                continue
-            pairs += 1
-            budget.spend(4)
-            value, _ = cuts.min_cut(closed[u], closed[w], best)
-            if value < best:
-                best = value
-                if best <= floor:
-                    break
-    return best
-
-
-def _cycle_pair_sweep(
+def _pair_sweep(
     g: MultiGraph,
-    cycles: list[tuple[int, ...]],
-    small_cap: int,
+    sets: list[tuple[int, ...]],
+    outer: int,
+    cuts: _UnitCuts,
     budget: Budget,
-    stop_below: int | None,
+    best: int | None = None,
+    stop_below: int | None = None,
+    floor: int | None = None,
 ) -> tuple[int | None, frozenset[int] | None]:
-    """Minimum cut over disjoint cycle pairs; early exit below ``stop_below``.
+    """The least cut between disjoint sets S_i, S_j, i < j, of ``sets``
+    with i < ``outer``, and its side; the starting bound ``best`` and no
+    side when no pair goes below it.
 
-    ``cycles`` is sorted by length, and the first cycle of every pair is at
-    most ``small_cap`` long.  A pair's flow stops growing once it reaches
-    the best cut so far, since that pair can no longer lower the minimum.
-    Every cut between two cycles is an edge cut, so the sweep also stops
-    once the best cut equals the graph's edge-connectivity, which is
-    computed the first time the best cut is at most the minimum degree.
-    Once the sweep has tried ``_GROUP_AFTER`` pairs per vertex, it searches
-    for the automorphisms, and from then on skips a first cycle that is not
-    the first of its orbit (see :func:`cyclic_connectivity`).
+    The sweep returns once the best cut is below ``stop_below`` or equals
+    ``floor``, the edge-connectivity capped at the bound, computed the
+    first time the best cut is at most the minimum degree if not given.
+    The automorphisms must map ``sets[:outer]`` onto itself; the orbit
+    rule and its proof are at :func:`cyclic_connectivity`.  Each flow and
+    each node of the group search costs 4 work units.
     """
-    best: int | None = None
     best_side: frozenset[int] | None = None
-    floor: int | None = None  # the edge-connectivity, once computed
-    min_degree = min(g.degrees(), default=0)
-    cuts = _UnitCuts(g)
-    # bit j of through[v] is set when cycle j passes through v, so the
-    # cycles disjoint from cycle i are the bits that no vertex of i sets
+    if best is not None and best == floor:
+        return best, best_side
+    # bit j of through[v] is set when set j holds v, so the sets disjoint
+    # from set i are the bits that no vertex of i sets
     through = [0] * g.n
-    for j, c in enumerate(cycles):
-        for v in c:
+    for j, s in enumerate(sets):
+        for v in s:
             through[v] |= 1 << j
-    everything = (1 << len(cycles)) - 1
-    outer = bisect_right([len(c) for c in cycles], small_cap)
+    everything = (1 << len(sets)) - 1
     pairs = 0
     firsts: list[bool] | None = None  # orbit-first flags, once searched
     for i in range(outer):
         if firsts is None and pairs >= _GROUP_AFTER * g.n:
-            # automorphisms keep lengths, so the first ``outer`` cycles
-            # (sorted by length, ``outer`` at a length boundary) are closed
-            # under them; a chordless cycle is its vertex set's induced
-            # subgraph.  The search spends 4 units per node
-            head = cycles[:outer]
-            index = {frozenset(c): h for h, c in enumerate(head)}
+            head = sets[:outer]
+            index = {frozenset(s): h for h, s in enumerate(head)}
             least = orbits(outer, [
-                [index[frozenset(gamma[v] for v in c)] for c in head]
+                [index[frozenset(gamma[v] for v in s)] for s in head]
                 for gamma in automorphisms(g, lambda: budget.spend(4))
             ])
             firsts = [least[h] == h for h in range(outer)]
         if firsts is not None and not firsts[i]:
             continue
         hit = 0
-        for v in cycles[i]:
+        for v in sets[i]:
             hit |= through[v]
-        later = (everything ^ hit) >> i  # bit d stands for cycle i + d
+        later = (everything ^ hit) >> i  # bit d stands for set i + d
         pairs += later.bit_count()
         while later:
             low = later & -later
             later ^= low
             j = i + low.bit_length() - 1
             budget.spend(4)
-            value, side = cuts.min_cut(cycles[i], cycles[j], best)
+            value, side = cuts.min_cut(sets[i], sets[j], best)
             if best is None or value < best:
                 best = value
                 best_side = side
                 if stop_below is not None and best < stop_below:
                     return best, best_side
-                if floor is None and best <= min_degree:
+                if floor is None and best <= min(g.degrees(), default=0):
                     floor = _edge_connectivity(g, cuts, best, budget)
                 if best == floor:
                     return best, best_side
     return best, best_side
+
+
+def _neighbourhood_cut(
+    g: MultiGraph, limit: int, budget: Budget, cuts: _UnitCuts | None = None
+) -> int:
+    """The least cut between two disjoint closed neighbourhoods N[u], N[w]
+    of the simple cubic graph ``g``, or ``limit`` if it is not smaller,
+    from the edge-connectivity first and then :func:`_pair_sweep` on
+    ``cuts`` (built here when not given).
+    """
+    n = g.n
+    if n < 8:
+        return limit  # four vertices each: no two are disjoint
+    if cuts is None:
+        cuts = _UnitCuts(g)
+    floor = _edge_connectivity(g, cuts, limit, budget)
+    closed = [(v, *(w for _, w in g.incident(v))) for v in range(n)]
+    return _pair_sweep(g, closed, n, cuts, budget, limit, floor=floor)[0]
+
+
+def _cycle_pair_sweep(
+    g: MultiGraph,
+    cycles: list[tuple[int, ...]],
+    small_cap: int,
+    cuts: _UnitCuts,
+    budget: Budget,
+    stop_below: int | None,
+) -> tuple[int | None, frozenset[int] | None]:
+    """:func:`_pair_sweep` over ``cycles``, sorted by length, with first
+    cycles at most ``small_cap`` long: a set automorphisms keep."""
+    outer = bisect_right([len(c) for c in cycles], small_cap)
+    return _pair_sweep(g, cycles, outer, cuts, budget, stop_below=stop_below)
+
+
+def _cycle_cut(
+    g: MultiGraph,
+    cut_size: int,
+    cuts: _UnitCuts,
+    budget: Budget,
+    stop_below: int | None = None,
+) -> tuple[list[tuple[int, ...]], int | None, frozenset[int] | None]:
+    """The chordless cycles that :func:`_side_caps` keeps for cuts of at
+    most ``cut_size`` edges, and the least cut between two of them, with
+    its side, from :func:`_cycle_pair_sweep`."""
+    small, large = _side_caps(g, cut_size)
+    cycles = _chordless_cycles(g, large, budget)
+    return cycles, *_cycle_pair_sweep(g, cycles, small, cuts, budget, stop_below)
 
 
 def _moore_girth(order: int) -> int:
@@ -903,7 +902,7 @@ def _in_lemma_scope(g: MultiGraph, gi: int | None) -> bool:
 
 
 def _neighbourhood_witness(
-    g: MultiGraph, gi: int, value: int, budget: Budget
+    g: MultiGraph, gi: int, value: int, cuts: _UnitCuts, budget: Budget
 ) -> EdgeCut:
     """The witness the cycle-pair sweep names for a graph of girth ``gi``
     whose cyclic connectivity ``value`` closed neighbourhoods decided: the
@@ -912,9 +911,7 @@ def _neighbourhood_witness(
     at its first pair reaching ``value``."""
     if value == gi:
         return edge_cut(g, _chordless_cycles(g, gi, budget)[0])
-    small, large = _side_caps(g, gi - 1)
-    cycles = _chordless_cycles(g, large, budget)
-    _, side = _cycle_pair_sweep(g, cycles, small, budget, value + 1)
+    _, _, side = _cycle_cut(g, gi - 1, cuts, budget, value + 1)
     return edge_cut(g, side)
 
 
@@ -943,12 +940,11 @@ def is_cyclically_k_connected(
         raise ValueError("k must be at least 1")
     budget = Budget(max_work, "cyclic connectivity")
     gi = girth(g)
+    cuts = _UnitCuts(g)
     if _in_lemma_scope(g, gi):
-        if 2 * gi > g.n or (gi >= k and _neighbourhood_cut(g, k, budget) == k):
+        if 2 * gi > g.n or (gi >= k and _neighbourhood_cut(g, k, budget, cuts) == k):
             return CyclicCheck(True, None)
-    small, large = _side_caps(g, k - 1)
-    cycles = _chordless_cycles(g, large, budget)
-    value, side = _cycle_pair_sweep(g, cycles, small, budget, k)
+    _, value, side = _cycle_cut(g, k - 1, cuts, budget, k)
     if value is not None and value < k:
         return CyclicCheck(False, edge_cut(g, side))
     return CyclicCheck(True, None)
@@ -1019,19 +1015,21 @@ def cyclic_connectivity(
     mu <= c; and if mu < g <= 6, (b) gives c <= mu.  So c = mu when
     mu < g, and otherwise c >= g, which the girth lemma below decides.
 
-    The value step first takes the edge-connectivity, capped at g
-    (:func:`_edge_connectivity`).  No cut goes below it, so the pairs stop
-    once mu reaches it, and none is tried when it is g.  Each pair's flow
-    stops at the best cut so far.  Below 8 vertices no two closed
-    neighbourhoods are disjoint.  Once 3 pairs (u, w), u < w, per vertex
-    have been tried (``_GROUP_AFTER``), u runs over the first vertex of
-    each orbit of :func:`~nzflow.symmetry.automorphisms` only.  This keeps
-    mu: automorphisms map closed neighbourhoods to closed neighbourhoods
-    and keep disjointness and cut values.  Among the images of a pair
-    attaining mu take one, {p, q} with p < q, whose least vertex p is
-    least.  An automorphism mapping p to an earlier vertex would give an
-    image with a smaller least vertex, so p is first in its orbit and
-    (p, q) is tried, also when the restriction starts mid-search.
+    Pair sweep (:func:`_pair_sweep`).  The value step and every cycle sweep
+    take the least cut between two disjoint vertex sets of one list, on one
+    network of the graph's unit arcs per call: each pair's flow grows by
+    augmenting paths from one set to the other and stops at the best cut so
+    far (such a pair cannot lower the minimum).  Every such cut is an edge
+    cut, so the sweep stops once its best cut equals the edge-connectivity
+    (:func:`_edge_connectivity`).  The value step sweeps the closed
+    neighbourhoods from the bound g and takes the edge-connectivity first,
+    capped at g, so it tries no pair when that is g; below 8 vertices no two
+    closed neighbourhoods are disjoint.  The cycle sweep runs over the
+    chordless cycles, sorted by length, whose first cycle of a pair is
+    within the smaller side's cap below; it takes the edge-connectivity the
+    first time its best cut is at most the minimum degree.  The minimum cut
+    separating two cycles is the minimum, over pairs of vertex-disjoint
+    chordless cycles, of the max-flow between them after contraction.
 
     The witness step charges the call's budget, so ``max_work`` bounds the
     value and the witness together.  When the value is g, the witness is
@@ -1042,13 +1040,6 @@ def cyclic_connectivity(
     tries the same pairs up to that one and never improves after it, so
     it names the same pair and side.
 
-    Cycle-pair sweep.  The minimum cut separating two cycles equals the
-    minimum, over pairs of vertex-disjoint chordless cycles, of the
-    max-flow between them after contraction.  The sweep builds the graph's
-    unit arcs once and, for each pair, grows the flow by augmenting paths
-    from one cycle to the other, stopping once it reaches the best cut
-    found so far (such a pair cannot lower the minimum).
-
     Proof of the caps (in full at :func:`_side_caps`).  Both sides of a
     minimum cut of size c are connected.  A side S, with its pendant trees
     pruned and its at most c degree-2 vertices suppressed, is a cubic
@@ -1058,10 +1049,7 @@ def cyclic_connectivity(
     and the larger at most n - c.  The one sweep, under the caps for cuts
     below the girth, therefore finds a minimum cut whenever one is below
     the girth, and a cut of exactly the girth that it finds is minimum.
-    Only pairs whose first (shorter) cycle is within the smaller side's cap
-    are tried, and the sweep stops once its best cut equals the
-    edge-connectivity.  A graph that is not cubic gets no caps, so its
-    sweep is exact.
+    A graph that is not cubic gets no caps, so its sweep is exact.
 
     Girth lemma.  Let G be cubic with girth g and C a shortest cycle, with
     e_in edges inside V(C) and e_out leaving it.  Counting degrees,
@@ -1082,24 +1070,29 @@ def cyclic_connectivity(
 
     Orbit representatives.  Once the sweep has tried 3 pairs per vertex
     (``_GROUP_AFTER``), :func:`~nzflow.symmetry.automorphisms` gives the
-    automorphism group, and from then on a pair's first cycle must be the
-    earliest cycle of its orbit.  This keeps the value, the vacuous verdict
-    and the witness.  Automorphisms keep cycle lengths, vertex sets and
-    disjointness, so the pairs the caps keep, and their cut values, are
-    closed under them.  Let P = (C_i, C_j), i < j, be the first pair in
-    sweep order with some property that automorphisms keep, such as
-    reaching the minimum or being below k.  If an automorphism mapped C_i
-    to an earlier cycle C_h, h < i, then {C_h, image of C_j} would be a
-    kept pair with the same property, tried before P (its first cycle is
-    C_h or an even earlier one); so C_i comes first in its orbit and the
-    restricted sweep tries P.  Before P both sweeps keep a best cut above
-    P's value (the restricted one tries a subset of the same pairs), so
-    both compute P's cut in full; the side is everything the residual
-    graph reaches from C_i, the inclusion-minimal minimum-cut side, which
-    does not depend on the flow.  After P neither sweep improves.  The
-    edge-connectivity stop fires at the first pair whose cut equals it,
-    again P.  Any group of automorphisms would do, so the restriction may
-    start mid-sweep.
+    automorphism group, and from then on a pair's first set must be the
+    earliest of its orbit.  This keeps the value, the vacuous verdict and
+    the witness.  Automorphisms map closed neighbourhoods to closed
+    neighbourhoods and chordless cycles to chordless cycles of the same
+    length, and keep disjointness and cut values, so the pairs a sweep
+    may try, and their cuts, are closed under them.  Let P = (S_i, S_j),
+    i < j, be the first pair in sweep order with some property that
+    automorphisms keep, such as reaching the minimum or being below k.
+    If an automorphism mapped S_i to an earlier set S_h, h < i, then
+    {S_h, image of S_j} would be a pair with the same property, tried
+    before P (its first set is S_h or an even earlier one); so S_i comes
+    first in its orbit and the restricted sweep tries P.  Before P both
+    sweeps keep a best cut above P's value (the restricted one tries a
+    subset of the same pairs), so both compute P's cut in full; the side
+    is everything the residual graph reaches from S_i, the
+    inclusion-minimal minimum-cut side, which does not depend on the flow.
+    After P neither sweep improves.  The edge-connectivity stop fires at
+    the first pair whose cut equals it, again P.  Any group of
+    automorphisms would do, so the restriction may start mid-sweep.  The
+    group acts on the sets through an index keyed by vertex set.  Closed
+    neighbourhoods may coincide: N[u] = N[w] with u != w only for adjacent
+    twins, and swapping twins is an automorphism, so the orbits of the
+    sets are the orbits of the vertices.
 
     Every disjoint pair of cycles or of closed neighbourhoods, every flow
     of the edge-connectivity check and every node of the automorphism
@@ -1110,18 +1103,17 @@ def cyclic_connectivity(
     """
     budget = Budget(max_work, "cyclic connectivity")
     gi = girth(g)
+    if gi is None:
+        return _VACUOUS
+    cuts = _UnitCuts(g)
     if _in_lemma_scope(g, gi):
-        value = _neighbourhood_cut(g, gi, budget)
+        value = _neighbourhood_cut(g, gi, budget, cuts)
         if value == gi and 2 * gi > g.n:
             return _VACUOUS
         return CyclicConnectivity(
-            value, False, partial(_neighbourhood_witness, g, gi, value, budget)
+            value, False, partial(_neighbourhood_witness, g, gi, value, cuts, budget)
         )
-    if gi is None:
-        return _VACUOUS
-    small, large = _side_caps(g, gi - 1)
-    cycles = _chordless_cycles(g, large, budget)
-    value, side = _cycle_pair_sweep(g, cycles, small, budget, None)
+    cycles, value, side = _cycle_cut(g, gi - 1, cuts, budget)
     if (value is None or value > gi) and all(d == 3 for d in g.degrees()):
         # nothing below the girth: the girth lemma decides
         value, side = (None, None) if 2 * gi > g.n else (gi, frozenset(cycles[0]))

@@ -18,8 +18,9 @@ cap.  The exhaustive
 balance checker (also batched over many weightings of one graph) and the
 table of every vertex bipartition's cut, both vectorized over all subsets
 with numpy, are the references for ``check_balanced_mincut`` and for the
-cyclic sweep's cycle caps.  numpy and
-networkx are test dependencies only.
+cyclic sweep's cycle caps.  Two constructions the catalog lacks build
+test graphs: LCF notation (for the McGee and Tutte–Coxeter cages) and the
+diamond necklace.  numpy and networkx are test dependencies only.
 """
 
 from __future__ import annotations
@@ -318,6 +319,27 @@ def shuffled(g: MultiGraph, rng) -> MultiGraph:
              for u, v in g.edges]
     rng.shuffle(edges)
     return MultiGraph(g.n, edges)
+
+
+def lcf(jumps: list[int], repeats: int) -> MultiGraph:
+    """The cubic graph of LCF notation ``[jumps]^repeats``: a Hamiltonian
+    cycle on ``len(jumps) * repeats`` vertices plus the chord from each
+    vertex i to i + jumps[i mod len(jumps)]."""
+    n = len(jumps) * repeats
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    edges |= {(i, (i + jumps[i % len(jumps)]) % n) for i in range(n)}
+    return MultiGraph(n, sorted({(min(e), max(e)) for e in edges}))
+
+
+def diamond_necklace(r: int) -> MultiGraph:
+    """``r`` copies of K4 - e joined in a ring by the edges between their
+    vertices of degree 2.  The two middle vertices of each diamond have
+    the same closed neighbourhood."""
+    edges = []
+    for i in range(0, 4 * r, 4):
+        edges += [(i, i + 1), (i, i + 2), (i + 1, i + 2), (i + 1, i + 3),
+                  (i + 2, i + 3), (i + 3, (i + 4) % (4 * r))]
+    return MultiGraph(4 * r, edges)
 
 
 def vf2_orbits(g: MultiGraph) -> list[int]:

@@ -9,6 +9,7 @@ from helpers import (
     brute_cyclic_min_cut,
     dinic_min_cut_between,
     induced_girth,
+    lcf,
     on_fresh_thread,
     random_cubic_multigraph,
     reference_cyclic_connectivity,
@@ -767,6 +768,10 @@ _SWEEP_GRAPHS += [
     ("parallel-4", _PARALLEL_4),
     ("parallel-6", _PARALLEL_6),
     ("2k33", _disjoint_union(k33(), k33())),
+    # the cages, of girth 7 and 8, are the cubic graphs whose value still
+    # comes from the cycle-pair sweep; their sweeps reach the group search
+    ("mcgee", lcf([12, 7, -7], 8)),
+    ("tutte-coxeter", lcf([-13, -9, 7, -7, 9, 13], 5)),
 ]
 
 

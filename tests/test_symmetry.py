@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import shuffled, vf2_orbits
+from helpers import diamond_necklace, lcf, shuffled, vf2_orbits
 
 import nzflow.structure
 from nzflow import MultiGraph, cyclic_connectivity, is_cyclically_k_connected
@@ -83,6 +83,13 @@ _SWEEP += [(f"prism-{n}", prism(n)) for n in (8, 12)]
 _SWEEP += [(f"{name}-shuffled", shuffled(g, random.Random(3))) for name, g in _SWEEP]
 # the unrestricted sweeps of J11 and J13 take most of a second
 _SWEEP += [(f"flower-{k}", flower_snark(k)) for k in (11, 13)]
+# the cages (girth 7 and 8), whose value comes from the cycle-pair sweep
+_SWEEP += [
+    ("mcgee", lcf([12, 7, -7], 8)),
+    ("tutte-coxeter", lcf([-13, -9, 7, -7, 9, 13], 5)),
+]
+# twin vertices, whose closed neighbourhoods coincide
+_SWEEP += [(f"necklace-{r}", diamond_necklace(r)) for r in (3, 4, 6)]
 # trivial groups, where the search runs and finds nothing
 _SWEEP += [
     (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
