@@ -713,16 +713,15 @@ def _pair_sweep(
     cuts: _UnitCuts,
     budget: Budget,
     best: int | None = None,
-    stop_below: int | None = None,
     floor: int | None = None,
 ) -> tuple[int | None, frozenset[int] | None]:
     """The least cut between disjoint sets S_i, S_j, i < j, of ``sets``
     with i < ``outer``, and its side; the starting bound ``best`` and no
     side when no pair goes below it.
 
-    The sweep returns once the best cut is below ``stop_below`` or equals
-    ``floor``, the edge-connectivity capped at the bound, computed the
-    first time the best cut is at most the minimum degree if not given.
+    The sweep returns once the best cut equals ``floor``: a bound no pair
+    goes below, or, if not given, the edge-connectivity capped at the best
+    cut, computed the first time the best cut is at most the minimum degree.
     The automorphisms must map ``sets[:outer]`` onto itself; the orbit
     rule and its proof are at :func:`cyclic_connectivity`.  Each flow and
     each node of the group search costs 4 work units.
@@ -764,8 +763,6 @@ def _pair_sweep(
             if best is None or value < best:
                 best = value
                 best_side = side
-                if stop_below is not None and best < stop_below:
-                    return best, best_side
                 if floor is None and best <= min(g.degrees(), default=0):
                     floor = _edge_connectivity(g, cuts, best, budget)
                 if best == floor:
@@ -774,35 +771,19 @@ def _pair_sweep(
 
 
 def _neighbourhood_cut(
-    g: MultiGraph, limit: int, budget: Budget, cuts: _UnitCuts | None = None
+    g: MultiGraph, limit: int, budget: Budget, cuts: _UnitCuts
 ) -> int:
     """The least cut between two disjoint closed neighbourhoods N[u], N[w]
     of the simple cubic graph ``g``, or ``limit`` if it is not smaller,
     from the edge-connectivity first and then :func:`_pair_sweep` on
-    ``cuts`` (built here when not given).
+    ``cuts``.
     """
     n = g.n
     if n < 8:
         return limit  # four vertices each: no two are disjoint
-    if cuts is None:
-        cuts = _UnitCuts(g)
     floor = _edge_connectivity(g, cuts, limit, budget)
     closed = [(v, *(w for _, w in g.incident(v))) for v in range(n)]
     return _pair_sweep(g, closed, n, cuts, budget, limit, floor=floor)[0]
-
-
-def _cycle_pair_sweep(
-    g: MultiGraph,
-    cycles: list[tuple[int, ...]],
-    small_cap: int,
-    cuts: _UnitCuts,
-    budget: Budget,
-    stop_below: int | None,
-) -> tuple[int | None, frozenset[int] | None]:
-    """:func:`_pair_sweep` over ``cycles``, sorted by length, with first
-    cycles at most ``small_cap`` long: a set automorphisms keep."""
-    outer = bisect_right([len(c) for c in cycles], small_cap)
-    return _pair_sweep(g, cycles, outer, cuts, budget, stop_below=stop_below)
 
 
 def _cycle_cut(
@@ -810,14 +791,17 @@ def _cycle_cut(
     cut_size: int,
     cuts: _UnitCuts,
     budget: Budget,
-    stop_below: int | None = None,
+    floor: int | None = None,
 ) -> tuple[list[tuple[int, ...]], int | None, frozenset[int] | None]:
     """The chordless cycles that :func:`_side_caps` keeps for cuts of at
-    most ``cut_size`` edges, and the least cut between two of them, with
-    its side, from :func:`_cycle_pair_sweep`."""
+    most ``cut_size`` edges, sorted by length, and the least cut between
+    two of them, with its side, from :func:`_pair_sweep` with ``floor``,
+    over the pairs whose first cycle is within the smaller side's cap: a
+    set automorphisms keep."""
     small, large = _side_caps(g, cut_size)
     cycles = _chordless_cycles(g, large, budget)
-    return cycles, *_cycle_pair_sweep(g, cycles, small, cuts, budget, stop_below)
+    outer = bisect_right([len(c) for c in cycles], small)
+    return cycles, *_pair_sweep(g, cycles, outer, cuts, budget, floor=floor)
 
 
 def _moore_girth(order: int) -> int:
@@ -895,59 +879,18 @@ def _side_caps(g: MultiGraph, cut_size: int) -> tuple[int, int]:
     return small, large
 
 
-def _in_lemma_scope(g: MultiGraph, gi: int | None) -> bool:
-    """Whether ``g``, of girth ``gi``, is cubic with 3 <= gi <= 6, so that
-    closed neighbourhoods decide it (see :func:`cyclic_connectivity`)."""
-    return gi is not None and 3 <= gi <= 6 and all(d == 3 for d in g.degrees())
-
-
 def _neighbourhood_witness(
     g: MultiGraph, gi: int, value: int, cuts: _UnitCuts, budget: Budget
 ) -> EdgeCut:
     """The witness the cycle-pair sweep names for a graph of girth ``gi``
     whose cyclic connectivity ``value`` closed neighbourhoods decided: the
     cut around the first shortest chordless cycle at the girth, and
-    otherwise the sweep under the caps for cuts below the girth, stopped
-    at its first pair reaching ``value``."""
+    otherwise the sweep under the caps for cuts below the girth with
+    ``value`` as its floor, since no pair goes below it."""
     if value == gi:
         return edge_cut(g, _chordless_cycles(g, gi, budget)[0])
-    _, _, side = _cycle_cut(g, gi - 1, cuts, budget, value + 1)
+    _, _, side = _cycle_cut(g, gi - 1, cuts, budget, value)
     return edge_cut(g, side)
-
-
-def is_cyclically_k_connected(
-    g: MultiGraph, k: int, *, max_work: int | None = DEFAULT_MAX_WORK
-) -> CyclicCheck:
-    """Whether every edge cut separating two cycles has at least k edges.
-
-    On failure the witness is a cycle-separating cut with fewer than k edges.
-    Graphs without two vertex-disjoint cycles are vacuously k-connected for
-    every k.  A cut of fewer than k edges, if there is one, is found among
-    the chordless cycles that :func:`_side_caps` keeps for k - 1.  The
-    sweep skips first cycles outside their orbit's first as
-    :func:`cyclic_connectivity` does, under the same budget; being below
-    k is kept by automorphisms, so the verdict and witness do not change.
-
-    A cubic graph of girth g, 3 <= g <= 6, is swept only when it has such
-    a cut, to name the witness.  It is vacuous when 2g > n.  Otherwise
-    its cyclic connectivity is at most g, by the girth lemma of
-    :func:`cyclic_connectivity`, so below k when g < k; and when k <= g it
-    is below k exactly when some two disjoint closed neighbourhoods are
-    separated by fewer than k edges, by parts (a) and (b) of the
-    neighbourhood lemma there.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    budget = Budget(max_work, "cyclic connectivity")
-    gi = girth(g)
-    cuts = _UnitCuts(g)
-    if _in_lemma_scope(g, gi):
-        if 2 * gi > g.n or (gi >= k and _neighbourhood_cut(g, k, budget, cuts) == k):
-            return CyclicCheck(True, None)
-    _, value, side = _cycle_cut(g, k - 1, cuts, budget, k)
-    if value is not None and value < k:
-        return CyclicCheck(False, edge_cut(g, side))
-    return CyclicCheck(True, None)
 
 
 def girth(g: MultiGraph) -> int | None:
@@ -1024,10 +967,13 @@ def cyclic_connectivity(
     (:func:`_edge_connectivity`).  The value step sweeps the closed
     neighbourhoods from the bound g and takes the edge-connectivity first,
     capped at g, so it tries no pair when that is g; below 8 vertices no two
-    closed neighbourhoods are disjoint.  The cycle sweep runs over the
-    chordless cycles, sorted by length, whose first cycle of a pair is
-    within the smaller side's cap below; it takes the edge-connectivity the
-    first time its best cut is at most the minimum degree.  The minimum cut
+    closed neighbourhoods are disjoint.  :func:`is_cyclically_k_connected`
+    runs the same steps with the value step's bound min(g, k): a cut below
+    it is the value, by the lemma, and with none the value is at least
+    min(g, k).  The cycle sweep runs over the chordless cycles, sorted by
+    length, whose first cycle of a pair is within the smaller side's cap
+    below; it takes the edge-connectivity the first time its best cut is
+    at most the minimum degree, unless it is given a floor.  The minimum cut
     separating two cycles is the minimum, over pairs of vertex-disjoint
     chordless cycles, of the max-flow between them after contraction.
 
@@ -1035,10 +981,11 @@ def cyclic_connectivity(
     value and the witness together.  When the value is g, the witness is
     the cut around ``cycles[0]``, the first shortest chordless cycle: the
     girth lemma's witness below.  When it is below g, the witness is that
-    of the cycle-pair sweep under the caps for cuts below the girth,
-    stopped at its first pair reaching the value.  The sweep with no stop
-    tries the same pairs up to that one and never improves after it, so
-    it names the same pair and side.
+    of the cycle-pair sweep under the caps for cuts below the girth, with
+    the value as its floor, since no pair goes below it: the sweep stops
+    at its first pair reaching the value.  Any other floor, or none, tries
+    the same pairs up to that one and never improves after it, so it
+    names the same pair and side.
 
     Proof of the caps (in full at :func:`_side_caps`).  Both sides of a
     minimum cut of size c are connected.  A side S, with its pendant trees
@@ -1076,23 +1023,22 @@ def cyclic_connectivity(
     neighbourhoods and chordless cycles to chordless cycles of the same
     length, and keep disjointness and cut values, so the pairs a sweep
     may try, and their cuts, are closed under them.  Let P = (S_i, S_j),
-    i < j, be the first pair in sweep order with some property that
-    automorphisms keep, such as reaching the minimum or being below k.
-    If an automorphism mapped S_i to an earlier set S_h, h < i, then
-    {S_h, image of S_j} would be a pair with the same property, tried
-    before P (its first set is S_h or an even earlier one); so S_i comes
+    i < j, be the first pair in sweep order whose cut is the minimum.  If
+    an automorphism mapped S_i to an earlier set S_h, h < i, then
+    {S_h, image of S_j} would be a pair with the same cut, tried before P
+    (its first set is S_h or an even earlier one); so S_i comes
     first in its orbit and the restricted sweep tries P.  Before P both
     sweeps keep a best cut above P's value (the restricted one tries a
     subset of the same pairs), so both compute P's cut in full; the side
     is everything the residual graph reaches from S_i, the
     inclusion-minimal minimum-cut side, which does not depend on the flow.
-    After P neither sweep improves.  The edge-connectivity stop fires at
-    the first pair whose cut equals it, again P.  Any group of
-    automorphisms would do, so the restriction may start mid-sweep.  The
-    group acts on the sets through an index keyed by vertex set.  Closed
-    neighbourhoods may coincide: N[u] = N[w] with u != w only for adjacent
-    twins, and swapping twins is an automorphism, so the orbits of the
-    sets are the orbits of the vertices.
+    After P neither sweep improves.  A floor stop fires at the first pair
+    whose cut equals the floor, which is then the minimum, so again at P.
+    Any group of automorphisms would do, so the restriction may start
+    mid-sweep.  The group acts on the sets through an index keyed by
+    vertex set.  Closed neighbourhoods may coincide: N[u] = N[w] with
+    u != w only for adjacent twins, and swapping twins is an automorphism,
+    so the orbits of the sets are the orbits of the vertices.
 
     Every disjoint pair of cycles or of closed neighbourhoods, every flow
     of the edge-connectivity check and every node of the automorphism
@@ -1101,14 +1047,22 @@ def cyclic_connectivity(
     :class:`BudgetExceededError`, from the call or from the first read of
     ``witness``.
     """
-    budget = Budget(max_work, "cyclic connectivity")
+    return _cyclic(g, Budget(max_work, "cyclic connectivity"), None)
+
+
+def _cyclic(g: MultiGraph, budget: Budget, cap: int | None) -> CyclicConnectivity:
+    """:func:`cyclic_connectivity` under ``budget``, with the value step's
+    bound lowered to ``cap`` (None: the girth).  A value below ``cap``, the
+    vacuous verdict and the witness of a value below ``cap`` are exact; a
+    value of at least ``cap`` only bounds the cyclic connectivity below."""
     gi = girth(g)
     if gi is None:
         return _VACUOUS
     cuts = _UnitCuts(g)
-    if _in_lemma_scope(g, gi):
-        value = _neighbourhood_cut(g, gi, budget, cuts)
-        if value == gi and 2 * gi > g.n:
+    if 3 <= gi <= 6 and all(d == 3 for d in g.degrees()):
+        limit = gi if cap is None else min(gi, cap)
+        value = _neighbourhood_cut(g, limit, budget, cuts)
+        if value == limit and 2 * gi > g.n:
             return _VACUOUS
         return CyclicConnectivity(
             value, False, partial(_neighbourhood_witness, g, gi, value, cuts, budget)
@@ -1120,3 +1074,23 @@ def cyclic_connectivity(
     if value is None:
         return _VACUOUS
     return CyclicConnectivity(value, False, partial(edge_cut, g, side))
+
+
+def is_cyclically_k_connected(
+    g: MultiGraph, k: int, *, max_work: int | None = DEFAULT_MAX_WORK
+) -> CyclicCheck:
+    """Whether every edge cut separating two cycles has at least k edges.
+
+    Graphs without two vertex-disjoint cycles are vacuously k-connected
+    for every k.  The check is :func:`cyclic_connectivity` with the value
+    step's bound lowered from the girth g to min(g, k), so no flow of that
+    step goes past k.  On failure the witness is that of
+    :func:`cyclic_connectivity`, a minimum cycle-separating cut, named
+    under the same ``max_work``.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    res = _cyclic(g, Budget(max_work, "cyclic connectivity"), k)
+    if res.vacuous or res.value >= k:
+        return CyclicCheck(True, None)
+    return CyclicCheck(False, res.witness)

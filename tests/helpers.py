@@ -224,7 +224,7 @@ def reference_length_bound(n: int, cut_size: int) -> int:
     return cut_size + 2 * math.ceil(math.log2(max(n, 2))) + 2
 
 
-def reference_pair_sweep(g: MultiGraph, cycles, stop_below: int | None):
+def reference_pair_sweep(g: MultiGraph, cycles):
     """The earlier sweep over every disjoint pair of ``cycles``, in order,
     each flow stopped at the best cut so far.  Returns the best cut and the
     side of the first pair that reached it, or ``(None, None)``."""
@@ -248,8 +248,6 @@ def reference_pair_sweep(g: MultiGraph, cycles, stop_below: int | None):
             value, side = cuts.min_cut(a, cycles[j], best)
             if best is None or value < best:
                 best, best_side = value, side
-                if stop_below is not None and best < stop_below:
-                    return best, best_side
     return best, best_side
 
 
@@ -261,23 +259,15 @@ def reference_cyclic_connectivity(g: MultiGraph):
         return None, None
     while True:
         cycles = _chordless_cycles(g, reference_length_bound(g.n, upper - 1), Budget(None))
-        value, side = reference_pair_sweep(g, cycles, None)
+        value, side = reference_pair_sweep(g, cycles)
         if value is None:
             cycles = _chordless_cycles(g, g.n, Budget(None))
-            value, side = reference_pair_sweep(g, cycles, None)
+            value, side = reference_pair_sweep(g, cycles)
             if value is None:
                 return None, None
         if value <= upper:
             return value, side
         upper = value
-
-
-def reference_cyclically_k_connected(g: MultiGraph, k: int):
-    """``is_cyclically_k_connected`` under ``reference_length_bound``: the
-    side of a cut of fewer than k edges, or None."""
-    cycles = _chordless_cycles(g, reference_length_bound(g.n, k - 1), Budget(None))
-    value, side = reference_pair_sweep(g, cycles, k)
-    return side if value is not None and value < k else None
 
 
 def brute_margin(g: MultiGraph, numerators, denominator, subset) -> Fraction:

@@ -430,6 +430,27 @@ def test_cyclic_command(capsys, petersen_file):
     }
 
 
+def test_cyclic_k_records_agree_with_the_exact_record(capsys, tmp_path, corpus):
+    # `cyclic --k K` is connected exactly when `cyclic` reports vacuous or a
+    # value of at least K, and otherwise prints a minimum witness
+    path = tmp_path / "corpus.g6"
+    path.write_text("".join(serialize_graph6(g) + "\n" for _, g in corpus))
+    code, out, _ = run_cli(capsys, ["cyclic", str(path)])
+    assert code == 0
+    exact = records(out)
+    assert len(exact) == len(corpus)
+    for k in range(3, 8):
+        code, out, _ = run_cli(capsys, ["cyclic", str(path), "--k", str(k)])
+        assert code == 0
+        checked = records(out)
+        assert [rec["name"] for rec in checked] == [rec["name"] for rec in exact]
+        for plain, rec in zip(exact, checked):
+            connected = plain["status"] == "vacuous" or plain["value"] >= k
+            assert rec["cyclically_k_connected"] is connected, (plain, k)
+            if not connected:
+                assert len(rec["witness_cut"]) == plain["value"], (plain, k)
+
+
 def test_flow_command_and_certify_round_trip(capsys, tmp_path, petersen_file):
     code, out, _ = run_cli(capsys, ["flow", petersen_file, "--k", "5"])
     assert code == 0

@@ -13,7 +13,6 @@ from helpers import (
     on_fresh_thread,
     random_cubic_multigraph,
     reference_cyclic_connectivity,
-    reference_cyclically_k_connected,
     recursion_headroom,
     recursive_enumerate_two_factors,
     recursive_oddness,
@@ -633,7 +632,7 @@ def test_neighbourhood_lemma_holds_on_every_bipartition(corpus):
             assert least == mu, name
         else:
             assert least == (None if 2 * shortest > g.n else shortest), name
-        assert _neighbourhood_cut(g, shortest, Budget(None)) == mu, name
+        assert _neighbourhood_cut(g, shortest, Budget(None), _UnitCuts(g)) == mu, name
     assert below >= 10 and separated >= 1_000
 
 
@@ -775,7 +774,9 @@ _SWEEP_GRAPHS += [
 ]
 
 
-def _assert_matches_reference_sweep(name, g, ks):
+def _assert_matches_reference_sweep(name, g):
+    # each k verdict follows from the reference value, and a failing check
+    # names the minimum witness of cyclic_connectivity
     res = cyclic_connectivity(g)
     value, side = reference_cyclic_connectivity(g)
     assert (res.value, res.vacuous) == (value, value is None), name
@@ -783,26 +784,23 @@ def _assert_matches_reference_sweep(name, g, ks):
         assert res.witness is None, name
     else:
         assert res.witness.side == tuple(sorted(side)), name
-    for k in ks:
-        side = reference_cyclically_k_connected(g, k)
+    for k in range(1, 8):
         chk = is_cyclically_k_connected(g, k)
-        assert chk.connected == (side is None), (name, k)
-        if side is not None:
-            assert chk.witness.side == tuple(sorted(side)), (name, k)
+        assert chk.connected == (value is None or value >= k), (name, k)
+        assert chk.witness == (None if chk.connected else res.witness), (name, k)
 
 
 @pytest.mark.parametrize("name,g", _SWEEP_GRAPHS, ids=[n for n, _ in _SWEEP_GRAPHS])
 def test_cyclic_sweep_matches_the_earlier_length_cap(name, g):
     # the caps keep a subsequence of the earlier pairs, and on these graphs
     # the first pair reaching the minimum survives, so values, verdicts and
-    # witnesses are unchanged.  Under the earlier cap the k-sweeps of J9
-    # and J11 take seconds, so they are left out
-    _assert_matches_reference_sweep(name, g, (4, 5, 6) if g.n < 36 else ())
+    # witnesses are unchanged
+    _assert_matches_reference_sweep(name, g)
 
 
 def test_cyclic_sweep_matches_the_earlier_length_cap_on_the_corpus(corpus):
     for name, g in corpus:
-        _assert_matches_reference_sweep(name, g, (4, 5, 6))
+        _assert_matches_reference_sweep(name, g)
 
 
 _RESWEPT_GRAPHS = [
@@ -817,7 +815,35 @@ def test_cyclic_sweep_matches_the_reference_where_it_swept_again():
     # within the caps, sweeps again with no cap; the girth lemma settles
     # these graphs in one sweep with the same values, verdicts and sides
     for name, g in _RESWEPT_GRAPHS:
-        _assert_matches_reference_sweep(name, g, (4, 5, 6))
+        _assert_matches_reference_sweep(name, g)
+
+
+@pytest.mark.parametrize(
+    "name,g,k,size",
+    [
+        ("blanusa-1", blanusa_snarks()[0], 6, 4),
+        ("dot-5", dot_product(oddness4_snark(), flower_snark(5), (0, 21), 0), 5, 3),
+    ],
+    ids=["blanusa-1", "dot-5"],
+)
+def test_failing_k_check_names_the_minimum_cut(name, g, k, size):
+    # the first cut below k need not be minimum: the k-check names the
+    # witness of cyclic_connectivity, not a 5-edge or 4-edge cut below k
+    chk = is_cyclically_k_connected(g, k)
+    assert not chk.connected
+    assert len(chk.witness.edges) == size
+    assert chk.witness == cyclic_connectivity(g).witness
+
+
+def test_k_check_above_the_value_costs_what_the_value_does():
+    # J21 (girth 6, lambda_c 6) fails k = 7 by the girth lemma; its witness,
+    # the cut around its first 6-cycle, needs one enumeration of 6-cycles
+    # after the value step, not a sweep for every cut below 7
+    g = flower_snark(21)
+    chk = is_cyclically_k_connected(g, 7, max_work=3_000)
+    assert not chk.connected
+    assert chk.witness == cyclic_connectivity(g).witness
+    assert len(chk.witness.edges) == 6
 
 
 @pytest.mark.parametrize(
@@ -865,13 +891,13 @@ def test_cyclic_witness_charges_the_call_budget():
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """The calls of the cycle enumeration and of the pair sweep, in order,
-    each with its length cap: ``max_len``, and the sweep's ``small_cap``."""
+    """The calls of the cycle sweep and of the cycle enumeration, in order,
+    each with its second argument: the sweep's ``cut_size`` and the
+    enumeration's length cap ``max_len``."""
     calls = []
-    for name, cap in (("_chordless_cycles", 1), ("_cycle_pair_sweep", 2)):
-        def counted(*args, _real=getattr(nzflow.structure, name), _name=name,
-                    _cap=cap, **kwargs):
-            calls.append((_name, args[_cap]))
+    for name in ("_cycle_cut", "_chordless_cycles"):
+        def counted(*args, _real=getattr(nzflow.structure, name), _name=name, **kwargs):
+            calls.append((_name, args[1]))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(nzflow.structure, name, counted)
@@ -880,12 +906,13 @@ def sweeps(monkeypatch):
 
 @pytest.mark.parametrize("n, value", [(6, 9), (7, 12)])
 def test_non_cubic_graph_sweeps_once(sweeps, n, value):
-    # a graph that is not cubic gets no caps, so its one sweep is exact,
-    # also with lambda_c above the girth (3)
+    # a graph that is not cubic gets no caps, so its one sweep, for cuts
+    # below the girth (3), enumerates every chordless cycle and is exact,
+    # also with lambda_c above the girth
     res = cyclic_connectivity(MultiGraph(n, combinations(range(n), 2)))
     assert res.value == value
     assert len(res.witness.edges) == value
-    assert sweeps == [("_chordless_cycles", n), ("_cycle_pair_sweep", n)]
+    assert sweeps == [("_cycle_cut", 2), ("_chordless_cycles", n)]
 
 
 _ONE_SWEEP_GRAPHS = [
@@ -907,7 +934,7 @@ def test_every_cyclic_call_sweeps_once(sweeps, name, g, value, swept):
     # (K4, K3,3 and 2K3,3) is decided by closed neighbourhoods and sweeps
     # only to name a witness: when the result's witness is first read, or
     # when is_cyclically_k_connected finds a cut below k
-    once = ["_chordless_cycles", "_cycle_pair_sweep"]
+    once = ["_cycle_cut", "_chordless_cycles"]
     res = cyclic_connectivity(g)
     assert (res.value, res.vacuous) == (value, value is None), name
     assert [call for call, _ in sweeps] == (once if swept else [])

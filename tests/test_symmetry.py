@@ -99,7 +99,7 @@ _SWEEP += [
 
 def _sweep_results(g, exact=None):
     """The exact result and the verdicts for k = 4, 5, 6.  Given the exact
-    value, a k at or below it is answered without a sweep: every sweep
+    value, a k at or below it is answered without a check: every check
     then finds no cut below k and reports no witness."""
     res = cyclic_connectivity(g)
     out = [(res.value, res.vacuous, res.witness and res.witness.side)]
@@ -114,11 +114,11 @@ def _sweep_results(g, exact=None):
 
 @pytest.mark.parametrize("name,g", _SWEEP, ids=[n for n, _ in _SWEEP])
 def test_orbit_sweep_matches_the_sweep_over_every_cycle(monkeypatch, name, g):
-    # the first pair in sweep order to reach the minimum, or to go below k,
-    # has an orbit-first first cycle, and the witness side does not depend
-    # on the flow, so skipping the other first cycles changes nothing,
-    # whenever the group search starts.  The default run sweeps every k;
-    # the runs that search at once and never sweep the k below the value
+    # the first pair in sweep order to reach the minimum has an orbit-first
+    # first cycle, and the witness side does not depend on the flow, so
+    # skipping the other first cycles changes nothing, whenever the group
+    # search starts.  The default run checks every k; the runs that search
+    # at once or never skip each k at or below the value
     got, res = _sweep_results(g)
     monkeypatch.setattr(nzflow.structure, "_GROUP_AFTER", 0)
     assert _sweep_results(g, res)[0] == got, name
@@ -138,11 +138,11 @@ def test_group_search_waits_for_long_sweeps(monkeypatch, corpus):
     for _, g in corpus + [("blanusa-1", blanusa_snarks()[0])]:
         cyclic_connectivity(g)
         is_cyclically_k_connected(g, 6)
-    # Blanusa-1's value step, once: its edge-connectivity 3 is below its
-    # cyclic connectivity 4, so it tries every pair of closed
-    # neighbourhoods; its girth 5 is below 6, so the k = 6 check sweeps
-    # cycle pairs at once and stops at its first pair
-    assert searched == [18]
+    # Blanusa-1's value step, in each call: its edge-connectivity 3 is
+    # below its cyclic connectivity 4, so it tries every pair of closed
+    # neighbourhoods, and the k = 6 check runs the same value step, from
+    # its girth 5
+    assert searched == [18, 18]
     searched.clear()
     # the oddness-4 snark's first pair attains its edge-connectivity
     cyclic_connectivity(oddness4_snark())
