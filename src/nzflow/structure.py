@@ -502,10 +502,11 @@ class CyclicConnectivity:
     ``value`` is None when the graph has no two vertex-disjoint cycles, in
     which case it counts as cyclically k-edge-connected for every k.
     ``witness`` is a minimum cycle-separating cut, None when vacuous.  It
-    is named on first read and then kept; naming it charges the budget of
-    the call that made the result, so that read can raise
-    :class:`BudgetExceededError`.  Two results are equal when their values,
-    verdicts and witnesses are.
+    is named on first read and then kept.  Where it is the cut around a
+    shortest cycle of a cubic graph of girth 3 to 6, naming it enumerates
+    those cycles under the budget of the call that made the result, so
+    that read can raise :class:`BudgetExceededError`.  Two results are
+    equal when their values, verdicts and witnesses are.
     """
 
     value: int | None
@@ -592,7 +593,7 @@ def _chordless_cycles(
 class _UnitCuts:
     """Minimum edge cuts between disjoint vertex sets of one graph.
 
-    Built once per graph: every non-loop edge ``e = (u, v)`` becomes the
+    Built once per graph: every edge ``e = (u, v)`` becomes the
     unit arcs ``2e`` (u -> v) and ``2e + 1`` (v -> u).  A cut query keeps one
     flow list over the arcs and grows the flow by breadth-first augmenting
     paths from every vertex of one set at once, each ending at the first
@@ -604,8 +605,6 @@ class _UnitCuts:
         self.out: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         self.head = [0] * (2 * g.m)
         for eid, (u, v) in enumerate(g.edges):
-            if u == v:
-                continue
             self.out[u].append((2 * eid, v))
             self.out[v].append((2 * eid + 1, u))
             self.head[2 * eid] = v
@@ -713,21 +712,30 @@ def _pair_sweep(
     cuts: _UnitCuts,
     budget: Budget,
     best: int | None = None,
-    floor: int | None = None,
 ) -> tuple[int | None, frozenset[int] | None]:
     """The least cut between disjoint sets S_i, S_j, i < j, of ``sets``
     with i < ``outer``, and its side; the starting bound ``best`` and no
     side when no pair goes below it.
 
-    The sweep returns once the best cut equals ``floor``: a bound no pair
-    goes below, or, if not given, the edge-connectivity capped at the best
-    cut, computed the first time the best cut is at most the minimum degree.
-    The automorphisms must map ``sets[:outer]`` onto itself; the orbit
-    rule and its proof are at :func:`cyclic_connectivity`.  Each flow and
-    each node of the group search costs 4 work units.
+    The sweep returns once the best cut equals the edge-connectivity, which
+    no pair goes below.  That floor, capped at the best cut, is computed
+    the first time the best cut, the starting bound included, is at most
+    the minimum degree, above which it cannot stop the sweep.  The
+    automorphisms must map ``sets[:outer]`` onto itself; the orbit rule and
+    its proof are at :func:`cyclic_connectivity`.  Each flow and each node
+    of the group search costs 4 work units.
     """
     best_side: frozenset[int] | None = None
-    if best is not None and best == floor:
+    degree = min(g.degrees(), default=0)
+    floor: int | None = None
+
+    def at_floor() -> bool:
+        nonlocal floor
+        if floor is None and best is not None and best <= degree:
+            floor = _edge_connectivity(g, cuts, best, budget)
+        return floor is not None and best == floor
+
+    if at_floor():
         return best, best_side
     # bit j of through[v] is set when set j holds v, so the sets disjoint
     # from set i are the bits that no vertex of i sets
@@ -763,45 +771,39 @@ def _pair_sweep(
             if best is None or value < best:
                 best = value
                 best_side = side
-                if floor is None and best <= min(g.degrees(), default=0):
-                    floor = _edge_connectivity(g, cuts, best, budget)
-                if best == floor:
+                if at_floor():
                     return best, best_side
     return best, best_side
 
 
 def _neighbourhood_cut(
     g: MultiGraph, limit: int, budget: Budget, cuts: _UnitCuts
-) -> int:
+) -> tuple[int, frozenset[int] | None]:
     """The least cut between two disjoint closed neighbourhoods N[u], N[w]
-    of the simple cubic graph ``g``, or ``limit`` if it is not smaller,
-    from the edge-connectivity first and then :func:`_pair_sweep` on
-    ``cuts``.
+    of the simple cubic graph ``g``, with the side the residual graph
+    reaches from N[u] for the first pair u < w in sweep order that attains
+    it, from :func:`_pair_sweep` on ``cuts``; ``limit`` and no side if no
+    pair goes below ``limit``.
     """
     n = g.n
     if n < 8:
-        return limit  # four vertices each: no two are disjoint
-    floor = _edge_connectivity(g, cuts, limit, budget)
+        return limit, None  # four vertices each: no two are disjoint
     closed = [(v, *(w for _, w in g.incident(v))) for v in range(n)]
-    return _pair_sweep(g, closed, n, cuts, budget, limit, floor=floor)[0]
+    return _pair_sweep(g, closed, n, cuts, budget, limit)
 
 
 def _cycle_cut(
-    g: MultiGraph,
-    cut_size: int,
-    cuts: _UnitCuts,
-    budget: Budget,
-    floor: int | None = None,
+    g: MultiGraph, cut_size: int, cuts: _UnitCuts, budget: Budget
 ) -> tuple[list[tuple[int, ...]], int | None, frozenset[int] | None]:
     """The chordless cycles that :func:`_side_caps` keeps for cuts of at
     most ``cut_size`` edges, sorted by length, and the least cut between
-    two of them, with its side, from :func:`_pair_sweep` with ``floor``,
-    over the pairs whose first cycle is within the smaller side's cap: a
-    set automorphisms keep."""
+    two of them, with its side, from :func:`_pair_sweep` over the pairs
+    whose first cycle is within the smaller side's cap: a set automorphisms
+    keep."""
     small, large = _side_caps(g, cut_size)
     cycles = _chordless_cycles(g, large, budget)
     outer = bisect_right([len(c) for c in cycles], small)
-    return cycles, *_pair_sweep(g, cycles, outer, cuts, budget, floor=floor)
+    return cycles, *_pair_sweep(g, cycles, outer, cuts, budget)
 
 
 def _moore_girth(order: int) -> int:
@@ -879,20 +881,6 @@ def _side_caps(g: MultiGraph, cut_size: int) -> tuple[int, int]:
     return small, large
 
 
-def _neighbourhood_witness(
-    g: MultiGraph, gi: int, value: int, cuts: _UnitCuts, budget: Budget
-) -> EdgeCut:
-    """The witness the cycle-pair sweep names for a graph of girth ``gi``
-    whose cyclic connectivity ``value`` closed neighbourhoods decided: the
-    cut around the first shortest chordless cycle at the girth, and
-    otherwise the sweep under the caps for cuts below the girth with
-    ``value`` as its floor, since no pair goes below it."""
-    if value == gi:
-        return edge_cut(g, _chordless_cycles(g, gi, budget)[0])
-    _, _, side = _cycle_cut(g, gi - 1, cuts, budget, value)
-    return edge_cut(g, side)
-
-
 def girth(g: MultiGraph) -> int | None:
     """Length of a shortest cycle, or None for forests.  BFS per vertex."""
     pair_counts: dict[tuple[int, int], int] = {}
@@ -933,10 +921,11 @@ def cyclic_connectivity(
     """Exact cyclic edge-connectivity, with a minimum cut as witness.
 
     A cubic graph of girth g, 3 <= g <= 6, is decided by the cuts between
-    closed neighbourhoods (the value step); its chordless cycles are
-    enumerated and swept only when the result's ``witness`` is first read
-    (the witness step).  Every other graph (girth at most 2 or at least 7,
-    or not cubic) is swept over disjoint chordless cycle pairs at once.
+    closed neighbourhoods (the value step), whose least cut is the witness
+    when it is below g; at g, the shortest chordless cycles are enumerated
+    only when the result's ``witness`` is first read (the witness step).
+    Every other graph (girth at most 2 or at least 7, or not cubic) is
+    swept over disjoint chordless cycle pairs at once.
 
     Neighbourhood lemma.  Let G be cubic with girth g >= 3, so each closed
     neighbourhood N[u] has 4 vertices.  (a) Each side S of a minimum
@@ -953,10 +942,13 @@ def cyclic_connectivity(
     edge outside those of X, so it is not a tree; nor, likewise, is the
     component of G - X holding N[w].  So the edges leaving X separate two
     cycles.  Let mu be the least cut between disjoint closed
-    neighbourhoods.  If the cyclic connectivity c is below g, (a) puts
-    disjoint N[u] and N[w] on the two sides of a minimum cut, so
-    mu <= c; and if mu < g <= 6, (b) gives c <= mu.  So c = mu when
-    mu < g, and otherwise c >= g, which the girth lemma below decides.
+    neighbourhoods, c the cyclic connectivity and L <= min(g, 6).  If
+    c < L, (a) puts disjoint N[u] and N[w] on the two sides of a minimum
+    cut, so mu <= c.  If mu < L, take a pair with cut mu: by (b) the side
+    X that its maximum flow reaches from N[u] in the residual graph
+    separates two cycles, so c <= mu < L, hence c = mu and X is a minimum
+    cut.  So c = mu when mu < L, and otherwise c >= L; with L = g the
+    girth lemma below decides.
 
     Pair sweep (:func:`_pair_sweep`).  The value step and every cycle sweep
     take the least cut between two disjoint vertex sets of one list, on one
@@ -964,28 +956,26 @@ def cyclic_connectivity(
     augmenting paths from one set to the other and stops at the best cut so
     far (such a pair cannot lower the minimum).  Every such cut is an edge
     cut, so the sweep stops once its best cut equals the edge-connectivity
-    (:func:`_edge_connectivity`).  The value step sweeps the closed
-    neighbourhoods from the bound g and takes the edge-connectivity first,
-    capped at g, so it tries no pair when that is g; below 8 vertices no two
-    closed neighbourhoods are disjoint.  :func:`is_cyclically_k_connected`
-    runs the same steps with the value step's bound min(g, k): a cut below
-    it is the value, by the lemma, and with none the value is at least
-    min(g, k).  The cycle sweep runs over the chordless cycles, sorted by
+    (:func:`_edge_connectivity`), computed the first time the best cut,
+    starting bound included, is at most the minimum degree, which bounds
+    it.  The value step sweeps the closed neighbourhoods from the bound g,
+    or min(g, k) for :func:`is_cyclically_k_connected`, which so takes a
+    cubic graph of girth g >= 7 to the value step when k <= 6: a cut below
+    the bound is the value, by the lemma, and with none the value is at
+    least the bound.  Below 8 vertices no two closed neighbourhoods are
+    disjoint.  The cycle sweep runs over the chordless cycles, sorted by
     length, whose first cycle of a pair is within the smaller side's cap
-    below; it takes the edge-connectivity the first time its best cut is
-    at most the minimum degree, unless it is given a floor.  The minimum cut
-    separating two cycles is the minimum, over pairs of vertex-disjoint
-    chordless cycles, of the max-flow between them after contraction.
+    below.  The minimum cut separating two cycles is the minimum, over
+    pairs of vertex-disjoint chordless cycles, of the max-flow between
+    them after contraction.
 
-    The witness step charges the call's budget, so ``max_work`` bounds the
-    value and the witness together.  When the value is g, the witness is
-    the cut around ``cycles[0]``, the first shortest chordless cycle: the
-    girth lemma's witness below.  When it is below g, the witness is that
-    of the cycle-pair sweep under the caps for cuts below the girth, with
-    the value as its floor, since no pair goes below it: the sweep stops
-    at its first pair reaching the value.  Any other floor, or none, tries
-    the same pairs up to that one and never improves after it, so it
-    names the same pair and side.
+    The witness is the side of the sweep's first pair whose cut is the
+    minimum (see the orbit paragraph), from the value step a minimum cut
+    by (b) at no further cost.  When the value step finds no cut below g,
+    the witness is the cut around ``cycles[0]``, the first shortest
+    chordless cycle (the girth lemma below), enumerated on first read
+    under the call's budget, so ``max_work`` bounds the value and the
+    witness together.
 
     Proof of the caps (in full at :func:`_side_caps`).  Both sides of a
     minimum cut of size c are connected.  A side S, with its pendant trees
@@ -1054,21 +1044,25 @@ def _cyclic(g: MultiGraph, budget: Budget, cap: int | None) -> CyclicConnectivit
     """:func:`cyclic_connectivity` under ``budget``, with the value step's
     bound lowered to ``cap`` (None: the girth).  A value below ``cap``, the
     vacuous verdict and the witness of a value below ``cap`` are exact; a
-    value of at least ``cap`` only bounds the cyclic connectivity below."""
+    value of at least ``cap`` only bounds the cyclic connectivity below,
+    and its witness need not be minimum."""
     gi = girth(g)
     if gi is None:
         return _VACUOUS
     cuts = _UnitCuts(g)
-    if 3 <= gi <= 6 and all(d == 3 for d in g.degrees()):
-        limit = gi if cap is None else min(gi, cap)
-        value = _neighbourhood_cut(g, limit, budget, cuts)
-        if value == limit and 2 * gi > g.n:
+    cubic = all(d == 3 for d in g.degrees())
+    limit = gi if cap is None else min(gi, cap)
+    if 3 <= gi and limit <= 6 and cubic:
+        value, side = _neighbourhood_cut(g, limit, budget, cuts)
+        if side is not None:
+            return CyclicConnectivity(value, False, partial(edge_cut, g, side))
+        if 2 * gi > g.n:
             return _VACUOUS
         return CyclicConnectivity(
-            value, False, partial(_neighbourhood_witness, g, gi, value, cuts, budget)
+            value, False, lambda: edge_cut(g, _chordless_cycles(g, gi, budget)[0])
         )
     cycles, value, side = _cycle_cut(g, gi - 1, cuts, budget)
-    if (value is None or value > gi) and all(d == 3 for d in g.degrees()):
+    if (value is None or value > gi) and cubic:
         # nothing below the girth: the girth lemma decides
         value, side = (None, None) if 2 * gi > g.n else (gi, frozenset(cycles[0]))
     if value is None:
@@ -1084,9 +1078,10 @@ def is_cyclically_k_connected(
     Graphs without two vertex-disjoint cycles are vacuously k-connected
     for every k.  The check is :func:`cyclic_connectivity` with the value
     step's bound lowered from the girth g to min(g, k), so no flow of that
-    step goes past k.  On failure the witness is that of
-    :func:`cyclic_connectivity`, a minimum cycle-separating cut, named
-    under the same ``max_work``.
+    step goes past k.  On failure the witness is a minimum
+    cycle-separating cut, named under the same ``max_work``: that of
+    :func:`cyclic_connectivity`, except on a cubic graph of girth at least
+    7 with k <= 6, where it is the value step's cut.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -270,6 +270,21 @@ def reference_cyclic_connectivity(g: MultiGraph):
         upper = value
 
 
+def reference_neighbourhood_cut(g: MultiGraph):
+    """The least Dinic cut between disjoint closed neighbourhoods N[u],
+    N[w], u < w, of a simple graph, and the residual side from N[u] of the
+    first pair, by u and then w, that attains it; ``(None, None)`` when no
+    two are disjoint."""
+    closed = [(v, *(w for _, w in g.incident(v))) for v in range(g.n)]
+    best = best_side = None
+    for u, w in combinations(range(g.n), 2):
+        if not set(closed[u]) & set(closed[w]):
+            value, side = dinic_min_cut_between(g, closed[u], closed[w])
+            if best is None or value < best:
+                best, best_side = value, side
+    return best, best_side
+
+
 def brute_margin(g: MultiGraph, numerators, denominator, subset) -> Fraction:
     total = sum(numerators[v] for v in subset)
     cut = sum(1 for (u, v) in g.edges if (u in subset) != (v in subset))

@@ -65,7 +65,7 @@ def test_max_work_option_defaults_to_the_one_default(argv):
     "search, message",
     [
         (
-            lambda: cyclic_connectivity(petersen(), max_work=10),
+            lambda: cyclic_connectivity(flower_snark(5), max_work=10),
             "cyclic connectivity search exceeded 10 work units",
         ),
         (

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import recursion_headroom
+from helpers import _has_cycle, recursion_headroom
 
 import nzflow.cli
 import nzflow.engine
@@ -62,11 +62,12 @@ def mixed_file(tmp_path):
 
 @pytest.fixture()
 def costly_file(tmp_path):
-    # two graphs on which every command spends work: K4's cyclic
-    # connectivity costs none, so no budget runs it out
+    # two graphs on which every command spends work: the cyclic
+    # connectivity of K4 and of Petersen costs none (no two of their closed
+    # neighbourhoods are disjoint), so no budget runs it out
     path = tmp_path / "costly.g6"
     path.write_text(
-        serialize_graph6(petersen()) + "\n" + serialize_graph6(prism(4)) + "\n"
+        serialize_graph6(flower_snark(5)) + "\n" + serialize_graph6(prism(4)) + "\n"
     )
     return str(path)
 
@@ -432,23 +433,35 @@ def test_cyclic_command(capsys, petersen_file):
 
 def test_cyclic_k_records_agree_with_the_exact_record(capsys, tmp_path, corpus):
     # `cyclic --k K` is connected exactly when `cyclic` reports vacuous or a
-    # value of at least K, and otherwise prints a minimum witness
+    # value of at least K, and otherwise prints a minimum witness: the
+    # edges leaving its side, as many as the value, with a cycle on both
+    # sides.  Edge ids are those of the graph6 record
     path = tmp_path / "corpus.g6"
     path.write_text("".join(serialize_graph6(g) + "\n" for _, g in corpus))
+    parsed = [parse_graph6(serialize_graph6(g)) for _, g in corpus]
     code, out, _ = run_cli(capsys, ["cyclic", str(path)])
     assert code == 0
     exact = records(out)
     assert len(exact) == len(corpus)
+    failing = 0
     for k in range(3, 8):
         code, out, _ = run_cli(capsys, ["cyclic", str(path), "--k", str(k)])
         assert code == 0
         checked = records(out)
         assert [rec["name"] for rec in checked] == [rec["name"] for rec in exact]
-        for plain, rec in zip(exact, checked):
+        for g, plain, rec in zip(parsed, exact, checked):
             connected = plain["status"] == "vacuous" or plain["value"] >= k
             assert rec["cyclically_k_connected"] is connected, (plain, k)
             if not connected:
+                side = frozenset(rec["witness_side"])
+                leaving = [eid for eid, (u, v) in enumerate(g.edges)
+                           if (u in side) != (v in side)]
+                assert rec["witness_cut"] == leaving, (plain, k)
                 assert len(rec["witness_cut"]) == plain["value"], (plain, k)
+                assert _has_cycle(g, side), (plain, k)
+                assert _has_cycle(g, frozenset(range(g.n)) - side), (plain, k)
+                failing += 1
+    assert failing > 100
 
 
 def test_flow_command_and_certify_round_trip(capsys, tmp_path, petersen_file):

@@ -310,15 +310,17 @@ def test_pipeline_never_anomalous_on_catalog():
 
 def test_pipeline_max_work_bounds_cyclic_and_oddness():
     # one budget: each search the pipeline runs gets max_work units
-    g = petersen()
-    assert five_flow_oddness4(g, max_work=300).cyclic["status"] == "checked"
-    # the cyclic step takes 36 units (nine edge-connectivity flows) and
-    # the oddness search 12
-    cert = five_flow_oddness4(g, max_work=20)
+    g = flower_snark(5)
+    assert five_flow_oddness4(g, max_work=400).cyclic["status"] == "checked"
+    # the cyclic step takes 320 units (65 pairs of closed neighbourhoods
+    # and 15 nodes of the group search) and the oddness search 165.
+    # Petersen's cyclic step takes none: no two of its closed
+    # neighbourhoods are disjoint
+    cert = five_flow_oddness4(g, max_work=200)
     assert cert.cyclic == {"status": "budget_exceeded"}
     assert cert.outcome == "flow_found"
     with pytest.raises(BudgetExceededError, match="oddness"):
-        five_flow_oddness4(g, max_work=10)
+        five_flow_oddness4(g, max_work=100)
 
 
 def test_pipeline_rejects_non_cubic():

@@ -13,6 +13,7 @@ from helpers import (
     on_fresh_thread,
     random_cubic_multigraph,
     reference_cyclic_connectivity,
+    reference_neighbourhood_cut,
     recursion_headroom,
     recursive_enumerate_two_factors,
     recursive_oddness,
@@ -607,7 +608,8 @@ def test_neighbourhood_lemma_holds_on_every_bipartition(corpus):
     # below the girth holds a closed neighbourhood N[u]; (b) every cut of
     # fewer than 6 edges with an N[u] on each side separates two cycles.
     # So the least such cut, when below the girth, is the cyclic
-    # connectivity, and the value step computes it
+    # connectivity, and the value step computes it and names a minimum
+    # cycle-separating cut as its side
     graphs = [(name, g) for name, g in _small_cap_graphs(corpus) + _MULTIGRAPHS
               if all(d == 3 for d in g.degrees()) and (girth(g) or 0) >= 3]
     below = separated = 0
@@ -632,7 +634,16 @@ def test_neighbourhood_lemma_holds_on_every_bipartition(corpus):
             assert least == mu, name
         else:
             assert least == (None if 2 * shortest > g.n else shortest), name
-        assert _neighbourhood_cut(g, shortest, Budget(None), _UnitCuts(g)) == mu, name
+        value, side = _neighbourhood_cut(g, shortest, Budget(None), _UnitCuts(g))
+        assert value == mu, name
+        if mu < shortest:
+            # masks[i] is i + 1 and leaves out vertex n - 1
+            mask = sum(1 << v for v in side)
+            if mask >> (g.n - 1) & 1:
+                mask ^= (1 << g.n) - 1
+            assert both[mask - 1] and cut[mask - 1] == least, name
+        else:
+            assert side is None, name
     assert below >= 10 and separated >= 1_000
 
 
@@ -741,18 +752,32 @@ def test_unit_cuts_match_dinic_reference_on_every_pair(name, g):
         assert cuts.min_cut(a, b, value) == (value, None), (a, b)
 
 
+def _value_step_names_the_witness(g, value):
+    """Whether ``cyclic_connectivity`` names the closed-neighbourhood cut of
+    its value step: on a cubic graph of girth 3 to 6, below the girth."""
+    shortest = girth(g)
+    return (value is not None and shortest is not None and 3 <= shortest <= 6
+            and value < shortest and all(d == 3 for d in g.degrees()))
+
+
 @pytest.mark.parametrize("name,g", _REFERENCE_GRAPHS, ids=[n for n, _ in _REFERENCE_GRAPHS])
 def test_cyclic_witness_is_first_reference_minimum(name, g):
     res = cyclic_connectivity(g)
     # every graph here settles in the first sweep, capped from the girth
     assert res.value <= girth(g)
-    cycles = _chordless_cycles(g, reference_length_bound(g.n, girth(g) - 1), Budget(None))
-    best = None
-    for a, b in _disjoint_pairs(cycles):
-        value, side = dinic_min_cut_between(g, a, b)
-        if best is None or value < best[0]:
-            best = (value, side)
-    value, side = best
+    if _value_step_names_the_witness(g, res.value):
+        # the first pair of closed neighbourhoods that reaches the minimum
+        value, side = reference_neighbourhood_cut(g)
+    else:
+        cycles = _chordless_cycles(
+            g, reference_length_bound(g.n, girth(g) - 1), Budget(None)
+        )
+        best = None
+        for a, b in _disjoint_pairs(cycles):
+            value, side = dinic_min_cut_between(g, a, b)
+            if best is None or value < best[0]:
+                best = (value, side)
+        value, side = best
     assert res.value == value
     assert res.witness.side == tuple(sorted(side))
     assert res.witness.edges == frozenset(
@@ -776,10 +801,15 @@ _SWEEP_GRAPHS += [
 
 def _assert_matches_reference_sweep(name, g):
     # each k verdict follows from the reference value, and a failing check
-    # names the minimum witness of cyclic_connectivity
+    # names the minimum witness of cyclic_connectivity: the reference
+    # sweep's, or below the girth of a cubic graph of girth 3 to 6 the side
+    # of the first pair of closed neighbourhoods that reaches the minimum
     res = cyclic_connectivity(g)
     value, side = reference_cyclic_connectivity(g)
     assert (res.value, res.vacuous) == (value, value is None), name
+    if _value_step_names_the_witness(g, value):
+        mu, side = reference_neighbourhood_cut(g)
+        assert mu == value, name
     if value is None:
         assert res.witness is None, name
     else:
@@ -794,7 +824,7 @@ def _assert_matches_reference_sweep(name, g):
 def test_cyclic_sweep_matches_the_earlier_length_cap(name, g):
     # the caps keep a subsequence of the earlier pairs, and on these graphs
     # the first pair reaching the minimum survives, so values, verdicts and
-    # witnesses are unchanged
+    # the sweep's witnesses are unchanged
     _assert_matches_reference_sweep(name, g)
 
 
@@ -849,26 +879,32 @@ def test_k_check_above_the_value_costs_what_the_value_does():
 @pytest.mark.parametrize(
     "make,units,value",
     [
-        (lambda: flower_snark(5), 396, 5),
+        (lambda: flower_snark(5), 320, 5),
         (oddness4_snark, 144, 3),
+        (lambda: _truncation(petersen()), 116, 3),
         (k4, 0, None),
         (k33, 0, None),
     ],
-    ids=["flower-5", "oddness4", "k4", "k33"],
+    ids=["flower-5", "oddness4", "truncated-petersen", "k4", "k33"],
 )
 def test_cyclic_work_units_are_pinned(make, units, value):
     # 4 units per flow of the edge-connectivity check, per disjoint pair of
     # closed neighbourhoods and per node of the automorphism search.  Under
     # the earlier length cap J5 took 2,695 and the oddness-4 snark 43,127;
     # the cycle-pair sweep with side caps and orbits took 1,338 and 3,089.
-    # Now J5 runs 19 flows to find its edge-connectivity 3, tries 60 pairs
-    # (3 per vertex), searches its group in 15 nodes and tries 5 more
-    # pairs from orbit-first vertices: 4 * (19 + 65 + 15) = 396.  The
-    # snark's 35 flows find its edge-connectivity 3, which its first pair
-    # attains: 4 * 36 = 144.  K4 and K3,3 have fewer than 8 vertices, so no
-    # two closed neighbourhoods are disjoint and the girth lemma decides
-    # them with no work (12 and 36 with a second enumeration with no cap,
-    # then 6 and 18 with one enumeration)
+    # Now J5 tries 60 pairs (3 per vertex), searches its group in 15 nodes
+    # and tries 5 more pairs from orbit-first vertices: 4 * (65 + 15) = 320.
+    # No cut of J5 between closed neighbourhoods is at most 3, its minimum
+    # degree, so it runs none of the 19 flows that found its
+    # edge-connectivity 3 while they came first (396).  The snark's first
+    # pair gives a 3-edge cut, and then 35 flows find its edge-connectivity
+    # 3: 4 * 36 = 144.  The truncated Petersen graph has girth 3, the
+    # starting bound, which is its minimum degree, so its 29 flows come
+    # first and find its edge-connectivity 3: no pair is tried, 4 * 29 =
+    # 116.  K4 and K3,3 have fewer than 8 vertices, so no two closed
+    # neighbourhoods are disjoint and the girth lemma decides them with no
+    # work (12 and 36 with a second enumeration with no cap, then 6 and 18
+    # with one enumeration)
     g = make()
     assert cyclic_connectivity(g, max_work=units).value == value
     if units:
@@ -878,15 +914,19 @@ def test_cyclic_work_units_are_pinned(make, units, value):
 
 def test_cyclic_witness_charges_the_call_budget():
     # the witness is named on first read, under the budget of the call:
-    # the oddness-4 snark's value costs 144 units and its witness, the
-    # cycle-pair sweep down to the known value, 2,949 more
-    g = oddness4_snark()
-    res = cyclic_connectivity(g, max_work=3_093)
+    # J5's value costs 320 units and its witness, the cut around its first
+    # 5-cycle, 150 more to enumerate the chordless cycles of at most 5
+    # vertices.  The oddness-4 snark's witness, below its girth, is the
+    # value step's cut and costs nothing more
+    g = flower_snark(5)
+    res = cyclic_connectivity(g, max_work=470)
     assert res.witness == cyclic_connectivity(g).witness
-    short = cyclic_connectivity(g, max_work=3_092)
-    assert short.value == 3
+    short = cyclic_connectivity(g, max_work=469)
+    assert short.value == 5
     with pytest.raises(BudgetExceededError):
         short.witness
+    snark = cyclic_connectivity(oddness4_snark(), max_work=144)
+    assert len(snark.witness.edges) == snark.value == 3
 
 
 @pytest.fixture
@@ -921,6 +961,7 @@ _ONE_SWEEP_GRAPHS = [
     ("k5", MultiGraph(5, combinations(range(5), 2)), None, True),
     ("theta", MultiGraph(2, [(0, 1)] * 3), None, True),
     ("2k33", _disjoint_union(k33(), k33()), 0, False),
+    ("petersen", petersen(), 5, False),
 ]
 
 
@@ -931,22 +972,56 @@ def test_every_cyclic_call_sweeps_once(sweeps, name, g, value, swept):
     # at most one enumeration and one sweep per call, also where no
     # disjoint pair is within the caps: the girth lemma decides vacuity
     # without a second sweep with no cap.  A cubic graph of girth 3 to 6
-    # (K4, K3,3 and 2K3,3) is decided by closed neighbourhoods and sweeps
-    # only to name a witness: when the result's witness is first read, or
-    # when is_cyclically_k_connected finds a cut below k
+    # (K4, K3,3, 2K3,3 and Petersen) is decided by closed neighbourhoods
+    # and never sweeps cycle pairs: below the girth the value step's cut
+    # is the witness, and at the girth (Petersen) naming the witness, on
+    # its first read or when is_cyclically_k_connected fails, enumerates
+    # the chordless cycles of at most girth vertices, once
     once = ["_cycle_cut", "_chordless_cycles"]
+    at_girth = [("_chordless_cycles", girth(g))] if value == girth(g) else []
     res = cyclic_connectivity(g)
     assert (res.value, res.vacuous) == (value, value is None), name
     assert [call for call, _ in sweeps] == (once if swept else [])
     sweeps.clear()
     for _ in range(2):
         assert (res.witness is None) == (value is None), name
-    named = swept or value is not None
-    assert [call for call, _ in sweeps] == (once if named and not swept else [])
+    assert sweeps == at_girth
     for k in (1, 3, 6):
         sweeps.clear()
         chk = is_cyclically_k_connected(g, k)
         assert chk.connected == (value is None or value >= k), (name, k)
-        assert [call for call, _ in sweeps] == (
-            once if swept or not chk.connected else []
-        ), (name, k)
+        if swept:
+            assert [call for call, _ in sweeps] == once, (name, k)
+        else:
+            assert sweeps == ([] if chk.connected else at_girth), (name, k)
+
+
+def test_girth_three_to_six_never_sweeps_cycle_pairs(sweeps, corpus):
+    # the value, its witness and every k-check of a cubic graph of girth 3
+    # to 6 enumerate at most the chordless cycles of girth length
+    graphs = list(corpus) + [
+        (name, g) for name, g in _SWEEP_GRAPHS
+        if 3 <= girth(g) <= 6 and all(d == 3 for d in g.degrees())
+    ]
+    for name, g in graphs:
+        sweeps.clear()
+        cyclic_connectivity(g).witness
+        for k in range(1, 8):
+            is_cyclically_k_connected(g, k).witness
+        assert set(sweeps) <= {("_chordless_cycles", girth(g))}, name
+
+
+@pytest.mark.parametrize("name,units", [("mcgee", 356), ("tutte-coxeter", 444)])
+def test_cage_k_checks_up_to_six_use_closed_neighbourhoods(sweeps, name, units):
+    # lemma parts (a) and (b) need only cuts below min(g, 6), so a k-check
+    # with k <= 6 on a cubic graph of girth g >= 7 is decided by closed
+    # neighbourhoods and enumerates no cycle; the value and k = 7 still
+    # sweep cycle pairs
+    g = dict(_SWEEP_GRAPHS)[name]
+    for k in range(1, 7):
+        assert is_cyclically_k_connected(g, k, max_work=units).connected, (name, k)
+    with pytest.raises(BudgetExceededError):
+        is_cyclically_k_connected(g, 6, max_work=units - 1)
+    assert sweeps == []
+    assert is_cyclically_k_connected(g, 7).connected
+    assert [call for call, _ in sweeps] == ["_cycle_cut", "_chordless_cycles"]
