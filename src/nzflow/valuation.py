@@ -248,29 +248,121 @@ def _prescribed_out_degrees(g: MultiGraph, val: Valuation, k: int) -> list[int]:
 
 
 def _initial_orientation(g: MultiGraph, out_deg: list[int]) -> list[int] | None:
-    """Some orientation with the prescribed out-degrees, via max-flow.
+    """Some orientation with the prescribed out-degrees: the tail per edge,
+    or None.
 
-    Nodes: one per edge (supplying its single unit) and one per vertex
-    (capped by its out-degree).  Edge ``eid`` owns network arcs ``6*eid``
-    (from the source), ``6*eid + 2`` (to its first end) and ``6*eid + 4``.
-    Returns the tail per edge, or None.
+    It is the orientation that :meth:`MaxFlow.max_flow` finds on the network
+    s -> edge -> end -> t, run here on the graph's own arrays.  That network
+    adds, edge by edge, the arcs s -> e, e -> u and e -> v of unit capacity
+    (``(u, v) = g.edges[e]``), then one arc x -> t of capacity
+    ``out_deg[x]`` per vertex.  A unit on e -> x makes x the tail of e, and
+    the spare of x is its capacity to t left unused.
+
+    Phase 1: every edge is at level 1 and every vertex at level 2, so the
+    depth-first search takes the edges in id order and sends each to its
+    first end u if u has spare, else to v if v has spare, else leaves it
+    free.  A vertex without spare is a dead end for the rest of the phase.
+    That greedy pass is the whole of phase 1, and no other phase runs when
+    it leaves no edge free.
+
+    Later phases: residual arcs run from s to the free edges, from an edge
+    to each end that is not its tail, from a vertex to the edges it is the
+    tail of, and from a vertex with spare to t.  Levels are odd on edges
+    and even on vertices.  :meth:`MaxFlow._bfs_levels` stops once it labels
+    t; as its docstring argues, that leaves out only dead ends, so the flow
+    depends only on the exact levels of the nodes nearer than t, and those
+    are the nodes labelled below.  Of them only the vertices on the last
+    level can have spare, since t would be nearer otherwise.  A vertex
+    there goes straight to t when it has spare: the edges it could enter
+    first are dead ends.  Current-arc pointers follow the network's arc
+    order: an edge tries u before v, and a vertex tries its incident edges
+    in id order (``g.incident``) before its arc to t.  Every arc on a path
+    from s carries one unit, so an augmenting path s, e1, x1, ..., ek, xk, t
+    sets ``tail[ej] = xj`` and uses one unit of spare at xk.
     """
     m = g.m
     if sum(out_deg) != m:
         return None
-    net = MaxFlow(m + g.n + 2)
-    s = m + g.n
-    t = s + 1
-    arcs = []
-    for eid, (u, v) in enumerate(g.edges):
-        arcs += ((s, eid, 1), (eid, m + u, 1), (eid, m + v, 1))
-    arcs += ((m + v, t, d) for v, d in enumerate(out_deg))
-    net.add_edges(arcs)
-    if net.max_flow(s, t) != m:
-        return None
-    return [
-        u if net.flow_on(6 * eid + 2) else v for eid, (u, v) in enumerate(g.edges)
-    ]
+    edges = g.edges
+    spare = list(out_deg)
+    tail = [-1] * m
+    free = []
+    for e, (u, v) in enumerate(edges):
+        if spare[u] > 0:
+            tail[e] = u
+            spare[u] -= 1
+        elif spare[v] > 0:
+            tail[e] = v
+            spare[v] -= 1
+        else:
+            free.append(e)
+    while free:
+        elev = [0] * m  # 0: unlabelled
+        vlev = [0] * g.n
+        for e in free:
+            elev[e] = 1
+        front, lev = free, 1
+        while True:
+            lev += 1
+            verts = []
+            for e in front:
+                for x in edges[e]:
+                    if x != tail[e] and not vlev[x]:
+                        vlev[x] = lev
+                        verts.append(x)
+            if not verts:
+                return None
+            if any(spare[x] > 0 for x in verts):
+                break
+            lev += 1
+            front = []
+            for x in verts:
+                for e, _ in g.incident(x):
+                    if tail[e] == x and not elev[e]:
+                        elev[e] = lev
+                        front.append(e)
+            if not front:
+                return None
+        # lev is now the level of the vertices next to t
+        ptr_e = [0] * m  # next end to try; 2: none left
+        ptr_v = [0] * g.n  # next incident edge to try
+        for root in free:
+            path = [root]  # edge, vertex, edge, vertex, ...
+            while path:
+                node = path[-1]
+                if len(path) & 1:
+                    ends, want, i = edges[node], elev[node] + 1, ptr_e[node]
+                    while i < 2 and (ends[i] == tail[node] or vlev[ends[i]] != want):
+                        i += 1
+                    ptr_e[node] = i
+                    if i < 2:
+                        path.append(ends[i])
+                        continue
+                elif vlev[node] == lev:
+                    if spare[node] > 0:
+                        spare[node] -= 1
+                        for j in range(0, len(path), 2):
+                            tail[path[j]] = path[j + 1]
+                        break
+                else:
+                    inc, want, i = g.incident(node), vlev[node] + 1, ptr_v[node]
+                    while i < len(inc) and (
+                        tail[inc[i][0]] != node or elev[inc[i][0]] != want
+                    ):
+                        i += 1
+                    ptr_v[node] = i
+                    if i < len(inc):
+                        path.append(inc[i][0])
+                        continue
+                # dead end: retreat and skip the arc that led here
+                path.pop()
+                if path:
+                    if len(path) & 1:
+                        ptr_e[path[-1]] += 1
+                    else:
+                        ptr_v[path[-1]] += 1
+        free = [e for e in free if tail[e] < 0]
+    return tail
 
 
 def valuation_to_flow(g: MultiGraph, val: Valuation, k: int) -> Flow:
@@ -299,7 +391,8 @@ def valuation_to_flow(g: MultiGraph, val: Valuation, k: int) -> Flow:
     values = None
     if tails is not None:
         values = feasible_circulation(
-            g.n, [(t, g.other_end(eid, t), 1, k - 1) for eid, t in enumerate(tails)]
+            g.n,
+            [(t, v if t == u else u, 1, k - 1) for t, (u, v) in zip(tails, g.edges)],
         )
     if values is None:
         report = check_balanced_mincut(g, val)

@@ -7,10 +7,11 @@ a Dinic network, and the balance oracle recomputes margins from scratch with
 Fractions.  Automorphism orbits come from every automorphism networkx's VF2++
 enumerates.  The package's earlier implementations stay here as references
 for the ones that replaced them: VF2 isomorphism through networkx (replaced
-by ``catalog.canonical_form``), the recursive Dinic, the balance check with
-one network per sign, the graph6 decoder that expands every bit and the
-encoder that fills an adjacency matrix, the recursive flow solver, oddness
-search and 2-factor enumeration, the 2-factor, colour-{1,2}, augmented-graph and
+by ``catalog.canonical_form``), the recursive Dinic and the orientation
+network it solves, the balance check with one network per sign, the graph6
+decoder that expands every bit and the encoder that fills an adjacency
+matrix, the recursive flow solver, oddness search and 2-factor enumeration,
+the 2-factor, colour-{1,2}, augmented-graph and
 4-flow constructions that re-trace every circuit with ``trace_circuit``,
 the partition variants that rebuild and re-partition each switched or
 reversed flow, and the cyclic-connectivity sweep under its earlier length
@@ -522,6 +523,30 @@ class RecursiveMaxFlow:
                     seen.add(w)
                     q.append(w)
         return seen
+
+
+def network_orientation(g: MultiGraph, out_deg) -> list[int] | None:
+    """Tails of the orientation with out-degrees ``out_deg`` that
+    :class:`RecursiveMaxFlow` finds on the network s -> edge -> end -> t,
+    or None.  Arcs are added edge by edge (s -> e, e -> u, e -> v, unit
+    capacities), then one arc x -> t of capacity ``out_deg[x]`` per vertex."""
+    m = g.m
+    if sum(out_deg) != m:
+        return None
+    net = RecursiveMaxFlow(m + g.n + 2)
+    s, t = m + g.n, m + g.n + 1
+    first_end = []
+    for eid, (u, v) in enumerate(g.edges):
+        net.add_edge(s, eid, 1)
+        first_end.append(net.add_edge(eid, m + u, 1))
+        net.add_edge(eid, m + v, 1)
+    for v, d in enumerate(out_deg):
+        net.add_edge(m + v, t, d)
+    if net.max_flow(s, t) != m:
+        return None
+    return [
+        u if net.flow_on(a) else v for a, (u, v) in zip(first_end, g.edges)
+    ]
 
 
 def two_network_check_balanced_mincut(

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import RecursiveMaxFlow
+from helpers import RecursiveMaxFlow, network_orientation
 
 import nzflow.maxflow
 import nzflow.valuation
@@ -68,15 +68,19 @@ class _Checked(MaxFlow):
 def test_iterative_dinic_matches_recursive_on_realization_networks(
     corpus, monkeypatch
 ):
-    # every _initial_orientation and feasible_circulation network of the
-    # corpus's 5-flow valuations
+    # the corpus's 5-flow valuations: each realization builds one network,
+    # the circulation's, and replays it in the reference; the orientation
+    # runs Dinic on the graph's arrays and must give the tails that the
+    # reference finds on the network s -> edge -> end -> t
     monkeypatch.setattr(nzflow.valuation, "MaxFlow", _Checked)
     monkeypatch.setattr(nzflow.maxflow, "MaxFlow", _Checked)
     _Checked.solved = 0
     for name, g in corpus:
         val = flow_to_valuation(g, solve_nowhere_zero_flow(g, 5), 5)
-        valuation_to_flow(g, val, 5)
-    assert _Checked.solved == 2 * len(corpus)
+        out_deg = nzflow.valuation._prescribed_out_degrees(g, val, 5)
+        flow = valuation_to_flow(g, val, 5)
+        assert list(flow.tails) == network_orientation(g, out_deg), name
+    assert _Checked.solved == len(corpus)
 
 
 def test_feasible_circulation_values_follow_the_arc_order():

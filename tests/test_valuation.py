@@ -7,6 +7,8 @@ from helpers import (
     brute_is_balanced,
     brute_max_margins,
     check_balanced_bruteforce,
+    network_orientation,
+    random_cubic_multigraph,
     two_network_check_balanced_mincut,
 )
 
@@ -31,8 +33,18 @@ from nzflow import (
     valuation_to_flow,
     verify_flow,
 )
-from nzflow.catalog import k4, k33, petersen
+from nzflow.catalog import (
+    _moebius_ladder,
+    generalized_petersen,
+    k4,
+    k33,
+    petersen,
+    prism,
+    random_bridgeless_cubic,
+)
+from nzflow.engine import _partition_variants
 from nzflow.maxflow import MaxFlow
+from nzflow.valuation import _initial_orientation, _prescribed_out_degrees
 from test_coloring import ring_two_factor
 
 
@@ -311,6 +323,44 @@ def test_valuation_round_trip(corpus):
             back = valuation_to_flow(g, val, k)
             assert verify_flow(g, back) == [], (name, k)
             assert flow_to_valuation(g, back, k) == val, (name, k)
+
+
+def five_thirds_out_degrees(g):
+    """Prescribed 5-flow out-degrees of the graph's +-5/3 valuations, one
+    per partition variant of the pipeline."""
+    ag = build_augmented(g, canonical_coloring(g, compute_oddness(g).witness))
+    return [
+        _prescribed_out_degrees(g, to_five_thirds(p), 5)
+        for _tag, p in _partition_variants(ag, canonical_4flow(ag))
+    ]
+
+
+def test_initial_orientation_matches_the_orientation_network(corpus):
+    # the same tails as Dinic on the network s -> edge -> end -> t, or None
+    # exactly when that network has no flow of value m
+    rng = random.Random(21)
+    graphs = [g for _name, g in corpus]
+    for n in (7, 24, 101, 199):
+        graphs += [prism(n), _moebius_ladder(2 * n)]
+        graphs += [generalized_petersen(n, k) for k in (2, 3)]
+    graphs += [random_bridgeless_cubic(n, rng) for n in (20, 40, 60, 100)]
+    cases = [(g, out) for g in graphs for out in five_thirds_out_degrees(g)]
+    for _ in range(150):
+        g = random_cubic_multigraph(rng.choice((4, 6, 10, 20, 40)), rng)
+        out = [0] * g.n
+        for u, v in g.edges:
+            out[rng.choice((u, v))] += 1
+        cases.append((g, out))  # the out-degrees of a random orientation
+        cases.append((g, out[:-1] + [out[-1] + 1]))  # sum m + 1
+        while True:  # degrees 0-3 summing to m, rarely realizable
+            out = [rng.randrange(4) for _ in range(g.n)]
+            if sum(out) == g.m:
+                break
+        cases.append((g, out))
+    found = [_initial_orientation(g, out) for g, out in cases]
+    assert found == [network_orientation(g, out) for g, out in cases]
+    realized = sum(tails is not None for tails in found)
+    assert 0 < realized < len(cases)
 
 
 def test_k33_three_flow_round_trip():
