@@ -40,7 +40,6 @@ from .coloring import (
     Coloring4,
     canonical_coloring,
     cut_color_profile,
-    with_profile,
 )
 from .flows import (
     AddedPair,
@@ -48,7 +47,6 @@ from .flows import (
     Flow,
     build_augmented,
     canonical_4flow,
-    circulation_on_circuit,
     flow_from_json,
     flow_to_json,
     is_nowhere_zero,
@@ -56,7 +54,6 @@ from .flows import (
     mod_to_integer_flow,
     reverse_flow,
     solve_nowhere_zero_flow,
-    sum_flows,
     switch_path,
     verify_flow,
 )
@@ -79,7 +76,6 @@ from .engine import (
     QuadDecomposition,
     bad_cut_certificate,
     five_flow_oddness4,
-    is_bad_cut,
     parity_contradiction_check,
     quad_decompose,
     validate_violator_claims,

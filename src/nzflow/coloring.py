@@ -169,10 +169,3 @@ def cut_color_profile(
     for eid in edge_ids:
         counts[c.colors[eid]] += 1
     return tuple(counts)  # type: ignore[return-value]
-
-
-def with_profile(c: Coloring4, cut: EdgeCut) -> EdgeCut:
-    """Attach the color profile of ``cut`` to it."""
-    return EdgeCut(
-        side=cut.side, edges=cut.edges, color_counts=cut_color_profile(c, cut)
-    )

@@ -72,28 +72,21 @@ class BadCutCertificate:
     edges: frozenset[int]
     color_counts: tuple[int, int, int, int]
     split: tuple[tuple[int, int], tuple[int, int]]
-    partition_tag: str
 
 
 @dataclass(frozen=True)
 class QuadDecomposition:
     """Intersection pattern of the two cut sides.
 
-    ``parts[i]`` contains the i-th missing-2 vertex; ``sides_a`` are the two
-    components after removing ``cut_a`` (first one holds missing2[0]),
-    likewise ``sides_b``.  ``refinement_a[j]`` is ``cut_a`` restricted to the
-    boundary of ``parts[j]`` for j in {0, 1}, likewise ``refinement_b``.
+    ``parts[i]`` contains the i-th missing-2 vertex; ``cross[(i, j)]`` is
+    the set of edges between ``parts[i]`` and ``parts[j]``.
     """
 
     graph: MultiGraph
     cut_a: frozenset[int]
     cut_b: frozenset[int]
     parts: tuple[tuple[int, ...], ...]
-    sides_a: tuple[tuple[int, ...], tuple[int, ...]]
-    sides_b: tuple[tuple[int, ...], tuple[int, ...]]
     cross: dict
-    refinement_a: tuple[frozenset[int], frozenset[int]]
-    refinement_b: tuple[frozenset[int], frozenset[int]]
 
 
 @dataclass(frozen=True)
@@ -146,9 +139,14 @@ class FiveFlowCertificate:
 
 
 def bad_cut_certificate(
-    c: Coloring4, p: FlowPartition, edge_ids, tag: str = "partition"
+    c: Coloring4, p: FlowPartition, edge_ids
 ) -> BadCutCertificate | None:
-    """The certificate when ``edge_ids`` is a bad 6-cut for ``p``, else None."""
+    """The certificate when ``edge_ids`` is a bad 6-cut for ``p``, else None.
+
+    A bad cut meets both conditions: color profile 4+2 on colors 1/2, and
+    the missing-2 vertices split two against two into different components
+    with each separated pair monochromatic in ``p``.
+    """
     g = p.augmented.base
     z = c.missing2
     if len(z) != 4:
@@ -173,15 +171,7 @@ def bad_cut_certificate(
         edges=cut,
         color_counts=profile,
         split=(tuple(pair_a), tuple(pair_b)),  # type: ignore[arg-type]
-        partition_tag=tag,
     )
-
-
-def is_bad_cut(c: Coloring4, p: FlowPartition, edge_ids) -> bool:
-    """Both bad-cut conditions: color profile 4+2 on colors 1/2, and the
-    missing-2 vertices split two against two into different components with
-    each separated pair monochromatic in ``p``."""
-    return bad_cut_certificate(c, p, edge_ids) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +295,8 @@ def quad_decompose(
         for j in range(i + 1, 4):
             cross[(i, j)] = pair_cut(g, parts[i], parts[j])
 
-    def refine(cut: frozenset[int]):
-        b1 = edge_cut(g, parts[0]).edges
-        b2 = edge_cut(g, parts[1]).edges
-        return (cut & b1, cut & b2)
-
     return QuadDecomposition(
-        graph=g,
-        cut_a=cut_a,
-        cut_b=cut_b,
-        parts=parts,
-        sides_a=(tuple(sorted(side_a_near)), tuple(sorted(side_a_far))),
-        sides_b=(tuple(sorted(side_b_near)), tuple(sorted(side_b_far))),
-        cross=cross,
-        refinement_a=refine(cut_a),
-        refinement_b=refine(cut_b),
+        graph=g, cut_a=cut_a, cut_b=cut_b, parts=parts, cross=cross
     )
 
 
@@ -610,9 +587,7 @@ def five_flow_oddness4(
                 )
         except ValueError as exc:
             claim_log.append(ClaimCheck(f"{tag}_violator_valid", False, str(exc)))
-        cert = bad_cut_certificate(
-            coloring, pv, edge_cut(g, subset).edges, tag=tag
-        )
+        cert = bad_cut_certificate(coloring, pv, edge_cut(g, subset).edges)
         bad_certs[tag] = cert
         claim_log.append(
             ClaimCheck(

@@ -1,5 +1,5 @@
-"""Integer flows: verification, arithmetic, the augmented graph and its
-explicit nowhere-zero 4-flow, path switching, and a generic solver.
+"""Integer flows: verification, the augmented graph and its explicit
+nowhere-zero 4-flow, path switching, and a generic solver.
 
 A flow is stored with a canonical orientation and nonnegative values below
 its modulus; negating a value means reversing the edge.  Zero-valued edges
@@ -25,9 +25,6 @@ class Flow:
     tails: tuple[int, ...]
     values: tuple[int, ...]
     modulus: int
-
-    def head(self, eid: int) -> int:
-        return self.graph.other_end(eid, self.tails[eid])
 
     def signed_value(self, eid: int) -> int:
         """Value relative to the natural orientation (first endpoint out)."""
@@ -96,42 +93,10 @@ def is_nowhere_zero(f: Flow) -> bool:
     return all(v != 0 for v in f.values)
 
 
-def sum_flows(f1: Flow, f2: Flow) -> Flow:
-    """Sum two flows on the same graph and modulus.
-
-    Values are reconciled to the natural orientation, added, and the result
-    is re-canonicalized.  A total reaching the modulus in absolute value
-    means the summands do not combine into a flow of this modulus; the
-    caller must use a larger one.
-    """
-    if f1.graph is not f2.graph and f1.graph.edges != f2.graph.edges:
-        raise ValueError("flows live on different graphs")
-    if f1.modulus != f2.modulus:
-        raise ValueError("flows have different moduli")
-    g = f1.graph
-    signed = [f1.signed_value(e) + f2.signed_value(e) for e in range(g.m)]
-    bad = [e for e, s in enumerate(signed) if abs(s) >= f1.modulus]
-    if bad:
-        raise ValueError(
-            f"sum leaves value range on edges {bad}; use a larger modulus"
-        )
-    return make_flow(g, signed, f1.modulus)
-
-
 def reverse_flow(f: Flow) -> Flow:
     """The flow with every edge orientation reversed."""
     g = f.graph
     return make_flow(g, [-f.signed_value(e) for e in range(g.m)], f.modulus)
-
-
-def circulation_on_circuit(
-    g: MultiGraph, edge_ids, value: int, modulus: int, *, flip: bool = False
-) -> Flow:
-    """Constant circulation around one circuit, zero elsewhere."""
-    _, eids, tails = trace_circuit(g, edge_ids)
-    signed = [0] * g.m
-    _signed_add(signed, g, eids, tails, -value if flip else value)
-    return make_flow(g, signed, modulus)
 
 
 def _signed_add(signed, g: MultiGraph, eids, tails, value: int) -> None:

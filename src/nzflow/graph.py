@@ -111,13 +111,11 @@ class EdgeCut:
     """The set of edges leaving a vertex subset.
 
     ``side`` is the defining subset in ascending order, ``edges`` the ids of
-    edges with exactly one endpoint inside it.  ``color_counts`` is filled in
-    when a 4-edge-coloring has been attached (counts for colors 0..3).
+    edges with exactly one endpoint inside it.
     """
 
     side: tuple[int, ...]
     edges: frozenset[int]
-    color_counts: tuple[int, int, int, int] | None = None
 
 
 def edge_cut(g: MultiGraph, vertices) -> EdgeCut:

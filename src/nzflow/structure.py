@@ -506,7 +506,9 @@ class CyclicConnectivity:
     shortest cycle of a cubic graph of girth 3 to 6, naming it enumerates
     those cycles under the budget of the call that made the result, so
     that read can raise :class:`BudgetExceededError`.  Two results are
-    equal when their values, verdicts and witnesses are.
+    equal when their values, verdicts and witnesses are, so ``==`` on two
+    distinct results names both witnesses.  A result equals itself, and
+    the hash reads only the value and the verdict.
     """
 
     value: int | None
@@ -523,10 +525,10 @@ class CyclicConnectivity:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclicConnectivity):
             return NotImplemented
-        return self._key() == other._key()
+        return self is other or self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.value, self.vacuous))
 
 
 _VACUOUS = CyclicConnectivity(None, True, lambda: None)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from concurrent.futures import Future
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -324,6 +325,49 @@ def test_no_package_function_calls_itself():
     # the guard sees the recursive references the searches replaced
     names = {name for name, _ in _self_calls(tests / "helpers.py")}
     assert {"_extend", "rec"} <= names
+
+
+def _referenced_names(path):
+    """Identifiers that the code of ``path`` reads, as a bare name or as an
+    attribute; definitions and imports do not count."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+# exports that no package code or demo reads, each with why it stays
+_EXPORTS_WITHOUT_CALLER = {
+    # the switching-lemma oracle: tests/helpers.py builds the reference
+    # partitions of the reversed 4-flow with it
+    "reverse_flow",
+    # the documented entry point of the frontier DP that compute_oddness
+    # runs through its private steps
+    "three_edge_colourable",
+}
+
+
+def test_every_export_has_a_caller():
+    # an export that only its own tests read is code the package does not need
+    root = Path(__file__).resolve().parent.parent
+    sources = [
+        p for p in sorted((root / "src" / "nzflow").glob("*.py"))
+        if p.name != "__init__.py"
+    ]
+    sources += sorted((root / "demos").glob("*.py"))
+    assert len(sources) >= 16
+    read = set().union(*map(_referenced_names, sources))
+    exports = {
+        name for name in nzflow.__all__
+        if not isinstance(getattr(nzflow, name), types.ModuleType)
+    }
+    assert _EXPORTS_WITHOUT_CALLER <= exports
+    assert sorted(exports - read - _EXPORTS_WITHOUT_CALLER) == []
+    # an exemption that gains a caller is dropped from the list
+    assert _EXPORTS_WITHOUT_CALLER.isdisjoint(read)
 
 
 def test_rejected_canonical_4flow_is_an_internal_error(capsys, monkeypatch, petersen_file):

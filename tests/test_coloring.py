@@ -151,17 +151,6 @@ def test_cut_color_profile():
     assert sum(full) == g.m
 
 
-def test_with_profile_attaches_counts():
-    from nzflow import with_profile
-
-    g = petersen()
-    c = canonical_coloring(g, compute_oddness(g).witness)
-    cut = with_profile(c, edge_cut(g, range(5)))
-    assert cut.color_counts is not None
-    assert sum(cut.color_counts) == len(cut.edges) == 5
-    assert cut.color_counts == cut_color_profile(c, cut)
-
-
 def test_inconsistent_two_factor_rejected():
     g = petersen()
     tf = compute_oddness(g).witness

@@ -15,7 +15,6 @@ from nzflow import (
     canonical_4flow,
     edge_cut,
     five_flow_oddness4,
-    is_bad_cut,
     is_nowhere_zero,
     parity_contradiction_check,
     quad_decompose,
@@ -81,12 +80,11 @@ def test_violator_cut_is_bad_on_the_snark():
     g, c, ag, parts = snark_setting()
     from nzflow import check_balanced_mincut
 
-    for tag, p in parts.items():
+    for p in parts.values():
         rep = check_balanced_mincut(g, to_five_thirds(p))
         assert not rep.balanced
         cut = edge_cut(g, rep.violator)
-        assert is_bad_cut(c, p, cut.edges)
-        cert = bad_cut_certificate(c, p, cut.edges, tag=tag)
+        cert = bad_cut_certificate(c, p, cut.edges)
         assert cert.color_counts[1] == 4 and cert.color_counts[2] == 2
         assert len(cert.edges) == 6
         # the separated pair is monochromatic
@@ -104,8 +102,8 @@ def test_bad_cut_rejects_wrong_profile_and_wrong_partition():
     rep = check_balanced_mincut(g, to_five_thirds(primary))
     cut = edge_cut(g, rep.violator).edges
     # same cut, other partition: the separated pair is no longer monochromatic
-    assert is_bad_cut(c, primary, cut)
-    assert not is_bad_cut(c, switched, cut)
+    assert bad_cut_certificate(c, primary, cut) is not None
+    assert bad_cut_certificate(c, switched, cut) is None
     # a 6-cut with the wrong color profile is rejected
     for combo in combinations(range(g.n), 4):
         ec = edge_cut(g, combo)
@@ -115,10 +113,10 @@ def test_bad_cut_rejects_wrong_profile_and_wrong_partition():
 
         prof = cut_color_profile(c, ec)
         if prof[1] != 4 or prof[2] != 2:
-            assert not is_bad_cut(c, primary, ec.edges)
+            assert bad_cut_certificate(c, primary, ec.edges) is None
             break
     # wrong size is rejected outright
-    assert not is_bad_cut(c, primary, frozenset(list(cut)[:5]))
+    assert bad_cut_certificate(c, primary, frozenset(list(cut)[:5])) is None
 
 
 def test_bad_cut_requires_four_missing2():
@@ -130,7 +128,7 @@ def test_bad_cut_requires_four_missing2():
     ag = build_augmented(g, c)
     _tag, p = _partition_variants(ag, canonical_4flow(ag))[0]
     with pytest.raises(ValueError, match="four"):
-        is_bad_cut(c, p, frozenset(range(6)))
+        bad_cut_certificate(c, p, frozenset(range(6)))
 
 
 def test_separating_the_first_path_ends_is_never_bad():
@@ -147,7 +145,7 @@ def test_separating_the_first_path_ends_is_never_bad():
                 if len(ec.edges) != 6:
                     continue
                 for _tag, p in parts.items():
-                    assert not is_bad_cut(c, p, ec.edges)
+                    assert bad_cut_certificate(c, p, ec.edges) is None
                 checked += 1
     assert checked > 0
 
@@ -207,18 +205,13 @@ def test_quad_decomposition_invariants():
     cuts = {}
     for tag, p in parts.items():
         rep = check_balanced_mincut(g, to_five_thirds(p))
-        cuts[tag] = bad_cut_certificate(c, p, edge_cut(g, rep.violator).edges, tag)
+        cuts[tag] = bad_cut_certificate(c, p, edge_cut(g, rep.violator).edges)
     qd = quad_decompose(g, cuts["primary"].edges, cuts["switched"].edges, c.missing2)
     # the four parts partition the vertex set
     combined = sorted(v for part in qd.parts for v in part)
     assert combined == list(range(g.n))
     for i in range(4):
         assert c.missing2[i] in qd.parts[i]
-    # refinements live inside their cuts and inside the part boundaries
-    for j, part in enumerate(qd.parts[:2]):
-        boundary = edge_cut(g, part).edges
-        assert qd.refinement_a[j] == qd.cut_a & boundary
-        assert qd.refinement_b[j] == qd.cut_b & boundary
     # cross cuts are pairwise disjoint pieces of the two bad cuts
     union = set()
     for key, ediff in qd.cross.items():
@@ -243,7 +236,7 @@ def test_parity_report_reproduces_counts():
     cuts = {}
     for tag, p in parts.items():
         rep = check_balanced_mincut(g, to_five_thirds(p))
-        cuts[tag] = bad_cut_certificate(c, p, edge_cut(g, rep.violator).edges, tag)
+        cuts[tag] = bad_cut_certificate(c, p, edge_cut(g, rep.violator).edges)
     qd = quad_decompose(g, cuts["primary"].edges, cuts["switched"].edges, c.missing2)
     report = parity_contradiction_check(qd, c)
     by_name = {ch.name: ch for ch in report.checks}

@@ -19,7 +19,6 @@ from nzflow import (
     build_augmented,
     canonical_coloring,
     canonical_4flow,
-    circulation_on_circuit,
     compute_oddness,
     enumerate_two_factors,
     flow_from_json,
@@ -29,7 +28,6 @@ from nzflow import (
     mod_to_integer_flow,
     reverse_flow,
     solve_nowhere_zero_flow,
-    sum_flows,
     switch_path,
     verify_flow,
 )
@@ -47,24 +45,26 @@ from test_coloring import ring_two_factor
 from test_structure import _PARALLEL_4
 
 
-def square_circuit_edges(g):
-    return [
-        e
-        for e, (u, v) in enumerate(g.edges)
-        if {u, v} not in ({0, 3}, {1, 2})
-    ]
+def square_flow(g):
+    """Value 2 around K4's square 0-1-3-2-0, signed on the natural
+    orientation of its edges (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)."""
+    assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    return make_flow(g, [2, -2, 0, 0, 2, -2], 4)
 
 
 def test_verify_circuit_flow_value_two():
     g = k4()
-    f = circulation_on_circuit(g, square_circuit_edges(g), 2, 4)
+    f = square_flow(g)
     assert verify_flow(g, f) == []
+    # negative values reverse their edges: 2 -> 0 and 3 -> 2
+    assert f.tails == (0, 2, 0, 1, 1, 3)
+    assert f.values == (2, 2, 0, 0, 2, 2)
 
 
 def test_verify_reports_both_endpoints_of_a_reversed_edge():
     g = k4()
-    f = circulation_on_circuit(g, square_circuit_edges(g), 2, 4)
-    eid = square_circuit_edges(g)[0]
+    f = square_flow(g)
+    eid = 0
     tails = list(f.tails)
     tails[eid] = g.other_end(eid, tails[eid])
     broken = Flow(graph=g, tails=tuple(tails), values=f.values, modulus=4)
@@ -84,54 +84,6 @@ def test_verify_domain_mismatch():
     f = make_flow(k4(), [0] * 6, 4)
     with pytest.raises(ValueError):
         verify_flow(petersen(), f)
-
-
-def test_sum_with_zero_flow_is_identity():
-    g = k4()
-    f = circulation_on_circuit(g, square_circuit_edges(g), 2, 4)
-    zero = make_flow(g, [0] * g.m, 4)
-    assert sum_flows(f, zero) == f
-
-
-def test_sum_disjoint_circuits_is_union():
-    g = MultiGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    a = circulation_on_circuit(g, [0, 1, 2], 1, 4)
-    b = circulation_on_circuit(g, [3, 4, 5], 2, 4)
-    s = sum_flows(a, b)
-    assert verify_flow(g, s) == []
-    assert sorted(s.values) == [1, 1, 1, 2, 2, 2]
-
-
-def test_sum_overlapping_circuits_same_direction():
-    g = k4()
-    # triangle 0-1-2 and triangle 0-1-3 share edge (0,1), same direction
-    tri_a = [e for e, (u, v) in enumerate(g.edges) if {u, v} <= {0, 1, 2}]
-    tri_b = [e for e, (u, v) in enumerate(g.edges) if {u, v} <= {0, 1, 3}]
-    fa = circulation_on_circuit(g, tri_a, 2, 4)
-    fb = circulation_on_circuit(g, tri_b, 1, 4)
-    s = sum_flows(fa, fb)
-    assert verify_flow(g, s) == []
-    shared = next(e for e, (u, v) in enumerate(g.edges) if {u, v} == {0, 1})
-    assert s.values[shared] == 3
-
-
-def test_sum_out_of_range_rejected():
-    g = k4()
-    f = circulation_on_circuit(g, square_circuit_edges(g), 2, 4)
-    with pytest.raises(ValueError, match="larger modulus"):
-        sum_flows(f, f)
-
-
-def test_sum_commutes_and_associates():
-    g = k4()
-    tri_a = [e for e, (u, v) in enumerate(g.edges) if {u, v} <= {0, 1, 2}]
-    tri_b = [e for e, (u, v) in enumerate(g.edges) if {u, v} <= {0, 1, 3}]
-    tri_c = [e for e, (u, v) in enumerate(g.edges) if {u, v} <= {0, 2, 3}]
-    fa = circulation_on_circuit(g, tri_a, 2, 9)
-    fb = circulation_on_circuit(g, tri_b, 2, 9)
-    fc = circulation_on_circuit(g, tri_c, 3, 9)
-    assert sum_flows(fa, fb) == sum_flows(fb, fa)
-    assert sum_flows(sum_flows(fa, fb), fc) == sum_flows(fa, sum_flows(fb, fc))
 
 
 def _augmented_for(g):
@@ -263,11 +215,9 @@ def test_solver_budget():
 
 def test_mod_to_integer_identity_on_exact_input():
     g = k4()
-    f = circulation_on_circuit(g, square_circuit_edges(g), 2, 4)
     # restrict to nonzero values: build a genuinely all-nonzero modular flow
     h = solve_nowhere_zero_flow(g, 4)
     assert mod_to_integer_flow(g, h, 4) == h
-    assert f.modulus == 4
 
 
 def test_mod_to_integer_converts_modular_solutions(corpus):
@@ -365,7 +315,9 @@ def test_circuits_traced_once_match_traced_references(corpus):
             f = canonical_4flow(ag)
             assert f == traced_canonical_4flow(ag), name
             heads = [e["head"] for e in flow_to_json(f)["edges"]]
-            assert heads == [f.head(e) for e in range(ag.graph.m)], name
+            assert heads == [
+                ag.graph.other_end(e, f.tails[e]) for e in range(ag.graph.m)
+            ], name
             for i in range(len(ag.pairs)):
                 flips = [j == i for j in range(len(ag.closed_circuits))]
                 switched = traced_canonical_4flow(ag, flip_closed=flips)

@@ -929,6 +929,19 @@ def test_cyclic_witness_charges_the_call_budget():
     assert len(snark.witness.edges) == snark.value == 3
 
 
+def test_cyclic_result_hashes_and_equals_itself_without_its_witness():
+    # 416 units, the least that gives J7's value, leave too few to name its
+    # witness; hashing the result and comparing it with itself name none
+    r = cyclic_connectivity(flower_snark(7), max_work=416)
+    assert r.value == 6
+    assert hash(r) == hash(cyclic_connectivity(flower_snark(7)))
+    assert r == r
+    with pytest.raises(BudgetExceededError):
+        r.witness
+    with pytest.raises(BudgetExceededError):
+        cyclic_connectivity(flower_snark(7), max_work=415)
+
+
 @pytest.fixture
 def sweeps(monkeypatch):
     """The calls of the cycle sweep and of the cycle enumeration, in order,
