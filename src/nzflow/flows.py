@@ -143,7 +143,10 @@ class AugmentedGraph:
 
 
 def build_augmented(g: MultiGraph, c: Coloring4) -> AugmentedGraph:
-    """Add a closure/mate pair between the ends of every odd path."""
+    """Add a closure/mate pair between the ends of every odd path.
+
+    Without odd paths the augmented graph is ``g`` itself, not a copy.
+    """
     edges = list(g.edges)
     colors = list(c.colors)
     pairs = []
@@ -155,7 +158,7 @@ def build_augmented(g: MultiGraph, c: Coloring4) -> AugmentedGraph:
         edges.append(ends)
         colors.extend((2, 4))
         pairs.append(AddedPair(mate=mate, closure=closure, ends=ends))
-    mg = MultiGraph(g.n, edges)
+    mg = MultiGraph(g.n, edges) if pairs else g
 
     # augmentation keeps the base edge ids and endpoints, so the even
     # circuits keep their canonical order; only the closed paths are traced

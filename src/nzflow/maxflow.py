@@ -1,4 +1,4 @@
-"""Dinic max-flow on small integer networks, plus bounded circulations."""
+"""Dinic max-flow on small integer networks."""
 
 from __future__ import annotations
 
@@ -126,31 +126,3 @@ class MaxFlow:
                     q.append(w)
         return seen
 
-
-def feasible_circulation(
-    n: int, arcs: list[tuple[int, int, int, int]]
-) -> list[int] | None:
-    """Integer circulation with per-arc bounds, or None if infeasible.
-
-    ``arcs`` holds ``(u, v, low, high)`` tuples; the result assigns each arc a
-    value in ``[low, high]`` with exact conservation at every node.  Standard
-    reduction: route the mandatory lower bounds, then saturate the excesses
-    from a super source/sink.  Arc i of the input is network arc ``2*i``.
-    """
-    if any(low > high for (_u, _v, low, high) in arcs):
-        return None
-    net = MaxFlow(n + 2)
-    s, t = n, n + 1
-    excess = [0] * n
-    for (u, v, low, _high) in arcs:
-        excess[v] += low
-        excess[u] -= low
-    net.add_edges((u, v, high - low) for (u, v, low, high) in arcs)
-    net.add_edges(
-        (s, v, x) if x > 0 else (v, t, -x) for v, x in enumerate(excess) if x
-    )
-    need = sum(x for x in excess if x > 0)
-    if net.max_flow(s, t) != need:
-        return None
-    cap = net._cap
-    return [low + cap[2 * i + 1] for i, (_u, _v, low, _high) in enumerate(arcs)]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import InternalInconsistencyError, UnbalancedValuationError
 from .flows import AugmentedGraph, Flow, is_nowhere_zero, verify_flow
 from .graph import MultiGraph, check_vertex_set
-from .maxflow import MaxFlow, feasible_circulation
+from .maxflow import MaxFlow
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,10 @@ class Valuation:
 
     denominator: int
     numerators: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.denominator < 1:
+            raise ValueError("valuation denominator must be at least 1")
 
     def value(self, v: int) -> Fraction:
         return Fraction(self.numerators[v], self.denominator)
@@ -117,7 +121,9 @@ def to_five_thirds(p: FlowPartition) -> Valuation:
 
 
 def flow_to_valuation(g: MultiGraph, f: Flow, k: int) -> Valuation:
-    """The valuation ``k/(k-2) * (2*outdeg - deg)`` of a verified flow."""
+    """The valuation ``k/(k-2) * (2*outdeg - deg)`` of a verified flow
+    (k >= 3)."""
+    _check_k(k)
     if f.modulus != k:
         raise ValueError("flow modulus disagrees with k")
     if verify_flow(g, f) or not is_nowhere_zero(f):
@@ -129,6 +135,12 @@ def flow_to_valuation(g: MultiGraph, f: Flow, k: int) -> Valuation:
             for v, out in enumerate(_out_degrees(g, f))
         ),
     )
+
+
+def _check_k(k: int) -> None:
+    """Reject a modulus for which ``k/(k-2)`` is not a positive ratio."""
+    if k < 3:
+        raise ValueError(f"k must be at least 3, not {k}")
 
 
 def _out_degrees(g: MultiGraph, f: Flow) -> list[int]:
@@ -365,6 +377,136 @@ def _initial_orientation(g: MultiGraph, out_deg: list[int]) -> list[int] | None:
     return tail
 
 
+def _circulation(g: MultiGraph, tails, k: int) -> list[int] | None:
+    """Values in 1..k-1 that conserve on the orientation ``tails`` (k >= 3),
+    or None if there are none.
+
+    They are the values that :meth:`MaxFlow.max_flow` finds on the bounded
+    circulation network, run here on the graph's own arrays.  That network
+    routes the lower bound 1 of every edge first, which leaves vertex v an
+    excess of its in-degree minus its out-degree.  Its arcs are, edge by
+    edge in id order, tail -> head of capacity k - 2, then s -> v of the
+    excess for every vertex with positive excess and v -> t of minus the
+    excess for every vertex with negative excess, in vertex order; the
+    values are 1 plus the flows on the edge arcs, and there are none unless
+    every arc from s is saturated.  Here ``x[e]`` is the flow on edge e,
+    so the residual of e is k - 2 - x[e] from its tail and x[e] from its
+    head, and ``rem[v]`` is what is left of v's arc from s (positive) or
+    to t (negative).  A vertex's arcs come in the network's order: one per
+    incident edge in id order (``g.incident``), then its terminal arc.
+
+    Levels: a vertex has either an arc from s or an arc to t, and the arcs
+    into s or out of t are never on a level-increasing path, so every path
+    is s, v1, ..., vj, t with v1 a source and vj a sink.  Level 1 holds the
+    vertices with supply left.  :meth:`MaxFlow._bfs_levels` stops once it
+    labels t; as its docstring argues, that leaves out only dead ends, so
+    the flow depends only on the exact levels of the vertices nearer than
+    t, and those are the layers built below, up to the first one, ``top``,
+    that holds a vertex with room to t.  Only vertices on that layer can
+    have room to t, since t would be nearer otherwise.  A vertex there goes
+    straight to t when it has room: its edges lead to dead ends.  Below
+    it, a vertex tries its incident edges in id order; its terminal arc is
+    never level-increasing.
+
+    Blocking flow: :meth:`MaxFlow.max_flow` restarts at s after a push and
+    walks the current-arc pointers again.  Every pointer on the path still
+    points at the arc it took, and the walk takes that arc again unless the
+    push saturated it, so it stops at the first saturated arc of the path,
+    in path order.  Below, the search resumes there: at s when the push
+    used up the source's supply (s then tries the next source), at the tail
+    of the first saturated edge, or, when only the arc to t was saturated,
+    at the sink, which is then a dead end.
+
+    Phase 1: when t is at level 3, every path is s, source, sink, t, and
+    the pushes run along edges out of a source into a sink.  Such a push
+    only lowers the residual of its edge from the source, so an edge that
+    is usable now was usable at the start of the phase, and the sink at its
+    other end is on level 2.  The phase is therefore a greedy pass: each
+    source in vertex order sends what it can over its incident edges in id
+    order, straight into each sink with room, until its supply is used up.
+    When t is farther, no source has an edge with residual into a sink
+    with room, and the pass sends nothing; Dinic's levels grow from phase
+    to phase, so no later phase has t at level 3.
+    """
+    n, cap = g.n, k - 2
+    inc = [g.incident(v) for v in range(n)]
+    x = [0] * g.m
+    rem = [0] * n
+    for (u, v), tail in zip(g.edges, tails):
+        rem[tail] -= 1
+        rem[u + v - tail] += 1
+    sources = [v for v in range(n) if rem[v] > 0]
+    for v in sources:  # phase 1, when t is at level 3; x is still zero
+        for e, w in inc[v]:
+            if rem[w] < 0 and tails[e] == v:
+                p = min(rem[v], cap, -rem[w])
+                x[e] = p
+                rem[w] += p
+                rem[v] -= p
+                if not rem[v]:
+                    break
+    while True:
+        sources = [v for v in sources if rem[v] > 0]
+        if not sources:
+            return [1 + y for y in x]
+        level = [0] * n  # 0: unlabelled
+        for v in sources:
+            level[v] = 1
+        front, top = sources, 1
+        while not any(rem[v] < 0 for v in front):
+            top += 1
+            nxt = []
+            for a in front:
+                for e, b in inc[a]:
+                    if not level[b] and (cap - x[e] if tails[e] == a else x[e]):
+                        level[b] = top
+                        nxt.append(b)
+            if not nxt:
+                return None
+            front = nxt
+        ptr = [0] * n  # next incident edge to try
+        for root in sources:
+            path, via = [root], []  # vertices, and the edges between them
+            while path:
+                a = path[-1]
+                if level[a] == top:
+                    if rem[a] < 0:
+                        res = [
+                            cap - x[e] if tails[e] == b else x[e]
+                            for b, e in zip(path, via)
+                        ]
+                        p = min(rem[root], -rem[a], *res)
+                        for b, e in zip(path, via):
+                            x[e] += p if tails[e] == b else -p
+                        rem[root] -= p
+                        rem[a] += p
+                        if not rem[root]:
+                            break
+                        if p in res:  # resume at the first saturated edge
+                            first = res.index(p)
+                            del path[first + 1 :], via[first:]
+                            continue
+                else:
+                    nb, i, want = inc[a], ptr[a], level[a] + 1
+                    while i < len(nb):
+                        e, b = nb[i]
+                        if level[b] == want and (
+                            cap - x[e] if tails[e] == a else x[e]
+                        ):
+                            break
+                        i += 1
+                    ptr[a] = i
+                    if i < len(nb):
+                        path.append(b)
+                        via.append(e)
+                        continue
+                # dead end: retreat and skip the edge that led here
+                path.pop()
+                if via:
+                    via.pop()
+                    ptr[path[-1]] += 1
+
+
 def valuation_to_flow(g: MultiGraph, val: Valuation, k: int) -> Flow:
     """Realize a balanced valuation of the degree form as a nowhere-zero
     k-flow whose induced valuation is exactly the input.
@@ -375,7 +517,10 @@ def valuation_to_flow(g: MultiGraph, val: Valuation, k: int) -> Flow:
     orientation to exist, and it is exactly Hoffman's condition
     ``(k-1)|delta+(X)| >= |delta-(X)|`` for conserving values in 1..k-1 on
     it (Jaeger, *Balanced valuations and flows in multigraphs*, 1975).  So
-    the first orientation found carries the flow: orient, circulate, verify.
+    the first orientation found carries the flow: orient
+    (:func:`_initial_orientation`), circulate (:func:`_circulation`), both
+    on the graph's own arrays with no flow network built, then verify.
+    ``k`` must be at least 3.
 
     Conversely the valuation of any nowhere-zero k-flow is balanced, so a
     returned flow is itself the proof of balance, and callers need no
@@ -386,14 +531,10 @@ def valuation_to_flow(g: MultiGraph, val: Valuation, k: int) -> Flow:
     realized flow that fails verification or induces another valuation.
     The pipeline emits the returned flow without verifying it again.
     """
+    _check_k(k)
     out_deg = _prescribed_out_degrees(g, val, k)
     tails = _initial_orientation(g, out_deg)
-    values = None
-    if tails is not None:
-        values = feasible_circulation(
-            g.n,
-            [(t, v if t == u else u, 1, k - 1) for t, (u, v) in zip(tails, g.edges)],
-        )
+    values = None if tails is None else _circulation(g, tails, k)
     if values is None:
         report = check_balanced_mincut(g, val)
         if not report.balanced:

@@ -8,11 +8,11 @@ Fractions.  Automorphism orbits come from every automorphism networkx's VF2++
 enumerates.  The package's earlier implementations stay here as references
 for the ones that replaced them: VF2 isomorphism through networkx (replaced
 by ``catalog.canonical_form``), the recursive Dinic and the orientation
-network it solves, the balance check with one network per sign, the graph6
-decoder that expands every bit and the encoder that fills an adjacency
-matrix, the recursive flow solver, oddness search and 2-factor enumeration,
-the 2-factor, colour-{1,2}, augmented-graph and
-4-flow constructions that re-trace every circuit with ``trace_circuit``,
+and bounded circulation networks it solves, the balance check with one
+network per sign, the graph6 decoder that expands every bit and the
+encoder that fills an adjacency matrix, the recursive flow solver, oddness
+search and 2-factor enumeration, the 2-factor, colour-{1,2}, augmented-graph
+and 4-flow constructions that re-trace every circuit with ``trace_circuit``,
 the partition variants that rebuild and re-partition each switched or
 reversed flow, and the cyclic-connectivity sweep under its earlier length
 cap.  The exhaustive
@@ -547,6 +547,38 @@ def network_orientation(g: MultiGraph, out_deg) -> list[int] | None:
     return [
         u if net.flow_on(a) else v for a, (u, v) in zip(first_end, g.edges)
     ]
+
+
+def network_circulation(
+    n: int, arcs: list[tuple[int, int, int, int]]
+) -> list[int] | None:
+    """Integer circulation with per-arc bounds, or None if infeasible, from
+    the bounded circulation network solved by :class:`RecursiveMaxFlow`.
+
+    ``arcs`` holds ``(u, v, low, high)`` tuples; the result assigns each arc
+    a value in ``[low, high]`` with exact conservation at every node.
+    Standard reduction: route the mandatory lower bounds, add the arcs
+    ``u -> v`` of capacity ``high - low`` in order, then ``s -> v`` for every
+    node with positive excess and ``v -> t`` for every node with negative
+    excess, in node order, and saturate the excesses.
+    """
+    if any(low > high for (_u, _v, low, high) in arcs):
+        return None
+    net = RecursiveMaxFlow(n + 2)
+    s, t = n, n + 1
+    excess = [0] * n
+    for (u, v, low, _high) in arcs:
+        excess[v] += low
+        excess[u] -= low
+    ids = [net.add_edge(u, v, high - low) for (u, v, low, high) in arcs]
+    for v, x in enumerate(excess):
+        if x > 0:
+            net.add_edge(s, v, x)
+        elif x < 0:
+            net.add_edge(v, t, -x)
+    if net.max_flow(s, t) != sum(x for x in excess if x > 0):
+        return None
+    return [low + net.flow_on(a) for a, (_u, _v, low, _high) in zip(ids, arcs)]
 
 
 def two_network_check_balanced_mincut(

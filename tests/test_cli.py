@@ -350,16 +350,22 @@ _EXPORTS_WITHOUT_CALLER = {
 }
 
 
+def _package_modules():
+    """The package's modules, without ``__init__.py``."""
+    package = Path(__file__).resolve().parent.parent / "src" / "nzflow"
+    return [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+
+
+def _read_by_package_or_demos():
+    demos = Path(__file__).resolve().parent.parent / "demos"
+    sources = _package_modules() + sorted(demos.glob("*.py"))
+    assert len(sources) >= 16
+    return set().union(*map(_referenced_names, sources))
+
+
 def test_every_export_has_a_caller():
     # an export that only its own tests read is code the package does not need
-    root = Path(__file__).resolve().parent.parent
-    sources = [
-        p for p in sorted((root / "src" / "nzflow").glob("*.py"))
-        if p.name != "__init__.py"
-    ]
-    sources += sorted((root / "demos").glob("*.py"))
-    assert len(sources) >= 16
-    read = set().union(*map(_referenced_names, sources))
+    read = _read_by_package_or_demos()
     exports = {
         name for name in nzflow.__all__
         if not isinstance(getattr(nzflow, name), types.ModuleType)
@@ -368,6 +374,27 @@ def test_every_export_has_a_caller():
     assert sorted(exports - read - _EXPORTS_WITHOUT_CALLER) == []
     # an exemption that gains a caller is dropped from the list
     assert _EXPORTS_WITHOUT_CALLER.isdisjoint(read)
+
+
+def test_every_package_definition_has_a_reader():
+    # a module-level function or class that no package module or demo reads
+    # is code the package does not need; exports are the test above's, and
+    # the catalog's constructors are data for the tests and demos
+    read = _read_by_package_or_demos()
+    defined = [
+        (p.name, node.name)
+        for p in _package_modules()
+        if p.name != "catalog.py"
+        for node in ast.parse(p.read_text(), str(p)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    assert len(defined) >= 100
+    unread = [
+        (module, name)
+        for module, name in defined
+        if name not in read and name not in nzflow.__all__
+    ]
+    assert unread == []
 
 
 def test_rejected_canonical_4flow_is_an_internal_error(capsys, monkeypatch, petersen_file):
@@ -391,7 +418,7 @@ def test_broken_realization_is_an_internal_error(capsys, monkeypatch, petersen_f
 
     # a circulation that conserves nothing: the emitted flow's one check
     monkeypatch.setattr(
-        nzflow.valuation, "feasible_circulation", lambda n, arcs: [1] * len(arcs)
+        nzflow.valuation, "_circulation", lambda g, tails, k: [1] * g.m
     )
     code, out, err = run_cli(capsys, ["analyze", petersen_file])
     assert code == EXIT_INTERNAL == 4

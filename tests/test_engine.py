@@ -596,8 +596,8 @@ def _reversed_orientation(g, out_deg):
     "target, replacement, error, message",
     [
         (  # conservation fails
-            "feasible_circulation",
-            lambda n, arcs: [1] * len(arcs),
+            "_circulation",
+            lambda g, tails, k: [1] * g.m,
             InternalInconsistencyError,
             "invalid flow",
         ),
@@ -608,8 +608,8 @@ def _reversed_orientation(g, out_deg):
             "disagrees with valuation",
         ),
         (  # no circulation although the check calls the valuation balanced
-            "feasible_circulation",
-            lambda n, arcs: None,
+            "_circulation",
+            lambda g, tails, k: None,
             InternalInconsistencyError,
             "balanced valuation",
         ),

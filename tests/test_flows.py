@@ -99,6 +99,19 @@ def test_build_augmented_trivial_case():
     assert ag.graph.edges == g.edges
 
 
+def test_colourable_graph_is_its_own_augmented_graph():
+    # no odd path: the base graph itself, not a copy; with one, a new graph
+    # that holds the base edges and the pair
+    for g in (prism(5), k4()):
+        assert _augmented_for(g).graph is g
+    g = petersen()
+    ag = _augmented_for(g)
+    assert ag.graph is not g
+    assert ag.graph.edges[: g.m] == g.edges
+    (pair,) = ag.pairs
+    assert ag.graph.edges[pair.closure] == ag.graph.edges[pair.mate] == pair.ends
+
+
 def test_build_augmented_petersen():
     g = petersen()
     ag = _augmented_for(g)

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from helpers import RecursiveMaxFlow, network_orientation
+from helpers import RecursiveMaxFlow, network_circulation, network_orientation
 
 import nzflow.maxflow
 import nzflow.valuation
 from nzflow import flow_to_valuation, solve_nowhere_zero_flow, valuation_to_flow
-from nzflow.maxflow import MaxFlow, feasible_circulation
+from nzflow.maxflow import MaxFlow
 
 
 def both_flows(n, arcs, s, t):
@@ -68,10 +68,10 @@ class _Checked(MaxFlow):
 def test_iterative_dinic_matches_recursive_on_realization_networks(
     corpus, monkeypatch
 ):
-    # the corpus's 5-flow valuations: each realization builds one network,
-    # the circulation's, and replays it in the reference; the orientation
-    # runs Dinic on the graph's arrays and must give the tails that the
-    # reference finds on the network s -> edge -> end -> t
+    # the corpus's 5-flow valuations: a realization builds no network; the
+    # orientation and the circulation run Dinic on the graph's arrays and
+    # must give the tails that the reference finds on the network
+    # s -> edge -> end -> t and the values it finds on the circulation's
     monkeypatch.setattr(nzflow.valuation, "MaxFlow", _Checked)
     monkeypatch.setattr(nzflow.maxflow, "MaxFlow", _Checked)
     _Checked.solved = 0
@@ -80,17 +80,19 @@ def test_iterative_dinic_matches_recursive_on_realization_networks(
         out_deg = nzflow.valuation._prescribed_out_degrees(g, val, 5)
         flow = valuation_to_flow(g, val, 5)
         assert list(flow.tails) == network_orientation(g, out_deg), name
-    assert _Checked.solved == len(corpus)
+        arcs = [(t, g.other_end(e, t), 1, 4) for e, t in enumerate(flow.tails)]
+        assert list(flow.values) == network_circulation(g.n, arcs), name
+    assert _Checked.solved == 0
 
 
 def test_feasible_circulation_values_follow_the_arc_order():
     # a directed 4-cycle with a chord: bounds force the cycle, the chord
     # stays at its lower bound
     arcs = [(0, 1, 1, 3), (1, 2, 1, 3), (2, 3, 0, 3), (3, 0, 1, 3), (0, 2, 0, 0)]
-    values = feasible_circulation(4, arcs)
+    values = network_circulation(4, arcs)
     assert values == [1, 1, 1, 1, 0]
-    assert feasible_circulation(2, [(0, 1, 1, 2)]) is None
-    assert feasible_circulation(2, [(0, 1, 2, 1)]) is None
+    assert network_circulation(2, [(0, 1, 1, 2)]) is None
+    assert network_circulation(2, [(0, 1, 2, 1)]) is None
 
 
 def test_max_flow_on_a_long_path_needs_no_recursion():

@@ -7,6 +7,7 @@ from helpers import (
     brute_is_balanced,
     brute_max_margins,
     check_balanced_bruteforce,
+    network_circulation,
     network_orientation,
     random_cubic_multigraph,
     two_network_check_balanced_mincut,
@@ -25,6 +26,7 @@ from nzflow import (
     compute_oddness,
     flow_partition,
     flow_to_valuation,
+    make_flow,
     reverse_flow,
     solve_nowhere_zero_flow,
     subset_margin,
@@ -43,8 +45,13 @@ from nzflow.catalog import (
     random_bridgeless_cubic,
 )
 from nzflow.engine import _partition_variants
+from nzflow.graph import MultiGraph
 from nzflow.maxflow import MaxFlow
-from nzflow.valuation import _initial_orientation, _prescribed_out_degrees
+from nzflow.valuation import (
+    _circulation,
+    _initial_orientation,
+    _prescribed_out_degrees,
+)
 from test_coloring import ring_two_factor
 
 
@@ -363,6 +370,45 @@ def test_initial_orientation_matches_the_orientation_network(corpus):
     assert 0 < realized < len(cases)
 
 
+def test_circulation_matches_the_circulation_network(corpus):
+    # the same values as Dinic on the bounded circulation network, or None
+    # exactly when that network cannot saturate its arcs from the source
+    rng = random.Random(23)
+    graphs = [g for _name, g in corpus]
+    for n in (7, 24, 101, 199):
+        graphs += [prism(n), _moebius_ladder(2 * n)]
+        graphs += [generalized_petersen(n, k) for k in (2, 3)]
+    graphs += [random_bridgeless_cubic(n, rng) for n in (20, 40, 60, 100)]
+    cases = [
+        (g, _initial_orientation(g, out), 5)
+        for g in graphs
+        for out in five_thirds_out_degrees(g)
+    ]
+    for _ in range(400):
+        g = random_cubic_multigraph(rng.choice((4, 6, 10, 20, 40)), rng)
+        cases.append((g, [rng.choice(e) for e in g.edges], rng.randint(3, 7)))
+        while True:  # out-degrees 1 and 2 summing to m
+            out = [rng.choice((1, 2)) for _ in range(g.n)]
+            if sum(out) == g.m:
+                break
+        cases.append((g, _initial_orientation(g, out), rng.randint(3, 7)))
+    for _ in range(1500):  # any degrees: sources and sinks share neighbours
+        n = rng.randint(2, 14)
+        edges = [rng.sample(range(n), 2) for _ in range(rng.randint(1, 3 * n))]
+        g = MultiGraph(n, edges)
+        cases.append((g, [rng.choice(e) for e in g.edges], rng.randint(3, 7)))
+    cases = [(g, tails, k) for g, tails, k in cases if tails is not None]
+    found = [_circulation(g, tails, k) for g, tails, k in cases]
+    assert found == [
+        network_circulation(
+            g.n, [(t, g.other_end(e, t), 1, k - 1) for e, t in enumerate(tails)]
+        )
+        for g, tails, k in cases
+    ]
+    realized = sum(values is not None for values in found)
+    assert 0 < realized < len(cases)
+
+
 def test_k33_three_flow_round_trip():
     g = k33()
     f = solve_nowhere_zero_flow(g, 3)
@@ -388,13 +434,25 @@ def test_wrong_form_valuation_rejected():
         valuation_to_flow(g, val, 5)
 
 
+def test_k_below_three_and_a_zero_denominator_are_rejected():
+    # k/(k-2) has no positive value below k = 3: each call fails before
+    # any arithmetic instead of dividing by zero or returning denominator 0
+    with pytest.raises(ValueError, match="k must be at least 3"):
+        valuation_to_flow(petersen(), Valuation(1, (0,) * 10), 0)
+    c4 = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(ValueError, match="k must be at least 3"):
+        flow_to_valuation(c4, make_flow(c4, [1, 1, 1, 1], 2), 2)
+    with pytest.raises(ValueError, match="denominator"):
+        Valuation(denominator=0, numerators=(0, 0, 0, 0))
+
+
 def test_infeasible_circulation_on_balanced_valuation_is_internal_error(
     monkeypatch,
 ):
     g = petersen()
     val = flow_to_valuation(g, solve_nowhere_zero_flow(g, 5), 5)
     monkeypatch.setattr(
-        "nzflow.valuation.feasible_circulation", lambda n, arcs: None
+        "nzflow.valuation._circulation", lambda g, tails, k: None
     )
     with pytest.raises(InternalInconsistencyError, match="balanced valuation"):
         valuation_to_flow(g, val, 5)
