@@ -3,15 +3,18 @@
 A 2-factor of a cubic graph is the complement of a perfect matching, so both
 are enumerated by deterministic backtracking over ascending edge ids, on an
 explicit stack rather than by recursion.  The
-oddness search additionally tracks circuits of the complement as they close
-and prunes branches that can no longer beat the current best; a dynamic
+oddness search additionally tracks circuits of the complement as they close,
+matches at once each vertex left with one possible partner, and prunes
+branches that can no longer beat the current best; a dynamic
 program over a vertex order's frontier decides 3-edge-colourability, which
-lets that search stop before exhausting the matchings of a snark.
+lets that search stop before exhausting the matchings of a snark.  Each
+matching choice, forced ones included, and each DP state costs one work unit.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -303,6 +306,22 @@ class _OddnessSearch:
     a frame is just its vertex, an iterator over its untried incident edges
     and the trail length before its first child.
 
+    Forced matches: once a child has committed its edges, an unmatched
+    vertex y with two 2-factor edges is matched at once along its third
+    edge (y, z), and z's other edges are committed; vertices are taken in
+    the order they got their second 2-factor edge, until none is left.
+    Each matching choice, forced ones included, and each DP state costs one
+    unit.  A forced pair goes on the trail as a plain ``(y, z)`` record, and
+    a conflict kills the branch as it does for a chosen pair.
+    This keeps every output.  y's 2-factor edges were committed by
+    matching their other ends, so every perfect matching below the node
+    contains (y, z).  Without the rule, a node below that matched y or z
+    elsewhere would give y a third 2-factor edge and die at once; so when
+    the DFS reached min(y, z), every child but (y, z) would die at once.
+    The complete 2-factors below the node and their DFS order are thus
+    unchanged, and pruning still drops only branches that cannot beat
+    ``best``.  Only the work changes.
+
     The search stops at the first complete 2-factor with at most ``floor``
     odd circuits.  ``floor`` starts at 0; once the work reaches
     :func:`_dp_bound`, an upper bound on the cost of the frontier DP, the
@@ -321,7 +340,7 @@ class _OddnessSearch:
         self.floor = 0
         # the DP expands at least one state per vertex, so its bound is
         # worth computing only once the search has spent n units
-        self.gate: int | None = g.n
+        self.gate: int | float = g.n
         self.order: list[int] | None = None
 
     def run(self) -> None:
@@ -357,7 +376,7 @@ class _OddnessSearch:
                         return
                     dead = closed_odd - 1
             else:
-                if spend() == gate:
+                if spend() >= gate:
                     if self._open_gate():
                         return  # the node's unit opened the gate; the DP settled it
                     gate = self.gate
@@ -393,42 +412,64 @@ class _OddnessSearch:
                     frames.pop()
                     continue
                 # match (v, w) and commit the other edges at v and w to the
-                # 2-factor; the child is entered unless the branch dies
-                matched[v] = matched[w] = True
-                trail.append((v, w))
+                # 2-factor; then match each unmatched vertex that now has two
+                # 2-factor edges along its third edge, one unit each, until
+                # nothing more is forced.  The child is entered unless the
+                # branch dies
+                forced: list[int] = []  # vertices given a second 2-factor edge
+                a, b, me = v, w, eid
                 alive = True
-                for x in (v, w):
-                    for e2, y in incidence[x]:
-                        if e2 == eid or in_factor[e2]:
-                            continue
-                        if not is_end[y]:
-                            # y already has two 2-factor edges
-                            alive = False
+                while True:
+                    matched[a] = matched[b] = True
+                    trail.append((a, b))
+                    for x in (a, b):
+                        for e2, y in incidence[x]:
+                            if e2 == me or in_factor[e2]:
+                                continue
+                            if not is_end[y]:
+                                # y already has two 2-factor edges
+                                alive = False
+                                break
+                            in_factor[e2] = True
+                            p, q = edges[e2]
+                            ep, eq = path_end[p], path_end[q]
+                            if ep == q and is_end[p] and is_end[q]:
+                                # closing a circuit of path_len[p] + 1 edges
+                                trail.append((e2, p, q))
+                                is_end[p] = is_end[q] = False
+                                forced.append(y)
+                                if path_len[p] % 2 == 0:
+                                    closed_odd += 1
+                                    if closed_odd >= dead:
+                                        alive = False
+                                        break
+                                continue
+                            lp, lq = path_len[ep], path_len[eq]
+                            trail.append((e2, p, q, ep, eq, lp, lq))
+                            if p != ep:
+                                is_end[p] = False
+                            if q != eq:
+                                is_end[q] = False
+                            path_end[ep] = eq
+                            path_end[eq] = ep
+                            path_len[ep] = path_len[eq] = lp + lq + 1
+                            if not is_end[y]:
+                                forced.append(y)
+                        if not alive:
                             break
-                        in_factor[e2] = True
-                        a, b = edges[e2]
-                        ea, eb = path_end[a], path_end[b]
-                        if ea == b and is_end[a] and is_end[b]:
-                            # closing a circuit of path_len[a] + 1 edges
-                            trail.append((e2, a, b))
-                            is_end[a] = is_end[b] = False
-                            if path_len[a] % 2 == 0:
-                                closed_odd += 1
-                                if closed_odd >= dead:
-                                    alive = False
-                                    break
-                            continue
-                        la, lb = path_len[ea], path_len[eb]
-                        trail.append((e2, a, b, ea, eb, la, lb))
-                        if a != ea:
-                            is_end[a] = False
-                        if b != eb:
-                            is_end[b] = False
-                        path_end[ea] = eb
-                        path_end[eb] = ea
-                        path_len[ea] = path_len[eb] = la + lb + 1
                     if not alive:
                         break
+                    while forced:
+                        # a vertex matched since was matched along its third edge
+                        a = forced.pop(0)
+                        if not matched[a]:
+                            break
+                    else:
+                        break
+                    for me, b in incidence[a]:
+                        if not in_factor[me]:
+                            break
+                    spend()
                 if alive:
                     break
             else:
@@ -442,7 +483,7 @@ class _OddnessSearch:
             self.gate = _dp_bound(widths)
             if self.gate > self.budget.used:
                 return False
-        self.gate = None
+        self.gate = math.inf  # the DP runs once
         if _frontier_colourable(self.g, self.order, self.budget.spend):
             return False
         self.floor = 2
@@ -465,8 +506,11 @@ def compute_oddness(
     once; if it finds no colouring, the search exits at its first 2-factor
     with two odd circuits instead of exhausting every matching.  The DP
     thus costs at most what the search has spent.
-    Each matching choice and each DP state costs one work unit; more than
-    ``max_work`` units raise :class:`BudgetExceededError`.
+    A vertex left with one possible partner is matched to it at once (see
+    ``_OddnessSearch``), which visits the same 2-factors in the same order.
+    Each matching choice, forced ones included, and each DP state costs one
+    work unit; more than ``max_work`` units raise
+    :class:`BudgetExceededError`.
     """
     _require_cubic(g)
     search = _OddnessSearch(g, max_work)

@@ -240,23 +240,30 @@ def subset_margin(g: MultiGraph, val: Valuation, subset) -> Fraction:
 
 
 def _prescribed_out_degrees(g: MultiGraph, val: Valuation, k: int) -> list[int]:
-    """Out-degrees forced by ``f(v) = k/(k-2) * (2*outdeg - deg)``."""
+    """Out-degrees forced by ``f(v) = k/(k-2) * (2*outdeg - deg)``.
+
+    Each distinct (numerator, degree) pair is converted once: a +-5/3
+    valuation of a cubic graph has two.  An error names the first vertex
+    whose pair fails.
+    """
     scale = val.denominator * k
-    out = []
-    for v in range(g.n):
-        num, deg = val.numerators[v], g.degree(v)
+    pairs = list(zip(val.numerators, g.degrees()))
+    out_of = {}
+    for num, deg in set(pairs):
         # 2*outdeg = f(v) * (k-2)/k + deg = (num*(k-2) + deg*scale) / scale
         two_outdeg, rem = divmod(num * (k - 2) + deg * scale, scale)
-        if rem or two_outdeg % 2:
+        out_of[num, deg] = None if rem or two_outdeg % 2 else two_outdeg // 2
+    bad = {p for p, d in out_of.items() if d is None or not 0 <= d <= p[1]}
+    if bad:
+        v = next(v for v, p in enumerate(pairs) if p in bad)
+        d = out_of[pairs[v]]
+        if d is None:
             raise ValueError(
                 f"vertex {v}: valuation value {val.value(v)} is not of the "
                 f"degree form for k={k}"
             )
-        d = two_outdeg // 2
-        if not 0 <= d <= deg:
-            raise ValueError(f"vertex {v}: prescribed out-degree {d} infeasible")
-        out.append(d)
-    return out
+        raise ValueError(f"vertex {v}: prescribed out-degree {d} infeasible")
+    return [out_of[p] for p in pairs]
 
 
 def _initial_orientation(g: MultiGraph, out_deg: list[int]) -> list[int] | None:

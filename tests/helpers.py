@@ -968,11 +968,18 @@ class RecursiveOddnessSearch:
     becomes 2.  Pruning only drops branches that cannot beat ``best``, so
     the first such 2-factor in DFS order is always visited and is the same
     witness an exhaustive search returns.
+
+    With ``forced`` (the default), a child then matches each unmatched
+    vertex left with two 2-factor edges along its third edge, in the order
+    they got their second 2-factor edge, one unit each.  With
+    ``forced=False`` such a vertex waits until the DFS reaches it: the same
+    2-factors in the same order, for more work.
     """
 
-    def __init__(self, g: MultiGraph, max_work: int | None):
+    def __init__(self, g: MultiGraph, max_work: int | None, forced: bool = True):
         self.g = g
         self.max_work = max_work
+        self.forced = forced
         self.work = 0
         self.best: int | None = None
         self.best_matching: frozenset[int] | None = None
@@ -988,7 +995,7 @@ class RecursiveOddnessSearch:
         self.floor = 0
         # the DP expands at least one state per vertex, so its bound is
         # worth computing only once the search has spent n units
-        self.gate: int | None = n
+        self.gate: int | float = n
         self.order: list[int] | None = None
 
     def run(self) -> None:
@@ -1006,7 +1013,7 @@ class RecursiveOddnessSearch:
 
     def _tick(self) -> None:
         self._spend(1)
-        if self.work == self.gate:
+        if self.work >= self.gate:
             self._open_gate()
 
     def _open_gate(self) -> None:
@@ -1015,7 +1022,7 @@ class RecursiveOddnessSearch:
             self.gate = _dp_bound(widths)
             if self.gate > self.work:
                 return
-        self.gate = None
+        self.gate = math.inf
         if not _frontier_colourable(self.g, self.order, self._spend):
             self.floor = 2
             if self.best is not None and self.best <= self.floor:
@@ -1093,41 +1100,61 @@ class RecursiveOddnessSearch:
         for eid, w in g.incident(v):
             if self.matched[w]:
                 continue
-            self.matched[v] = self.matched[w] = True
-            factor_added = []
+            pairs: list = []
+            factor_added: list = []
             trail: list = []
-            ok = True
+            if self._match(v, w, eid, pairs, factor_added, trail):
+                self._extend(v + 1)
+            self._undo(trail)
+            for e2 in factor_added:
+                self.in_factor[e2] = False
+            for a, b in pairs:
+                self.matched[a] = self.matched[b] = False
+
+    def _match(self, v, w, eid, pairs, factor_added, trail) -> bool:
+        """Match (v, w) along ``eid``, commit the other edges at v and w to
+        the 2-factor, then make the forced matches; False when the branch
+        dies.  Every change is logged for the caller to undo."""
+        g = self.g
+        forced: list = []
+        while True:
+            self.matched[v] = self.matched[w] = True
+            pairs.append((v, w))
             for x in (v, w):
                 for e2, y in g.incident(x):
                     if e2 == eid or self.in_factor[e2]:
                         continue
                     if not self.is_end[y]:
                         # y already has two 2-factor edges
-                        ok = False
-                        break
+                        return False
                     self.in_factor[e2] = True
                     factor_added.append(e2)
                     p, q = g.endpoints(e2)
                     if not self._add_factor_edge(p, q, trail):
-                        ok = False
-                        break
-                if not ok:
+                        return False
+                    if not self.is_end[y]:
+                        forced.append(y)
+            if not self.forced:
+                return True
+            while forced:
+                v = forced.pop(0)
+                if not self.matched[v]:
                     break
-            if ok:
-                self._extend(v + 1)
-            self._undo(trail)
-            for e2 in factor_added:
-                self.in_factor[e2] = False
-            self.matched[v] = self.matched[w] = False
+            else:
+                return True
+            eid, w = next((e, z) for e, z in g.incident(v) if not self.in_factor[e])
+            self._spend(1)
 
 
 class _StopSearch(Exception):
     pass
 
 
-def recursive_oddness(g: MultiGraph, max_work: int | None = None):
+def recursive_oddness(
+    g: MultiGraph, max_work: int | None = None, forced: bool = True
+):
     """``(oddness, witness matching, work)`` of the recursive search."""
-    search = RecursiveOddnessSearch(g, max_work)
+    search = RecursiveOddnessSearch(g, max_work, forced)
     search.run()
     return search.best, search.best_matching, search.work
 

@@ -338,13 +338,13 @@ def test_dp_runs_once_on_flower_15(monkeypatch):
 
 @pytest.mark.parametrize(
     "k,units",
-    [(11, 3_574), (15, 5_842), (21, 120_262)],
+    [(11, 3_580), (15, 5_269), (21, 100_579)],
     ids=["flower-11", "flower-15", "flower-21"],
 )
 def test_oddness_work_is_pinned_on_flower_snarks(k, units):
-    # an exhaustive search needs far more.  On J11 the DP runs after the
-    # first 2-factor with two odd circuits and the search stops at once; on
-    # J15 and J21 it runs before, and the search stops at that 2-factor
+    # an exhaustive search needs far more.  On J11 and J15 the DP runs after
+    # the first 2-factor with two odd circuits and the search stops at once;
+    # on J21 it runs before, and the search stops at that 2-factor
     g = flower_snark(k)
     assert compute_oddness(g, max_work=units).oddness == 2
     with pytest.raises(BudgetExceededError):
@@ -391,6 +391,41 @@ def test_oddness_search_visits_what_the_recursive_search_visits(corpus):
             assert _outcome(_iterative_oddness, g, max_work) == _outcome(
                 reference, g, max_work
             ), (name, max_work)
+
+
+def test_forced_matches_keep_the_oddness_and_the_witness():
+    # the unforced search visits the same 2-factors in the same order, so it
+    # returns the same oddness and the same witness, for more work
+    graphs = [
+        (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
+        for n in range(40, 81, 10)
+        for s in range(10)
+    ]
+    for n in (3, 4, 5, 10, 31, 50, 51, 100, 199):
+        graphs += [(f"prism-{n}", prism(n)), (f"moebius-{n}", _moebius_ladder(2 * n))]
+        graphs += [(f"gp-{n}-{k}", generalized_petersen(n, k)) for k in (2, 3) if 2 * k < n]
+    graphs += [
+        (f"dot-{k}", dot_product(oddness4_snark(), flower_snark(k), (0, 21), 0))
+        for k in (5, 7, 9)
+    ]
+    graphs += [
+        (f"flower-11-shuffled-{s}", shuffled(flower_snark(11), random.Random(s)))
+        for s in range(4)
+    ]
+    for name, g in graphs:
+        best, matching, _ = _iterative_oddness(g)
+        unforced = on_fresh_thread(recursive_oddness, g, None, False)
+        assert (best, matching) == unforced[:2], name
+
+
+def test_forced_matches_cut_the_work_on_random_graphs():
+    # without forced matches these searches take 5,052, 122, 5,189, 89 and
+    # 149 units
+    work = [
+        _iterative_oddness(random_bridgeless_cubic(80, random.Random(s)))[2]
+        for s in range(5)
+    ]
+    assert work == [140, 40, 42, 40, 55]
 
 
 def test_two_factors_come_in_the_recursive_order(corpus):

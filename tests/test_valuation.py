@@ -434,6 +434,68 @@ def test_wrong_form_valuation_rejected():
         valuation_to_flow(g, val, 5)
 
 
+def _per_vertex_out_degrees(g, val, k):
+    """Out-degrees from ``f(v) = k/(k-2) * (2*outdeg - deg)``, one vertex at
+    a time, with the first failing vertex in the error."""
+    out = []
+    for v in range(g.n):
+        two_outdeg = val.value(v) * (k - 2) / k + g.degree(v)
+        if two_outdeg.denominator != 1 or two_outdeg.numerator % 2:
+            raise ValueError(
+                f"vertex {v}: valuation value {val.value(v)} is not of the "
+                f"degree form for k={k}"
+            )
+        d = two_outdeg.numerator // 2
+        if not 0 <= d <= g.degree(v):
+            raise ValueError(f"vertex {v}: prescribed out-degree {d} infeasible")
+        out.append(d)
+    return out
+
+
+def test_out_degrees_are_converted_per_pair_as_per_vertex():
+    # the same out-degrees, or the same error naming the same first vertex,
+    # on valuations that mix good pairs with bad ones of either kind
+    rng = random.Random(29)
+    graphs = [petersen(), prism(7), random_cubic_multigraph(12, rng)]
+    graphs += [
+        MultiGraph(6, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+    ]
+    outcomes = set()
+    for _ in range(600):
+        g = rng.choice(graphs)
+        k = rng.randint(3, 7)
+        den = rng.choice((1, 2, 3, k - 2, 2 * (k - 2)))
+        bad_share = rng.choice((0, 0, 0.05, 0.3))
+        nums = []
+        for v in range(g.n):
+            # the numerator of out-degree d in the degree form, sometimes
+            # with d out of range or the numerator off the form
+            deg = g.degree(v)
+            d = rng.randint(0, deg)
+            off = 0
+            if rng.random() < bad_share:
+                if rng.random() < 0.5:
+                    d = rng.choice((-1, deg + 1))
+                else:
+                    off = rng.choice((1, -1))
+            nums.append(((2 * d - deg) * k * den) // (k - 2) + off)
+        val = Valuation(den, tuple(nums))
+        try:
+            expected = _per_vertex_out_degrees(g, val, k)
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            got = _prescribed_out_degrees(g, val, k)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, (g.n, k, val)
+        if isinstance(expected, list):
+            outcomes.add("out-degrees")
+        else:
+            outcomes.add("form" if "degree form" in expected else "range")
+    assert outcomes == {"out-degrees", "form", "range"}
+
+
 def test_k_below_three_and_a_zero_denominator_are_rejected():
     # k/(k-2) has no positive value below k = 3: each call fails before
     # any arithmetic instead of dividing by zero or returning denominator 0
