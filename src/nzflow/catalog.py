@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .graph import MultiGraph, bridges, components
+from .graph import MultiGraph, basic_checks
 from .symmetry import canonical_form
 
 
@@ -221,7 +221,8 @@ def random_bridgeless_cubic(n: int, rng: random.Random) -> MultiGraph:
         if len({(min(u, v), max(u, v)) for u, v in edges}) != len(edges):
             continue
         g = MultiGraph(n, edges)
-        if len(components(g)) != 1 or bridges(g):
+        checks = basic_checks(g)
+        if not (checks.is_connected and checks.is_bridgeless):
             continue
         return g
 

@@ -76,19 +76,23 @@ def _iter_records(path: str, lenient: bool):
         fh = open(path, "r", encoding="ascii")
         close = True
     try:
-        first = fh.readline()
-        lineno, line = 0, first
-        if first.lstrip().startswith(("{", "[")):
+        # the first non-blank line tells JSON from graph6
+        blank = ""
+        lineno, line = 1, fh.readline()
+        while line and not line.strip():
+            blank += line
+            lineno, line = lineno + 1, fh.readline()
+        if line.lstrip().startswith(("{", "[")):
             # graph6 writes n = 28 and n = 60 as "[" and "{"; no JSON text is
             # a valid record, as parse_graph6 enforces its exact length and
             # character range
             try:
-                head = parse_graph6(first)
+                head = parse_graph6(line)
             except Graph6Error:
                 head = None
             if head is None:
                 try:
-                    obj = json.loads(first + fh.read())
+                    obj = json.loads(blank + line + fh.read())
                 except (json.JSONDecodeError, RecursionError) as exc:
                     yield ("error", f"JSON parse error: {exc}")
                     return
@@ -101,10 +105,9 @@ def _iter_records(path: str, lenient: bool):
                         if not lenient:
                             return
                 return
-            yield ("graph", "line-1", head)
-            lineno, line = 1, fh.readline()
+            yield ("graph", f"line-{lineno}", head)
+            lineno, line = lineno + 1, fh.readline()
         while line:
-            lineno += 1
             stripped = line.strip()
             if stripped and not stripped.startswith("#"):
                 try:
@@ -113,7 +116,7 @@ def _iter_records(path: str, lenient: bool):
                     yield ("error", f"line {lineno}: {exc}")
                     if not lenient:
                         return
-            line = fh.readline()
+            lineno, line = lineno + 1, fh.readline()
     finally:
         if close:
             fh.close()

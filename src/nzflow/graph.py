@@ -174,32 +174,29 @@ def component_labels(g: MultiGraph, removed=frozenset()) -> list[int]:
     return label
 
 
-def components(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
-    """Connected components as sorted vertex tuples, ordered by minimum id."""
-    label = component_labels(g)
-    comps: list[list[int]] = [[] for _ in range(max(label, default=-1) + 1)]
-    for v, c in enumerate(label):
-        comps[c].append(v)
-    return tuple(map(tuple, comps))
+def basic_checks(g: MultiGraph) -> BasicChecks:
+    """Cubicity, connectivity and bridge-freeness from one DFS.
 
-
-def bridges(g: MultiGraph) -> frozenset[int]:
-    """Edge ids whose removal disconnects their component.
-
-    Iterative lowlink DFS; a parallel copy of an edge prevents it from being
-    a bridge because only the exact tree edge id is skipped on the way up.
+    An iterative lowlink DFS starts at each unvisited vertex in ascending
+    order.  Each root is the least vertex of its component, and the
+    vertices it discovers are that component, so the components come out
+    as sorted vertex tuples ordered by minimum id.  A parallel copy of an
+    edge keeps it from being a bridge, because only the exact tree edge id
+    is skipped on the way up.
     """
     disc = [-1] * g.n
     low = [0] * g.n
+    found: list[int] = []  # vertices in discovery order: found[disc[v]] = v
+    comps: list[tuple[int, ...]] = []
     out: set[int] = set()
-    timer = 0
     for root in range(g.n):
         if disc[root] != -1:
             continue
+        first = len(found)
         # stack entries: (vertex, incoming edge id, iterator index)
         stack = [(root, -1, 0)]
-        disc[root] = low[root] = timer
-        timer += 1
+        disc[root] = low[root] = first
+        found.append(root)
         while stack:
             v, in_eid, idx = stack.pop()
             inc = g.incident(v)
@@ -210,8 +207,8 @@ def bridges(g: MultiGraph) -> frozenset[int]:
                 if eid == in_eid:
                     continue
                 if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
+                    disc[w] = low[w] = len(found)
+                    found.append(w)
                     stack.append((v, in_eid, idx))
                     stack.append((w, eid, 0))
                     advanced = True
@@ -225,19 +222,13 @@ def bridges(g: MultiGraph) -> frozenset[int]:
                 low[parent] = min(low[parent], low[v])
                 if low[v] > disc[parent]:
                     out.add(in_eid)
-    return frozenset(out)
-
-
-def basic_checks(g: MultiGraph) -> BasicChecks:
-    """Cubicity, connectivity and bridge-freeness in one pass."""
-    comps = components(g)
-    br = bridges(g)
+        comps.append(tuple(sorted(found[first:])))
     return BasicChecks(
         is_cubic=all(d == 3 for d in g.degrees()),
         is_connected=len(comps) <= 1,
-        is_bridgeless=not br,
-        components=comps,
-        bridges=br,
+        is_bridgeless=not out,
+        components=tuple(comps),
+        bridges=frozenset(out),
     )
 
 

@@ -7,8 +7,13 @@ oddness search additionally tracks circuits of the complement as they close,
 matches at once each vertex left with one possible partner, and prunes
 branches that can no longer beat the current best; a dynamic
 program over a vertex order's frontier decides 3-edge-colourability, which
-lets that search stop before exhausting the matchings of a snark.  Each
-matching choice, forced ones included, and each DP state costs one work unit.
+lets that search stop before exhausting the matchings of a snark.  On a
+doubling schedule, once it has spent 4n units, the search also probes for
+a barrier that leaves a node's unmatched vertices without a perfect
+matching (an odd component, or a bipartite one with unequal colour
+classes) and then cuts that node's subtree.  Each
+matching choice, forced ones included, each DP state and each vertex a
+probe visits costs one work unit.
 """
 
 from __future__ import annotations
@@ -286,6 +291,47 @@ def three_edge_colourable(g: MultiGraph) -> bool:
     return _frontier_colourable(g, order, lambda units: None)
 
 
+def _matching_barrier(incidence, matched: list[bool], start: int, spend) -> bool:
+    """Whether G[U], for U the unmatched vertices (none below ``start``),
+    visibly has no perfect matching.
+
+    A perfect matching pairs off every component, so a component of odd
+    order has none; nor has a bipartite component whose colour classes
+    differ in size, since each of its matching edges joins the two classes.
+    One BFS 2-colouring over U finds either, stopping at the first such
+    component; ``spend`` is charged one unit per vertex it visited.
+    """
+    colour = [-1] * len(matched)
+    visited = 0
+    barrier = False
+    for root in range(start, len(matched)):
+        if matched[root] or colour[root] >= 0:
+            continue
+        colour[root] = 0
+        queue = [root]
+        ones = 0
+        bipartite = True
+        for x in queue:
+            cx = colour[x]
+            for _, y in incidence[x]:
+                if matched[y]:
+                    continue
+                cy = colour[y]
+                if cy < 0:
+                    colour[y] = cx ^ 1
+                    ones += cx ^ 1
+                    queue.append(y)
+                elif cy == cx:
+                    bipartite = False
+        size = len(queue)
+        visited += size
+        if size % 2 or (bipartite and 2 * ones != size):
+            barrier = True
+            break
+    spend(visited)
+    return barrier
+
+
 class _OddnessSearch:
     """Branch-and-bound over perfect matchings, tracking complement circuits.
 
@@ -321,6 +367,29 @@ class _OddnessSearch:
     The complete 2-factors below the node and their DFS order are thus
     unchanged, and pruning still drops only branches that cannot beat
     ``best``.  Only the work changes.
+
+    Barrier probes: let U be a node's unmatched vertices.  Every edge at a
+    matched vertex is decided, and no edge of G[U] is in the 2-factor yet,
+    so the node's completions are the perfect matchings of G[U].
+    :func:`_matching_barrier` finds a component of G[U] of odd order, or a
+    bipartite one with colour classes of unequal size; either leaves G[U]
+    without a perfect matching (Tutte's 1-factor condition fails for S
+    empty, or for S the smaller colour class, whose removal leaves the
+    larger one as isolated vertices), so the node has no completion.  Nor
+    has any node below it: a completion there, with the pairs matched
+    between the two nodes, would complete the node.  The test costs one
+    unit per vertex it visits, so it runs on a schedule, never at every
+    node.  The first probe runs at the first node entered once the work
+    reaches 4n units, so shorter searches never probe.  A probe that finds
+    no barrier doubles ``interval``, the units until the next, so such
+    probes cost O(n log W) of W units.  A probe that finds a barrier kills
+    its node; the search then tests each frame it returns to that has a
+    child left, pops it while the barrier holds, and probes next
+    ``interval`` units after the first frame that passes.
+    This keeps every output, as forced matches do: a killed node has no
+    complete 2-factor below it, so the complete 2-factors below every
+    surviving node and their DFS order are unchanged.  Only the work, and
+    so the point where the budget runs out, changes.
 
     The search stops at the first complete 2-factor with at most ``floor``
     odd circuits.  ``floor`` starts at 0; once the work reaches
@@ -360,6 +429,12 @@ class _OddnessSearch:
         frames: list[tuple[int, Iterator, int]] = []  # (vertex, untried, mark)
         spend = self.budget.spend
         gate = self.gate
+        # barrier probes: the first once the search has spent 4n units, the
+        # next ``interval`` units after a probe that finds none
+        interval = 4 * n
+        probe_at = interval
+        alarm = min(gate, probe_at)  # the work at which a node checks both
+        unwinding = False  # a probe killed a node: test each frame returned to
         v = 0  # every vertex below v is matched
         while True:
             # enter a node: its vertex is the lowest unmatched one
@@ -376,11 +451,20 @@ class _OddnessSearch:
                         return
                     dead = closed_odd - 1
             else:
-                if spend() >= gate:
-                    if self._open_gate():
-                        return  # the node's unit opened the gate; the DP settled it
-                    gate = self.gate
-                if closed_odd < dead:
+                used = spend()
+                if used >= alarm:
+                    if used >= gate:
+                        if self._open_gate():
+                            return  # the node's unit opened the gate; the DP settled it
+                        gate = self.gate
+                        used = self.budget.used
+                    if used >= probe_at and closed_odd < dead:
+                        unwinding = _matching_barrier(incidence, matched, v, spend)
+                        if not unwinding:
+                            interval *= 2
+                            probe_at = self.budget.used + interval
+                    alarm = min(gate, probe_at)
+                if closed_odd < dead and not unwinding:
                     frames.append((v, iter(incidence[v]), len(trail)))
             # undo the last child of the deepest frame and enter its next one
             while frames:
@@ -411,6 +495,15 @@ class _OddnessSearch:
                 else:
                     frames.pop()
                     continue
+                if unwinding:
+                    # the barrier that killed a node below may hold here too;
+                    # then no child of this frame has a completion
+                    if _matching_barrier(incidence, matched, v, spend):
+                        frames.pop()
+                        continue
+                    unwinding = False
+                    probe_at = self.budget.used + interval
+                    alarm = min(gate, probe_at)
                 # match (v, w) and commit the other edges at v and w to the
                 # 2-factor; then match each unmatched vertex that now has two
                 # 2-factor edges along its third edge, one unit each, until
@@ -506,10 +599,14 @@ def compute_oddness(
     once; if it finds no colouring, the search exits at its first 2-factor
     with two odd circuits instead of exhausting every matching.  The DP
     thus costs at most what the search has spent.
-    A vertex left with one possible partner is matched to it at once (see
-    ``_OddnessSearch``), which visits the same 2-factors in the same order.
-    Each matching choice, forced ones included, and each DP state costs one
-    work unit; more than ``max_work`` units raise
+    A vertex left with one possible partner is matched to it at once, and
+    once the search has spent 4n units it probes, at doubling intervals,
+    for a component of the unmatched vertices that no perfect matching
+    covers (odd order, or bipartite with unequal colour classes), and cuts
+    the subtree of a node that has such a barrier (see ``_OddnessSearch``).
+    Both visit the same complete 2-factors in the same order.  Each
+    matching choice, forced ones included, each DP state and each vertex a
+    probe visits costs one work unit; more than ``max_work`` units raise
     :class:`BudgetExceededError`.
     """
     _require_cubic(g)

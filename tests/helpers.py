@@ -974,12 +974,30 @@ class RecursiveOddnessSearch:
     they got their second 2-factor edge, one unit each.  With
     ``forced=False`` such a vertex waits until the DFS reaches it: the same
     2-factors in the same order, for more work.
+
+    With ``probed`` (the default), a node entered once the work reaches
+    ``probe_at`` (first 4n) runs the barrier test of :meth:`_barrier`.  A
+    node with a barrier dies, and so does each ancestor that still has a
+    child to try while the test holds there; the first ancestor that passes
+    tries its next child and sets the next probe ``interval`` units on.  A
+    probe that finds no barrier doubles ``interval``.  With
+    ``probed=False`` no probe runs: the same 2-factors in the same order,
+    for other work.
     """
 
-    def __init__(self, g: MultiGraph, max_work: int | None, forced: bool = True):
+    def __init__(
+        self,
+        g: MultiGraph,
+        max_work: int | None,
+        forced: bool = True,
+        probed: bool = True,
+    ):
         self.g = g
         self.max_work = max_work
         self.forced = forced
+        self.interval = 4 * g.n
+        self.probe_at = self.interval if probed else math.inf
+        self.unwinding = False
         self.work = 0
         self.best: int | None = None
         self.best_matching: frozenset[int] | None = None
@@ -1027,6 +1045,38 @@ class RecursiveOddnessSearch:
             self.floor = 2
             if self.best is not None and self.best <= self.floor:
                 raise _StopSearch
+
+    def _barrier(self, v: int) -> bool:
+        """Whether a component of G[U], U the unmatched vertices, has odd
+        order, or is bipartite with colour classes of unequal size.  The
+        components are taken in order of their lowest vertex, and each one
+        up to the first such component costs a unit per vertex."""
+        g = self.g
+        seen: dict[int, int] = {}
+        barrier = False
+        for root in range(v, g.n):
+            if self.matched[root] or root in seen:
+                continue
+            side = {root: 0}
+            todo = [root]
+            bipartite = True
+            while todo:
+                x = todo.pop()
+                for _, y in g.incident(x):
+                    if self.matched[y]:
+                        continue
+                    if y not in side:
+                        side[y] = 1 - side[x]
+                        todo.append(y)
+                    elif side[y] == side[x]:
+                        bipartite = False
+            seen.update(side)
+            ones = sum(side.values())
+            if len(side) % 2 == 1 or (bipartite and 2 * ones != len(side)):
+                barrier = True
+                break
+        self._spend(len(seen))
+        return barrier
 
     def _add_factor_edge(self, a: int, b: int, trail: list) -> bool:
         """Commit edge (a, b) to the 2-factor; False when an odd circuit
@@ -1097,9 +1147,21 @@ class RecursiveOddnessSearch:
             and self.closed_odd >= self.best - 1
         ):
             return
+        if self.work >= self.probe_at:
+            if self._barrier(v):
+                self.unwinding = True
+                return
+            self.interval *= 2
+            self.probe_at = self.work + self.interval
         for eid, w in g.incident(v):
             if self.matched[w]:
                 continue
+            if self.unwinding:
+                # a descendant had a barrier; so may this node
+                if self._barrier(v):
+                    return
+                self.unwinding = False
+                self.probe_at = self.work + self.interval
             pairs: list = []
             factor_added: list = []
             trail: list = []
@@ -1151,10 +1213,13 @@ class _StopSearch(Exception):
 
 
 def recursive_oddness(
-    g: MultiGraph, max_work: int | None = None, forced: bool = True
+    g: MultiGraph,
+    max_work: int | None = None,
+    forced: bool = True,
+    probed: bool = True,
 ):
     """``(oddness, witness matching, work)`` of the recursive search."""
-    search = RecursiveOddnessSearch(g, max_work, forced)
+    search = RecursiveOddnessSearch(g, max_work, forced, probed)
     search.run()
     return search.best, search.best_matching, search.work
 

@@ -153,6 +153,35 @@ def test_analyze_reads_graph6_that_starts_like_json(capsys, tmp_path, k):
     assert recs[0]["outcome"]["outcome"] == "flow_found"
 
 
+def test_json_after_blank_lines_is_read_as_json(capsys, monkeypatch):
+    text = '{"n":4,"edges":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n \n" + text + "\n"))
+    code, out, err = run_cli(capsys, ["oddness", "-"])
+    assert code == 0, err
+    assert [(r["name"], r["oddness"]) for r in records(out)] == [("json-0", 0)]
+    # a JSON error keeps its position in the file
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n\n{\n"))
+    code, _, err = run_cli(capsys, ["oddness", "-"])
+    assert code == 2
+    assert "line 4" in err
+
+
+def test_graph6_after_blank_lines_keeps_its_line_numbers(capsys, tmp_path):
+    # the first record starts like JSON (n = 28 is written as "[")
+    path = tmp_path / "blank-first.g6"
+    path.write_text(
+        "\n\n" + serialize_graph6(flower_snark(7)) + "\n\n"
+        + serialize_graph6(k4()) + "\n!!!\n"
+    )
+    code, out, err = run_cli(capsys, ["oddness", str(path)])
+    assert code == 2
+    assert [(r["name"], r["oddness"]) for r in records(out)] == [
+        ("line-3", 2),
+        ("line-5", 0),
+    ]
+    assert "line 6" in err
+
+
 def test_analyze_max_work_bounds_the_oddness_search(capsys, tmp_path):
     path = tmp_path / "flower-9.g6"
     path.write_text(serialize_graph6(flower_snark(9)) + "\n")

@@ -1,3 +1,6 @@
+import random
+
+import networkx as nx
 import pytest
 
 from nzflow import (
@@ -144,6 +147,37 @@ def test_basic_checks_parallel_edges_are_not_bridges():
     g = MultiGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 1)])
     chk = basic_checks(g)
     assert chk.is_bridgeless
+
+
+def test_basic_checks_match_networkx_on_random_multigraphs():
+    # an edge is a bridge when deleting that one edge id adds a component;
+    # the graphs have parallel edges, isolated vertices and several components
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randrange(0, 13)
+        edges = []
+        for _ in range(rng.randrange(0, 2 * n + 1) if n >= 2 else 0):
+            u, v = rng.sample(range(n), 2)
+            edges.append((u, v))
+            if rng.random() < 0.2:
+                edges.append((v, u))  # a parallel copy
+        g = MultiGraph(n, edges)
+        h = nx.MultiGraph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from((u, v, eid) for eid, (u, v) in enumerate(edges))
+        expected = sorted(tuple(sorted(c)) for c in nx.connected_components(h))
+        bridges = set()
+        for eid, (u, v) in enumerate(edges):
+            h.remove_edge(u, v, key=eid)
+            if not nx.has_path(h, u, v):
+                bridges.add(eid)
+            h.add_edge(u, v, key=eid)
+        chk = basic_checks(g)
+        assert chk.components == tuple(expected), edges
+        assert chk.bridges == bridges, edges
+        assert chk.is_connected == (len(expected) <= 1)
+        assert chk.is_bridgeless == (not bridges)
+        assert chk.is_cubic == all(d == 3 for _, d in h.degree())
 
 
 def test_trace_circuit_canonical_start():

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations, permutations, product
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -56,6 +57,7 @@ from nzflow.structure import (
     _edge_connectivity,
     _frontier_colourable,
     _frontier_order,
+    _matching_barrier,
     _moore_girth,
     _neighbourhood_cut,
     _renamed,
@@ -338,13 +340,14 @@ def test_dp_runs_once_on_flower_15(monkeypatch):
 
 @pytest.mark.parametrize(
     "k,units",
-    [(11, 3_580), (15, 5_269), (21, 100_579)],
-    ids=["flower-11", "flower-15", "flower-21"],
+    [(11, 3_586), (15, 5_266), (21, 7_804), (31, 12_034)],
+    ids=["flower-11", "flower-15", "flower-21", "flower-31"],
 )
 def test_oddness_work_is_pinned_on_flower_snarks(k, units):
-    # an exhaustive search needs far more.  On J11 and J15 the DP runs after
-    # the first 2-factor with two odd circuits and the search stops at once;
-    # on J21 it runs before, and the search stops at that 2-factor
+    # an exhaustive search needs far more.  On each the DP runs after the
+    # first 2-factor with two odd circuits and the search stops at once.
+    # Without barrier probes J21 needs 100,579 units and J31 about 23.9
+    # million, past the default budget
     g = flower_snark(k)
     assert compute_oddness(g, max_work=units).oddness == 2
     with pytest.raises(BudgetExceededError):
@@ -394,8 +397,9 @@ def test_oddness_search_visits_what_the_recursive_search_visits(corpus):
 
 
 def test_forced_matches_keep_the_oddness_and_the_witness():
-    # the unforced search visits the same 2-factors in the same order, so it
-    # returns the same oddness and the same witness, for more work
+    # the search without forced matches or barrier probes visits the same
+    # 2-factors in the same order, so it returns the same oddness and the
+    # same witness, for more work
     graphs = [
         (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
         for n in range(40, 81, 10)
@@ -414,8 +418,8 @@ def test_forced_matches_keep_the_oddness_and_the_witness():
     ]
     for name, g in graphs:
         best, matching, _ = _iterative_oddness(g)
-        unforced = on_fresh_thread(recursive_oddness, g, None, False)
-        assert (best, matching) == unforced[:2], name
+        plain = on_fresh_thread(recursive_oddness, g, None, False, False)
+        assert (best, matching) == plain[:2], name
 
 
 def test_forced_matches_cut_the_work_on_random_graphs():
@@ -426,6 +430,124 @@ def test_forced_matches_cut_the_work_on_random_graphs():
         for s in range(5)
     ]
     assert work == [140, 40, 42, 40, 55]
+
+
+def _probe(g, keep):
+    """The barrier verdict on G[U], U the vertices with ``keep``, and the
+    units the probe charged."""
+    units = []
+    found = _matching_barrier(
+        [g.incident(x) for x in range(g.n)], [not k for k in keep], 0, units.append
+    )
+    return found, units[0]
+
+
+def _has_perfect_matching(g, keep):
+    h = nx.Graph()
+    h.add_nodes_from(v for v in range(g.n) if keep[v])
+    h.add_edges_from((u, w) for u, w in g.edges if keep[u] and keep[w])
+    pairs = nx.max_weight_matching(h, maxcardinality=True)
+    return 2 * len(pairs) == h.number_of_nodes()
+
+
+def test_matching_barrier_finds_odd_and_unbalanced_components():
+    g = petersen()
+    star = [v == 0 or v in (1, 4, 5) for v in range(10)]  # K_{1,3}
+    assert _probe(g, star) == (True, 4)
+    path = [v in (0, 1, 2, 3) for v in range(10)]  # P4
+    assert _probe(g, path) == (False, 4)
+    outer = [v < 5 for v in range(10)]  # the outer 5-cycle
+    assert _probe(g, outer) == (True, 5)
+    # the first component with a barrier ends the probe: {0} costs one unit
+    assert _probe(g, [v in (0, 2, 3) for v in range(10)]) == (True, 1)
+
+
+def test_matching_barrier_is_sound(monkeypatch, corpus):
+    # wherever the probe reports a barrier, G[U] has no perfect matching.
+    # U is a random vertex subset, or the unmatched vertices of a node the
+    # search probed
+    rng = random.Random(25)
+    graphs = [g for _, g in corpus]
+    graphs += [flower_snark(k) for k in (5, 7, 9, 11, 13)]
+    graphs += [oddness4_snark()]
+    graphs += [
+        random_bridgeless_cubic(n, random.Random(s))
+        for n in (20, 30, 40)
+        for s in range(3)
+    ]
+    cases = []
+    for g in graphs:
+        for _ in range(20):
+            p = rng.random()
+            cases.append((g, [rng.random() < p for _ in range(g.n)]))
+    real = nzflow.structure._matching_barrier
+
+    def recorded(incidence, matched, start, spend):
+        # g is the graph whose search is running below
+        cases.append((g, [not x for x in matched]))
+        return real(incidence, matched, start, spend)
+
+    monkeypatch.setattr(nzflow.structure, "_matching_barrier", recorded)
+    for g in (flower_snark(13), flower_snark(17), shuffled(flower_snark(11), random.Random(1))):
+        compute_oddness(g)
+    reported = 0
+    for g, keep in cases:
+        found, units = _probe(g, keep)
+        if found:
+            reported += 1
+            assert not _has_perfect_matching(g, keep)
+        else:
+            assert units == sum(keep)  # a probe that finds none visits all of U
+    assert 200 <= reported <= len(cases) - 200
+
+
+def test_barrier_probes_keep_the_oddness_and_the_witness(monkeypatch):
+    # a probe kills only nodes without a completion, so the search without
+    # probes visits the same complete 2-factors in the same order
+    graphs = [(f"flower-{k}", flower_snark(k)) for k in range(5, 26, 2)]
+    graphs += [(f"blanusa-{i}", g) for i, g in enumerate(blanusa_snarks(), 1)]
+    graphs += [("oddness4", oddness4_snark())]
+    graphs += [
+        (f"dot-{k}", dot_product(oddness4_snark(), flower_snark(k), (0, 21), 0))
+        for k in (5, 7, 9)
+    ]
+    graphs += [
+        (f"flower-{k}-shuffled-{s}", shuffled(flower_snark(k), random.Random(s)))
+        for k in (11, 17)
+        for s in range(4)
+    ]
+    graphs += [
+        (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
+        for n in range(40, 81, 10)
+        for s in range(10)
+    ]
+    probed = {name: _iterative_oddness(g) for name, g in graphs}
+    monkeypatch.setattr(nzflow.structure, "_matching_barrier", lambda *args: False)
+    plain = {name: _iterative_oddness(g) for name, g in graphs}
+    for name, _ in graphs:
+        assert probed[name][:2] == plain[name][:2], name
+    assert plain["flower-21"][2] == 100_579
+    assert probed["flower-21"][2] == 7_804
+
+
+def test_probes_never_run_on_colourable_random_graphs_or_ladders(monkeypatch):
+    # these searches end before 4n units, as every random-cubic and
+    # ladder-large record of the benchmark does
+    probes = []
+    monkeypatch.setattr(
+        nzflow.structure, "_matching_barrier", lambda *args: probes.append(args)
+    )
+    graphs = [
+        random_bridgeless_cubic(n, random.Random(s))
+        for n in (40, 44, 48, 50)
+        for s in range(5)
+    ]
+    for v in (100, 102, 148, 200, 250, 298, 350, 398):
+        graphs += [prism(v // 2), _moebius_ladder(v)]
+        graphs += [generalized_petersen(v // 2, k) for k in (2, 3)]
+    for g in graphs:
+        assert compute_oddness(g).oddness == 0
+    assert probes == []
 
 
 def test_two_factors_come_in_the_recursive_order(corpus):
