@@ -3,8 +3,9 @@
 A vertex valuation f is balanced when ``|sum over X of f| <= |cut(X)|`` for
 every vertex subset X.  All arithmetic is exact: values are integers over a
 fixed denominator, never floats.  Balance is checked in polynomial time by
-reading both signs of the objective off one s-t min-cut network; the test
-suite cross-checks it against an exhaustive checker over all subsets.
+reading both signs of the objective off one max flow on the graph's own
+arrays; the test suite cross-checks it against an exhaustive checker over
+all subsets.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from fractions import Fraction
 from .errors import InternalInconsistencyError, UnbalancedValuationError
 from .flows import AugmentedGraph, Flow, is_nowhere_zero, verify_flow
 from .graph import MultiGraph, check_vertex_set
-from .maxflow import MaxFlow
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,158 @@ def _out_degrees(g: MultiGraph, f: Flow) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# one max flow on the graph's arrays
+# ---------------------------------------------------------------------------
+
+
+def _max_flow(
+    g: MultiGraph, tails, rem: list[int], fwd: list[int], bwd: list[int]
+) -> bool:
+    """Dinic on the graph's own arrays: route the vertices' supply to their
+    demand over the edges; True when all supply is routed.
+
+    Edge e has residual ``fwd[e]`` from ``tails[e]`` to its other end and
+    ``bwd[e]`` back; ``rem[v] > 0`` is supply left at v (its arc from s),
+    and ``rem[v] < 0`` is demand left (its arc to t).  All three lists
+    change in place and end as the residual network of a maximum flow,
+    whatever the starting residuals.  With ``bwd`` zero at the start it is
+    also the flow, ending in ``bwd``, that ``RecursiveMaxFlow`` in
+    ``tests/helpers.py`` (Dinic, arcs tried in insertion order) finds on
+    the network with arcs tail -> head of capacity ``fwd[e]`` in edge id
+    order, then s -> v and v -> t in vertex order, so a vertex tries one arc
+    per incident edge in id order (``g.incident``), then its terminal arc.
+    A positive start would be a second arc per edge, whose place in the arc
+    order that network does not fix.
+
+    Levels: the arcs into s or out of t never increase the level, so every
+    level-increasing path is s, v1, ..., vj, t with v1 a source and vj a
+    sink.  Level 1 holds the vertices with supply left.  The reference
+    labels every vertex; the search here stops at the first layer, ``top``,
+    that holds a vertex with demand left, so t is at level top + 1.  Every
+    vertex of a level-increasing path to t is nearer than t, and is labelled
+    here with the reference's level, so the vertices left out are dead ends
+    that the reference enters and leaves without a push: the flow is the
+    same.  Only vertices on layer ``top`` can have demand left, since t
+    would be nearer otherwise.  One there goes straight to t when it has
+    demand left, its edges leading to dead ends, and is a dead end itself
+    otherwise.  Below it, a vertex tries its incident edges in id order;
+    its terminal arc is never level-increasing.
+
+    Blocking flow: the reference restarts at s after a push and walks the
+    current-arc pointers again.  Every pointer on the path still points at
+    the arc it took, and the walk takes that arc again unless the push
+    saturated it, so it stops at the first saturated arc of the path, in
+    path order.  Below, the search resumes there: at s when the push used
+    up the source's supply (s then tries the next source), at the tail of
+    the first saturated edge, or, when only the arc to t was saturated, at
+    the sink, which is then a dead end.
+
+    Phase 1: when t is at level 3, every path is s, source, sink, t, and
+    the pushes run along edges out of a source into a sink.  Such a push
+    only lowers the residual of its edge from the source, so an edge that
+    is usable now was usable at the start of the phase, and the sink at its
+    other end is on level 2.  The phase is therefore a greedy pass: each
+    source in vertex order sends what it can over its incident edges in id
+    order, straight into each sink with demand left, skipping an edge with
+    no residual from the source, until its supply is used up.  When t is
+    farther, no source has an edge with residual into a sink with demand
+    left, and the pass sends nothing; Dinic's levels grow from phase to
+    phase, so no later phase has t at level 3.
+    """
+    n = g.n
+    inc = [g.incident(v) for v in range(n)]
+    sources = [v for v in range(n) if rem[v] > 0]
+    for v in sources:  # phase 1, when t is at level 3
+        for e, w in inc[v]:
+            if rem[w] < 0 and (fwd[e] if tails[e] == v else bwd[e]):
+                ahead = tails[e] == v
+                p = min(rem[v], fwd[e] if ahead else bwd[e], -rem[w])
+                d = p if ahead else -p
+                fwd[e] -= d
+                bwd[e] += d
+                rem[w] += p
+                rem[v] -= p
+                if not rem[v]:
+                    break
+    while True:
+        sources = [v for v in sources if rem[v] > 0]
+        if not sources:
+            return True
+        level = [0] * n  # 0: unlabelled
+        for v in sources:
+            level[v] = 1
+        front, top = sources, 1
+        while not any(rem[v] < 0 for v in front):
+            top += 1
+            nxt = []
+            for a in front:
+                for e, b in inc[a]:
+                    if not level[b] and (fwd[e] if tails[e] == a else bwd[e]):
+                        level[b] = top
+                        nxt.append(b)
+            if not nxt:
+                return False
+            front = nxt
+        ptr = [0] * n  # next incident edge to try
+        for root in sources:
+            path, via = [root], []  # vertices, and the edges between them
+            while path:
+                a = path[-1]
+                if level[a] == top:
+                    if rem[a] < 0:
+                        res = [
+                            fwd[e] if tails[e] == b else bwd[e]
+                            for b, e in zip(path, via)
+                        ]
+                        p = min(rem[root], -rem[a], *res)
+                        for b, e in zip(path, via):
+                            d = p if tails[e] == b else -p
+                            fwd[e] -= d
+                            bwd[e] += d
+                        rem[root] -= p
+                        rem[a] += p
+                        if not rem[root]:
+                            break
+                        if p in res:  # resume at the first saturated edge
+                            first = res.index(p)
+                            del path[first + 1 :], via[first:]
+                            continue
+                else:
+                    nb, i, want = inc[a], ptr[a], level[a] + 1
+                    while i < len(nb):
+                        e, b = nb[i]
+                        if level[b] == want and (
+                            fwd[e] if tails[e] == a else bwd[e]
+                        ):
+                            break
+                        i += 1
+                    ptr[a] = i
+                    if i < len(nb):
+                        path.append(b)
+                        via.append(e)
+                        continue
+                # dead end: retreat and skip the edge that led here
+                path.pop()
+                if via:
+                    via.pop()
+                    ptr[path[-1]] += 1
+
+
+def _residual_reach(
+    g: MultiGraph, tails, fwd, bwd, starts, back: bool
+) -> tuple[int, ...]:
+    """The vertices reachable from ``starts`` over edges with residual left,
+    sorted; with ``back``, the vertices that can reach ``starts`` instead."""
+    seen, found = set(starts), list(starts)
+    for a in found:  # grows while it is read: a breadth-first search
+        for e, b in g.incident(a):
+            if b not in seen and (fwd[e] if (tails[e] == a) != back else bwd[e]):
+                seen.add(b)
+                found.append(b)
+    return tuple(sorted(found))
+
+
+# ---------------------------------------------------------------------------
 # balancedness check
 # ---------------------------------------------------------------------------
 
@@ -193,30 +345,32 @@ def check_balanced_mincut(g: MultiGraph, val: Valuation) -> BalanceReport:
     set always achieves zero).  On a violation the larger value wins, ties
     going to the smaller, then lexicographically first, candidate; for
     ``T = 0``, as on pipeline valuations, both signs tie.
+
+    :func:`_max_flow` solves it on the graph's arrays, each edge oriented
+    from its first end with residual ``den`` both ways and ``rem`` the
+    weights.  The supply and the demand left over are the plus and minus
+    values; the plus side is the residual reach of the vertices with supply
+    left, and the minus side the vertices that still reach demand left.
     """
     if len(val.numerators) != g.n:
         raise ValueError("valuation does not cover the vertex set")
     den = val.denominator
-    weights = val.numerators
-    n = g.n
-    s, t = n, n + 1
-    net = MaxFlow(n + 2)
-    net.add_edges(
-        (s, v, w) if w > 0 else (v, t, -w) for v, w in enumerate(weights) if w
-    )
-    net.add_edges(
-        arc for (u, v) in g.edges for arc in ((u, v, den), (v, u, den))
-    )
-    plus = sum(w for w in weights if w > 0) - net.max_flow(s, t)
-    minus = plus - sum(weights)
+    tails = [u for u, _v in g.edges]
+    rem = list(val.numerators)
+    fwd, bwd = [den] * g.m, [den] * g.m
+    _max_flow(g, tails, rem, fwd, bwd)
+    plus = sum(r for r in rem if r > 0)
+    minus = plus - sum(val.numerators)
     best = max(plus, minus)
     if best <= 0:
         return BalanceReport(True, None, Fraction(0), None)
     sides = []
     if plus == best:
-        sides.append(tuple(sorted(net.reachable(s) - {s})))
+        starts = [v for v, r in enumerate(rem) if r > 0]
+        sides.append(_residual_reach(g, tails, fwd, bwd, starts, False))
     if minus == best:
-        sides.append(tuple(sorted(net.reaching(t) - {t})))
+        starts = [v for v, r in enumerate(rem) if r < 0]
+        sides.append(_residual_reach(g, tails, fwd, bwd, starts, True))
     violator = min(sides, key=lambda side: (len(side), side))
     return BalanceReport(
         balanced=False,
@@ -270,7 +424,8 @@ def _initial_orientation(g: MultiGraph, out_deg: list[int]) -> list[int] | None:
     """Some orientation with the prescribed out-degrees: the tail per edge,
     or None.
 
-    It is the orientation that :meth:`MaxFlow.max_flow` finds on the network
+    It is the orientation that ``network_orientation`` in
+    ``tests/helpers.py`` finds with ``RecursiveMaxFlow`` on the network
     s -> edge -> end -> t, run here on the graph's own arrays.  That network
     adds, edge by edge, the arcs s -> e, e -> u and e -> v of unit capacity
     (``(u, v) = g.edges[e]``), then one arc x -> t of capacity
@@ -287,13 +442,13 @@ def _initial_orientation(g: MultiGraph, out_deg: list[int]) -> list[int] | None:
     Later phases: residual arcs run from s to the free edges, from an edge
     to each end that is not its tail, from a vertex to the edges it is the
     tail of, and from a vertex with spare to t.  Levels are odd on edges
-    and even on vertices.  :meth:`MaxFlow._bfs_levels` stops once it labels
-    t; as its docstring argues, that leaves out only dead ends, so the flow
-    depends only on the exact levels of the nodes nearer than t, and those
-    are the nodes labelled below.  Of them only the vertices on the last
-    level can have spare, since t would be nearer otherwise.  A vertex
-    there goes straight to t when it has spare: the edges it could enter
-    first are dead ends.  Current-arc pointers follow the network's arc
+    and even on vertices.  The reference labels every node; the search
+    below stops once it labels t.  As :func:`_max_flow`'s docstring argues,
+    that leaves out only dead ends, so the flow depends only on the exact
+    levels of the nodes nearer than t, and those are the nodes labelled
+    below.  Of them only the vertices on the last level can have spare,
+    since t would be nearer otherwise.  A vertex there goes straight to t
+    when it has spare: the edges it could enter first are dead ends.  Current-arc pointers follow the network's arc
     order: an edge tries u before v, and a vertex tries its incident edges
     in id order (``g.incident``) before its arc to t.  Every arc on a path
     from s carries one unit, so an augmenting path s, e1, x1, ..., ek, xk, t
@@ -388,130 +543,22 @@ def _circulation(g: MultiGraph, tails, k: int) -> list[int] | None:
     """Values in 1..k-1 that conserve on the orientation ``tails`` (k >= 3),
     or None if there are none.
 
-    They are the values that :meth:`MaxFlow.max_flow` finds on the bounded
-    circulation network, run here on the graph's own arrays.  That network
-    routes the lower bound 1 of every edge first, which leaves vertex v an
-    excess of its in-degree minus its out-degree.  Its arcs are, edge by
-    edge in id order, tail -> head of capacity k - 2, then s -> v of the
-    excess for every vertex with positive excess and v -> t of minus the
-    excess for every vertex with negative excess, in vertex order; the
-    values are 1 plus the flows on the edge arcs, and there are none unless
-    every arc from s is saturated.  Here ``x[e]`` is the flow on edge e,
-    so the residual of e is k - 2 - x[e] from its tail and x[e] from its
-    head, and ``rem[v]`` is what is left of v's arc from s (positive) or
-    to t (negative).  A vertex's arcs come in the network's order: one per
-    incident edge in id order (``g.incident``), then its terminal arc.
-
-    Levels: a vertex has either an arc from s or an arc to t, and the arcs
-    into s or out of t are never on a level-increasing path, so every path
-    is s, v1, ..., vj, t with v1 a source and vj a sink.  Level 1 holds the
-    vertices with supply left.  :meth:`MaxFlow._bfs_levels` stops once it
-    labels t; as its docstring argues, that leaves out only dead ends, so
-    the flow depends only on the exact levels of the vertices nearer than
-    t, and those are the layers built below, up to the first one, ``top``,
-    that holds a vertex with room to t.  Only vertices on that layer can
-    have room to t, since t would be nearer otherwise.  A vertex there goes
-    straight to t when it has room: its edges lead to dead ends.  Below
-    it, a vertex tries its incident edges in id order; its terminal arc is
-    never level-increasing.
-
-    Blocking flow: :meth:`MaxFlow.max_flow` restarts at s after a push and
-    walks the current-arc pointers again.  Every pointer on the path still
-    points at the arc it took, and the walk takes that arc again unless the
-    push saturated it, so it stops at the first saturated arc of the path,
-    in path order.  Below, the search resumes there: at s when the push
-    used up the source's supply (s then tries the next source), at the tail
-    of the first saturated edge, or, when only the arc to t was saturated,
-    at the sink, which is then a dead end.
-
-    Phase 1: when t is at level 3, every path is s, source, sink, t, and
-    the pushes run along edges out of a source into a sink.  Such a push
-    only lowers the residual of its edge from the source, so an edge that
-    is usable now was usable at the start of the phase, and the sink at its
-    other end is on level 2.  The phase is therefore a greedy pass: each
-    source in vertex order sends what it can over its incident edges in id
-    order, straight into each sink with room, until its supply is used up.
-    When t is farther, no source has an edge with residual into a sink
-    with room, and the pass sends nothing; Dinic's levels grow from phase
-    to phase, so no later phase has t at level 3.
+    They are the values that ``network_circulation`` in ``tests/helpers.py``
+    finds on the bounded circulation network.  That network routes the
+    lower bound 1 of every edge first, which leaves vertex v an excess of
+    its in-degree minus its out-degree; the rest is the network of
+    :func:`_max_flow` with ``fwd`` at k - 2, ``bwd`` at 0 and ``rem`` at the
+    excesses.  The values are 1 plus the flows on the edges, and there are
+    none unless every arc from s is saturated.
     """
-    n, cap = g.n, k - 2
-    inc = [g.incident(v) for v in range(n)]
-    x = [0] * g.m
-    rem = [0] * n
+    rem = [0] * g.n
     for (u, v), tail in zip(g.edges, tails):
         rem[tail] -= 1
         rem[u + v - tail] += 1
-    sources = [v for v in range(n) if rem[v] > 0]
-    for v in sources:  # phase 1, when t is at level 3; x is still zero
-        for e, w in inc[v]:
-            if rem[w] < 0 and tails[e] == v:
-                p = min(rem[v], cap, -rem[w])
-                x[e] = p
-                rem[w] += p
-                rem[v] -= p
-                if not rem[v]:
-                    break
-    while True:
-        sources = [v for v in sources if rem[v] > 0]
-        if not sources:
-            return [1 + y for y in x]
-        level = [0] * n  # 0: unlabelled
-        for v in sources:
-            level[v] = 1
-        front, top = sources, 1
-        while not any(rem[v] < 0 for v in front):
-            top += 1
-            nxt = []
-            for a in front:
-                for e, b in inc[a]:
-                    if not level[b] and (cap - x[e] if tails[e] == a else x[e]):
-                        level[b] = top
-                        nxt.append(b)
-            if not nxt:
-                return None
-            front = nxt
-        ptr = [0] * n  # next incident edge to try
-        for root in sources:
-            path, via = [root], []  # vertices, and the edges between them
-            while path:
-                a = path[-1]
-                if level[a] == top:
-                    if rem[a] < 0:
-                        res = [
-                            cap - x[e] if tails[e] == b else x[e]
-                            for b, e in zip(path, via)
-                        ]
-                        p = min(rem[root], -rem[a], *res)
-                        for b, e in zip(path, via):
-                            x[e] += p if tails[e] == b else -p
-                        rem[root] -= p
-                        rem[a] += p
-                        if not rem[root]:
-                            break
-                        if p in res:  # resume at the first saturated edge
-                            first = res.index(p)
-                            del path[first + 1 :], via[first:]
-                            continue
-                else:
-                    nb, i, want = inc[a], ptr[a], level[a] + 1
-                    while i < len(nb):
-                        e, b = nb[i]
-                        if level[b] == want and (
-                            cap - x[e] if tails[e] == a else x[e]
-                        ):
-                            break
-                        i += 1
-                    ptr[a] = i
-                    if i < len(nb):
-                        path.append(b)
-                        via.append(e)
-                        continue
-                # dead end: retreat and skip the edge that led here
-                path.pop()
-                if via:
-                    via.pop()
-                    ptr[path[-1]] += 1
+    bwd = [0] * g.m
+    if not _max_flow(g, tails, rem, [k - 2] * g.m, bwd):
+        return None
+    return [1 + y for y in bwd]
 
 
 def valuation_to_flow(g: MultiGraph, val: Valuation, k: int) -> Flow:

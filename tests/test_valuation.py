@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    RecursiveMaxFlow,
     brute_is_balanced,
     brute_max_margins,
     check_balanced_bruteforce,
@@ -46,7 +47,6 @@ from nzflow.catalog import (
 )
 from nzflow.engine import _partition_variants
 from nzflow.graph import MultiGraph
-from nzflow.maxflow import MaxFlow
 from nzflow.valuation import (
     _circulation,
     _initial_orientation,
@@ -247,11 +247,21 @@ def _report(rep):
     return (rep.balanced, rep.violator, rep.margin, rep.class_difference)
 
 
+def _random_multigraph(rng):
+    """A multigraph on 1-9 vertices from random vertex pairs: parallel edges
+    are kept, and there are few enough edges that isolated vertices and
+    several components are common."""
+    n = rng.randint(1, 9)
+    pairs = rng.randint(0, 2 * n) if n > 1 else 0
+    return MultiGraph(n, [rng.sample(range(n), 2) for _ in range(pairs)])
+
+
 def test_one_network_check_matches_references(corpus):
     # +-5 valuations (T = 0 or not) and mixed magnitudes, where the sign of T
-    # decides which sign of the objective wins
+    # decides which sign of the objective wins, then random multigraphs with
+    # zero weights among the others
     rng = random.Random(4242)
-    won = {"plus": 0, "minus": 0, "tie": 0}
+    cases = []
     for name, g in corpus:
         if g.n > 12:
             continue
@@ -261,17 +271,28 @@ def test_one_network_check_matches_references(corpus):
             else:
                 nums = tuple(rng.randint(-9, 9) for _ in range(g.n))
             val = Valuation(denominator=rng.choice((1, 3)), numerators=nums)
-            rm = check_balanced_mincut(g, val)
-            assert _report(rm) == _report(
-                two_network_check_balanced_mincut(g, val)
-            ), (name, val)
-            assert _report(rm) == _report(check_balanced_bruteforce(g, val)), (
-                name,
-                val,
-            )
-            if not rm.balanced:
-                total = sum(nums)
-                won["plus" if total > 0 else "minus" if total < 0 else "tie"] += 1
+            cases.append((name, g, val))
+    multigraphs = [_random_multigraph(rng) for _ in range(500)]
+    for i, g in enumerate(multigraphs):
+        nums = tuple(rng.choice((0, rng.randint(-9, 9))) for _ in range(g.n))
+        val = Valuation(denominator=rng.randint(1, 3), numerators=nums)
+        cases.append((f"multigraph {i}", g, val))
+    assert any(g.n == 1 for g in multigraphs)
+    assert any(len({frozenset(e) for e in g.edges}) < g.m for g in multigraphs)
+    assert any(g.m and 0 in g.degrees() for g in multigraphs)
+    won = {"plus": 0, "minus": 0, "tie": 0}
+    for name, g, val in cases:
+        rm = check_balanced_mincut(g, val)
+        assert _report(rm) == _report(
+            two_network_check_balanced_mincut(g, val)
+        ), (name, val)
+        assert _report(rm) == _report(check_balanced_bruteforce(g, val)), (
+            name,
+            val,
+        )
+        if not rm.balanced:
+            total = sum(val.numerators)
+            won["plus" if total > 0 else "minus" if total < 0 else "tie"] += 1
     assert min(won.values()) > 0, won
 
 
@@ -287,26 +308,40 @@ def test_one_network_check_matches_references_on_flow_partitions(corpus):
 
 
 def test_mincut_check_builds_one_network(monkeypatch):
-    built = []
+    calls = []
+    real = nzflow.valuation._max_flow
 
-    class Counted(MaxFlow):
-        def __init__(self, n):
-            super().__init__(n)
-            built.append(self)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(nzflow.valuation, "MaxFlow", Counted)
+    monkeypatch.setattr(nzflow.valuation, "_max_flow", counted)
     g = petersen()
     cases = [
         (5,) * 10,  # plus wins
         (-5,) * 10,  # minus wins
         (5, -5) * 5,  # T = 0
-        (0,) * 10,  # balanced, no source or sink arcs
+        (0,) * 10,  # balanced, no supply or demand
         flow_to_valuation(g, solve_nowhere_zero_flow(g, 5), 5).numerators,
     ]
     for nums in cases:
-        built.clear()
+        calls.clear()
         check_balanced_mincut(g, Valuation(denominator=3, numerators=nums))
-        assert len(built) == 1, nums
+        assert len(calls) == 1, nums
+
+
+def test_balance_check_on_a_long_path_needs_no_recursion():
+    # supply 3 at one end, demand 3 at the other, capacity 2 per edge: the
+    # flow runs the whole path, and each end alone is a violator
+    n = 3000
+    g = MultiGraph(n, [(v, v + 1) for v in range(n - 1)])
+    nums = (3,) + (0,) * (n - 2) + (-3,)
+    rep = check_balanced_mincut(g, Valuation(denominator=2, numerators=nums))
+    assert _report(rep) == (False, (0,), Fraction(1, 2), None)
+    rem, bwd = list(nums), [0] * g.m
+    tails = [u for u, _v in g.edges]
+    assert not nzflow.valuation._max_flow(g, tails, rem, [2] * g.m, bwd)
+    assert bwd == [2] * g.m and (rem[0], rem[-1]) == (1, -1)
 
 
 def test_bruteforce_guard():
@@ -407,6 +442,25 @@ def test_circulation_matches_the_circulation_network(corpus):
     ]
     realized = sum(values is not None for values in found)
     assert 0 < realized < len(cases)
+
+
+def test_feasible_circulation_values_follow_the_arc_order():
+    # a directed 4-cycle with a chord: bounds force the cycle, the chord
+    # stays at its lower bound
+    arcs = [(0, 1, 1, 3), (1, 2, 1, 3), (2, 3, 0, 3), (3, 0, 1, 3), (0, 2, 0, 0)]
+    values = network_circulation(4, arcs)
+    assert values == [1, 1, 1, 1, 0]
+    assert network_circulation(2, [(0, 1, 1, 2)]) is None
+    assert network_circulation(2, [(0, 1, 2, 1)]) is None
+
+
+def test_zero_capacity_arcs_carry_nothing():
+    net = RecursiveMaxFlow(3)
+    a = net.add_edge(0, 1, 0)
+    b = net.add_edge(0, 2, 1)
+    c = net.add_edge(2, 1, 1)
+    assert net.max_flow(0, 1) == 1
+    assert (net.flow_on(a), net.flow_on(b), net.flow_on(c)) == (0, 1, 1)
 
 
 def test_k33_three_flow_round_trip():
