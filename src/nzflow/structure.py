@@ -5,15 +5,17 @@ are enumerated by deterministic backtracking over ascending edge ids, on an
 explicit stack rather than by recursion.  The
 oddness search additionally tracks circuits of the complement as they close,
 matches at once each vertex left with one possible partner, and prunes
-branches that can no longer beat the current best; a dynamic
-program over a vertex order's frontier decides 3-edge-colourability, which
-lets that search stop before exhausting the matchings of a snark.  On a
-doubling schedule, once it has spent 4n units, the search also probes for
-a barrier that leaves a node's unmatched vertices without a perfect
-matching (an odd component, or a bipartite one with unequal colour
-classes) and then cuts that node's subtree.  Each
-matching choice, forced ones included, each DP state and each vertex a
-probe visits costs one work unit.
+branches that can no longer beat the current best.  A dynamic program over
+a vertex order's frontier decides 3-edge-colourability, which lets that
+search stop before exhausting the matchings of a snark; the order is the
+one of least cost bound among a few starts, so it does not hang on the
+labels.  Once it has spent 4n units, the search starts that DP and steps
+it one vertex at a time, dovetailed with its own work, and probes, on a
+doubling schedule, for a barrier that leaves a node's unmatched vertices
+without a perfect matching (an odd component, or a bipartite one with
+unequal colour classes), then cuts that node's subtree.  Each matching
+choice, forced ones included, each DP state, each vertex a probe visits
+and n units for each order scored cost one work unit each.
 """
 
 from __future__ import annotations
@@ -137,27 +139,40 @@ def enumerate_two_factors(g: MultiGraph) -> Iterator[TwoFactor]:
             return
 
 
-def _frontier_order(g: MultiGraph) -> tuple[list[int], list[int]]:
-    """Vertex order for the frontier DP, and the frontier width entering
-    each vertex (the number of edges with exactly one placed end).
+def _frontier_order(
+    g: MultiGraph, start: int, fcfs: bool = True
+) -> tuple[list[int], list[int]]:
+    """Vertex order for the frontier DP from ``start``, and the frontier
+    width entering each vertex (the number of edges with exactly one placed
+    end).
 
-    The next vertex is the one with the most edges to placed vertices,
-    lowest id on ties; one lazy heap per count keeps this O(m log n).
+    The next vertex is the one with the most edges to placed vertices.
+    Ties go first-come, first-served: each heap entry carries a sequence
+    number, pushed when the vertex's count rises, so among equal counts the
+    vertex that reached its count first wins.  With ``fcfs`` false they go
+    to the lowest id instead, which follows the labels.  A vertex with no
+    placed neighbour, which starts a new component, is the lowest unplaced
+    id either way.  One lazy heap per count keeps this O(m log n).
     """
     placed = [False] * g.n
     placed_edges = [0] * g.n
-    heaps: list[list[int]] = [list(range(g.n)), [], [], []]
+    heaps: list[list[tuple[int, int]]] = [
+        [(-1, start)] + [(v, v) for v in range(g.n) if v != start], [], [], []
+    ]
+    seq = g.n  # above every count-0 key
     order: list[int] = []
     widths: list[int] = []
     width = 0
     for _ in range(g.n):
         for count in (3, 2, 1, 0):
             heap = heaps[count]
-            while heap and (placed[heap[0]] or placed_edges[heap[0]] != count):
+            while heap and (
+                placed[heap[0][1]] or placed_edges[heap[0][1]] != count
+            ):
                 heapq.heappop(heap)  # stale entry: placed, or its count grew
             if heap:
                 break
-        v = heapq.heappop(heap)
+        _, v = heapq.heappop(heap)
         placed[v] = True
         order.append(v)
         widths.append(width)
@@ -167,7 +182,8 @@ def _frontier_order(g: MultiGraph) -> tuple[list[int], list[int]]:
             else:
                 width += 1
                 placed_edges[w] += 1
-                heapq.heappush(heaps[placed_edges[w]], w)
+                heapq.heappush(heaps[placed_edges[w]], (seq if fcfs else w, w))
+                seq += 1
     return order, widths
 
 
@@ -221,6 +237,38 @@ def _dp_bound(widths: list[int]) -> int:
     return total
 
 
+# the first-come, first-served starts :func:`_best_order` scores, evenly
+# spaced by id
+_ORDER_STARTS = 8
+
+
+def _best_order(g: MultiGraph, spend) -> list[int]:
+    """The :func:`_frontier_order` of least :func:`_dp_bound`, the first on
+    ties, among the lowest-id order from vertex 0 and the first-come,
+    first-served orders from ``_ORDER_STARTS`` starts evenly spaced by id.
+
+    The lowest-id order follows the labels, which a constructor often lays
+    out along a narrow frontier; the others do not depend on the labels
+    beyond their starts.  Scoring an order costs O(m log n), and ``spend``
+    is charged n units for each.  Any order gives the DP's verdict, so the
+    choice changes only its cost.
+    """
+    candidates = [(0, False)]
+    candidates += [
+        (start, True)
+        for start in sorted({i * g.n // _ORDER_STARTS for i in range(_ORDER_STARTS)})
+    ]
+    best_bound = math.inf
+    best: list[int] = []
+    for start, fcfs in candidates:
+        spend(g.n)
+        order, widths = _frontier_order(g, start, fcfs)
+        bound = _dp_bound(widths)
+        if bound < best_bound:
+            best_bound, best = bound, order
+    return best
+
+
 # _FIRST_APPEARANCE[head]: the bytes.translate table renaming head[0] to 0
 # and head[1] to 1, where head holds a word's first colour and its first
 # other colour (fewer if the word has fewer colours)
@@ -239,8 +287,12 @@ def _renamed(word: bytes) -> bytes:
     )
 
 
-def _frontier_colourable(g: MultiGraph, order: list[int], spend) -> bool:
-    """3-edge-colourability by dynamic programming along ``order``.
+def _frontier_colourable(
+    g: MultiGraph, order: list[int], spend
+) -> Iterator[bool | None]:
+    """3-edge-colourability by dynamic programming along ``order``, one
+    vertex per step: yields None after each vertex but the last while
+    states remain, then the verdict.
 
     A state colours the frontier edges (bytes, in frontier order) and is
     stored with its colours renamed by first appearance (:func:`_renamed`).
@@ -252,7 +304,7 @@ def _frontier_colourable(g: MultiGraph, order: list[int], spend) -> bool:
     placed = [False] * g.n
     frontier: list[int] = []  # edge ids with exactly one placed end
     states = {b""}
-    for v in order:
+    for step, v in enumerate(order, 1):
         placed[v] = True
         incoming = []
         outgoing = []
@@ -274,21 +326,30 @@ def _frontier_colourable(g: MultiGraph, order: list[int], spend) -> bool:
             for tail in completions[used]:
                 grown.add(_renamed(head + tail))
         if not grown:
-            return False
+            yield False
+            return
         states = grown
-    return True
+        if step < len(order):
+            yield None
+    yield True
+
+
+def _no_spend(units: int) -> None:
+    pass
 
 
 def three_edge_colourable(g: MultiGraph) -> bool:
     """Whether the cubic graph ``g`` has a proper 3-edge-colouring.
 
-    A dynamic program over the frontier of :func:`_frontier_order`; its
-    cost is at most :func:`_dp_bound` of the frontier widths, and on graphs
-    such as flower snarks that frontier stays narrow.
+    A dynamic program over the frontier of :func:`_best_order`, run to its
+    verdict.  Its cost is at most :func:`_dp_bound` of that order's widths,
+    which stays small wherever some start gives a narrow frontier: on
+    prisms, Möbius ladders, generalized Petersen graphs and flower snarks,
+    whatever their labels.
     """
     _require_cubic(g)
-    order, _ = _frontier_order(g)
-    return _frontier_colourable(g, order, lambda units: None)
+    steps = _frontier_colourable(g, _best_order(g, _no_spend), _no_spend)
+    return next(verdict for verdict in steps if verdict is not None)
 
 
 def _matching_barrier(incidence, matched: list[bool], start: int, spend) -> bool:
@@ -391,14 +452,31 @@ class _OddnessSearch:
     surviving node and their DFS order are unchanged.  Only the work, and
     so the point where the budget runs out, changes.
 
-    The search stops at the first complete 2-factor with at most ``floor``
-    odd circuits.  ``floor`` starts at 0; once the work reaches
-    :func:`_dp_bound`, an upper bound on the cost of the frontier DP, the
-    DP runs once, and if the graph has no 3-edge-colouring ``floor``
-    becomes 2.  The DP then costs at most what the search has spent.
-    Pruning only drops branches that cannot beat ``best``, so the first
-    such 2-factor in DFS order is always visited and is the same witness an
-    exhaustive search returns.
+    The dovetailed DP: the search stops at the first complete 2-factor
+    with at most ``floor`` odd circuits.  ``floor`` starts at 0.  The first
+    node entered once the work reaches 4n units builds the order of
+    :func:`_best_order` (n units per order scored) and starts the DP of
+    :func:`_frontier_colourable`.  From then on a node steps the DP, one
+    vertex per step, for as long as the search's own units (every unit but
+    the DP's) are at least the DP's D, that is while the work is at least
+    2D; that is one more term in the node's single ``alarm`` compare.  If
+    the DP finds a colouring, ``floor`` stays 0; if it finds none,
+    ``floor`` becomes 2, and the search stops at once if ``best`` is 2.
+    Searches that end before 4n units build no order and run no DP.
+    This keeps every output.  The DP only raises ``floor``, and only when
+    no 2-factor has fewer than two odd circuits, so whenever the search
+    stops, ``best`` is the oddness.  ``best`` changes only on a strict
+    improvement, and pruning drops only branches that cannot beat it, so
+    the complete 2-factors below each surviving node, and their DFS order,
+    are those of an exhaustive search, and the witness is the first
+    2-factor in DFS order that attains the oddness, whenever the DP ends,
+    or if it never does.  Only the work changes.
+    The cost: after each node the DP has spent at most the search's own
+    units plus one step, so it at most doubles the search alone, plus one
+    step.  On a graph without a colouring whose search has its witness
+    early, as the flower snarks have, the search stops at the DP's last
+    step, having spent about as much again, so the whole costs about
+    2 * min(search alone, DP) plus one step.
     """
 
     def __init__(self, g: MultiGraph, max_work: int | None):
@@ -406,11 +484,6 @@ class _OddnessSearch:
         self.budget = Budget(max_work, "oddness")
         self.best: int | None = None
         self.best_matching: frozenset[int] | None = None
-        self.floor = 0
-        # the DP expands at least one state per vertex, so its bound is
-        # worth computing only once the search has spent n units
-        self.gate: int | float = g.n
-        self.order: list[int] | None = None
 
     def run(self) -> None:
         g = self.g
@@ -428,12 +501,17 @@ class _OddnessSearch:
         trail: list[tuple] = []  # undo records, oldest first
         frames: list[tuple[int, Iterator, int]] = []  # (vertex, untried, mark)
         spend = self.budget.spend
-        gate = self.gate
         # barrier probes: the first once the search has spent 4n units, the
         # next ``interval`` units after a probe that finds none
         interval = 4 * n
         probe_at = interval
-        alarm = min(gate, probe_at)  # the work at which a node checks both
+        # the frontier DP: started at 4n units too, then stepped whenever the
+        # search's own units reach the DP's, that is whenever the work
+        # reaches twice the DP's units
+        floor = 0  # the search stops at a 2-factor with this many odd circuits
+        dp: Iterator[bool | None] | None = None
+        dp_at: int | float = interval
+        alarm = interval  # the work at which a node checks both
         unwinding = False  # a probe killed a node: test each frame returned to
         v = 0  # every vertex below v is matched
         while True:
@@ -447,23 +525,33 @@ class _OddnessSearch:
                     self.best_matching = frozenset(
                         eid for eid in range(m) if not in_factor[eid]
                     )
-                    if closed_odd <= self.floor:
+                    if closed_odd <= floor:
                         return
                     dead = closed_odd - 1
             else:
                 used = spend()
                 if used >= alarm:
-                    if used >= gate:
-                        if self._open_gate():
-                            return  # the node's unit opened the gate; the DP settled it
-                        gate = self.gate
+                    if used >= dp_at:
+                        if dp is None:
+                            dp = _frontier_colourable(g, _best_order(g, spend), spend)
+                            dp_at = 0
+                        while self.budget.used >= dp_at:
+                            before = self.budget.used
+                            verdict = next(dp)
+                            dp_at += 2 * (self.budget.used - before)
+                            if verdict is not None:
+                                dp_at = math.inf
+                                if not verdict:
+                                    floor = 2
+                                    if self.best is not None and self.best <= floor:
+                                        return  # the DP settled it
                         used = self.budget.used
                     if used >= probe_at and closed_odd < dead:
                         unwinding = _matching_barrier(incidence, matched, v, spend)
                         if not unwinding:
                             interval *= 2
                             probe_at = self.budget.used + interval
-                    alarm = min(gate, probe_at)
+                    alarm = min(dp_at, probe_at)
                 if closed_odd < dead and not unwinding:
                     frames.append((v, iter(incidence[v]), len(trail)))
             # undo the last child of the deepest frame and enter its next one
@@ -503,7 +591,7 @@ class _OddnessSearch:
                         continue
                     unwinding = False
                     probe_at = self.budget.used + interval
-                    alarm = min(gate, probe_at)
+                    alarm = min(dp_at, probe_at)
                 # match (v, w) and commit the other edges at v and w to the
                 # 2-factor; then match each unmatched vertex that now has two
                 # 2-factor edges along its third edge, one unit each, until
@@ -568,20 +656,6 @@ class _OddnessSearch:
             else:
                 return
 
-    def _open_gate(self) -> bool:
-        """Run the frontier DP once the work reaches its bound; True when
-        the search should stop."""
-        if self.order is None:
-            self.order, widths = _frontier_order(self.g)
-            self.gate = _dp_bound(widths)
-            if self.gate > self.budget.used:
-                return False
-        self.gate = math.inf  # the DP runs once
-        if _frontier_colourable(self.g, self.order, self.budget.spend):
-            return False
-        self.floor = 2
-        return self.best is not None and self.best <= self.floor
-
 
 def compute_oddness(
     g: MultiGraph, *, max_work: int | None = DEFAULT_MAX_WORK
@@ -591,22 +665,23 @@ def compute_oddness(
     A branch-and-bound over perfect matchings in DFS order, on an explicit
     stack, so any graph size runs within Python's recursion limit; the
     witness is the first 2-factor in that order attaining the oddness.  The
-    search exits at an all-even 2-factor.  Oddness is 0 exactly when the graph is
-    3-edge-colourable and at least 2 otherwise, so once the search has
-    spent as many units as the frontier DP of :func:`three_edge_colourable`
-    can cost (:func:`_dp_bound`, which caps each step's state count by the
-    states before it times the colourings a vertex can add), the DP runs
-    once; if it finds no colouring, the search exits at its first 2-factor
-    with two odd circuits instead of exhausting every matching.  The DP
-    thus costs at most what the search has spent.
+    search exits at an all-even 2-factor.  Oddness is 0 exactly when the
+    graph is 3-edge-colourable and at least 2 otherwise, so once the search
+    has spent 4n units it starts the frontier DP of
+    :func:`three_edge_colourable`, along the order :func:`_best_order`
+    picks, and steps it one vertex at a time whenever its own units reach
+    the DP's; if the DP finds no colouring, the search exits at its first
+    2-factor with two odd circuits instead of exhausting every matching.
+    The DP thus costs at most what the search spends, plus one step.
     A vertex left with one possible partner is matched to it at once, and
-    once the search has spent 4n units it probes, at doubling intervals,
-    for a component of the unmatched vertices that no perfect matching
-    covers (odd order, or bipartite with unequal colour classes), and cuts
-    the subtree of a node that has such a barrier (see ``_OddnessSearch``).
-    Both visit the same complete 2-factors in the same order.  Each
-    matching choice, forced ones included, each DP state and each vertex a
-    probe visits costs one work unit; more than ``max_work`` units raise
+    once the search has spent 4n units it also probes, at doubling
+    intervals, for a component of the unmatched vertices that no perfect
+    matching covers (odd order, or bipartite with unequal colour classes),
+    and cuts the subtree of a node that has such a barrier (see
+    ``_OddnessSearch``).  None of these changes which complete 2-factors
+    the search visits, or their order.  Each matching choice, forced ones
+    included, each DP state, each vertex a probe visits and n units for each
+    order scored cost one work unit; more than ``max_work`` units raise
     :class:`BudgetExceededError`.
     """
     _require_cubic(g)

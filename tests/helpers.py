@@ -49,6 +49,7 @@ from nzflow.flows import (
 from nzflow.graph import MultiGraph, trace_circuit
 from nzflow.structure import (
     _UnitCuts,
+    _best_order,
     _chordless_cycles,
     _dp_bound,
     _frontier_colourable,
@@ -962,12 +963,18 @@ class RecursiveOddnessSearch:
     ``closed_odd >= best - 1`` suffices).
 
     The search stops at the first complete 2-factor with at most ``floor``
-    odd circuits.  ``floor`` starts at 0; once the work reaches
-    ``structure._dp_bound``, an upper bound on the cost of the frontier DP,
-    the DP runs once, and if the graph has no 3-edge-colouring ``floor``
-    becomes 2.  Pruning only drops branches that cannot beat ``best``, so
-    the first such 2-factor in DFS order is always visited and is the same
-    witness an exhaustive search returns.
+    odd circuits.  ``floor`` starts at 0 and becomes 2 when the frontier DP
+    finds no 3-edge-colouring.  With ``dovetailed`` (the default), a node
+    entered once the work reaches 4n builds the order of
+    ``structure._best_order`` and starts the DP; from then on, each node
+    steps it one vertex at a time for as long as the search's own units
+    (all units but the DP's) are at least the DP's.  With
+    ``dovetailed=False`` the older gate runs instead: at n units the node
+    computes the lowest-id order and ``structure._dp_bound`` of its widths,
+    and the DP runs whole at the first node the work reaches that bound.
+    Pruning only drops branches that cannot beat ``best``, so the first
+    such 2-factor in DFS order is always visited and is the same witness an
+    exhaustive search returns, whichever rule runs the DP.
 
     With ``forced`` (the default), a child then matches each unmatched
     vertex left with two 2-factor edges along its third edge, in the order
@@ -991,10 +998,12 @@ class RecursiveOddnessSearch:
         max_work: int | None,
         forced: bool = True,
         probed: bool = True,
+        dovetailed: bool = True,
     ):
         self.g = g
         self.max_work = max_work
         self.forced = forced
+        self.dovetailed = dovetailed
         self.interval = 4 * g.n
         self.probe_at = self.interval if probed else math.inf
         self.unwinding = False
@@ -1011,10 +1020,11 @@ class RecursiveOddnessSearch:
         self.closed_odd = 0
         self.found_any = False
         self.floor = 0
-        # the DP expands at least one state per vertex, so its bound is
-        # worth computing only once the search has spent n units
-        self.gate: int | float = n
-        self.order: list[int] | None = None
+        # the work at which a node next looks at the DP
+        self.gate: int | float = 4 * n if dovetailed else n
+        self.dp = None  # the dovetailed DP's steps, once started
+        self.dp_work = 0  # the units the dovetailed DP has spent
+        self.order: list[int] | None = None  # the gated DP's order
 
     def run(self) -> None:
         try:
@@ -1032,16 +1042,39 @@ class RecursiveOddnessSearch:
     def _tick(self) -> None:
         self._spend(1)
         if self.work >= self.gate:
-            self._open_gate()
+            if self.dovetailed:
+                self._step_dp()
+            else:
+                self._open_gate()
+
+    def _dp_spend(self, units: int) -> None:
+        self.dp_work += units
+        self._spend(units)
+
+    def _step_dp(self) -> None:
+        if self.dp is None:
+            self.dp = _frontier_colourable(
+                self.g, _best_order(self.g, self._spend), self._dp_spend
+            )
+        while self.work - self.dp_work >= self.dp_work:
+            verdict = next(self.dp)
+            if verdict is not None:
+                self.gate = math.inf
+                self._settle(verdict)
+                return
 
     def _open_gate(self) -> None:
         if self.order is None:
-            self.order, widths = _frontier_order(self.g)
+            self.order, widths = _frontier_order(self.g, 0, fcfs=False)
             self.gate = _dp_bound(widths)
             if self.gate > self.work:
                 return
         self.gate = math.inf
-        if not _frontier_colourable(self.g, self.order, self._spend):
+        steps = _frontier_colourable(self.g, self.order, self._spend)
+        self._settle(next(v for v in steps if v is not None))
+
+    def _settle(self, colourable: bool) -> None:
+        if not colourable:
             self.floor = 2
             if self.best is not None and self.best <= self.floor:
                 raise _StopSearch
@@ -1217,9 +1250,10 @@ def recursive_oddness(
     max_work: int | None = None,
     forced: bool = True,
     probed: bool = True,
+    dovetailed: bool = True,
 ):
     """``(oddness, witness matching, work)`` of the recursive search."""
-    search = RecursiveOddnessSearch(g, max_work, forced, probed)
+    search = RecursiveOddnessSearch(g, max_work, forced, probed, dovetailed)
     search.run()
     return search.best, search.best_matching, search.work
 

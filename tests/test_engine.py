@@ -303,17 +303,17 @@ def test_pipeline_never_anomalous_on_catalog():
 
 def test_pipeline_max_work_bounds_cyclic_and_oddness():
     # one budget: each search the pipeline runs gets max_work units
-    g = flower_snark(5)
+    g = blanusa_snarks()[0]
     assert five_flow_oddness4(g, max_work=400).cyclic["status"] == "checked"
-    # the cyclic step takes 320 units (65 pairs of closed neighbourhoods
-    # and 15 nodes of the group search) and the oddness search 165.
-    # Petersen's cyclic step takes none: no two of its closed
-    # neighbourhoods are disjoint
+    # the cyclic step takes 296 units and the oddness search 65.  J5 will
+    # not do: its oddness search (602 units, the DP it starts at 4n
+    # included) costs more than its cyclic step (320).  Petersen's cyclic
+    # step takes none: no two of its closed neighbourhoods are disjoint
     cert = five_flow_oddness4(g, max_work=200)
     assert cert.cyclic == {"status": "budget_exceeded"}
     assert cert.outcome == "flow_found"
     with pytest.raises(BudgetExceededError, match="oddness"):
-        five_flow_oddness4(g, max_work=100)
+        five_flow_oddness4(g, max_work=50)
 
 
 def test_pipeline_rejects_non_cubic():

@@ -52,11 +52,11 @@ from nzflow.catalog import (
 from nzflow.structure import (
     _OddnessSearch,
     _UnitCuts,
+    _best_order,
     _chordless_cycles,
     _dp_bound,
     _edge_connectivity,
     _frontier_colourable,
-    _frontier_order,
     _matching_barrier,
     _moore_girth,
     _neighbourhood_cut,
@@ -223,6 +223,41 @@ def test_three_edge_colourable_matches_oracle(corpus):
         assert three_edge_colourable(g) == three_edge_colorable(g), name
 
 
+def _widths(g, order):
+    """The frontier width entering each vertex of ``order``."""
+    placed = [False] * g.n
+    width = 0
+    widths = []
+    for v in order:
+        widths.append(width)
+        placed[v] = True
+        for _, w in g.incident(v):
+            width += -1 if placed[w] else 1
+    return widths
+
+
+def test_three_edge_colourable_stays_narrow_on_ladders(monkeypatch):
+    # along the lowest-id order alone prism(30) has a 31-edge frontier, and
+    # the DP did not finish within a minute
+    states = []
+    real = nzflow.structure._frontier_colourable
+    monkeypatch.setattr(
+        nzflow.structure,
+        "_frontier_colourable",
+        lambda g, order, spend: real(g, order, states.append),
+    )
+    graphs = [("gp-40-2", generalized_petersen(40, 2))]
+    for v in (60, 62, 200, 398):
+        graphs += [(f"prism-{v}", prism(v // 2)), (f"moebius-{v}", _moebius_ladder(v))]
+        graphs += [(f"gp-{v}-{k}", generalized_petersen(v // 2, k)) for k in (2, 3)]
+    graphs += [(f"{name}-shuffled", shuffled(g, random.Random(g.n))) for name, g in graphs]
+    for name, g in graphs:
+        states.clear()
+        assert three_edge_colourable(g), name
+        assert sum(states) <= 100_000, name  # GP(199, 3) expands 69,317
+        assert max(_widths(g, _best_order(g, lambda units: None))) <= 16, name
+
+
 def test_state_bound_covers_every_parity_respecting_frontier():
     # a frontier colouring has every colour count = width (mod 2) by the
     # parity lemma; the DP keeps one word per colour renaming
@@ -262,14 +297,16 @@ def test_dp_bound_covers_the_states_the_dp_expands(corpus):
     ]
     checked = 0
     for name, g in graphs:
-        order, widths = _frontier_order(g)
+        order = _best_order(g, lambda units: None)
+        widths = _widths(g, order)
         if max(widths) > 13:  # keeps each DP within 66,430 states a step
             continue
         spent = []
-        _frontier_colourable(g, order, spent.append)
+        for verdict in _frontier_colourable(g, order, spent.append):
+            pass
         assert sum(spent) <= _dp_bound(widths), name
         checked += 1
-    assert checked >= 200
+    assert checked >= 222  # all of them; 217 along the lowest-id order
 
 
 def test_oddness_witness_is_first_attaining_two_factor(corpus):
@@ -298,13 +335,23 @@ def test_oddness_witness_is_first_attaining_two_factor(corpus):
     ids=["blanusa-1-truncated", "blanusa-2-truncated", "flower-9-relabelled", "oddness4"],
 )
 def test_oddness_witness_does_not_depend_on_when_the_dp_runs(monkeypatch, make):
-    # the first 2-factors of the truncated graphs have 4 or 6 odd circuits;
-    # a bound of 1 runs the DP once the search has spent n units, a huge
-    # bound never runs it and the search exhausts every matching
+    # the first 2-factors of the truncated graphs have 4 or 6 odd circuits.
+    # The DP either runs whole at its first step, or never gives a verdict
+    # (a unit a step), and then the search exhausts every matching
+    real = nzflow.structure._frontier_colourable
+
+    def at_once(g, order, spend):
+        yield next(v for v in real(g, order, spend) if v is not None)
+
+    def never(g, order, spend):
+        while True:
+            spend(1)
+            yield None
+
     g = make()
     results = []
-    for bound in (1, 10**9):
-        monkeypatch.setattr(nzflow.structure, "_dp_bound", lambda widths: bound)
+    for dp in (at_once, never):
+        monkeypatch.setattr(nzflow.structure, "_frontier_colourable", dp)
         res = compute_oddness(g)
         results.append((res.oddness, res.witness.matching))
     assert results[0] == results[1]
@@ -340,14 +387,14 @@ def test_dp_runs_once_on_flower_15(monkeypatch):
 
 @pytest.mark.parametrize(
     "k,units",
-    [(11, 3_586), (15, 5_266), (21, 7_804), (31, 12_034)],
+    [(11, 1_971), (15, 2_882), (21, 4_252), (31, 6_530)],
     ids=["flower-11", "flower-15", "flower-21", "flower-31"],
 )
 def test_oddness_work_is_pinned_on_flower_snarks(k, units):
-    # an exhaustive search needs far more.  On each the DP runs after the
-    # first 2-factor with two odd circuits and the search stops at once.
-    # Without barrier probes J21 needs 100,579 units and J31 about 23.9
-    # million, past the default budget
+    # an exhaustive search needs far more.  Each search has its first
+    # 2-factor with two odd circuits long before the dovetailed DP finds no
+    # colouring, and stops at that step.  Without barrier probes J21 needs
+    # 101,335 units and J31 about 23.9 million, past the default budget
     g = flower_snark(k)
     assert compute_oddness(g, max_work=units).oddness == 2
     with pytest.raises(BudgetExceededError):
@@ -397,9 +444,11 @@ def test_oddness_search_visits_what_the_recursive_search_visits(corpus):
 
 
 def test_forced_matches_keep_the_oddness_and_the_witness():
-    # the search without forced matches or barrier probes visits the same
-    # 2-factors in the same order, so it returns the same oddness and the
-    # same witness, for more work
+    # the search without forced matches or barrier probes, and with the DP
+    # gated by the bound of the lowest-id order instead of dovetailed,
+    # visits the same 2-factors in the same order, so it returns the same
+    # oddness and the same witness, for more work.  Where that search is
+    # too slow, only the DP's rule is the old one
     graphs = [
         (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
         for n in range(40, 81, 10)
@@ -416,10 +465,30 @@ def test_forced_matches_keep_the_oddness_and_the_witness():
         (f"flower-11-shuffled-{s}", shuffled(flower_snark(11), random.Random(s)))
         for s in range(4)
     ]
-    for name, g in graphs:
+    gated = [(f"flower-{k}", flower_snark(k)) for k in range(5, 32, 2)]
+    gated += [(f"blanusa-{i}", g) for i, g in enumerate(blanusa_snarks(), 1)]
+    gated += [("oddness4", oddness4_snark())]
+    gated += [
+        (f"flower-{k}-shuffled-{s}", shuffled(flower_snark(k), random.Random(s)))
+        for k, seeds in ((17, (0, 1)), (21, (0, 2, 3)))
+        for s in seeds
+    ]
+    cases = [(name, g, (False, False, False)) for name, g in graphs]
+    cases += [(name, g, (True, True, False)) for name, g in gated]
+    for name, g, old in cases:
         best, matching, _ = _iterative_oddness(g)
-        plain = on_fresh_thread(recursive_oddness, g, None, False, False)
+        plain = on_fresh_thread(recursive_oddness, g, None, *old)
         assert (best, matching) == plain[:2], name
+
+
+@pytest.mark.parametrize("k", [11, 17, 21])
+def test_oddness_work_does_not_depend_on_the_labels(k):
+    # along the lowest-id order alone, shuffled J17 took up to 777,347 units
+    # and shuffled J21 (seed 1) 1,180,502, against 6,115 and 7,804 as built
+    built = _iterative_oddness(flower_snark(k))[2]
+    for s in range(4):
+        g = shuffled(flower_snark(k), random.Random(s))
+        assert _iterative_oddness(g)[2] <= 2 * built, s
 
 
 def test_forced_matches_cut_the_work_on_random_graphs():
@@ -526,8 +595,8 @@ def test_barrier_probes_keep_the_oddness_and_the_witness(monkeypatch):
     plain = {name: _iterative_oddness(g) for name, g in graphs}
     for name, _ in graphs:
         assert probed[name][:2] == plain[name][:2], name
-    assert plain["flower-21"][2] == 100_579
-    assert probed["flower-21"][2] == 7_804
+    assert plain["flower-21"][2] == 101_335
+    assert probed["flower-21"][2] == 4_252
 
 
 def test_probes_never_run_on_colourable_random_graphs_or_ladders(monkeypatch):
