@@ -16,6 +16,7 @@ from .graph import _MAX_N, MultiGraph  # _MAX_N refuses the 36-bit size form
 
 _BIAS = 63
 _NONZERO = re.compile(r"[^?]")  # data characters with at least one set bit
+_ILLEGAL = re.compile(r"[^?-~]").search  # the first character outside 63..126
 # positions of the set bits of a 6-bit value, most significant first
 _SET_BITS = tuple(
     tuple(i for i in range(6) if (x >> (5 - i)) & 1) for x in range(64)
@@ -33,12 +34,9 @@ class Graph6Error(NZFlowError):
 
 
 def _check_chars(s: str, base: int) -> None:
-    if not s or ("?" <= min(s) and max(s) <= "~"):
-        return
-    for i, ch in enumerate(s):
-        code = ord(ch)
-        if code < 63 or code > 126:
-            raise Graph6Error(f"illegal character {ch!r}", base + i)
+    bad = _ILLEGAL(s)
+    if bad:
+        raise Graph6Error(f"illegal character {bad.group()!r}", base + bad.start())
 
 
 def _decode_size(s: str, pos: int, base: int) -> tuple[int, int]:

@@ -23,9 +23,10 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Callable, Iterator
 
 from .errors import DEFAULT_MAX_WORK, Budget, InternalInconsistencyError
@@ -140,51 +141,74 @@ def enumerate_two_factors(g: MultiGraph) -> Iterator[TwoFactor]:
 
 
 def _frontier_order(
-    g: MultiGraph, start: int, fcfs: bool = True
-) -> tuple[list[int], list[int]]:
-    """Vertex order for the frontier DP from ``start``, and the frontier
-    width entering each vertex (the number of edges with exactly one placed
-    end).
+    g: MultiGraph, start: int, fcfs: bool = True, cap: int | float = math.inf
+) -> tuple[list[int], int]:
+    """Vertex order for the frontier DP from ``start``, and the bound B on
+    the units :func:`_frontier_colourable` spends along it.
 
     The next vertex is the one with the most edges to placed vertices.
-    Ties go first-come, first-served: each heap entry carries a sequence
-    number, pushed when the vertex's count rises, so among equal counts the
-    vertex that reached its count first wins.  With ``fcfs`` false they go
-    to the lowest id instead, which follows the labels.  A vertex with no
-    placed neighbour, which starts a new component, is the lowest unplaced
-    id either way.  One lazy heap per count keeps this O(m log n).
+    Ties go first-come, first-served: among equal counts the vertex that
+    reached its count first wins.  So one FIFO queue per count, which a
+    vertex joins when its count rises to that count, keeps the order in
+    O(m): stale entries (placed, or whose count grew) are skipped at the
+    front, and a vertex joins each queue at most once.  With ``fcfs``
+    false ties go to the lowest id instead, which follows the labels, and
+    the queues are heaps: O(m log n).  A vertex with no placed neighbour,
+    which starts a new component, is the lowest unplaced id either way.
+
+    The bound: let w_i be the frontier width (the number of edges with
+    exactly one placed end) entering the i-th vertex v_i, and k_i its edges
+    to placed vertices.  The DP spends, before placing v_i, the number S_i
+    of its states.  S_0 = 1.  Placing v_i gives its 3 - k_i other edges the
+    colours its incoming edges leave, in every order, so each state grows
+    into at most _GROWTH[k_i] words, and renaming colours only merges
+    words: S_{i+1} <= S_i * _GROWTH[k_i].  S_{i+1} is also at most
+    :func:`_state_bound` of w_{i+1}.  So S_i <= B_i, where B_0 = 1 and
+    B_{i+1} = min(_state_bound(w_{i+1}), B_i * _GROWTH[k_i]), and the DP
+    spends at most B, the sum of the B_i.  B is summed as the order grows;
+    once it reaches ``cap`` the build stops and returns the order so far
+    with that partial sum, which is at most the whole B and at least
+    ``cap``.
     """
-    placed = [False] * g.n
-    placed_edges = [0] * g.n
-    heaps: list[list[tuple[int, int]]] = [
-        [(-1, start)] + [(v, v) for v in range(g.n) if v != start], [], [], []
-    ]
-    seq = g.n  # above every count-0 key
+    n = g.n
+    placed = [False] * n
+    count = [0] * n  # edges to placed vertices
+    if fcfs:
+        queues = [deque() for _ in range(4)]
+        push, pop = deque.append, deque.popleft
+    else:
+        queues = [[] for _ in range(4)]
+        push, pop = heapq.heappush, heapq.heappop
+    fresh = chain((start,), range(n))  # count 0: the start, then by id
     order: list[int] = []
-    widths: list[int] = []
     width = 0
-    for _ in range(g.n):
-        for count in (3, 2, 1, 0):
-            heap = heaps[count]
-            while heap and (
-                placed[heap[0][1]] or placed_edges[heap[0][1]] != count
-            ):
-                heapq.heappop(heap)  # stale entry: placed, or its count grew
-            if heap:
+    bound = total = 1
+    for _ in range(n):
+        for k in (3, 2, 1):
+            queue = queues[k]
+            while queue and (placed[queue[0]] or count[queue[0]] != k):
+                pop(queue)
+            if queue:
+                v = pop(queue)
                 break
-        _, v = heapq.heappop(heap)
+        else:
+            # every unplaced vertex has count 0: each one of count k has an
+            # entry in queue k, and only stale entries were skipped
+            k = 0
+            v = next(u for u in fresh if not placed[u])
         placed[v] = True
         order.append(v)
-        widths.append(width)
         for _, w in g.incident(v):
-            if placed[w]:
-                width -= 1
-            else:
-                width += 1
-                placed_edges[w] += 1
-                heapq.heappush(heaps[placed_edges[w]], (seq if fcfs else w, w))
-                seq += 1
-    return order, widths
+            if not placed[w]:
+                count[w] += 1
+                push(queues[count[w]], w)
+        width += 3 - 2 * k
+        if len(order) < n:
+            bound = min(_state_bound(width), bound * _GROWTH[k])
+            total += bound
+            if total >= cap:
+                break
+    return order, total
 
 
 def _state_bound(width: int) -> int:
@@ -199,43 +223,10 @@ def _state_bound(width: int) -> int:
     return (3**width + 3) // 24 + 1
 
 
-# _COMPLETIONS[k][used]: the colours missing from bitmask ``used``, in every
-# order, when k coloured edges meet at a vertex; empty if two share a colour
-_COMPLETIONS = [
-    [
-        [bytes(p) for p in permutations(c for c in range(3) if not used >> c & 1)]
-        if bin(used).count("1") == k
-        else []
-        for used in range(8)
-    ]
-    for k in range(4)
-]
 # _GROWTH[k]: the most words one state grows into at a vertex with k edges
-# to placed vertices: 6, 2, 1, 1
-_GROWTH = tuple(max(map(len, completions)) for completions in _COMPLETIONS)
-
-
-def _dp_bound(widths: list[int]) -> int:
-    """Upper bound on the units :func:`_frontier_colourable` spends along an
-    order of a cubic graph whose frontier width entering each vertex is
-    ``widths``.
-
-    The DP spends, before placing the i-th vertex v_i, the number S_i of its
-    states.  S_0 = 1.  Placing v_i, with k_i edges to placed vertices, turns
-    each state into at most _GROWTH[k_i] words, and renaming colours only
-    merges words, so S_{i+1} <= S_i * _GROWTH[k_i].  S_{i+1} is also at most
-    :func:`_state_bound` of the width after v_i.  So S_i <= B_i, where
-    B_0 = 1 and B_{i+1} = min(_state_bound(widths[i+1]), B_i * _GROWTH[k_i]),
-    and the DP spends at most the sum of the B_i.  v_i has 3 - k_i edges to
-    unplaced vertices, so k_i = (3 + widths[i] - widths[i+1]) / 2.
-    """
-    bound = total = 1
-    for before, after in zip(widths, widths[1:]):
-        k = (3 + before - after) // 2
-        bound = min(_state_bound(after), bound * _GROWTH[k])
-        total += bound
-    return total
-
+# to placed vertices, which gives its 3 - k other edges the colours left in
+# every order
+_GROWTH = (6, 2, 1, 1)
 
 # the first-come, first-served starts :func:`_best_order` scores, evenly
 # spaced by id
@@ -243,27 +234,30 @@ _ORDER_STARTS = 8
 
 
 def _best_order(g: MultiGraph, spend) -> list[int]:
-    """The :func:`_frontier_order` of least :func:`_dp_bound`, the first on
-    ties, among the lowest-id order from vertex 0 and the first-come,
+    """The :func:`_frontier_order` of least bound B, the first on ties,
+    among the lowest-id order from vertex 0 and the first-come,
     first-served orders from ``_ORDER_STARTS`` starts evenly spaced by id.
 
     The lowest-id order follows the labels, which a constructor often lays
     out along a narrow frontier; the others do not depend on the labels
-    beyond their starts.  Scoring an order costs O(m log n), and ``spend``
-    is charged n units for each.  Any order gives the DP's verdict, so the
-    choice changes only its cost.
+    beyond their starts.  A first-come, first-served order is built in
+    O(m), the lowest-id one in O(m log n).  Each is built with the least B
+    so far as its cap: B only grows as the order does, so a start whose
+    partial sum reaches that cap cannot win, and it is dropped there.
+    ``spend`` is charged n units for each start, whether built whole or
+    dropped.  Any order gives the DP's verdict, so the choice changes only
+    its cost.
     """
     candidates = [(0, False)]
     candidates += [
         (start, True)
         for start in sorted({i * g.n // _ORDER_STARTS for i in range(_ORDER_STARTS)})
     ]
-    best_bound = math.inf
+    best_bound: int | float = math.inf
     best: list[int] = []
     for start, fcfs in candidates:
         spend(g.n)
-        order, widths = _frontier_order(g, start, fcfs)
-        bound = _dp_bound(widths)
+        order, bound = _frontier_order(g, start, fcfs, best_bound)
         if bound < best_bound:
             best_bound, best = bound, order
     return best
@@ -277,6 +271,17 @@ _FIRST_APPEARANCE = {
     for p in permutations(range(3))
     for size in range(3)
 }
+# the tables renaming the first two colours of each ordering of all three
+_ALL_ORDERS = tuple(_FIRST_APPEARANCE[bytes(p[:2])] for p in permutations(range(3)))
+# _BOTH_ORDERS[c]: the tables renaming the two colours other than c, in
+# either order
+_BOTH_ORDERS = tuple(
+    tuple(_FIRST_APPEARANCE[bytes(p[:2])] for p in permutations(range(3)) if p[2] == c)
+    for c in range(3)
+)
+# _THIRD[c + d]: the colour other than the distinct colours c and d, as a
+# one-byte word
+_THIRD = (b"", b"\2", b"\1", b"\0")
 
 
 def _renamed(word: bytes) -> bytes:
@@ -295,11 +300,31 @@ def _frontier_colourable(
     states remain, then the verdict.
 
     A state colours the frontier edges (bytes, in frontier order) and is
-    stored with its colours renamed by first appearance (:func:`_renamed`).
-    Placing a vertex checks the colours of its edges to placed vertices and
-    gives its other edges the remaining colours in every order.
-    ``spend(k)`` is charged one unit per state expanded.  ``MultiGraph`` has
-    no loops, so every edge has two distinct ends.
+    stored with its colours renamed by first appearance, the least of its
+    six relabelings.  Placing a vertex checks the colours of its edges to
+    placed vertices, cuts their positions out of the word (the head), and
+    gives its other edges the remaining colours in every order, in front
+    of the head.  Those new colours come first, so they fix the renaming:
+    with one edge in, colours a and b on the two new edges give
+    ``b"\\0\\1" + head`` with a, b renamed to 0, 1; with none in, the three
+    new colours give ``b"\\0\\1\\2" + head`` renamed likewise; with two in,
+    the one new colour is 0 and the head's first other colour, found by one
+    ``lstrip``, is 1.  Only a vertex with three edges in renames its head
+    by a scan (:func:`_renamed`).  ``spend(k)`` is charged one unit per
+    state expanded.  ``MultiGraph`` has no loops, so every edge has two
+    distinct ends.
+
+    The layout changes no step's units.  Let F be the frontier after some
+    vertex and C the colourings of F that extend to a proper colouring of
+    the edges with a placed end.  The states are the renaming classes of
+    C: by induction, since a colouring in C restricts, at the edges it
+    keeps and the incoming edges, to one of the previous C, from which
+    placing the vertex grows it, and everything grown is in C.  A layout
+    reads a colouring c as the word c∘π for a bijection π from positions
+    to F, and renaming colours commutes with that reading, so the states
+    are in bijection with the classes of C under any layout.  Their number,
+    which each step spends, and whether none is left are the same for
+    every layout of the frontier.
     """
     placed = [False] * g.n
     frontier: list[int] = []  # edge ids with exactly one placed end
@@ -313,18 +338,36 @@ def _frontier_colourable(
                 incoming.append(frontier.index(eid))
             else:
                 outgoing.append(eid)
-        keep = [i for i in range(len(frontier)) if i not in incoming]
-        frontier = [frontier[i] for i in keep] + outgoing
-        completions = _COMPLETIONS[len(incoming)]
+        incoming.sort()
+        for i in reversed(incoming):
+            del frontier[i]
+        frontier[:0] = outgoing
         spend(len(states))
-        grown = set()
-        for state in states:
-            used = 0
-            for i in incoming:
-                used |= 1 << state[i]
-            head = bytes(map(state.__getitem__, keep))
-            for tail in completions[used]:
-                grown.add(_renamed(head + tail))
+        if not incoming:
+            grown = {b"\0\1\2" + s.translate(t) for s in states for t in _ALL_ORDERS}
+        elif len(incoming) == 1:
+            (i,) = incoming
+            grown = {
+                b"\0\1" + (s[:i] + s[i + 1:]).translate(t)
+                for s in states
+                for t in _BOTH_ORDERS[s[i]]
+            }
+        elif len(incoming) == 2:
+            i, j = incoming
+            grown = set()
+            for s in states:
+                if s[i] != s[j]:
+                    a = _THIRD[s[i] + s[j]]
+                    head = s[:i] + s[i + 1:j] + s[j + 1:]
+                    table = _FIRST_APPEARANCE[a + head.lstrip(a)[:1]]
+                    grown.add(b"\0" + head.translate(table))
+        else:
+            i, j, k = incoming
+            grown = {
+                _renamed(s[:i] + s[i + 1:j] + s[j + 1:k] + s[k + 1:])
+                for s in states
+                if 1 << s[i] | 1 << s[j] | 1 << s[k] == 7
+            }
         if not grown:
             yield False
             return
@@ -342,10 +385,10 @@ def three_edge_colourable(g: MultiGraph) -> bool:
     """Whether the cubic graph ``g`` has a proper 3-edge-colouring.
 
     A dynamic program over the frontier of :func:`_best_order`, run to its
-    verdict.  Its cost is at most :func:`_dp_bound` of that order's widths,
-    which stays small wherever some start gives a narrow frontier: on
-    prisms, Möbius ladders, generalized Petersen graphs and flower snarks,
-    whatever their labels.
+    verdict.  Its cost is at most the bound B of that order (see
+    :func:`_frontier_order`), which stays small wherever some start gives a
+    narrow frontier: on prisms, Möbius ladders, generalized Petersen graphs
+    and flower snarks, whatever their labels.
     """
     _require_cubic(g)
     steps = _frontier_colourable(g, _best_order(g, _no_spend), _no_spend)

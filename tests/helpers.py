@@ -11,8 +11,11 @@ by ``catalog.canonical_form``), the recursive Dinic and the orientation
 and bounded circulation networks it solves, the balance check with one
 network per sign, the graph6 decoder that expands every bit and the
 encoder that fills an adjacency matrix, the recursive flow solver, oddness
-search and 2-factor enumeration, the 2-factor, colour-{1,2}, augmented-graph
-and 4-flow constructions that re-trace every circuit with ``trace_circuit``,
+search and 2-factor enumeration, the frontier DP that appends a vertex's
+new edges to the word and renames each word by a scan, the frontier order
+on lazy heaps and the scoring of every candidate order in full, the
+2-factor, colour-{1,2}, augmented-graph and 4-flow constructions that
+re-trace every circuit with ``trace_circuit``,
 the partition variants that rebuild and re-partition each switched or
 reversed flow, and the cyclic-connectivity sweep under its earlier length
 cap.  The exhaustive
@@ -26,6 +29,7 @@ diamond necklace.  numpy and networkx are test dependencies only.
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 import threading
@@ -33,7 +37,7 @@ from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 import numpy as np
@@ -48,12 +52,14 @@ from nzflow.flows import (
 )
 from nzflow.graph import MultiGraph, trace_circuit
 from nzflow.structure import (
+    _GROWTH,
+    _ORDER_STARTS,
     _UnitCuts,
     _best_order,
     _chordless_cycles,
-    _dp_bound,
     _frontier_colourable,
-    _frontier_order,
+    _renamed,
+    _state_bound,
     girth,
 )
 from nzflow.valuation import (
@@ -948,6 +954,123 @@ def flow_built_partition_variants(ag, base_flow):
     return variants
 
 
+# _COMPLETIONS[k][used]: the colours missing from bitmask ``used``, in every
+# order, when k coloured edges meet at a vertex; empty if two share a colour
+_COMPLETIONS = [
+    [
+        [bytes(p) for p in permutations(c for c in range(3) if not used >> c & 1)]
+        if bin(used).count("1") == k
+        else []
+        for used in range(8)
+    ]
+    for k in range(4)
+]
+
+
+def reference_frontier_colourable(g: MultiGraph, order: list[int], spend):
+    """The frontier DP with a vertex's new edges at the back of the word:
+    each grown word is the kept colours followed by the new ones, renamed
+    by a scan for first appearance.  The same steps, yields and verdict as
+    ``structure._frontier_colourable``, which puts the new edges in front."""
+    placed = [False] * g.n
+    frontier: list[int] = []  # edge ids with exactly one placed end
+    states = {b""}
+    for step, v in enumerate(order, 1):
+        placed[v] = True
+        incoming = []
+        outgoing = []
+        for eid, w in g.incident(v):
+            if placed[w]:
+                incoming.append(frontier.index(eid))
+            else:
+                outgoing.append(eid)
+        keep = [i for i in range(len(frontier)) if i not in incoming]
+        frontier = [frontier[i] for i in keep] + outgoing
+        completions = _COMPLETIONS[len(incoming)]
+        spend(len(states))
+        grown = set()
+        for state in states:
+            used = 0
+            for i in incoming:
+                used |= 1 << state[i]
+            head = bytes(map(state.__getitem__, keep))
+            for tail in completions[used]:
+                grown.add(_renamed(head + tail))
+        if not grown:
+            yield False
+            return
+        states = grown
+        if step < len(order):
+            yield None
+    yield True
+
+
+def reference_frontier_order(
+    g: MultiGraph, start: int, fcfs: bool = True
+) -> tuple[list[int], list[int]]:
+    """The frontier order of ``structure._frontier_order`` by one lazy heap
+    per count: ties go to the entry with the least sequence number, pushed
+    when a vertex's count rises (``fcfs``), or to the lowest id.  Returns
+    the order and the frontier width entering each vertex."""
+    placed = [False] * g.n
+    placed_edges = [0] * g.n
+    heaps: list[list[tuple[int, int]]] = [
+        [(-1, start)] + [(v, v) for v in range(g.n) if v != start], [], [], []
+    ]
+    seq = g.n  # above every count-0 key
+    order: list[int] = []
+    widths: list[int] = []
+    width = 0
+    for _ in range(g.n):
+        for count in (3, 2, 1, 0):
+            heap = heaps[count]
+            while heap and (
+                placed[heap[0][1]] or placed_edges[heap[0][1]] != count
+            ):
+                heapq.heappop(heap)  # stale entry: placed, or its count grew
+            if heap:
+                break
+        _, v = heapq.heappop(heap)
+        placed[v] = True
+        order.append(v)
+        widths.append(width)
+        for _, w in g.incident(v):
+            if placed[w]:
+                width -= 1
+            else:
+                width += 1
+                placed_edges[w] += 1
+                heapq.heappush(heaps[placed_edges[w]], (seq if fcfs else w, w))
+                seq += 1
+    return order, widths
+
+
+def reference_dp_bound(widths: list[int]) -> int:
+    """The bound B of ``structure._frontier_order``, summed over a whole
+    order from the width entering each vertex: a vertex entered at width w
+    and left at width w' has (3 + w - w') / 2 edges to placed vertices."""
+    bound = total = 1
+    for before, after in zip(widths, widths[1:]):
+        k = (3 + before - after) // 2
+        bound = min(_state_bound(after), bound * _GROWTH[k])
+        total += bound
+    return total
+
+
+def reference_best_order(g: MultiGraph) -> tuple[list[int], int, int]:
+    """``structure._best_order`` with every candidate order built whole:
+    the order of least :func:`reference_dp_bound`, the first on ties, its
+    bound, and the n units charged per candidate."""
+    starts = {i * g.n // _ORDER_STARTS for i in range(_ORDER_STARTS)}
+    candidates = [(0, False)] + [(start, True) for start in sorted(starts)]
+    scored = []
+    for start, fcfs in candidates:
+        order, widths = reference_frontier_order(g, start, fcfs)
+        scored.append((reference_dp_bound(widths), order))
+    bound, order = min(scored, key=lambda item: item[0])
+    return order, bound, g.n * len(candidates)
+
+
 class RecursiveOddnessSearch:
     """The oddness search with one Python frame per matched vertex: the same
     nodes in the same order, the same work count and the same stopping
@@ -970,7 +1093,7 @@ class RecursiveOddnessSearch:
     steps it one vertex at a time for as long as the search's own units
     (all units but the DP's) are at least the DP's.  With
     ``dovetailed=False`` the older gate runs instead: at n units the node
-    computes the lowest-id order and ``structure._dp_bound`` of its widths,
+    computes the lowest-id order and :func:`reference_dp_bound` of it,
     and the DP runs whole at the first node the work reaches that bound.
     Pruning only drops branches that cannot beat ``best``, so the first
     such 2-factor in DFS order is always visited and is the same witness an
@@ -1065,8 +1188,8 @@ class RecursiveOddnessSearch:
 
     def _open_gate(self) -> None:
         if self.order is None:
-            self.order, widths = _frontier_order(self.g, 0, fcfs=False)
-            self.gate = _dp_bound(widths)
+            self.order, widths = reference_frontier_order(self.g, 0, fcfs=False)
+            self.gate = reference_dp_bound(widths)
             if self.gate > self.work:
                 return
         self.gate = math.inf

@@ -39,6 +39,25 @@ def test_illegal_character_reports_offset():
     assert err.value.offset == 1
 
 
+@pytest.mark.parametrize(
+    "record",
+    ["C" + chr(1), "C !", ":Fa@x^\x7f", "Dé??", "C~\u2603", "~?@c" + "~" * 20 + "> ~"],
+)
+def test_first_illegal_character_is_reported_at_its_offset(record):
+    # a character outside '?'..'~' (63..126), ASCII or not; sparse6 data
+    # starts after the ':'
+    start = 1 if record.startswith(":") else 0
+    offset = next(
+        i for i in range(start, len(record)) if not 63 <= ord(record[i]) <= 126
+    )
+    with pytest.raises(Graph6Error) as err:
+        parse_graph6(record)
+    assert err.value.offset == offset
+    assert str(err.value) == (
+        f"illegal character {record[offset]!r} (byte offset {offset})"
+    )
+
+
 def test_truncated_record():
     # K4 needs one data byte after the size; give none
     with pytest.raises(Graph6Error, match="truncated"):

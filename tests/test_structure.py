@@ -18,6 +18,10 @@ from helpers import (
     recursion_headroom,
     recursive_enumerate_two_factors,
     recursive_oddness,
+    reference_best_order,
+    reference_dp_bound,
+    reference_frontier_colourable,
+    reference_frontier_order,
     reference_length_bound,
     shuffled,
     three_edge_colorable,
@@ -54,9 +58,9 @@ from nzflow.structure import (
     _UnitCuts,
     _best_order,
     _chordless_cycles,
-    _dp_bound,
     _edge_connectivity,
     _frontier_colourable,
+    _frontier_order,
     _matching_barrier,
     _moore_girth,
     _neighbourhood_cut,
@@ -304,9 +308,112 @@ def test_dp_bound_covers_the_states_the_dp_expands(corpus):
         spent = []
         for verdict in _frontier_colourable(g, order, spent.append):
             pass
-        assert sum(spent) <= _dp_bound(widths), name
+        assert sum(spent) <= reference_dp_bound(widths), name
         checked += 1
     assert checked >= 222  # all of them; 217 along the lowest-id order
+
+
+def _spliced_union(a, b):
+    """The disjoint union of ``a`` and ``b``, numbered so that the order by
+    id places the first half of ``a``, then ``b``, then the rest of ``a``:
+    ``b`` starts a component while the frontier of ``a`` is open."""
+    half = a.n // 2
+    ids = [v if v < half else v + b.n for v in range(a.n)]
+    edges = [(ids[u], ids[v]) for u, v in a.edges]
+    edges += [(half + u, half + v) for u, v in b.edges]
+    return MultiGraph(a.n + b.n, edges)
+
+
+def _dp_reference_graphs(corpus):
+    graphs = list(corpus)
+    for k in range(5, 22, 2):
+        graphs.append((f"flower-{k}", flower_snark(k)))
+        graphs.append(
+            (f"flower-{k}-shuffled", shuffled(flower_snark(k), random.Random(k)))
+        )
+    graphs += [(f"blanusa-{i}", g) for i, g in enumerate(blanusa_snarks(), 1)]
+    graphs += [
+        (f"dot-{k}", dot_product(oddness4_snark(), flower_snark(k), (0, 21), 0))
+        for k in (5, 7, 9)
+    ]
+    graphs += [
+        (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
+        for n in range(10, 61, 10)
+        for s in range(3)
+    ]
+    graphs += [
+        ("flower-5+prism-3", _spliced_union(flower_snark(5), prism(3))),
+        ("prism-4+petersen", _spliced_union(prism(4), petersen())),
+        ("parallel-4", _PARALLEL_4),
+    ]
+    graphs += [
+        (f"multigraph-{n}-{s}", random_cubic_multigraph(n, random.Random(s)))
+        for n in (6, 10, 16)
+        for s in range(3)
+    ]
+    return graphs
+
+
+def _dp_run(dp, g, order):
+    """The units a DP spends at each step, and everything it yields."""
+    spent = []
+    return spent, list(dp(g, order, spent.append))
+
+
+def test_new_edges_first_dp_spends_what_the_reference_dp_spends(corpus):
+    # the states are the renaming classes of the reachable frontier
+    # colourings, whatever the layout of the word, so each step expands as
+    # many states, and the verdict is the same
+    checked = 0
+    k0_with_states = 0
+    for name, g in _dp_reference_graphs(corpus):
+        orders = [_best_order(g, lambda units: None), _frontier_order(g, 0, False)[0]]
+        if "+" in name or name.startswith(("parallel", "multigraph")):
+            orders.append(list(range(g.n)))  # new components while one is open
+        for order in orders:
+            if max(_widths(g, order)) > 15:  # 6 of the 336 orders
+                continue
+            spent, steps = _dp_run(_frontier_colourable, g, order)
+            reference = _dp_run(reference_frontier_colourable, g, order)
+            assert (spent, steps) == reference, name
+            position = {v: i for i, v in enumerate(order)}
+            k0_with_states += sum(
+                1
+                for i, v in enumerate(order[: len(spent)])
+                if spent[i] > 1 and all(position[w] > i for _, w in g.incident(v))
+            )
+            checked += 1
+    assert checked >= 330
+    assert k0_with_states >= 5
+
+
+def test_best_order_is_the_reference_scoring_of_every_order_in_full(corpus):
+    # dropping a start once its partial bound reaches the best so far, and
+    # first-come, first-served queues in place of heaps, keep every order,
+    # bound and choice
+    for name, g in _dp_reference_graphs(corpus):
+        spent = []
+        order = _best_order(g, spent.append)
+        reference, bound, units = reference_best_order(g)
+        assert order == reference, name
+        assert sum(spent) == units, name
+        assert reference_dp_bound(_widths(g, order)) == bound, name
+        for start in range(0, g.n, max(1, g.n // 8)):
+            for fcfs in (True, False):
+                full, widths = reference_frontier_order(g, start, fcfs)
+                whole = reference_dp_bound(widths)
+                assert _frontier_order(g, start, fcfs) == (full, whole), name
+                # a cap stops the build at the first prefix whose partial
+                # bound reaches it
+                for cap in (bound, whole, whole + 1):
+                    prefix, partial = _frontier_order(g, start, fcfs, cap)
+                    assert full[: len(prefix)] == prefix, name
+                    if whole < cap:
+                        assert (prefix, partial) == (full, whole), name
+                    else:
+                        j = len(prefix)
+                        assert partial == reference_dp_bound(widths[: j + 1]), name
+                        assert partial >= cap > reference_dp_bound(widths[:j]), name
 
 
 def test_oddness_witness_is_first_attaining_two_factor(corpus):
