@@ -39,7 +39,7 @@ from collections import deque
 from .errors import DEFAULT_MAX_WORK, BudgetExceededError, InternalInconsistencyError
 from .flows import flow_from_json, flow_to_json, is_nowhere_zero, solve_nowhere_zero_flow, verify_flow
 from .graph import MultiGraph
-from .graph6 import Graph6Error, parse_graph6
+from .graph6 import _WHITESPACE, Graph6Error, parse_graph6
 from .structure import (
     CyclicConnectivity,
     compute_oddness,
@@ -79,10 +79,10 @@ def _iter_records(path: str, lenient: bool):
         # the first non-blank line tells JSON from graph6
         blank = ""
         lineno, line = 1, fh.readline()
-        while line and not line.strip():
+        while line and not line.strip(_WHITESPACE):
             blank += line
             lineno, line = lineno + 1, fh.readline()
-        if line.lstrip().startswith(("{", "[")):
+        if line.lstrip(_WHITESPACE).startswith(("{", "[")):
             # graph6 writes n = 28 and n = 60 as "[" and "{"; no JSON text is
             # a valid record, as parse_graph6 enforces its exact length and
             # character range
@@ -108,7 +108,7 @@ def _iter_records(path: str, lenient: bool):
             yield ("graph", f"line-{lineno}", head)
             lineno, line = lineno + 1, fh.readline()
         while line:
-            stripped = line.strip()
+            stripped = line.strip(_WHITESPACE)
             if stripped and not stripped.startswith("#"):
                 try:
                     yield ("graph", f"line-{lineno}", parse_graph6(stripped))

@@ -15,6 +15,9 @@ from .errors import NZFlowError
 from .graph import _MAX_N, MultiGraph  # _MAX_N refuses the 36-bit size form
 
 _BIAS = 63
+# ASCII whitespace, which a record may carry at either end; str.strip()
+# with no argument also drops "\x1c"-"\x1f" and "\x85", which are illegal
+_WHITESPACE = " \t\n\r\x0b\x0c"
 _NONZERO = re.compile(r"[^?]")  # data characters with at least one set bit
 _ILLEGAL = re.compile(r"[^?-~]").search  # the first character outside 63..126
 # positions of the set bits of a 6-bit value, most significant first
@@ -68,7 +71,7 @@ def _bit_stream(s: str, pos: int) -> list[int]:
 
 def parse_graph6(text: str) -> MultiGraph:
     """Parse one graph6 or sparse6 record into a :class:`MultiGraph`."""
-    s = text.strip()
+    s = text.strip(_WHITESPACE)
     base = 0
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]

@@ -763,8 +763,10 @@ class CyclicConnectivity:
     ``witness`` is a minimum cycle-separating cut, None when vacuous.  It
     is named on first read and then kept.  Where it is the cut around a
     shortest cycle of a cubic graph of girth 3 to 6, naming it enumerates
-    those cycles under the budget of the call that made the result, so
-    that read can raise :class:`BudgetExceededError`.  Two results are
+    those cycles, and where the cut labels gave a value below a girth of
+    at most 5, it sweeps pairs of closed neighbourhoods, under the budget
+    of the call that made the result, so that read can raise
+    :class:`BudgetExceededError`.  Two results are
     equal when their values, verdicts and witnesses are, so ``==`` on two
     distinct results names both witnesses.  A result equals itself, and
     the hash reads only the value and the verdict.
@@ -854,7 +856,7 @@ def _chordless_cycles(
 class _UnitCuts:
     """Minimum edge cuts between disjoint vertex sets of one graph.
 
-    Built once per graph: every edge ``e = (u, v)`` becomes the
+    Built once per pair sweep: every edge ``e = (u, v)`` becomes the
     unit arcs ``2e`` (u -> v) and ``2e + 1`` (v -> u).  A cut query keeps one
     flow list over the arcs and grows the flow by breadth-first augmenting
     paths from every vertex of one set at once, each ending at the first
@@ -938,22 +940,121 @@ class _UnitCuts:
         return value, side
 
 
-def _edge_connectivity(
-    g: MultiGraph, cuts: _UnitCuts, limit: int, budget: Budget
-) -> int:
-    """The edge-connectivity of ``g``, or ``limit`` if it is not smaller.
+def _cut_labels(g: MultiGraph, budget: Budget) -> list[int] | None:
+    """The cut-space label of every edge of ``g``, or None when ``g`` is
+    disconnected.
 
-    Every edge cut separates vertex 0 from some other vertex, so it is the
-    least of the n - 1 cuts between vertex 0 and each other vertex, each
-    flow stopped at the least cut so far.  Each flow costs 4 work units.
+    A breadth-first spanning tree from vertex 0 leaves the non-tree edges
+    f_0, f_1, ...; bit j of an edge's label is set when the edge lies on
+    the fundamental cycle C_j of f_j, so f_j's label is 1 << j.  The tree
+    path between f_j's ends runs through the tree edge from x's parent to
+    x exactly when one end of f_j lies in x's subtree; so, with the
+    potential of a vertex the XOR of the bits of the non-tree edges at it,
+    that tree edge's label is the XOR of the potentials in x's subtree,
+    accumulated from the leaves up.  An edge set is a cut exactly when
+    the XOR of its labels is 0 (the cut-space lemma at
+    :func:`cyclic_connectivity`).  One work unit per edge.
     """
-    least = limit
-    for v in range(1, g.n):
-        if least == 0:
-            break
-        budget.spend(4)
-        least, _ = cuts.min_cut((0,), (v,), least)
-    return least
+    budget.spend(g.m)
+    n = g.n
+    parent_edge = [-1] * n
+    order = [0]
+    for v in order:
+        for eid, w in g.incident(v):
+            if w and parent_edge[w] < 0:
+                parent_edge[w] = eid
+                order.append(w)
+    if len(order) < n:
+        return None
+    labels = [0] * g.m
+    potential = [0] * n
+    tree = set(parent_edge)
+    bit = 1
+    for eid, (u, v) in enumerate(g.edges):
+        if eid not in tree:
+            labels[eid] = bit
+            potential[u] ^= bit
+            potential[v] ^= bit
+            bit <<= 1
+    for x in reversed(order[1:]):  # every child before its parent
+        eid = parent_edge[x]
+        labels[eid] = potential[x]
+        potential[g.other_end(eid, x)] ^= potential[x]
+    return labels
+
+
+def _edge_floor(labels: list[int] | None) -> int:
+    """min(κ′, 3), κ′ the edge-connectivity of the graph whose
+    :func:`_cut_labels` are ``labels``: 0 when it is disconnected, 1 when
+    an edge is a cut on its own (a zero label, a bridge), 2 when two edges
+    are (two equal labels), and 3 when no set of at most 2 edges is."""
+    if labels is None:
+        return 0
+    if not all(labels):
+        return 1
+    if len(set(labels)) < len(labels):
+        return 2
+    return 3
+
+
+def _bond_cut(g: MultiGraph, limit: int, budget: Budget) -> int:
+    """The cyclic connectivity c of the cubic graph ``g``, of girth at
+    least 3 and at least ``limit`` <= 5 and with two disjoint cycles, if
+    c < ``limit``, and ``limit`` otherwise: read off its
+    :func:`_cut_labels` with no flow.
+
+    Below 3, c is min(κ′, 3) (:func:`_edge_floor`), and at 3 and 4 it is
+    the size of a bond that is not the cut around one vertex or one edge
+    (the bond paragraphs at :func:`cyclic_connectivity`).  With the labels
+    distinct and nonzero, one scan over the pairs (e, f), e < f, finds
+    both: a label equal to ``labels[e] ^ labels[f]`` closes a 3-edge cut,
+    counted once as (e, f, h) with f < h; and two pairs whose labels XOR
+    to the same value make a 4-edge cut.  Two such pairs are disjoint,
+    the labels being distinct.  For each value the scan keeps only the
+    last pair seen, which misses nothing at girth 5: suppose a pair p
+    made trivial cuts with two others q and r, p ∪ q = δ({u, v}) and
+    p ∪ r = δ({u', v'}).  Then q ∪ r, their symmetric difference, is the
+    4-edge cut δ({u, v} Δ {u', v'}), and {u, v} ≠ {u', v'} as q ≠ r.
+    If the two edges uv and u'v' share a vertex, that difference is two
+    vertices at distance 2, not adjacent at girth 4, so 6 edges leave it.
+    If not, both edges of p lie in both cuts, so each joins {u, v} to
+    {u', v'}, and with uv and u'v' they close a cycle of at most 4 edges.
+    So a pair makes a trivial cut with at most one other of its value: if
+    the first two pairs of a value make one, the second and the third do
+    not, and the third meets the second as the last pair.  One work unit
+    per pair of each row scanned, charged before the row.
+    """
+    labels = _cut_labels(g, budget)
+    floor = _edge_floor(labels)
+    if floor < 3 or limit <= 3:
+        return min(floor, limit)
+    edges, m = g.edges, g.m
+    index = {x: e for e, x in enumerate(labels)}
+    last: dict[int, int] | None = None  # pair XOR -> first edge of its last pair
+    if limit >= 5:
+        last = {}
+        trivial = {
+            frozenset(a for a, _ in g.incident(u) + g.incident(v) if a != eid)
+            for eid, (u, v) in enumerate(edges)
+        }
+    four = False
+    for e, x in enumerate(labels):
+        budget.spend(m - 1 - e)
+        row = {x ^ y: f for f, y in enumerate(labels[e + 1:], e + 1)}
+        for z in row.keys() & index.keys():
+            f, h = row[z], index[z]
+            if f < h and not set(edges[e]).intersection(edges[f], edges[h]):
+                return 3  # not the three edges at one vertex
+        if last is not None:
+            for z in row.keys() & last.keys():
+                a = last[z]
+                if frozenset((a, index[z ^ labels[a]], e, row[z])) not in trivial:
+                    four = True
+                    last = None
+                    break
+            else:
+                last.update(dict.fromkeys(row, e))
+    return 4 if four else limit
 
 
 # The pair sweep searches for automorphisms once it has tried this many
@@ -970,34 +1071,24 @@ def _pair_sweep(
     g: MultiGraph,
     sets: list[tuple[int, ...]],
     outer: int,
-    cuts: _UnitCuts,
     budget: Budget,
     best: int | None = None,
+    floor: int | None = None,
 ) -> tuple[int | None, frozenset[int] | None]:
     """The least cut between disjoint sets S_i, S_j, i < j, of ``sets``
     with i < ``outer``, and its side; the starting bound ``best`` and no
     side when no pair goes below it.
 
-    The sweep returns once the best cut equals the edge-connectivity, which
-    no pair goes below.  That floor, capped at the best cut, is computed
-    the first time the best cut, the starting bound included, is at most
-    the minimum degree, above which it cannot stop the sweep.  The
-    automorphisms must map ``sets[:outer]`` onto itself; the orbit rule and
-    its proof are at :func:`cyclic_connectivity`.  Each flow and each node
-    of the group search costs 4 work units.
+    The flows run on one :class:`_UnitCuts` of ``g``, built here.  The
+    sweep returns once the best cut equals ``floor``, a value no pair goes
+    below: as given, or else min(κ′, 3) from :func:`_cut_labels`, computed
+    the first time the best cut is at most 3, above which it cannot stop
+    the sweep.  The automorphisms must map ``sets[:outer]`` onto itself;
+    the orbit rule and its proof are at :func:`cyclic_connectivity`.  Each
+    flow and each node of the group search costs 4 work units.
     """
+    cuts = _UnitCuts(g)
     best_side: frozenset[int] | None = None
-    degree = min(g.degrees(), default=0)
-    floor: int | None = None
-
-    def at_floor() -> bool:
-        nonlocal floor
-        if floor is None and best is not None and best <= degree:
-            floor = _edge_connectivity(g, cuts, best, budget)
-        return floor is not None and best == floor
-
-    if at_floor():
-        return best, best_side
     # bit j of through[v] is set when set j holds v, so the sets disjoint
     # from set i are the bits that no vertex of i sets
     through = [0] * g.n
@@ -1032,29 +1123,28 @@ def _pair_sweep(
             if best is None or value < best:
                 best = value
                 best_side = side
-                if at_floor():
+                if floor is None and best <= 3:
+                    floor = _edge_floor(_cut_labels(g, budget))
+                if best == floor:
                     return best, best_side
     return best, best_side
 
 
 def _neighbourhood_cut(
-    g: MultiGraph, limit: int, budget: Budget, cuts: _UnitCuts
+    g: MultiGraph, limit: int, budget: Budget, floor: int | None = None
 ) -> tuple[int, frozenset[int] | None]:
     """The least cut between two disjoint closed neighbourhoods N[u], N[w]
     of the simple cubic graph ``g``, with the side the residual graph
     reaches from N[u] for the first pair u < w in sweep order that attains
-    it, from :func:`_pair_sweep` on ``cuts``; ``limit`` and no side if no
-    pair goes below ``limit``.
+    it, from :func:`_pair_sweep` with ``floor``; ``limit`` and no side if
+    no pair goes below ``limit``.
     """
-    n = g.n
-    if n < 8:
-        return limit, None  # four vertices each: no two are disjoint
-    closed = [(v, *(w for _, w in g.incident(v))) for v in range(n)]
-    return _pair_sweep(g, closed, n, cuts, budget, limit)
+    closed = [(v, *(w for _, w in g.incident(v))) for v in range(g.n)]
+    return _pair_sweep(g, closed, g.n, budget, limit, floor)
 
 
 def _cycle_cut(
-    g: MultiGraph, cut_size: int, cuts: _UnitCuts, budget: Budget
+    g: MultiGraph, cut_size: int, budget: Budget
 ) -> tuple[list[tuple[int, ...]], int | None, frozenset[int] | None]:
     """The chordless cycles that :func:`_side_caps` keeps for cuts of at
     most ``cut_size`` edges, sorted by length, and the least cut between
@@ -1064,7 +1154,7 @@ def _cycle_cut(
     small, large = _side_caps(g, cut_size)
     cycles = _chordless_cycles(g, large, budget)
     outer = bisect_right([len(c) for c in cycles], small)
-    return cycles, *_pair_sweep(g, cycles, outer, cuts, budget)
+    return cycles, *_pair_sweep(g, cycles, outer, budget)
 
 
 def _moore_girth(order: int) -> int:
@@ -1181,12 +1271,16 @@ def cyclic_connectivity(
 ) -> CyclicConnectivity:
     """Exact cyclic edge-connectivity, with a minimum cut as witness.
 
-    A cubic graph of girth g, 3 <= g <= 6, is decided by the cuts between
-    closed neighbourhoods (the value step), whose least cut is the witness
-    when it is below g; at g, the shortest chordless cycles are enumerated
-    only when the result's ``witness`` is first read (the witness step).
-    Every other graph (girth at most 2 or at least 7, or not cubic) is
-    swept over disjoint chordless cycle pairs at once.
+    A cubic graph of girth g, 3 <= g <= 6, is decided by the value step:
+    below girth 6 by the cut space, read off the labels of one spanning
+    tree with no flow, and at girth 6 by the cuts between closed
+    neighbourhoods.  A value below g has as witness the least cut between
+    closed neighbourhoods, from the girth-6 flows at no further cost, and
+    below girth 6 from a pair sweep run when the result's ``witness`` is
+    first read; at g, the shortest chordless cycles are enumerated on
+    that read instead (the witness step).  Every other graph (girth at
+    most 2 or at least 7, or not cubic) is swept over disjoint chordless
+    cycle pairs at once.
 
     Neighbourhood lemma.  Let G be cubic with girth g >= 3, so each closed
     neighbourhood N[u] has 4 vertices.  (a) Each side S of a minimum
@@ -1211,32 +1305,67 @@ def cyclic_connectivity(
     cut.  So c = mu when mu < L, and otherwise c >= L; with L = g the
     girth lemma below decides.
 
-    Pair sweep (:func:`_pair_sweep`).  The value step and every cycle sweep
-    take the least cut between two disjoint vertex sets of one list, on one
-    network of the graph's unit arcs per call: each pair's flow grows by
-    augmenting paths from one set to the other and stops at the best cut so
-    far (such a pair cannot lower the minimum).  Every such cut is an edge
-    cut, so the sweep stops once its best cut equals the edge-connectivity
-    (:func:`_edge_connectivity`), computed the first time the best cut,
-    starting bound included, is at most the minimum degree, which bounds
-    it.  The value step sweeps the closed neighbourhoods from the bound g,
-    or min(g, k) for :func:`is_cyclically_k_connected`, which so takes a
-    cubic graph of girth g >= 7 to the value step when k <= 6: a cut below
-    the bound is the value, by the lemma, and with none the value is at
-    least the bound.  Below 8 vertices no two closed neighbourhoods are
-    disjoint.  The cycle sweep runs over the chordless cycles, sorted by
-    length, whose first cycle of a pair is within the smaller side's cap
-    below.  The minimum cut separating two cycles is the minimum, over
-    pairs of vertex-disjoint chordless cycles, of the max-flow between
-    them after contraction.
+    Cut-space lemma.  Over GF(2) the cut space of a graph is the
+    orthogonal complement of its cycle space (Diestel, *Graph Theory*,
+    Section 1.9): an edge set F is a cut δ(X) exactly when it meets every
+    cycle in an even number of edges.  The fundamental cycles C_j of a
+    spanning tree of a connected graph span the cycle space, so F is a cut
+    exactly when it meets every C_j evenly, that is when the XOR of the
+    labels of :func:`_cut_labels` (bit j: the edge lies on C_j) over F is
+    0.  Every nonempty cut is a disjoint union of bonds (minimal nonempty
+    cuts), and both sides of a bond are connected.
+
+    Bonds below girth 6.  Let G be cubic with girth g >= 3 and two
+    disjoint cycles, L = min(g, cap) <= 5 the value step's bound, κ′ its edge-connectivity
+    and c its cyclic connectivity, so c >= κ′.  Each side of a bond is
+    connected, so by (b) it is a tree only if the bond has |T| + 2 edges.
+    A bond of at most 2 edges therefore separates two cycles: c = κ′
+    whenever κ′ <= 2, and G is disconnected (κ′ = 0, every component of a
+    cubic graph holding a cycle), has a bridge (a zero label) or a 2-edge
+    cut (two equal labels) exactly then.  Otherwise κ′ = 3 and every cut
+    of 3 or 4 edges is a single bond.  A 3-bond separates two cycles
+    unless a side is a tree on one vertex: the three edges at one vertex,
+    which share that end.  For L >= 4, so g >= 4, c = 3 exactly when some
+    three labels XOR to 0 on edges that do not all meet at one vertex.  A 4-bond
+    separates two cycles unless a side is a tree on two vertices: for an
+    edge uv, δ({u, v}), the four edges other than uv at u and at v.  For
+    L >= 5, so g >= 5, with no such 3-bond, c = 4 exactly when two
+    disjoint pairs of labels XOR to the same value on four edges that are
+    not such a δ({u, v}) (:func:`_bond_cut`).  With none, c >= L, and the
+    girth lemma decides as after the girth-6 flows.  When c < L it is mu
+    by the neighbourhood lemma.
+
+    Pair sweep (:func:`_pair_sweep`).  The value step at girth 6, the
+    witness of a value below girth 6 and every cycle sweep take the least
+    cut between two disjoint vertex sets of one list, on one network of
+    the graph's unit arcs per sweep: each pair's flow grows by augmenting
+    paths from one set to the other and stops at the best cut so far
+    (such a pair cannot lower the minimum).  Every such cut is an edge
+    cut, so the sweep stops once its best cut equals a floor no cut goes
+    below: the value c for the witness of a value below girth 6, and
+    otherwise min(κ′, 3) from the cut labels (:func:`_edge_floor`),
+    computed the first time the best cut is at most 3.  The value step
+    sweeps the closed neighbourhoods from the bound g, or min(g, k) for
+    :func:`is_cyclically_k_connected`, which so takes a cubic graph of
+    girth g >= 7 to the value step when k <= 6: a cut below the bound is
+    the value, by the lemma, and with none the value is at least the
+    bound; the cut labels decide bounds of at most 5.  When 2g > n no two
+    cycles are disjoint, which ends the value step before any work.  The
+    cycle sweep runs over the chordless cycles, sorted by length, whose
+    first cycle of a pair is within the smaller side's cap below.  The
+    minimum cut separating two cycles is the minimum, over pairs of
+    vertex-disjoint chordless cycles, of the max-flow between them after
+    contraction.
 
     The witness is the side of the sweep's first pair whose cut is the
-    minimum (see the orbit paragraph), from the value step a minimum cut
-    by (b) at no further cost.  When the value step finds no cut below g,
-    the witness is the cut around ``cycles[0]``, the first shortest
-    chordless cycle (the girth lemma below), enumerated on first read
-    under the call's budget, so ``max_work`` bounds the value and the
-    witness together.
+    minimum (see the orbit paragraph), a minimum cut by (b): at girth 6
+    from the value step at no further cost, and below girth 6 from the
+    sweep over closed neighbourhoods with the floor c, which stops at
+    that pair, run on first read under the call's budget.  When the value
+    step finds no cut below g, the witness is the cut around
+    ``cycles[0]``, the first shortest chordless cycle (the girth lemma
+    below), enumerated on first read under the call's budget.  So
+    ``max_work`` bounds the value and the witness together.
 
     Proof of the caps (in full at :func:`_side_caps`).  Both sides of a
     minimum cut of size c are connected.  A side S, with its pendant trees
@@ -1291,10 +1420,11 @@ def cyclic_connectivity(
     u != w only for adjacent twins, and swapping twins is an automorphism,
     so the orbits of the sets are the orbits of the vertices.
 
-    Every disjoint pair of cycles or of closed neighbourhoods, every flow
-    of the edge-connectivity check and every node of the automorphism
-    search costs 4 work units, and every extension step of the cycle
-    enumeration 1; more than ``max_work`` units raise
+    Every disjoint pair of cycles or of closed neighbourhoods and every
+    node of the automorphism search costs 4 work units, and every edge
+    labelled, every pair of edges in a row the bond scan reads and every
+    extension step of the cycle enumeration 1; more than ``max_work``
+    units raise
     :class:`BudgetExceededError`, from the call or from the first read of
     ``witness``.
     """
@@ -1310,19 +1440,25 @@ def _cyclic(g: MultiGraph, budget: Budget, cap: int | None) -> CyclicConnectivit
     gi = girth(g)
     if gi is None:
         return _VACUOUS
-    cuts = _UnitCuts(g)
     cubic = all(d == 3 for d in g.degrees())
     limit = gi if cap is None else min(gi, cap)
     if 3 <= gi and limit <= 6 and cubic:
-        value, side = _neighbourhood_cut(g, limit, budget, cuts)
-        if side is not None:
-            return CyclicConnectivity(value, False, partial(edge_cut, g, side))
         if 2 * gi > g.n:
-            return _VACUOUS
+            return _VACUOUS  # no two disjoint cycles
+        if limit <= 5:
+            value = _bond_cut(g, limit, budget)
+            if value < limit:
+                return CyclicConnectivity(value, False, lambda: edge_cut(
+                    g, _neighbourhood_cut(g, limit, budget, value)[1]
+                ))
+        else:
+            value, side = _neighbourhood_cut(g, limit, budget)
+            if side is not None:
+                return CyclicConnectivity(value, False, partial(edge_cut, g, side))
         return CyclicConnectivity(
             value, False, lambda: edge_cut(g, _chordless_cycles(g, gi, budget)[0])
         )
-    cycles, value, side = _cycle_cut(g, gi - 1, cuts, budget)
+    cycles, value, side = _cycle_cut(g, gi - 1, budget)
     if (value is None or value > gi) and cubic:
         # nothing below the girth: the girth lemma decides
         value, side = (None, None) if 2 * gi > g.n else (gi, frozenset(cycles[0]))
@@ -1338,8 +1474,9 @@ def is_cyclically_k_connected(
 
     Graphs without two vertex-disjoint cycles are vacuously k-connected
     for every k.  The check is :func:`cyclic_connectivity` with the value
-    step's bound lowered from the girth g to min(g, k), so no flow of that
-    step goes past k.  On failure the witness is a minimum
+    step's bound lowered from the girth g to min(g, k), so the cut labels
+    decide k <= 5 on a cubic graph of girth at least 3, and no flow of the
+    value step goes past k.  On failure the witness is a minimum
     cycle-separating cut, named under the same ``max_work``: that of
     :func:`cyclic_connectivity`, except on a cubic graph of girth at least
     7 with k <= 6, where it is the value step's cut.

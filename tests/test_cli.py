@@ -19,9 +19,9 @@ from helpers import _has_cycle, recursion_headroom
 import nzflow.cli
 import nzflow.engine
 import nzflow.structure
-from nzflow import InternalInconsistencyError
+from nzflow import InternalInconsistencyError, girth
 from nzflow.cli import EXIT_INTERNAL, main
-from nzflow.catalog import flower_snark, k4, petersen, prism
+from nzflow.catalog import blanusa_snarks, flower_snark, k4, oddness4_snark, petersen, prism
 from nzflow.flows import Flow, flow_to_json, solve_nowhere_zero_flow
 from nzflow.graph6 import parse_graph6, serialize_graph6
 
@@ -153,6 +153,23 @@ def test_analyze_reads_graph6_that_starts_like_json(capsys, tmp_path, k):
     assert recs[0]["outcome"]["outcome"] == "flow_found"
 
 
+def test_control_character_line_is_an_input_error_not_a_blank_line(capsys, tmp_path):
+    # str.strip() would take "\x1c" for whitespace and skip the line
+    path = tmp_path / "control.g6"
+    path.write_text(serialize_graph6(k4()) + "\n\x1c\n" + serialize_graph6(k4()) + "\n")
+    code, out, err = run_cli(capsys, ["oddness", str(path)])
+    assert code == 2
+    assert "line 2: illegal character '\\x1c' (byte offset 0)" in err
+    assert [r["name"] for r in records(out)] == ["line-1"]
+    # first in the file, where blank lines are skipped before the format
+    # is told, too
+    path.write_text("\x1c\n" + serialize_graph6(k4()) + "\n")
+    code, out, err = run_cli(capsys, ["oddness", str(path)])
+    assert code == 2
+    assert "line 1: illegal character" in err
+    assert out == ""
+
+
 def test_json_after_blank_lines_is_read_as_json(capsys, monkeypatch):
     text = '{"n":4,"edges":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]}'
     monkeypatch.setattr("sys.stdin", io.StringIO("\n \n" + text + "\n"))
@@ -257,6 +274,26 @@ def test_analyze_computes_cyclic_connectivity_once(capsys, monkeypatch, mixed_fi
     }
     assert k4_rec["cyclic_connectivity"]["status"] == "vacuous"
     assert k4_rec["outcome"]["cyclic"] == {"status": "checked", "at_least_six": True}
+
+
+def test_analyze_builds_no_flow_network_below_girth_six(capsys, monkeypatch, tmp_path, corpus):
+    # a default analyze reads only the cyclic value, which the cut labels
+    # give below girth 6, so it runs no flow on these graphs
+    graphs = [g for _, g in corpus] + [oddness4_snark(), *blanusa_snarks(), flower_snark(5)]
+    graphs = [g for g in graphs if girth(g) <= 5]
+    assert len(graphs) > 100
+    path = tmp_path / "girth-3-to-5.g6"
+    path.write_text("".join(serialize_graph6(g) + "\n" for g in graphs))
+
+    def refuse(g):
+        raise AssertionError("flow network built")
+
+    monkeypatch.setattr(nzflow.structure, "_UnitCuts", refuse)
+    code, out, err = run_cli(capsys, ["analyze", str(path)])
+    assert code == 0, err
+    recs = records(out)
+    assert len(recs) == len(graphs)
+    assert all(r["cyclic_connectivity"]["status"] in ("exact", "vacuous") for r in recs)
 
 
 def test_analyze_verifies_flower_snarks_cyclically_six_connected(capsys, tmp_path):

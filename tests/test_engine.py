@@ -305,10 +305,13 @@ def test_pipeline_max_work_bounds_cyclic_and_oddness():
     # one budget: each search the pipeline runs gets max_work units
     g = blanusa_snarks()[0]
     assert five_flow_oddness4(g, max_work=400).cyclic["status"] == "checked"
-    # the cyclic step takes 296 units and the oddness search 65.  J5 will
-    # not do: its oddness search (602 units, the DP it starts at 4n
-    # included) costs more than its cyclic step (320).  Petersen's cyclic
-    # step takes none: no two of its closed neighbourhoods are disjoint
+    # the cyclic step takes 378 units (27 for the cut labels of its 27
+    # edges and 351 for the bond scan over every pair of them; 296 with
+    # the pair flows) and the oddness search 65.  J5 will not do: its
+    # oddness search (602 units, the DP it starts at 4n included) costs
+    # more than its cyclic step (465)
+    assert five_flow_oddness4(g, max_work=378).cyclic["status"] == "checked"
+    assert five_flow_oddness4(g, max_work=377).cyclic == {"status": "budget_exceeded"}
     cert = five_flow_oddness4(g, max_work=200)
     assert cert.cyclic == {"status": "budget_exceeded"}
     assert cert.outcome == "flow_found"

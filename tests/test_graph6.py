@@ -34,14 +34,21 @@ def test_header_is_stripped():
 
 
 def test_illegal_character_reports_offset():
+    # chr(30) is not ASCII whitespace, so it is not stripped as such
     with pytest.raises(Graph6Error) as err:
         parse_graph6("C" + chr(30))
     assert err.value.offset == 1
+    assert str(err.value) == "illegal character '\\x1e' (byte offset 1)"
 
 
 @pytest.mark.parametrize(
     "record",
-    ["C" + chr(1), "C !", ":Fa@x^\x7f", "Dé??", "C~\u2603", "~?@c" + "~" * 20 + "> ~"],
+    [
+        "C" + chr(1), "C !", ":Fa@x^\x7f", "Dé??", "C~\u2603", "~?@c" + "~" * 20 + "> ~",
+        # str.strip() treats these as whitespace; only ASCII whitespace is
+        # stripped from a record's ends
+        "C~\x1c", "\x85C~",
+    ],
 )
 def test_first_illegal_character_is_reported_at_its_offset(record):
     # a character outside '?'..'~' (63..126), ASCII or not; sparse6 data

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import networkx as nx
@@ -58,7 +59,8 @@ from nzflow.structure import (
     _UnitCuts,
     _best_order,
     _chordless_cycles,
-    _edge_connectivity,
+    _cut_labels,
+    _edge_floor,
     _frontier_colourable,
     _frontier_order,
     _matching_barrier,
@@ -967,7 +969,7 @@ def test_neighbourhood_lemma_holds_on_every_bipartition(corpus):
             assert least == mu, name
         else:
             assert least == (None if 2 * shortest > g.n else shortest), name
-        value, side = _neighbourhood_cut(g, shortest, Budget(None), _UnitCuts(g))
+        value, side = _neighbourhood_cut(g, shortest, Budget(None))
         assert value == mu, name
         if mu < shortest:
             # masks[i] is i + 1 and leaves out vertex n - 1
@@ -1006,13 +1008,191 @@ def test_neighbourhood_value_matches_the_full_sweep(name, g):
     assert (res.value, res.vacuous) == (value, value is None)
 
 
+def _independent_edges(g):
+    """Edge 0 and the first edge that shares no end with it."""
+    ends = set(g.edges[0])
+    return 0, next(e for e, pair in enumerate(g.edges) if not ends & set(pair))
+
+
+# graphs for the cut-label value step: every kind of cut it reads below
+# girths 3, 4 and 5, girth 6, and vacuous graphs
+_BOND_GRAPHS = [(f"flower-{k}", flower_snark(k)) for k in range(5, 22, 2)]
+_BOND_GRAPHS += [(f"blanusa-{i}", g) for i, g in enumerate(blanusa_snarks(), 1)]
+_BOND_GRAPHS += [
+    ("dot-petersen-flower-5", dot_product(
+        petersen(), flower_snark(5), _independent_edges(petersen()), 0)),
+    ("dot-flower-5-flower-5", dot_product(
+        flower_snark(5), flower_snark(5), _independent_edges(flower_snark(5)), 0)),
+    ("oddness4", oddness4_snark()),
+    ("2k4", _disjoint_union(k4(), k4())),
+    ("2k33", _disjoint_union(k33(), k33())),
+    ("k4", k4()),
+    ("k33", k33()),
+    ("prism-3", prism(3)),
+    ("bridged-10", _BRIDGED),
+    ("dot-5", dot_product(oddness4_snark(), flower_snark(5), (0, 21), 0)),
+]
+_BOND_GRAPHS += [(f"gp-{n}-2", generalized_petersen(n, 2)) for n in (5, 8, 10, 12, 16, 24)]
+_BOND_GRAPHS += [(f"gp-{n}-3", generalized_petersen(n, 3)) for n in (7, 8, 10, 12, 16, 24)]
+_BOND_GRAPHS += [(f"prism-{n}", prism(n)) for n in (4, 5, 8, 15, 30)]
+_BOND_GRAPHS += [(f"moebius-{n}", _moebius_ladder(n)) for n in (8, 10, 20, 60)]
+_BOND_GRAPHS += [
+    (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
+    for n in (16, 20, 24, 32, 40, 48, 60, 80, 100)
+    for s in range(3)
+]
+
+
+def _assert_bond_scan_matches_the_pair_sweeps(name, g, reference):
+    # the value step's cut-label value for the bounds L = min(g, 3..5), and
+    # the witness it names, against the first pair of closed
+    # neighbourhoods that attains the least cut between them: from Dinic
+    # where ``reference`` is set, and from the package's pair sweep with
+    # the floor 0, which shares no code with the labels
+    shortest = girth(g)
+    mu, side = _neighbourhood_cut(g, 6, Budget(None), 0)
+    if reference:
+        ref_mu, ref_side = reference_neighbourhood_cut(g)
+        if ref_mu is None or ref_mu >= 6:
+            assert side is None, name
+        else:
+            assert (mu, side) == (ref_mu, ref_side), name
+    for cap in (3, 4, 5):
+        limit = min(shortest, cap)
+        res = nzflow.structure._cyclic(g, Budget(None), cap)
+        if 2 * shortest > g.n:
+            assert res.vacuous and res.value is None, (name, cap)
+        elif mu < limit:
+            assert (res.value, res.vacuous) == (mu, False), (name, cap)
+            assert res.witness.side == tuple(sorted(side)), (name, cap)
+        else:
+            assert (res.value, res.vacuous) == (limit, False), (name, cap)
+    full = cyclic_connectivity(g)
+    for k in range(1, 8):
+        chk = is_cyclically_k_connected(g, k)
+        assert chk.connected == (full.vacuous or full.value >= k), (name, k)
+        assert chk.witness == (None if chk.connected else full.witness), (name, k)
+
+
+def test_bond_scan_matches_the_pair_sweeps_on_the_corpus(corpus):
+    for name, g in corpus:
+        _assert_bond_scan_matches_the_pair_sweeps(name, g, True)
+
+
+@pytest.mark.parametrize("name,g", _BOND_GRAPHS, ids=[n for n, _ in _BOND_GRAPHS])
+def test_bond_scan_matches_the_pair_sweeps(name, g):
+    # Dinic up to 40 vertices, the package's pair sweep on all; the random
+    # graphs of girth 4 and 5 and the dot products have nontrivial 3- and
+    # 4-bonds, and Blanusa 1-2 and the two girth-5 dot products lambda_c 4
+    _assert_bond_scan_matches_the_pair_sweeps(name, g, g.n <= 40)
+
+
+def test_bond_scan_finds_each_kind_of_cut(corpus):
+    # the graphs above reach every branch of the scan: a disconnected
+    # graph, a bridge, a 2-edge cut, a nontrivial 3-bond at girths 4 and 5,
+    # a nontrivial 4-bond at girth 5, and no cut below the girth
+    kinds = Counter()
+    for name, g in list(corpus) + _BOND_GRAPHS:
+        res = cyclic_connectivity(g)
+        kinds[girth(g), res.value] += 1
+    for kind in ((3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 3), (4, 4), (4, None),
+                 (5, 3), (5, 4), (5, 5)):
+        assert kinds[kind] >= 1, (kind, kinds)
+
+
+def test_values_of_girth_three_to_five_build_no_flow_network(monkeypatch, corpus):
+    # the value of a cubic graph of girth 3 to 5, and each k-check it
+    # passes, come from the cut labels: no pair sweep, no flow
+    graphs = [(name, g) for name, g in list(corpus) + _BOND_GRAPHS
+              if 3 <= girth(g) <= 5 and g.n <= 60]
+    expected = {name: cyclic_connectivity(g) for name, g in graphs}
+
+    def refuse(g):
+        raise AssertionError("flow network built")
+
+    monkeypatch.setattr(nzflow.structure, "_UnitCuts", refuse)
+    for name, g in graphs:
+        res = cyclic_connectivity(g)
+        assert (res.value, res.vacuous) == (expected[name].value, expected[name].vacuous)
+        for k in range(1, 8):
+            if res.vacuous or res.value >= k:
+                assert is_cyclically_k_connected(g, k).connected, (name, k)
+    assert len(graphs) > 150
+
+
+def _random_multigraph(seed):
+    """A multigraph of 2 to 12 vertices and n - 1 to 2n random edges:
+    bridges, parallel edges, vertices of every small degree and several
+    components are all common."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    m = rng.randint(n - 1, 2 * n)
+    return MultiGraph(n, [tuple(rng.sample(range(n), 2)) for _ in range(m)])
+
+
+_SPARSE_MULTIGRAPHS = [(f"sparse-{s}", _random_multigraph(s)) for s in range(60)]
+
+
+def _is_cut(g, edges):
+    """Whether ``edges`` is the set of edges leaving some vertex set: a
+    2-colouring of the vertices exists in which exactly these edges join
+    the two colours (breadth-first, by parity)."""
+    inside = set(edges)
+    colour = [-1] * g.n
+    for root in range(g.n):
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        queue = [root]
+        for v in queue:
+            for eid, w in g.incident(v):
+                want = colour[v] ^ (eid in inside)
+                if colour[w] < 0:
+                    colour[w] = want
+                    queue.append(w)
+                elif colour[w] != want:
+                    return False
+    return True
+
+
+def test_cut_labels_xor_to_zero_exactly_on_cuts(corpus):
+    # the cut-space lemma: every set of at most 3 edges, 100 random edge
+    # sets and the cuts around 100 random vertex sets, against a parity
+    # 2-colouring; a disconnected graph gets no labels
+    rng = random.Random(0)
+    cuts = 0
+    for name, g in _small_cap_graphs(corpus) + _MULTIGRAPHS + _SPARSE_MULTIGRAPHS:
+        labels = _cut_labels(g, Budget(None))
+        h = nx.MultiGraph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        assert (labels is None) == (not nx.is_connected(h)), name
+        if labels is None:
+            continue
+        sets = [s for size in range(1, 4) for s in combinations(range(g.m), size)]
+        sets += [rng.sample(range(g.m), rng.randint(1, g.m)) for _ in range(100)]
+        for _ in range(100):
+            side = {v for v in range(g.n) if rng.random() < 0.5}
+            sets.append([e for e, (u, v) in enumerate(g.edges) if (u in side) != (v in side)])
+        for edges in sets:
+            x = 0
+            for e in edges:
+                x ^= labels[e]
+            assert (x == 0) == _is_cut(g, edges), (name, edges)
+            cuts += x == 0
+    assert cuts > 10_000
+
+
 def test_edge_connectivity_matches_every_bipartition(corpus):
-    for name, g in _small_cap_graphs(corpus):
+    # the floor of every pair sweep, min(edge-connectivity, 3) from the cut
+    # labels, against the least cut over every vertex bipartition
+    floors = Counter()
+    for name, g in _small_cap_graphs(corpus) + _MULTIGRAPHS + _SPARSE_MULTIGRAPHS:
         _, cut, _, _ = bipartition_table(g)
-        least = int(cut.min())
-        for limit in range(5):
-            got = _edge_connectivity(g, _UnitCuts(g), limit, Budget(None))
-            assert got == min(least, limit), (name, limit)
+        expected = min(int(cut.min()), 3)
+        assert _edge_floor(_cut_labels(g, Budget(None))) == expected, name
+        floors[expected] += 1
+    assert min(floors[f] for f in range(4)) >= 5, floors
 
 
 def test_side_caps_drop_nothing_on_graphs_that_are_not_cubic():
@@ -1212,32 +1392,26 @@ def test_k_check_above_the_value_costs_what_the_value_does():
 @pytest.mark.parametrize(
     "make,units,value",
     [
-        (lambda: flower_snark(5), 320, 5),
-        (oddness4_snark, 144, 3),
-        (lambda: _truncation(petersen()), 116, 3),
+        (lambda: flower_snark(5), 465, 5),
+        (oddness4_snark, 1_475, 3),
+        (lambda: _truncation(petersen()), 45, 3),
         (k4, 0, None),
         (k33, 0, None),
     ],
     ids=["flower-5", "oddness4", "truncated-petersen", "k4", "k33"],
 )
 def test_cyclic_work_units_are_pinned(make, units, value):
-    # 4 units per flow of the edge-connectivity check, per disjoint pair of
-    # closed neighbourhoods and per node of the automorphism search.  Under
-    # the earlier length cap J5 took 2,695 and the oddness-4 snark 43,127;
-    # the cycle-pair sweep with side caps and orbits took 1,338 and 3,089.
-    # Now J5 tries 60 pairs (3 per vertex), searches its group in 15 nodes
-    # and tries 5 more pairs from orbit-first vertices: 4 * (65 + 15) = 320.
-    # No cut of J5 between closed neighbourhoods is at most 3, its minimum
-    # degree, so it runs none of the 19 flows that found its
-    # edge-connectivity 3 while they came first (396).  The snark's first
-    # pair gives a 3-edge cut, and then 35 flows find its edge-connectivity
-    # 3: 4 * 36 = 144.  The truncated Petersen graph has girth 3, the
-    # starting bound, which is its minimum degree, so its 29 flows come
-    # first and find its edge-connectivity 3: no pair is tried, 4 * 29 =
-    # 116.  K4 and K3,3 have fewer than 8 vertices, so no two closed
-    # neighbourhoods are disjoint and the girth lemma decides them with no
-    # work (12 and 36 with a second enumeration with no cap, then 6 and 18
-    # with one enumeration)
+    # the value of a cubic graph of girth 3 to 5 costs one unit per edge
+    # for its cut labels and, from girth 4, one per pair of edges in each
+    # row the bond scan reads.  J5 (girth 5, 30 edges) reads every row for
+    # no 3- or 4-bond: 30 + 435 = 465 (320 with the pair flows: 60 pairs,
+    # 15 nodes of group search and 5 more pairs, 4 units each).  The
+    # oddness-4 snark (54 edges) finds its first nontrivial 3-bond in the
+    # row of edge 48: 54 + 1,421 = 1,475 (144 with the flows: one pair and
+    # 35 flows for the edge-connectivity).  The truncated Petersen graph
+    # has girth 3, so its labels alone show that no cut of at most 2 edges
+    # is below it: 45 (116 for 29 edge-connectivity flows).  K4 and K3,3
+    # have no two disjoint cycles, since 2g > n, which costs no work
     g = make()
     assert cyclic_connectivity(g, max_work=units).value == value
     if units:
@@ -1247,19 +1421,25 @@ def test_cyclic_work_units_are_pinned(make, units, value):
 
 def test_cyclic_witness_charges_the_call_budget():
     # the witness is named on first read, under the budget of the call:
-    # J5's value costs 320 units and its witness, the cut around its first
+    # J5's value costs 465 units and its witness, the cut around its first
     # 5-cycle, 150 more to enumerate the chordless cycles of at most 5
     # vertices.  The oddness-4 snark's witness, below its girth, is the
-    # value step's cut and costs nothing more
+    # side of the first pair of closed neighbourhoods whose cut is the
+    # value 3, which the pair sweep reaches at its first pair: 4 units
+    # after the value's 1,475
     g = flower_snark(5)
-    res = cyclic_connectivity(g, max_work=470)
+    res = cyclic_connectivity(g, max_work=615)
     assert res.witness == cyclic_connectivity(g).witness
-    short = cyclic_connectivity(g, max_work=469)
+    short = cyclic_connectivity(g, max_work=614)
     assert short.value == 5
     with pytest.raises(BudgetExceededError):
         short.witness
-    snark = cyclic_connectivity(oddness4_snark(), max_work=144)
+    snark = cyclic_connectivity(oddness4_snark(), max_work=1_479)
     assert len(snark.witness.edges) == snark.value == 3
+    short = cyclic_connectivity(oddness4_snark(), max_work=1_478)
+    assert short.value == 3
+    with pytest.raises(BudgetExceededError):
+        short.witness
 
 
 def test_cyclic_result_hashes_and_equals_itself_without_its_witness():
@@ -1357,17 +1537,25 @@ def test_girth_three_to_six_never_sweeps_cycle_pairs(sweeps, corpus):
         assert set(sweeps) <= {("_chordless_cycles", girth(g))}, name
 
 
-@pytest.mark.parametrize("name,units", [("mcgee", 356), ("tutte-coxeter", 444)])
+@pytest.mark.parametrize(
+    "name,units",
+    [("mcgee", [36, 36, 36, 666, 666, 356]), ("tutte-coxeter", [45, 45, 45, 1_035, 1_035, 444])],
+    ids=["mcgee", "tutte-coxeter"],
+)
 def test_cage_k_checks_up_to_six_use_closed_neighbourhoods(sweeps, name, units):
     # lemma parts (a) and (b) need only cuts below min(g, 6), so a k-check
-    # with k <= 6 on a cubic graph of girth g >= 7 is decided by closed
-    # neighbourhoods and enumerates no cycle; the value and k = 7 still
-    # sweep cycle pairs
+    # with k <= 6 on a cubic graph of girth g >= 7 enumerates no cycle: for
+    # k <= 5 the cut labels decide it (one unit per edge, and from k = 4
+    # one per pair of edges, 630 on McGee's 36 edges and 990 on
+    # Tutte-Coxeter's 45), for k = 6 the closed-neighbourhood flows (356
+    # and 444 units, as before); with the pair flows every k <= 6 cost 92,
+    # 92, 92, 356, 356, 356 and 116, 116, 116, 444, 444, 444.  The value
+    # and k = 7 still sweep cycle pairs
     g = dict(_SWEEP_GRAPHS)[name]
-    for k in range(1, 7):
-        assert is_cyclically_k_connected(g, k, max_work=units).connected, (name, k)
-    with pytest.raises(BudgetExceededError):
-        is_cyclically_k_connected(g, 6, max_work=units - 1)
+    for k, least in enumerate(units, 1):
+        assert is_cyclically_k_connected(g, k, max_work=least).connected, (name, k)
+        with pytest.raises(BudgetExceededError):
+            is_cyclically_k_connected(g, k, max_work=least - 1)
     assert sweeps == []
     assert is_cyclically_k_connected(g, 7).connected
     assert [call for call, _ in sweeps] == ["_cycle_cut", "_chordless_cycles"]

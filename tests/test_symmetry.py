@@ -136,14 +136,18 @@ def test_group_search_waits_for_long_sweeps(monkeypatch, corpus):
 
     monkeypatch.setattr(nzflow.structure, "automorphisms", counting)
     for _, g in corpus + [("blanusa-1", blanusa_snarks()[0])]:
-        cyclic_connectivity(g)
+        cyclic_connectivity(g).witness
         is_cyclically_k_connected(g, 6)
-    # Blanusa-1's value step, in each call: its edge-connectivity 3 is
-    # below its cyclic connectivity 4, so it tries every pair of closed
-    # neighbourhoods, and the k = 6 check runs the same value step, from
-    # its girth 5
-    assert searched == [18, 18]
+    # below girth 6 the cut labels give the value, and a witness sweep
+    # stops at its first pair whose cut is that value.  Blanusa-1's value
+    # step searched its group in each call while its sweep could stop only
+    # at its edge-connectivity 3, below its cyclic connectivity 4
+    assert searched == []
+    # J7's value step, at girth 6, tries more than 3 pairs per vertex for
+    # no cut below 6
+    cyclic_connectivity(flower_snark(7))
+    assert searched == [28]
     searched.clear()
-    # the oddness-4 snark's first pair attains its edge-connectivity
-    cyclic_connectivity(oddness4_snark())
+    # the oddness-4 snark's first pair attains its value
+    cyclic_connectivity(oddness4_snark()).witness
     assert searched == []
