@@ -10,7 +10,9 @@ a vertex order's frontier decides 3-edge-colourability, which lets that
 search stop before exhausting the matchings of a snark; the order is the
 one of least cost bound among a few starts, so it does not hang on the
 labels.  Once it has spent 4n units, the search starts that DP and steps
-it one vertex at a time, dovetailed with its own work, and probes, on a
+it one vertex at a time, dovetailed with its own work (run ahead to its
+verdict once the search holds two odd circuits and the DP's remaining
+bound fits in the search's own work), and probes, on a
 doubling schedule, for a barrier that leaves a node's unmatched vertices
 without a perfect matching (an odd component, or a bipartite one with
 unequal colour classes), then cuts that node's subtree.  Each matching
@@ -263,6 +265,108 @@ def _best_order(g: MultiGraph, spend) -> list[int]:
     return best
 
 
+def _frontier_profile(g: MultiGraph, order: list[int]) -> list[tuple[int, int]]:
+    """For each vertex v_i of the whole ``order``, the pair
+    (_state_bound(w_i), _GROWTH[k_i]) of :func:`_frontier_order`'s bound:
+    w_i is the frontier width entering v_i and k_i its edges to earlier
+    vertices."""
+    position = [0] * g.n
+    for i, v in enumerate(order):
+        position[v] = i
+    profile = []
+    width = 0
+    for i, v in enumerate(order):
+        k = sum(position[w] < i for _, w in g.incident(v))
+        profile.append((_state_bound(width), _GROWTH[k]))
+        width += 3 - 2 * k
+    return profile
+
+
+def _remaining_bound(
+    profile: list[tuple[int, int]], i: int, states: int, cap: int | float = math.inf
+) -> int:
+    """A bound on the units :func:`_frontier_colourable` spends from the
+    i-th vertex of its order on, when it holds ``states`` states there;
+    ``profile`` is the order's :func:`_frontier_profile`.
+
+    The bound is the sum of B'_j over j >= i, where B'_i = ``states`` and
+    B'_{j+1} = min(_state_bound(w_{j+1}), B'_j * _GROWTH[k_j]): the
+    recurrence of :func:`_frontier_order`, started from a real count S_i
+    instead of B_i.  Its proof carries over: the DP spends S_j at the j-th
+    vertex, S_{j+1} <= S_j * _GROWTH[k_j] and S_{j+1} <= _state_bound(w_{j+1}),
+    so S_j <= B'_j by induction from S_i = B'_i, and a DP left without
+    states spends nothing more.  Every term is at least 1.  The sum stops
+    once it passes ``cap``, and that partial sum is returned.
+    """
+    bound = total = states
+    for j in range(i + 1, len(profile)):
+        if total > cap:
+            break
+        bound = min(profile[j][0], bound * profile[j - 1][1])
+        total += bound
+    return total
+
+
+class _DovetailedDP:
+    """The frontier DP of an oddness search, stepped against the search's
+    own units (every unit but the DP's), with its run-ahead check.
+
+    ``verdict`` is None until the DP has given it.  ``check_at``: the
+    search's own units before which no run-ahead check runs again, after
+    one failed.
+    """
+
+    __slots__ = ("budget", "n", "steps", "profile", "held", "placed", "units",
+                 "check_at", "verdict")
+
+    def __init__(self, g: MultiGraph, budget: Budget):
+        order = _best_order(g, budget.spend)
+        self.budget = budget
+        self.n = g.n
+        self.steps = _frontier_colourable(g, order, budget.spend)
+        self.profile = _frontier_profile(g, order)
+        self.held = 1  # the states the DP holds: its next step's units
+        self.placed = 0  # the vertices of the order it has placed
+        self.units = 0  # the units the DP has spent
+        self.check_at = 0
+        self.verdict: bool | None = None
+
+    @property
+    def due(self) -> int | float:
+        """The work at which the search's own units reach the DP's."""
+        return math.inf if self.verdict is not None else 2 * self.units
+
+    def step(self) -> None:
+        before = self.budget.used
+        self.held = next(self.steps)
+        self.placed += 1
+        self.units += self.budget.used - before
+        if not self.held or self.placed == self.n:
+            self.verdict = self.held > 0
+
+    def run_ahead(self) -> None:
+        """Step the DP to its verdict at once if its remaining bound is at
+        most the search's own units; otherwise wait n more of them before
+        the next check."""
+        own = self.budget.used - self.units
+        if _remaining_bound(self.profile, self.placed, self.held, own) <= own:
+            while self.verdict is None:
+                self.step()
+        else:
+            self.check_at = own + self.n
+
+    def catch_up(self, witness: bool) -> None:
+        """Step the DP for as long as the search's own units are at least
+        its own.  With a 2-factor of two odd circuits in hand
+        (``witness``), check before each step, once ``check_at`` is
+        reached, whether the DP can run ahead."""
+        while self.verdict is None and self.budget.used >= 2 * self.units:
+            if witness and self.budget.used - self.units >= self.check_at:
+                self.run_ahead()
+            else:
+                self.step()
+
+
 # _FIRST_APPEARANCE[head]: the bytes.translate table renaming head[0] to 0
 # and head[1] to 1, where head holds a word's first colour and its first
 # other colour (fewer if the word has fewer colours)
@@ -294,10 +398,12 @@ def _renamed(word: bytes) -> bytes:
 
 def _frontier_colourable(
     g: MultiGraph, order: list[int], spend
-) -> Iterator[bool | None]:
+) -> Iterator[int]:
     """3-edge-colourability by dynamic programming along ``order``, one
-    vertex per step: yields None after each vertex but the last while
-    states remain, then the verdict.
+    vertex per step: yields the number of states it holds after each
+    vertex, and stops at the first 0.  So the graph is colourable exactly
+    when every yield is nonzero, and the DP has given its verdict once it
+    has yielded 0 or placed the whole order.
 
     A state colours the frontier edges (bytes, in frontier order) and is
     stored with its colours renamed by first appearance, the least of its
@@ -329,7 +435,7 @@ def _frontier_colourable(
     placed = [False] * g.n
     frontier: list[int] = []  # edge ids with exactly one placed end
     states = {b""}
-    for step, v in enumerate(order, 1):
+    for v in order:
         placed[v] = True
         incoming = []
         outgoing = []
@@ -368,13 +474,10 @@ def _frontier_colourable(
                 for s in states
                 if 1 << s[i] | 1 << s[j] | 1 << s[k] == 7
             }
-        if not grown:
-            yield False
-            return
         states = grown
-        if step < len(order):
-            yield None
-    yield True
+        yield len(states)
+        if not states:
+            return
 
 
 def _no_spend(units: int) -> None:
@@ -391,8 +494,7 @@ def three_edge_colourable(g: MultiGraph) -> bool:
     and flower snarks, whatever their labels.
     """
     _require_cubic(g)
-    steps = _frontier_colourable(g, _best_order(g, _no_spend), _no_spend)
-    return next(verdict for verdict in steps if verdict is not None)
+    return all(_frontier_colourable(g, _best_order(g, _no_spend), _no_spend))
 
 
 def _matching_barrier(incidence, matched: list[bool], start: int, spend) -> bool:
@@ -499,13 +601,28 @@ class _OddnessSearch:
     with at most ``floor`` odd circuits.  ``floor`` starts at 0.  The first
     node entered once the work reaches 4n units builds the order of
     :func:`_best_order` (n units per order scored) and starts the DP of
-    :func:`_frontier_colourable`.  From then on a node steps the DP, one
-    vertex per step, for as long as the search's own units (every unit but
-    the DP's) are at least the DP's D, that is while the work is at least
-    2D; that is one more term in the node's single ``alarm`` compare.  If
-    the DP finds a colouring, ``floor`` stays 0; if it finds none,
-    ``floor`` becomes 2, and the search stops at once if ``best`` is 2.
-    Searches that end before 4n units build no order and run no DP.
+    :func:`_frontier_colourable` (a :class:`_DovetailedDP`).  From then on
+    a node steps the DP, one vertex per step, for as long as the search's
+    own units (every unit but the DP's) are at least the DP's D, that is
+    while the work is at least 2D; that is one more term in the node's
+    single ``alarm`` compare.  If the DP finds a colouring, ``floor`` stays
+    0; if it finds none, ``floor`` becomes 2, and the search stops at once
+    if ``best`` is 2.  Searches that end before 4n units build no order and
+    run no DP.
+    The run-ahead: once ``best`` is 2, the search can only go on to look
+    for an all-even 2-factor, which a graph without a colouring lacks.  So
+    while ``best`` is 2 and the DP runs, the DP is checked when that
+    2-factor is found and before each of its steps (its start is one): if
+    :func:`_remaining_bound`, started from the states it holds, is at most
+    the search's own units, the DP steps to its verdict at once.  No
+    colouring ends the search with its witness; a colouring leaves
+    ``floor`` at 0, and the search goes on alone.  A check walks the
+    remaining steps only until its sum passes the search's own units, so at
+    most that many plus one; after a failed check the next waits until the
+    search has spent n more units, so the checks cost O(own units) in
+    time.  They cost no units.  Without that bound a search that holds a 2
+    before the DP starts, on a colourable graph whose order's bound is
+    huge, would run the whole DP.
     This keeps every output.  The DP only raises ``floor``, and only when
     no 2-factor has fewer than two odd circuits, so whenever the search
     stops, ``best`` is the oddness.  ``best`` changes only on a strict
@@ -514,12 +631,13 @@ class _OddnessSearch:
     are those of an exhaustive search, and the witness is the first
     2-factor in DFS order that attains the oddness, whenever the DP ends,
     or if it never does.  Only the work changes.
-    The cost: after each node the DP has spent at most the search's own
-    units plus one step, so it at most doubles the search alone, plus one
-    step.  On a graph without a colouring whose search has its witness
-    early, as the flower snarks have, the search stops at the DP's last
-    step, having spent about as much again, so the whole costs about
-    2 * min(search alone, DP) plus one step.
+    The cost: before a run-ahead the DP has spent at most the search's own
+    units plus one step, and the run-ahead adds at most the search's own
+    units again, by the remaining bound.  So the whole is at most three
+    times the search alone, plus one step.  On a graph without a colouring
+    whose search has its witness early, as the flower snarks have, the DP
+    runs ahead once its remaining bound fits in the search's own units,
+    and the search stops at the DP's verdict.
     """
 
     def __init__(self, g: MultiGraph, max_work: int | None):
@@ -552,7 +670,7 @@ class _OddnessSearch:
         # search's own units reach the DP's, that is whenever the work
         # reaches twice the DP's units
         floor = 0  # the search stops at a 2-factor with this many odd circuits
-        dp: Iterator[bool | None] | None = None
+        dp: _DovetailedDP | None = None
         dp_at: int | float = interval
         alarm = interval  # the work at which a node checks both
         unwinding = False  # a probe killed a node: test each frame returned to
@@ -571,23 +689,24 @@ class _OddnessSearch:
                     if closed_odd <= floor:
                         return
                     dead = closed_odd - 1
+                    if closed_odd == 2 and dp is not None and dp.verdict is None:
+                        dp.run_ahead()
+                        if dp.verdict is False:
+                            return  # the DP settled it
+                        dp_at = dp.due
+                        alarm = min(dp_at, probe_at)
             else:
                 used = spend()
                 if used >= alarm:
                     if used >= dp_at:
                         if dp is None:
-                            dp = _frontier_colourable(g, _best_order(g, spend), spend)
-                            dp_at = 0
-                        while self.budget.used >= dp_at:
-                            before = self.budget.used
-                            verdict = next(dp)
-                            dp_at += 2 * (self.budget.used - before)
-                            if verdict is not None:
-                                dp_at = math.inf
-                                if not verdict:
-                                    floor = 2
-                                    if self.best is not None and self.best <= floor:
-                                        return  # the DP settled it
+                            dp = _DovetailedDP(g, self.budget)
+                        dp.catch_up(self.best == 2)
+                        if dp.verdict is False:
+                            floor = 2
+                            if self.best is not None and self.best <= floor:
+                                return  # the DP settled it
+                        dp_at = dp.due
                         used = self.budget.used
                     if used >= probe_at and closed_odd < dead:
                         unwinding = _matching_barrier(incidence, matched, v, spend)
@@ -715,7 +834,10 @@ def compute_oddness(
     picks, and steps it one vertex at a time whenever its own units reach
     the DP's; if the DP finds no colouring, the search exits at its first
     2-factor with two odd circuits instead of exhausting every matching.
-    The DP thus costs at most what the search spends, plus one step.
+    Once the search holds such a 2-factor, the DP runs ahead to its verdict
+    as soon as a bound on the units it has left, taken from the states it
+    holds, is at most the search's own units.  The DP thus costs at most
+    twice what the search spends, plus one step.
     A vertex left with one possible partner is matched to it at once, and
     once the search has spent 4n units it also probes, at doubling
     intervals, for a component of the unmatched vertices that no perfect
@@ -1233,13 +1355,16 @@ def _side_caps(g: MultiGraph, cut_size: int) -> tuple[int, int]:
 
 
 def girth(g: MultiGraph) -> int | None:
-    """Length of a shortest cycle, or None for forests.  BFS per vertex."""
+    """Length of a shortest cycle, or None for forests.  BFS per vertex,
+    until the first triangle."""
     pair_counts: dict[tuple[int, int], int] = {}
     for (u, v) in g.edges:
         key = (min(u, v), max(u, v))
         pair_counts[key] = pair_counts.get(key, 0) + 1
     if any(c >= 2 for c in pair_counts.values()):
         return 2
+    # without loops or parallel edges no cycle is shorter than a triangle,
+    # so the first one ends the search
     best: int | None = None
     dist = [-1] * g.n  # -1 outside the current search
     parent_edge = [-1] * g.n
@@ -1257,6 +1382,8 @@ def girth(g: MultiGraph) -> int | None:
                     length = dist[v] + dist[w] + 1
                     if best is None or length < best:
                         best = length
+                        if best == 3:
+                            return best
                 else:
                     dist[w] = dist[v] + 1
                     parent_edge[w] = eid

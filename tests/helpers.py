@@ -975,7 +975,7 @@ def reference_frontier_colourable(g: MultiGraph, order: list[int], spend):
     placed = [False] * g.n
     frontier: list[int] = []  # edge ids with exactly one placed end
     states = {b""}
-    for step, v in enumerate(order, 1):
+    for v in order:
         placed[v] = True
         incoming = []
         outgoing = []
@@ -996,13 +996,10 @@ def reference_frontier_colourable(g: MultiGraph, order: list[int], spend):
             head = bytes(map(state.__getitem__, keep))
             for tail in completions[used]:
                 grown.add(_renamed(head + tail))
-        if not grown:
-            yield False
-            return
         states = grown
-        if step < len(order):
-            yield None
-    yield True
+        yield len(states)
+        if not states:
+            return
 
 
 def reference_frontier_order(
@@ -1045,16 +1042,38 @@ def reference_frontier_order(
     return order, widths
 
 
-def reference_dp_bound(widths: list[int]) -> int:
-    """The bound B of ``structure._frontier_order``, summed over a whole
-    order from the width entering each vertex: a vertex entered at width w
-    and left at width w' has (3 + w - w') / 2 edges to placed vertices."""
-    bound = total = 1
-    for before, after in zip(widths, widths[1:]):
+def frontier_widths(g: MultiGraph, order: list[int]) -> list[int]:
+    """The frontier width entering each vertex of ``order``."""
+    placed = [False] * g.n
+    width = 0
+    widths = []
+    for v in order:
+        widths.append(width)
+        placed[v] = True
+        for _, w in g.incident(v):
+            width += -1 if placed[w] else 1
+    return widths
+
+
+def reference_remaining_bound(widths: list[int], i: int, states: int) -> int:
+    """The bound of ``structure._remaining_bound``, summed whole from the
+    width entering each vertex of an order: ``states`` at its i-th vertex,
+    then the recurrence of ``structure._frontier_order``.  A vertex entered
+    at width w and left at width w' has (3 + w - w') / 2 edges to placed
+    vertices."""
+    bound = total = states
+    for before, after in zip(widths[i:], widths[i + 1:]):
         k = (3 + before - after) // 2
         bound = min(_state_bound(after), bound * _GROWTH[k])
         total += bound
     return total
+
+
+def reference_dp_bound(widths: list[int]) -> int:
+    """The bound B of ``structure._frontier_order``, summed over a whole
+    order: the remaining bound of its first vertex, where the DP holds one
+    state."""
+    return reference_remaining_bound(widths, 0, 1)
 
 
 def reference_best_order(g: MultiGraph) -> tuple[list[int], int, int]:
@@ -1091,10 +1110,16 @@ class RecursiveOddnessSearch:
     entered once the work reaches 4n builds the order of
     ``structure._best_order`` and starts the DP; from then on, each node
     steps it one vertex at a time for as long as the search's own units
-    (all units but the DP's) are at least the DP's.  With
-    ``dovetailed=False`` the older gate runs instead: at n units the node
-    computes the lowest-id order and :func:`reference_dp_bound` of it,
-    and the DP runs whole at the first node the work reaches that bound.
+    (all units but the DP's) are at least the DP's.  While the best
+    2-factor has two odd circuits, the DP runs ahead to its verdict at once
+    if :func:`reference_remaining_bound` from the states it holds is at
+    most the search's own units.  That is checked when such a 2-factor is
+    found and before each step, but after a failed check not again until
+    the search's own units have grown by n.  With ``ahead=False`` the DP
+    never runs ahead.  With ``dovetailed=False`` the older gate runs
+    instead: at n units the node computes the lowest-id order and
+    :func:`reference_dp_bound` of it, and the DP runs whole at the first
+    node the work reaches that bound.
     Pruning only drops branches that cannot beat ``best``, so the first
     such 2-factor in DFS order is always visited and is the same witness an
     exhaustive search returns, whichever rule runs the DP.
@@ -1122,11 +1147,13 @@ class RecursiveOddnessSearch:
         forced: bool = True,
         probed: bool = True,
         dovetailed: bool = True,
+        ahead: bool = True,
     ):
         self.g = g
         self.max_work = max_work
         self.forced = forced
         self.dovetailed = dovetailed
+        self.ahead = ahead
         self.interval = 4 * g.n
         self.probe_at = self.interval if probed else math.inf
         self.unwinding = False
@@ -1147,6 +1174,10 @@ class RecursiveOddnessSearch:
         self.gate: int | float = 4 * n if dovetailed else n
         self.dp = None  # the dovetailed DP's steps, once started
         self.dp_work = 0  # the units the dovetailed DP has spent
+        self.dp_widths: list[int] = []  # the frontier widths of its order
+        self.dp_held = 1  # the states it holds
+        self.dp_placed = 0  # the vertices of its order it has placed
+        self.check_at = 0  # the search's own units before the next check
         self.order: list[int] | None = None  # the gated DP's order
 
     def run(self) -> None:
@@ -1176,15 +1207,35 @@ class RecursiveOddnessSearch:
 
     def _step_dp(self) -> None:
         if self.dp is None:
-            self.dp = _frontier_colourable(
-                self.g, _best_order(self.g, self._spend), self._dp_spend
-            )
+            order = _best_order(self.g, self._spend)
+            self.dp = _frontier_colourable(self.g, order, self._dp_spend)
+            self.dp_widths = frontier_widths(self.g, order)
         while self.work - self.dp_work >= self.dp_work:
-            verdict = next(self.dp)
-            if verdict is not None:
+            own = self.work - self.dp_work
+            if self.ahead and self.best == 2 and own >= self.check_at:
+                self._run_ahead()
+                if self.gate == math.inf:
+                    return
+                continue
+            self.dp_held = next(self.dp)
+            self.dp_placed += 1
+            if not self.dp_held or self.dp_placed == self.g.n:
                 self.gate = math.inf
-                self._settle(verdict)
+                self._settle(self.dp_held > 0)
                 return
+
+    def _run_ahead(self) -> None:
+        """Run the DP to its verdict if its remaining bound fits in the
+        search's own units; else check again n of them later."""
+        own = self.work - self.dp_work
+        rest = reference_remaining_bound(
+            self.dp_widths, self.dp_placed, self.dp_held
+        )
+        if rest > own:
+            self.check_at = own + self.g.n
+            return
+        self.gate = math.inf
+        self._settle(all(self.dp))
 
     def _open_gate(self) -> None:
         if self.order is None:
@@ -1193,8 +1244,7 @@ class RecursiveOddnessSearch:
             if self.gate > self.work:
                 return
         self.gate = math.inf
-        steps = _frontier_colourable(self.g, self.order, self._spend)
-        self._settle(next(v for v in steps if v is not None))
+        self._settle(all(_frontier_colourable(self.g, self.order, self._spend)))
 
     def _settle(self, colourable: bool) -> None:
         if not colourable:
@@ -1296,6 +1346,9 @@ class RecursiveOddnessSearch:
                 )
                 if self.best <= self.floor:
                     raise _StopSearch
+                if self.ahead and self.best == 2 and self.dp is not None:
+                    if self.gate != math.inf:  # the DP is still running
+                        self._run_ahead()
             return
         self._tick()
         if (
@@ -1374,9 +1427,10 @@ def recursive_oddness(
     forced: bool = True,
     probed: bool = True,
     dovetailed: bool = True,
+    ahead: bool = True,
 ):
     """``(oddness, witness matching, work)`` of the recursive search."""
-    search = RecursiveOddnessSearch(g, max_work, forced, probed, dovetailed)
+    search = RecursiveOddnessSearch(g, max_work, forced, probed, dovetailed, ahead)
     search.run()
     return search.best, search.best_matching, search.work
 

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from itertools import combinations, permutations, product
@@ -10,6 +11,7 @@ from helpers import (
     bipartition_table,
     brute_cyclic_min_cut,
     dinic_min_cut_between,
+    frontier_widths,
     induced_girth,
     lcf,
     on_fresh_thread,
@@ -24,6 +26,7 @@ from helpers import (
     reference_frontier_colourable,
     reference_frontier_order,
     reference_length_bound,
+    reference_remaining_bound,
     shuffled,
     three_edge_colorable,
 )
@@ -55,6 +58,7 @@ from nzflow.catalog import (
     _moebius_ladder,
 )
 from nzflow.structure import (
+    _DovetailedDP,
     _OddnessSearch,
     _UnitCuts,
     _best_order,
@@ -63,9 +67,11 @@ from nzflow.structure import (
     _edge_floor,
     _frontier_colourable,
     _frontier_order,
+    _frontier_profile,
     _matching_barrier,
     _moore_girth,
     _neighbourhood_cut,
+    _remaining_bound,
     _renamed,
     _side_caps,
     _state_bound,
@@ -229,19 +235,6 @@ def test_three_edge_colourable_matches_oracle(corpus):
         assert three_edge_colourable(g) == three_edge_colorable(g), name
 
 
-def _widths(g, order):
-    """The frontier width entering each vertex of ``order``."""
-    placed = [False] * g.n
-    width = 0
-    widths = []
-    for v in order:
-        widths.append(width)
-        placed[v] = True
-        for _, w in g.incident(v):
-            width += -1 if placed[w] else 1
-    return widths
-
-
 def test_three_edge_colourable_stays_narrow_on_ladders(monkeypatch):
     # along the lowest-id order alone prism(30) has a 31-edge frontier, and
     # the DP did not finish within a minute
@@ -261,7 +254,7 @@ def test_three_edge_colourable_stays_narrow_on_ladders(monkeypatch):
         states.clear()
         assert three_edge_colourable(g), name
         assert sum(states) <= 100_000, name  # GP(199, 3) expands 69,317
-        assert max(_widths(g, _best_order(g, lambda units: None))) <= 16, name
+        assert max(frontier_widths(g, _best_order(g, lambda units: None))) <= 16, name
 
 
 def test_state_bound_covers_every_parity_respecting_frontier():
@@ -285,7 +278,7 @@ def test_renaming_by_first_appearance_is_the_least_relabeling():
             assert _renamed(word) == min(word.translate(r) for r in relabelings)
 
 
-def test_dp_bound_covers_the_states_the_dp_expands(corpus):
+def _dp_bound_graphs(corpus):
     graphs = list(corpus)
     graphs += [(f"flower-{k}", flower_snark(k)) for k in range(5, 22, 2)]
     graphs += [
@@ -301,18 +294,44 @@ def test_dp_bound_covers_the_states_the_dp_expands(corpus):
         for n in range(10, 41, 2)
         for s in range(6)
     ]
-    checked = 0
     for name, g in graphs:
         order = _best_order(g, lambda units: None)
-        widths = _widths(g, order)
-        if max(widths) > 13:  # keeps each DP within 66,430 states a step
-            continue
+        widths = frontier_widths(g, order)
+        if max(widths) <= 13:  # keeps each DP within 66,430 states a step
+            yield name, g, order, widths
+
+
+def test_dp_bound_covers_the_states_the_dp_expands(corpus):
+    checked = 0
+    for name, g, order, widths in _dp_bound_graphs(corpus):
         spent = []
-        for verdict in _frontier_colourable(g, order, spent.append):
+        for held in _frontier_colourable(g, order, spent.append):
             pass
         assert sum(spent) <= reference_dp_bound(widths), name
         checked += 1
     assert checked >= 222  # all of them; 217 along the lowest-id order
+
+
+def test_remaining_bound_covers_the_states_the_dp_has_left(corpus):
+    # at every step, the recurrence started from the states the DP holds
+    # bounds the units it spends from there on; capped, it stops at the
+    # first partial sum past the cap
+    checked = 0
+    for name, g, order, widths in _dp_bound_graphs(corpus):
+        profile = _frontier_profile(g, order)
+        assert len(profile) == len(order), name
+        spent = []
+        held = [1] + list(_frontier_colourable(g, order, spent.append))
+        for i in range(len(spent)):
+            rest = reference_remaining_bound(widths, i, held[i])
+            assert sum(spent[i:]) <= rest, (name, i)
+            assert _remaining_bound(profile, i, held[i]) == rest, (name, i)
+            # every term is at least 1: only the whole sum passes rest - 1
+            assert _remaining_bound(profile, i, held[i], rest - 1) == rest, (name, i)
+            assert rest // 2 < _remaining_bound(profile, i, held[i], rest // 2) <= rest
+            checked += 1
+        assert _remaining_bound(profile, 0, 1) == reference_dp_bound(widths), name
+    assert checked >= 4_500
 
 
 def _spliced_union(a, b):
@@ -373,7 +392,7 @@ def test_new_edges_first_dp_spends_what_the_reference_dp_spends(corpus):
         if "+" in name or name.startswith(("parallel", "multigraph")):
             orders.append(list(range(g.n)))  # new components while one is open
         for order in orders:
-            if max(_widths(g, order)) > 15:  # 6 of the 336 orders
+            if max(frontier_widths(g, order)) > 15:  # 6 of the 336 orders
                 continue
             spent, steps = _dp_run(_frontier_colourable, g, order)
             reference = _dp_run(reference_frontier_colourable, g, order)
@@ -399,7 +418,7 @@ def test_best_order_is_the_reference_scoring_of_every_order_in_full(corpus):
         reference, bound, units = reference_best_order(g)
         assert order == reference, name
         assert sum(spent) == units, name
-        assert reference_dp_bound(_widths(g, order)) == bound, name
+        assert reference_dp_bound(frontier_widths(g, order)) == bound, name
         for start in range(0, g.n, max(1, g.n // 8)):
             for fcfs in (True, False):
                 full, widths = reference_frontier_order(g, start, fcfs)
@@ -445,17 +464,19 @@ def test_oddness_witness_is_first_attaining_two_factor(corpus):
 )
 def test_oddness_witness_does_not_depend_on_when_the_dp_runs(monkeypatch, make):
     # the first 2-factors of the truncated graphs have 4 or 6 odd circuits.
-    # The DP either runs whole at its first step, or never gives a verdict
-    # (a unit a step), and then the search exhausts every matching
+    # The DP either runs whole at its first step, or never lets the search
+    # stop: it spends a unit a step, holds more states than any bound lets
+    # run ahead and reads colourable at its end, and then the search
+    # exhausts every matching
     real = nzflow.structure._frontier_colourable
 
     def at_once(g, order, spend):
-        yield next(v for v in real(g, order, spend) if v is not None)
+        yield from list(real(g, order, spend))
 
     def never(g, order, spend):
-        while True:
+        for _ in order:
             spend(1)
-            yield None
+            yield 4**g.n
 
     g = make()
     results = []
@@ -496,18 +517,54 @@ def test_dp_runs_once_on_flower_15(monkeypatch):
 
 @pytest.mark.parametrize(
     "k,units",
-    [(11, 1_971), (15, 2_882), (21, 4_252), (31, 6_530)],
+    [(11, 1_703), (15, 2_487), (21, 3_769), (31, 6_062)],
     ids=["flower-11", "flower-15", "flower-21", "flower-31"],
 )
 def test_oddness_work_is_pinned_on_flower_snarks(k, units):
     # an exhaustive search needs far more.  Each search has its first
     # 2-factor with two odd circuits long before the dovetailed DP finds no
-    # colouring, and stops at that step.  Without barrier probes J21 needs
-    # 101,335 units and J31 about 23.9 million, past the default budget
+    # colouring.  Once the DP's remaining bound fits in the search's own
+    # units, the DP runs ahead to that verdict and the search stops there.
+    # Without barrier probes J21 needs 101,335 units and J31 about 23.9
+    # million, past the default budget
     g = flower_snark(k)
     assert compute_oddness(g, max_work=units).oddness == 2
     with pytest.raises(BudgetExceededError):
         compute_oddness(g, max_work=units - 1)
+
+
+def test_dp_runs_ahead_on_flower_snarks_and_keeps_the_witness(monkeypatch):
+    # each search holds its witness with two odd circuits while the DP
+    # runs; the DP runs ahead to its verdict once its remaining bound fits,
+    # and the search returns the witness of the search whose DP never runs
+    # ahead, for fewer units
+    ahead = []
+    real = _DovetailedDP.run_ahead
+
+    def recorded(dp):
+        real(dp)
+        ahead.append(dp.verdict)
+
+    monkeypatch.setattr(_DovetailedDP, "run_ahead", recorded)
+    for k in range(9, 32, 2):
+        g = flower_snark(k)
+        ahead.clear()
+        best, matching, units = _iterative_oddness(g)
+        assert ahead[-1] is False, k  # the last check ran the DP to its end
+        stepped = on_fresh_thread(recursive_oddness, g, None, True, True, True, False)
+        assert (best, matching) == stepped[:2], k
+        assert units < stepped[2], k
+
+
+def test_dp_runs_ahead_only_where_its_bound_fits():
+    # these colourable searches hold a 2-factor with two odd circuits
+    # before the DP starts, and their order's bound exceeds 10^18.  Run
+    # ahead whenever such a 2-factor is in hand, their DPs passed 3,000,000
+    # units; with the check they spend what the search alone would
+    for s, units in ((9, 7_201), (13, 6_784), (14, 13_264)):
+        g = random_bridgeless_cubic(200, random.Random(s))
+        best, _, used = _iterative_oddness(g, max_work=units)
+        assert (best, used) == (0, units), s
 
 
 def _iterative_oddness(g, max_work=None):
@@ -705,7 +762,7 @@ def test_barrier_probes_keep_the_oddness_and_the_witness(monkeypatch):
     for name, _ in graphs:
         assert probed[name][:2] == plain[name][:2], name
     assert plain["flower-21"][2] == 101_335
-    assert probed["flower-21"][2] == 4_252
+    assert probed["flower-21"][2] == 3_769
 
 
 def test_probes_never_run_on_colourable_random_graphs_or_ladders(monkeypatch):
@@ -798,6 +855,38 @@ def test_girth():
     assert girth(k33()) == 4
     assert girth(MultiGraph(2, [(0, 1), (0, 1)])) == 2
     assert girth(MultiGraph(3, [(0, 1), (1, 2)])) is None
+
+
+def test_girth_matches_networkx(corpus):
+    # the BFS stops at the first triangle; a parallel pair is a 2-cycle,
+    # which networkx's simple graphs cannot hold
+    graphs = list(corpus)
+    graphs += [
+        (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
+        for n in (10, 20, 40, 80)
+        for s in range(5)
+    ]
+    graphs += [(f"flower-{k}", flower_snark(k)) for k in (5, 7, 9)]
+    graphs += [
+        (f"multigraph-{n}-{s}", random_cubic_multigraph(n, random.Random(s)))
+        for n in (4, 6, 10, 16, 30)
+        for s in range(8)
+    ]
+    graphs += [("parallel-4", _PARALLEL_4), ("path", MultiGraph(3, [(0, 1), (1, 2)]))]
+    parallel = triangles = 0
+    for name, g in graphs:
+        pairs = Counter(tuple(sorted(e)) for e in g.edges)
+        if max(pairs.values()) > 1:
+            expected = 2
+            parallel += 1
+        else:
+            h = nx.Graph(list(g.edges))
+            h.add_nodes_from(range(g.n))
+            expected = nx.girth(h)
+            expected = None if expected == math.inf else expected
+        assert girth(g) == expected, name
+        triangles += expected == 3
+    assert parallel >= 20 and triangles >= 50
 
 
 def _disjoint_pairs(cycles):
