@@ -7,8 +7,8 @@ of graph6/sparse6 lines, a JSON edge list, or ``-`` for stdin.
 
 ``analyze``, ``oddness``, ``cyclic`` and ``flow`` stream through one driver,
 :func:`_stream`: it reads one graph at a time and emits one JSON record per
-graph, filled by the command's record function.  When that computation
-fails, the record carries ``"error"`` (with ``"budget_exceeded": true`` or
+graph, filled by the command's record function, in one loop in the calling
+process.  When that computation fails, the record carries ``"error"`` (with ``"budget_exceeded": true`` or
 ``"internal_error": true`` where they apply), one ``<name>: <error>`` line
 goes to stderr, and the stream goes on.  A malformed input record is
 reported on stderr as ``input error: ...`` and, without ``--lenient``, ends
@@ -17,8 +17,7 @@ graph needs no more Python stack than a small one.
 
 :func:`main` may be called repeatedly in one process: it builds its argument
 parser once, at the first call, and every call parses, computes and verifies
-its own records from scratch.  Importing this module builds no parser, and
-only ``--jobs N`` with N > 1 loads the process pool.
+its own records from scratch.  Importing this module builds no parser.
 
 Exit codes, the worst one seen wins: 0 success, 1 anomaly found or
 certificate rejected, 2 input error (also a graph outside the command's
@@ -31,10 +30,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
-from collections import deque
 
 from .errors import DEFAULT_MAX_WORK, BudgetExceededError, InternalInconsistencyError
 from .flows import flow_from_json, flow_to_json, is_nowhere_zero, solve_nowhere_zero_flow, verify_flow
@@ -182,9 +179,8 @@ def _flow(record: dict, g: MultiGraph, args) -> None:
         record["certificate"] = flow_to_json(flow)
 
 
-def _run(task) -> dict:
+def _run(name: str, g: MultiGraph, args) -> dict:
     """One graph's record under the shared error contract."""
-    name, g, args = task
     record: dict = {"name": name}
     try:
         args.record(record, g, args)
@@ -221,7 +217,8 @@ _MIN_K = {"cyclic": 1, "flow": 2}  # the smallest --k each command accepts
 
 def _stream(args) -> int:
     """Emit ``args.record``'s record for every graph of ``args.path``, in
-    input order, and return the worst exit code seen."""
+    input order, each as soon as it is computed, and return the worst exit
+    code seen."""
     min_k = _MIN_K.get(args.command)
     if min_k is not None and args.k is not None and args.k < min_k:
         print(f"input error: --k must be at least {min_k}", file=sys.stderr)
@@ -229,47 +226,17 @@ def _stream(args) -> int:
     if args.max_work < 0:
         print("input error: --max-work must be at least 0", file=sys.stderr)
         return EXIT_INPUT
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        print("input error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
-    if jobs > 1:
-        # the fork start method launches every worker at the first submit
-        jobs = min(jobs, os.cpu_count() or 1)
     code = EXIT_OK
-
-    def tasks():
-        nonlocal code
-        for item in _iter_records(args.path, args.lenient):
-            if item[0] == "error":
-                print(f"input error: {item[1]}", file=sys.stderr)
-                code = max(code, EXIT_INPUT)
-            else:
-                yield (item[1], item[2], args)
-
-    def consume(record):
-        nonlocal code
+    for item in _iter_records(args.path, args.lenient):
+        if item[0] == "error":
+            print(f"input error: {item[1]}", file=sys.stderr)
+            code = max(code, EXIT_INPUT)
+            continue
+        record = _run(item[1], item[2], args)
         _emit(record)
         if "error" in record:
             print(f"{record['name']}: {record['error']}", file=sys.stderr)
         code = max(code, _exit_code(record))
-
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # windowed submission keeps memory flat while preserving input order
-        window = 4 * jobs
-        pending = deque()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for task in tasks():
-                pending.append(pool.submit(_run, task))
-                if len(pending) >= window:
-                    consume(pending.popleft().result())
-            while pending:
-                consume(pending.popleft().result())
-    else:
-        for task in tasks():
-            consume(_run(task))
     return code
 
 
@@ -346,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full pipeline, JSON record per graph")
     add_common(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
     p.add_argument(
         "--skip-cyclic",
         action="store_true",

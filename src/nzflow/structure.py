@@ -32,7 +32,7 @@ from itertools import chain, permutations
 from typing import Callable, Iterator
 
 from .errors import DEFAULT_MAX_WORK, Budget, InternalInconsistencyError
-from .graph import EdgeCut, MultiGraph, edge_cut, walk_circuit
+from .graph import EdgeCut, MultiGraph, basic_checks, edge_cut, walk_circuit
 from .symmetry import automorphisms, orbits
 
 
@@ -847,12 +847,17 @@ def compute_oddness(
     the search visits, or their order.  Each matching choice, forced ones
     included, each DP state, each vertex a probe visits and n units for each
     order scored cost one work unit; more than ``max_work`` units raise
-    :class:`BudgetExceededError`.
+    :class:`BudgetExceededError`.  A cubic graph with a bridge may have no
+    perfect matching; the search then ends with none and raises
+    :class:`ValueError`, as for a graph that is not cubic.
     """
     _require_cubic(g)
     search = _OddnessSearch(g, max_work)
     search.run()
     if search.best_matching is None:
+        if basic_checks(g).bridges:
+            # Petersen's theorem covers only bridgeless cubic graphs
+            raise ValueError("cubic graph has a bridge and no perfect matching")
         raise InternalInconsistencyError(
             "cubic graph has no perfect matching; "
             "bridgeless cubic graphs always have one"

@@ -355,6 +355,17 @@ def diamond_necklace(r: int) -> MultiGraph:
     return MultiGraph(4 * r, edges)
 
 
+def three_bridged_k4s() -> MultiGraph:
+    """Three copies of K4, each with one edge subdivided, and the three
+    subdivision vertices joined to a centre: a cubic graph on 16 vertices
+    whose three bridges leave no perfect matching."""
+    edges = []
+    for i in range(0, 15, 5):
+        edges += [(i, i + 2), (i, i + 3), (i + 1, i + 2), (i + 1, i + 3),
+                  (i + 2, i + 3), (i, i + 4), (i + 4, i + 1), (i + 4, 15)]
+    return MultiGraph(16, edges)
+
+
 def vf2_orbits(g: MultiGraph) -> list[int]:
     """The least vertex of each vertex's orbit, over every automorphism
     networkx's VF2++ enumerates."""

@@ -1,20 +1,18 @@
 import argparse
 import ast
-import concurrent.futures
 import io
 import json
 import os
 import subprocess
 import sys
 import types
-from concurrent.futures import Future
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import _has_cycle, recursion_headroom
+from helpers import _has_cycle, recursion_headroom, three_bridged_k4s
 
 import nzflow.cli
 import nzflow.engine
@@ -217,20 +215,6 @@ def test_analyze_stdin(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["analyze", "-"])
     assert code == 0
     assert records(out)[0]["n"] == 4
-
-
-def test_analyze_jobs_preserve_order_and_content(capsys, mixed_file):
-    code1, out1, _ = run_cli(capsys, ["analyze", mixed_file])
-    code2, out2, _ = run_cli(capsys, ["analyze", mixed_file, "--jobs", "2"])
-    assert code1 == code2 == 0
-
-    def strip_timings(out):
-        recs = records(out)
-        for r in recs:
-            r.pop("timings", None)
-        return recs
-
-    assert strip_timings(out1) == strip_timings(out2)
 
 
 def test_analyze_deterministic(capsys, mixed_file):
@@ -507,6 +491,40 @@ def test_graph_outside_the_domain_exits_2(capsys, tmp_path, command):
     assert second["oddness"] == 0
 
 
+def test_graph_without_a_perfect_matching_is_outside_the_oddness_domain(capsys, tmp_path):
+    path = tmp_path / "bridged.json"
+    path.write_text(json.dumps(three_bridged_k4s().to_json()))
+    code, out, err = run_cli(capsys, ["oddness", str(path)])
+    assert code == 2
+    assert records(out) == [
+        {"error": "cubic graph has a bridge and no perfect matching", "n": 16, "name": "json-0"}
+    ]
+    assert err == "json-0: cubic graph has a bridge and no perfect matching\n"
+    # analyze stops it before the search, at the bridgeless hypothesis
+    code, out, err = run_cli(capsys, ["analyze", str(path)])
+    assert (code, err) == (0, "")
+    (rec,) = records(out)
+    del rec["timings"]
+    assert rec == {
+        "cyclic_connectivity": {"status": "exact", "value": 1},
+        "m": 24,
+        "n": 16,
+        "name": "json-0",
+        "oddness": None,
+        "outcome": {
+            "balanced_partition": None,
+            "claims": [],
+            "cyclic": {"at_least_six": False, "status": "checked", "witness_cut_size": 1},
+            "fallback_flow": None,
+            "flow": None,
+            "oddness": None,
+            "outcome": "hypothesis_unmet",
+            "reason": "graph must be connected and bridgeless",
+            "valuations": {},
+        },
+    }
+
+
 def test_json_edge_that_is_not_a_pair_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "graphs.json"
     path.write_text(json.dumps([petersen().to_json(), {"n": 2, "edges": [[0]]}]))
@@ -734,52 +752,13 @@ def test_negative_max_work_is_an_input_error(capsys, petersen_file, command):
     assert err == "input error: --max-work must be at least 0\n"
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_is_an_input_error(capsys, monkeypatch, mixed_file, jobs):
-    def no_reading(*args):
-        raise AssertionError("a record was read")
-
-    monkeypatch.setattr(nzflow.cli, "_iter_records", no_reading)
-    code, out, err = run_cli(capsys, ["analyze", mixed_file, "--jobs", jobs])
-    assert code == 2
-    assert out == ""
-    assert err == "input error: --jobs must be at least 1\n"
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-@pytest.mark.parametrize(
-    "jobs, cpus, size", [("5000", 3, 3), ("2", 3, 2), ("3", 3, 3), ("4", 1, None), ("4", None, None)]
-)
-def test_jobs_pool_is_capped_at_the_cpu_count(
-    capsys, monkeypatch, mixed_file, jobs, cpus, size
-):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(nzflow.cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    code, out, _ = run_cli(capsys, ["analyze", mixed_file, "--jobs", jobs])
-    assert code == 0
-    # one worker runs in-process, with no pool
-    assert _RecordingPool.sizes == ([size] if size else [])
-    assert [r["name"] for r in records(out)] == ["line-1", "line-2"]
+def test_jobs_is_a_usage_error(capsys, mixed_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", mixed_file, "--jobs", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --jobs 2" in captured.err
 
 
 def _outcome(call):

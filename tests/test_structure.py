@@ -28,6 +28,7 @@ from helpers import (
     reference_length_bound,
     reference_remaining_bound,
     shuffled,
+    three_bridged_k4s,
     three_edge_colorable,
 )
 
@@ -35,7 +36,9 @@ import nzflow.structure
 from nzflow import (
     Budget,
     BudgetExceededError,
+    InternalInconsistencyError,
     MultiGraph,
+    basic_checks,
     compute_oddness,
     cyclic_connectivity,
     enumerate_two_factors,
@@ -149,6 +152,20 @@ def test_oddness_values():
     assert compute_oddness(k4()).oddness == 0
     assert compute_oddness(petersen()).oddness == 2
     assert compute_oddness(k33()).oddness == 0
+
+
+def test_oddness_of_a_graph_without_a_perfect_matching_is_a_domain_error():
+    g = three_bridged_k4s()
+    assert basic_checks(g).bridges and not list(enumerate_two_factors(g))
+    with pytest.raises(ValueError, match="^cubic graph has a bridge and no perfect matching$"):
+        compute_oddness(g)
+
+
+def test_bridgeless_graph_without_a_matching_is_an_internal_error(monkeypatch):
+    # a search that ends with no matching on a bridgeless graph is a bug
+    monkeypatch.setattr(_OddnessSearch, "run", lambda self: None)
+    with pytest.raises(InternalInconsistencyError, match="always have one"):
+        compute_oddness(petersen())
 
 
 def test_oddness_witness_attains_value():
