@@ -14,15 +14,14 @@ first edge), and paths are ordered by their smaller endpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
 from .graph import EdgeCut, MultiGraph, circuit_tails, walk_circuit
 from .structure import TwoFactor
 
 
-@dataclass(frozen=True)
-class Coloring4:
+class Coloring4(NamedTuple):
     """An edge coloring with colors {0, 1, 2, 3} produced by
     :func:`canonical_coloring`.
 

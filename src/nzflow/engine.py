@@ -13,8 +13,8 @@ validators green is reported as an anomaly rather than swept aside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coloring import Coloring4, canonical_coloring, cut_color_profile
 from .errors import (
@@ -51,8 +51,7 @@ from .valuation import (
 )
 
 
-@dataclass(frozen=True)
-class ClaimCheck:
+class ClaimCheck(NamedTuple):
     """One named structural check with its observed data."""
 
     name: str
@@ -63,8 +62,7 @@ class ClaimCheck:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class BadCutCertificate:
+class BadCutCertificate(NamedTuple):
     """A 6-edge-cut meeting both bad-cut conditions for one partition:
     four matching-colored edges plus two color-2 edges, separating the
     missing-2 vertices into two monochromatic pairs."""
@@ -74,8 +72,7 @@ class BadCutCertificate:
     split: tuple[tuple[int, int], tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class QuadDecomposition:
+class QuadDecomposition(NamedTuple):
     """Intersection pattern of the two cut sides.
 
     ``parts[i]`` contains the i-th missing-2 vertex; ``cross[(i, j)]`` is
@@ -89,14 +86,12 @@ class QuadDecomposition:
     cross: dict
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     checks: tuple[ClaimCheck, ...]
     contradiction_established: bool
 
 
-@dataclass(frozen=True)
-class FiveFlowCertificate:
+class FiveFlowCertificate(NamedTuple):
     """Outcome of the pipeline: a verified flow, an unmet hypothesis with
     diagnostics, or an anomaly (both valuations violated under verified
     hypotheses, a combination that cannot occur for a correct
@@ -114,7 +109,7 @@ class FiveFlowCertificate:
     claim_log: tuple[ClaimCheck, ...]
     fallback_flow: Flow | None
     cyclic: dict
-    valuations: dict = field(default_factory=dict)
+    valuations: dict
     cyclic_connectivity: CyclicConnectivity | None = None
 
     def to_json(self) -> dict:

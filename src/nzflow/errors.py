@@ -1,10 +1,10 @@
 """Exception types shared across the package, and the work budget whose
 exhaustion raises :class:`BudgetExceededError`.
 
-Every bounded search (the cyclic pair sweep, the oddness search and the
-fallback flow solver) charges one :class:`Budget`, and every public
-``max_work`` parameter, like the CLI's ``--max-work``, defaults to
-:data:`DEFAULT_MAX_WORK`.
+Every bounded search (the cyclic pair sweep, the oddness search, the
+3-edge-colouring DP and the fallback flow solver) charges one
+:class:`Budget`, and every public ``max_work`` parameter, like the CLI's
+``--max-work``, defaults to :data:`DEFAULT_MAX_WORK`.
 """
 
 DEFAULT_MAX_WORK = 2_000_000

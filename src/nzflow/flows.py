@@ -10,15 +10,14 @@ flows compare equal.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import Coloring4
 from .errors import DEFAULT_MAX_WORK, Budget, InternalInconsistencyError
 from .graph import MultiGraph, circuit_tails, trace_circuit
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     """An orientation plus edge values in ``0..modulus-1``."""
 
     graph: MultiGraph
@@ -110,8 +109,7 @@ def _signed_add(signed, g: MultiGraph, eids, tails, value: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AddedPair:
+class AddedPair(NamedTuple):
     """The two parallel edges added between the ends of one odd path.
 
     ``closure`` completes the path to an even circuit and extends the
@@ -123,8 +121,7 @@ class AddedPair:
     ends: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class AugmentedGraph:
+class AugmentedGraph(NamedTuple):
     """The base graph plus one parallel pair per odd path of the coloring.
 
     ``closed_circuits`` lists the circuits of the color-{1,2} subgraph of the

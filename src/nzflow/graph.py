@@ -8,7 +8,7 @@ ascending id order so downstream searches are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _MAX_N = 1 << 18  # a graph read from text has fewer vertices than this
 
@@ -106,8 +106,7 @@ def check_vertex_set(g: MultiGraph, vertices) -> frozenset[int]:
     return s
 
 
-@dataclass(frozen=True)
-class EdgeCut:
+class EdgeCut(NamedTuple):
     """The set of edges leaving a vertex subset.
 
     ``side`` is the defining subset in ascending order, ``edges`` the ids of
@@ -143,8 +142,7 @@ def pair_cut(g: MultiGraph, left, right) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True)
-class BasicChecks:
+class BasicChecks(NamedTuple):
     """Degree, connectivity and bridge audit of a multigraph."""
 
     is_cubic: bool

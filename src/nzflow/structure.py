@@ -26,18 +26,16 @@ import heapq
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, permutations
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import DEFAULT_MAX_WORK, Budget, InternalInconsistencyError
 from .graph import EdgeCut, MultiGraph, basic_checks, edge_cut, walk_circuit
 from .symmetry import automorphisms, orbits
 
 
-@dataclass(frozen=True)
-class TwoFactor:
+class TwoFactor(NamedTuple):
     """A perfect matching together with its complementary 2-factor.
 
     ``circuits`` lists the circuits of the 2-factor, each as a tuple of edge
@@ -54,8 +52,7 @@ class TwoFactor:
     odd_count: int
 
 
-@dataclass(frozen=True)
-class OddnessResult:
+class OddnessResult(NamedTuple):
     oddness: int
     witness: TwoFactor
 
@@ -480,21 +477,22 @@ def _frontier_colourable(
             return
 
 
-def _no_spend(units: int) -> None:
-    pass
-
-
-def three_edge_colourable(g: MultiGraph) -> bool:
+def three_edge_colourable(
+    g: MultiGraph, *, max_work: int | None = DEFAULT_MAX_WORK
+) -> bool:
     """Whether the cubic graph ``g`` has a proper 3-edge-colouring.
 
     A dynamic program over the frontier of :func:`_best_order`, run to its
     verdict.  Its cost is at most the bound B of that order (see
     :func:`_frontier_order`), which stays small wherever some start gives a
     narrow frontier: on prisms, Möbius ladders, generalized Petersen graphs
-    and flower snarks, whatever their labels.
+    and flower snarks, whatever their labels.  It is charged as inside
+    :func:`compute_oddness`, n units for each order scored and one for each
+    state, and raises :class:`BudgetExceededError` past ``max_work`` units.
     """
     _require_cubic(g)
-    return all(_frontier_colourable(g, _best_order(g, _no_spend), _no_spend))
+    spend = Budget(max_work, "3-edge-colouring").spend
+    return all(_frontier_colourable(g, _best_order(g, spend), spend))
 
 
 def _matching_barrier(incidence, matched: list[bool], start: int, spend) -> bool:
@@ -873,15 +871,13 @@ def compute_oddness(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclicCheck:
+class CyclicCheck(NamedTuple):
     """Outcome of a cyclic k-edge-connectivity test."""
 
     connected: bool
     witness: EdgeCut | None
 
 
-@dataclass(frozen=True, eq=False)
 class CyclicConnectivity:
     """Exact cyclic edge-connectivity, or the vacuous verdict.
 
@@ -896,16 +892,34 @@ class CyclicConnectivity:
     :class:`BudgetExceededError`.  Two results are
     equal when their values, verdicts and witnesses are, so ``==`` on two
     distinct results names both witnesses.  A result equals itself, and
-    the hash reads only the value and the verdict.
+    the hash reads only the value and the verdict.  Its attributes are
+    read-only.
     """
 
-    value: int | None
-    vacuous: bool
-    _witness_step: Callable[[], EdgeCut | None] = field(repr=False)
+    __slots__ = ("value", "vacuous", "_witness_step", "_witness")
 
-    @cached_property
+    def __init__(
+        self,
+        value: int | None,
+        vacuous: bool,
+        witness_step: Callable[[], EdgeCut | None],
+    ) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "vacuous", vacuous)
+        object.__setattr__(self, "_witness_step", witness_step)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"CyclicConnectivity.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    @property
     def witness(self) -> EdgeCut | None:
-        return self._witness_step()
+        try:
+            return self._witness
+        except AttributeError:
+            object.__setattr__(self, "_witness", self._witness_step())
+            return self._witness
 
     def _key(self) -> tuple:
         return self.value, self.vacuous, self.witness
@@ -917,6 +931,9 @@ class CyclicConnectivity:
 
     def __hash__(self) -> int:
         return hash((self.value, self.vacuous))
+
+    def __repr__(self) -> str:
+        return f"CyclicConnectivity(value={self.value!r}, vacuous={self.vacuous!r})"
 
 
 _VACUOUS = CyclicConnectivity(None, True, lambda: None)

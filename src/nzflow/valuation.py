@@ -10,16 +10,15 @@ all subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InternalInconsistencyError, UnbalancedValuationError
 from .flows import AugmentedGraph, Flow, is_nowhere_zero, verify_flow
 from .graph import MultiGraph, check_vertex_set
 
 
-@dataclass(frozen=True)
-class FlowPartition:
+class FlowPartition(NamedTuple):
     """Vertex bipartition induced by a canonical 4-flow on the augmented
     graph: white vertices have out-degree below half their degree, black
     above.  ``base_weights`` is the induced +-2 weighting.
@@ -51,23 +50,31 @@ def _partition_of(ag: AugmentedGraph, weights) -> FlowPartition:
     )
 
 
-@dataclass(frozen=True)
-class Valuation:
-    """Exact rational vertex weights: ``numerators[v] / denominator``."""
-
+class _ValuationFields(NamedTuple):
     denominator: int
     numerators: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.denominator < 1:
+
+class Valuation(_ValuationFields):
+    """Exact rational vertex weights: ``numerators[v] / denominator``."""
+
+    __slots__ = ()
+
+    def __new__(cls, denominator: int, numerators: tuple[int, ...]) -> Valuation:
+        if denominator < 1:
             raise ValueError("valuation denominator must be at least 1")
+        return super().__new__(cls, denominator, numerators)
+
+    @classmethod
+    def _make(cls, iterable) -> Valuation:
+        # _replace builds through _make, so it runs the check too
+        return cls(*iterable)
 
     def value(self, v: int) -> Fraction:
         return Fraction(self.numerators[v], self.denominator)
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     """Outcome of a balancedness check.
 
     On violation, ``violator`` is a maximal-margin subset (ties: fewest

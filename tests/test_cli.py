@@ -819,6 +819,8 @@ def test_main_reuses_one_parser_without_leaking_flags(
 
 
 def test_importing_the_cli_loads_no_pool_and_builds_no_parser():
+    # nor dataclasses, which would generate record code at import and load
+    # inspect with it
     import nzflow
 
     src = str(Path(nzflow.__file__).resolve().parent.parent)
@@ -826,8 +828,9 @@ def test_importing_the_cli_loads_no_pool_and_builds_no_parser():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     probe = (
         "import sys, nzflow.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
-        "if m in sys.modules), nzflow.cli.build_parser.cache_info().misses)"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', "
+        "'dataclasses', 'inspect') if m in sys.modules), "
+        "nzflow.cli.build_parser.cache_info().misses)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60

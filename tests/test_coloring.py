@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from nzflow import (
@@ -162,7 +160,7 @@ def test_inconsistent_two_factor_rejected():
 def _with_circuit(tf, index, circuit):
     circuits = list(tf.circuits)
     circuits[index] = circuit
-    return dataclasses.replace(tf, circuits=tuple(circuits))
+    return tf._replace(circuits=tuple(circuits))
 
 
 def _witness(g):

@@ -274,6 +274,24 @@ def test_three_edge_colourable_stays_narrow_on_ladders(monkeypatch):
         assert max(frontier_widths(g, _best_order(g, lambda units: None))) <= 16, name
 
 
+def test_three_edge_colourable_is_bounded_by_max_work():
+    with pytest.raises(BudgetExceededError, match="3-edge-colouring"):
+        three_edge_colourable(flower_snark(21), max_work=1_000)
+    assert three_edge_colourable(prism(30))
+    for k in range(5, 22, 2):
+        assert not three_edge_colourable(flower_snark(k)), k
+    # charged as the DP inside compute_oddness, run to its verdict: n units
+    # for each order scored and one for each state
+    for g in (flower_snark(21), prism(30)):
+        budget = Budget(None)
+        dp = _DovetailedDP(g, budget)
+        while dp.verdict is None:
+            dp.step()
+        assert three_edge_colourable(g, max_work=budget.used) == dp.verdict
+        with pytest.raises(BudgetExceededError):
+            three_edge_colourable(g, max_work=budget.used - 1)
+
+
 def test_state_bound_covers_every_parity_respecting_frontier():
     # a frontier colouring has every colour count = width (mod 2) by the
     # parity lemma; the DP keeps one word per colour renaming
