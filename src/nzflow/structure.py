@@ -1201,13 +1201,16 @@ def _bond_cut(g: MultiGraph, limit: int, budget: Budget) -> int:
     return 4 if four else limit
 
 
-# The pair sweep searches for automorphisms once it has tried this many
-# pairs per vertex.  Measured against the mean cycle pair of the same
-# graph, the search costs 0.3 to 1.7 pairs per vertex from 30 vertices up
-# (flower snarks, GP(40, 2), random cubic graphs with a trivial group) and
-# up to 3.8 below 20, so waiting about as long as the search would take
-# bounds what a graph that stops soon after pays for it.  No graph of the
-# 109-graph corpus (at most 2.6 cycle pairs per vertex) reaches it.
+# The witness sweep below girth 6 and the cycle sweeps search for
+# automorphisms once they have tried this many pairs per vertex; the
+# value step's sweep, which tries every pair of its rows unless it finds a
+# cut of at most 3, searches before its first pair.  Measured against
+# the mean cycle pair of the same graph, the search costs 0.3 to 1.7
+# pairs per vertex from 30 vertices up (flower snarks, GP(40, 2), random
+# cubic graphs with a trivial group) and up to 3.8 below 20, so waiting
+# about as long as the search would take bounds what a sweep that stops
+# soon after pays for it.  No graph of the 109-graph corpus (at most 2.6
+# cycle pairs per vertex) reaches it.
 _GROUP_AFTER = 3
 
 
@@ -1215,21 +1218,25 @@ def _pair_sweep(
     g: MultiGraph,
     sets: list[tuple[int, ...]],
     outer: int,
+    rows: int,
+    wait: int,
     budget: Budget,
     best: int | None = None,
     floor: int | None = None,
 ) -> tuple[int | None, frozenset[int] | None]:
     """The least cut between disjoint sets S_i, S_j, i < j, of ``sets``
-    with i < ``outer``, and its side; the starting bound ``best`` and no
-    side when no pair goes below it.
+    with i < min(``outer``, ``rows``), and its side; the starting bound
+    ``best`` and no side when no pair goes below it.
 
     The flows run on one :class:`_UnitCuts` of ``g``, built here.  The
     sweep returns once the best cut equals ``floor``, a value no pair goes
     below: as given, or else min(κ′, 3) from :func:`_cut_labels`, computed
     the first time the best cut is at most 3, above which it cannot stop
-    the sweep.  The automorphisms must map ``sets[:outer]`` onto itself;
-    the orbit rule and its proof are at :func:`cyclic_connectivity`.  Each
-    flow and each node of the group search costs 4 work units.
+    the sweep.  Once it has tried ``wait`` pairs per vertex it searches
+    the automorphisms, which must map ``sets[:outer]`` onto itself; the
+    orbit rule, the row bound and their proofs are at
+    :func:`cyclic_connectivity`.  Each flow and each node of the group
+    search costs 4 work units.
     """
     cuts = _UnitCuts(g)
     best_side: frozenset[int] | None = None
@@ -1242,8 +1249,8 @@ def _pair_sweep(
     everything = (1 << len(sets)) - 1
     pairs = 0
     firsts: list[bool] | None = None  # orbit-first flags, once searched
-    for i in range(outer):
-        if firsts is None and pairs >= _GROUP_AFTER * g.n:
+    for i in range(min(outer, rows)):
+        if firsts is None and pairs >= wait * g.n:
             head = sets[:outer]
             index = {frozenset(s): h for h, s in enumerate(head)}
             least = orbits(outer, [
@@ -1280,11 +1287,14 @@ def _neighbourhood_cut(
     """The least cut between two disjoint closed neighbourhoods N[u], N[w]
     of the simple cubic graph ``g``, with the side the residual graph
     reaches from N[u] for the first pair u < w in sweep order that attains
-    it, from :func:`_pair_sweep` with ``floor``; ``limit`` and no side if
-    no pair goes below ``limit``.
+    it, from :func:`_pair_sweep` with ``floor`` over the rows
+    u <= 2·``limit`` - 2 (the row bound); ``limit`` and no side if no pair
+    goes below ``limit``.  With no floor (the value step) the sweep
+    searches the automorphisms before its first pair.
     """
     closed = [(v, *(w for _, w in g.incident(v))) for v in range(g.n)]
-    return _pair_sweep(g, closed, g.n, budget, limit, floor)
+    wait = 0 if floor is None else _GROUP_AFTER
+    return _pair_sweep(g, closed, g.n, 2 * limit - 1, wait, budget, limit, floor)
 
 
 def _cycle_cut(
@@ -1298,7 +1308,7 @@ def _cycle_cut(
     small, large = _side_caps(g, cut_size)
     cycles = _chordless_cycles(g, large, budget)
     outer = bisect_right([len(c) for c in cycles], small)
-    return cycles, *_pair_sweep(g, cycles, outer, budget)
+    return cycles, *_pair_sweep(g, cycles, outer, outer, _GROUP_AFTER, budget)
 
 
 def _moore_girth(order: int) -> int:
@@ -1454,6 +1464,16 @@ def cyclic_connectivity(
     cut.  So c = mu when mu < L, and otherwise c >= L; with L = g the
     girth lemma below decides.
 
+    Row bound.  Let a pair N[u], N[w] attain mu < L, with a cut X of mu
+    edges between them.  At most 2 mu vertices are ends of edges of X, so
+    some vertex x <= 2 mu is none, and N[x] lies on one side of X; N[u] or
+    N[w] lies on the other, so X separates N[x] from it and that pair's
+    cut is at most mu, hence mu.  So the first pair in sweep order that
+    attains mu has its first vertex at most 2 mu <= 2L - 2, and a sweep
+    over closed neighbourhoods bounded by L takes its first set from the
+    rows u <= 2L - 2 only: a later row attains mu only after an earlier
+    one has, and none goes below it; with no cut below L no row has one.
+
     Cut-space lemma.  Over GF(2) the cut space of a graph is the
     orthogonal complement of its cycle space (Diestel, *Graph Theory*,
     Section 1.9): an edge set F is a cut δ(X) exactly when it meets every
@@ -1494,7 +1514,8 @@ def cyclic_connectivity(
     below: the value c for the witness of a value below girth 6, and
     otherwise min(κ′, 3) from the cut labels (:func:`_edge_floor`),
     computed the first time the best cut is at most 3.  The value step
-    sweeps the closed neighbourhoods from the bound g, or min(g, k) for
+    sweeps the closed neighbourhoods of the rows u <= 2L - 2 (the row
+    bound) from the bound L = g, or min(g, k) for
     :func:`is_cyclically_k_connected`, which so takes a cubic graph of
     girth g >= 7 to the value step when k <= 6: a cut below the bound is
     the value, by the lemma, and with none the value is at least the
@@ -1544,30 +1565,37 @@ def cyclic_connectivity(
     e_out <= g, so minimum, and the residual side is the inclusion-minimal
     minimum-cut side around V(C), which is V(C), itself such a side.
 
-    Orbit representatives.  Once the sweep has tried 3 pairs per vertex
-    (``_GROUP_AFTER``), :func:`~nzflow.symmetry.automorphisms` gives the
-    automorphism group, and from then on a pair's first set must be the
-    earliest of its orbit.  This keeps the value, the vacuous verdict and
-    the witness.  Automorphisms map closed neighbourhoods to closed
-    neighbourhoods and chordless cycles to chordless cycles of the same
-    length, and keep disjointness and cut values, so the pairs a sweep
-    may try, and their cuts, are closed under them.  Let P = (S_i, S_j),
-    i < j, be the first pair in sweep order whose cut is the minimum.  If
-    an automorphism mapped S_i to an earlier set S_h, h < i, then
-    {S_h, image of S_j} would be a pair with the same cut, tried before P
-    (its first set is S_h or an even earlier one); so S_i comes
-    first in its orbit and the restricted sweep tries P.  Before P both
+    Orbit representatives.  :func:`~nzflow.symmetry.automorphisms` gives
+    the automorphism group, and from then on a pair's first set must be
+    the earliest of its orbit.  The value step's sweep, which tries every
+    pair of its rows unless it finds a cut of at most 3, searches before
+    its first pair; the witness sweep below girth 6, which stops at its
+    first pair attaining the known value, and the cycle sweeps search
+    once they have tried 3 pairs per vertex (``_GROUP_AFTER``).  This
+    keeps the value, the vacuous verdict and the witness.  Automorphisms
+    map closed neighbourhoods to closed neighbourhoods and chordless
+    cycles to chordless cycles of the same length, and keep disjointness
+    and cut values, so the pairs a sweep may try, and their cuts, are
+    closed under them.  Let P = (S_i, S_j), i < j, be the first pair in
+    sweep order whose cut is the minimum.  If an automorphism mapped S_i
+    to an earlier set S_h, h < i, then {S_h, image of S_j} would be a pair
+    with the same cut, tried before P (its first set is S_h or an even
+    earlier one); so S_i comes first in its orbit and the restricted
+    sweep tries P.  Before P both
     sweeps keep a best cut above P's value (the restricted one tries a
     subset of the same pairs), so both compute P's cut in full; the side
     is everything the residual graph reaches from S_i, the
     inclusion-minimal minimum-cut side, which does not depend on the flow.
     After P neither sweep improves.  A floor stop fires at the first pair
     whose cut equals the floor, which is then the minimum, so again at P.
-    Any group of automorphisms would do, so the restriction may start
-    mid-sweep.  The group acts on the sets through an index keyed by
-    vertex set.  Closed neighbourhoods may coincide: N[u] = N[w] with
-    u != w only for adjacent twins, and swapping twins is an automorphism,
-    so the orbits of the sets are the orbits of the vertices.
+    Any group of automorphisms would do, so the restriction may start at
+    any point, and P lies within the row bound, which drops only later
+    pairs.  The group acts on the sets through an index keyed by vertex
+    set, over all n closed neighbourhoods, which automorphisms map onto
+    themselves where the first 2L - 1 need not be.  Closed neighbourhoods
+    may coincide: N[u] = N[w] with u != w only for adjacent twins, and
+    swapping twins is an automorphism, so the orbits of the sets are the
+    orbits of the vertices.
 
     Every disjoint pair of cycles or of closed neighbourhoods and every
     node of the automorphism search costs 4 work units, and every edge

@@ -344,6 +344,17 @@ def lcf(jumps: list[int], repeats: int) -> MultiGraph:
     return MultiGraph(n, sorted({(min(e), max(e)) for e in edges}))
 
 
+def edge_switched(g: MultiGraph, switches: list[tuple[int, int]]) -> MultiGraph:
+    """``g`` with each pair of edge ids (e, f) of ``switches`` switched in
+    turn: edges e = (a, b) and f = (c, d) become (a, c) and (b, d), which
+    keeps every degree."""
+    edges = list(g.edges)
+    for e, f in switches:
+        (a, b), (c, d) = edges[e], edges[f]
+        edges[e], edges[f] = (a, c), (b, d)
+    return MultiGraph(g.n, edges)
+
+
 def diamond_necklace(r: int) -> MultiGraph:
     """``r`` copies of K4 - e joined in a ring by the edges between their
     vertices of degree 2.  The two middle vertices of each diamond have

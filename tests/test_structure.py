@@ -11,6 +11,7 @@ from helpers import (
     bipartition_table,
     brute_cyclic_min_cut,
     dinic_min_cut_between,
+    edge_switched,
     frontier_widths,
     induced_girth,
     lcf,
@@ -79,6 +80,7 @@ from nzflow.structure import (
     _side_caps,
     _state_bound,
 )
+from nzflow.symmetry import automorphisms
 
 
 def _check_two_factor_invariants(g, tf):
@@ -1211,6 +1213,50 @@ def test_bond_scan_matches_the_pair_sweeps(name, g):
     _assert_bond_scan_matches_the_pair_sweeps(name, g, g.n <= 40)
 
 
+# girth 6: GP(20, 3) with two edge switches that keep the girth and leave
+# only the identity automorphism, so the orbit rule skips no row, and two
+# disjoint Heawood graphs (lambda_c = 0)
+_GIRTH_SIX_ROWS = [
+    ("gp-20-3-switched", edge_switched(generalized_petersen(20, 3), [(48, 56), (25, 31)]),
+     True),
+    ("2heawood", _disjoint_union(lcf([5, -5], 7), lcf([5, -5], 7)), False),
+]
+
+
+@pytest.mark.parametrize(
+    "name,g,trivial", _GIRTH_SIX_ROWS, ids=[n for n, *_ in _GIRTH_SIX_ROWS]
+)
+def test_girth_six_value_step_sweeps_only_the_first_eleven_rows(
+    monkeypatch, name, g, trivial
+):
+    # a pair attaining the least cut mu has a cut of mu edges between its
+    # sets, with at most 2 mu ends, so some vertex x <= 2 mu has N[x] on
+    # one side and the pair's set on the other side makes with it a pair
+    # attaining mu: the first such pair has row at most 2 mu <= 2L - 2, and
+    # the value step (L = 6) makes at most 11 n flows
+    assert girth(g) == 6
+    assert (automorphisms(g) == []) == trivial, name
+    flows = []
+    real = _UnitCuts.min_cut
+
+    def counted(self, side_a, side_b, limit=None):
+        flows.append(side_a)
+        return real(self, side_a, side_b, limit)
+
+    monkeypatch.setattr(_UnitCuts, "min_cut", counted)
+    value, side = _neighbourhood_cut(g, 6, Budget(None))
+    assert len(flows) <= (2 * 6 - 1) * g.n, name
+    assert {a[0] for a in flows} <= set(range(11)), name
+    mu, ref_side = reference_neighbourhood_cut(g)
+    res = cyclic_connectivity(g)
+    assert res.value == min(mu, 6), name
+    if mu >= 6:
+        assert (value, side) == (6, None), name
+    else:
+        assert (value, side) == (mu, ref_side), name
+        assert res.witness.side == tuple(sorted(side)), name
+
+
 def test_bond_scan_finds_each_kind_of_cut(corpus):
     # the graphs above reach every branch of the scan: a disconnected
     # graph, a bridge, a 2-edge cut, a nontrivial 3-bond at girths 4 and 5,
@@ -1567,16 +1613,18 @@ def test_cyclic_witness_charges_the_call_budget():
 
 
 def test_cyclic_result_hashes_and_equals_itself_without_its_witness():
-    # 416 units, the least that gives J7's value, leave too few to name its
-    # witness; hashing the result and comparing it with itself name none
-    r = cyclic_connectivity(flower_snark(7), max_work=416)
+    # 276 units, the least that gives J7's value, leave too few to name its
+    # witness; hashing the result and comparing it with itself name none.
+    # The value step sweeps only the rows u < 11 and searches the group
+    # before its first pair, which took this from 416 to 276
+    r = cyclic_connectivity(flower_snark(7), max_work=276)
     assert r.value == 6
     assert hash(r) == hash(cyclic_connectivity(flower_snark(7)))
     assert r == r
     with pytest.raises(BudgetExceededError):
         r.witness
     with pytest.raises(BudgetExceededError):
-        cyclic_connectivity(flower_snark(7), max_work=415)
+        cyclic_connectivity(flower_snark(7), max_work=275)
 
 
 @pytest.fixture
@@ -1663,7 +1711,7 @@ def test_girth_three_to_six_never_sweeps_cycle_pairs(sweeps, corpus):
 
 @pytest.mark.parametrize(
     "name,units",
-    [("mcgee", [36, 36, 36, 666, 666, 356]), ("tutte-coxeter", [45, 45, 45, 1_035, 1_035, 444])],
+    [("mcgee", [36, 36, 36, 666, 666, 156]), ("tutte-coxeter", [45, 45, 45, 1_035, 1_035, 136])],
     ids=["mcgee", "tutte-coxeter"],
 )
 def test_cage_k_checks_up_to_six_use_closed_neighbourhoods(sweeps, name, units):
@@ -1671,9 +1719,10 @@ def test_cage_k_checks_up_to_six_use_closed_neighbourhoods(sweeps, name, units):
     # with k <= 6 on a cubic graph of girth g >= 7 enumerates no cycle: for
     # k <= 5 the cut labels decide it (one unit per edge, and from k = 4
     # one per pair of edges, 630 on McGee's 36 edges and 990 on
-    # Tutte-Coxeter's 45), for k = 6 the closed-neighbourhood flows (356
-    # and 444 units, as before); with the pair flows every k <= 6 cost 92,
-    # 92, 92, 356, 356, 356 and 116, 116, 116, 444, 444, 444.  The value
+    # Tutte-Coxeter's 45), for k = 6 the closed-neighbourhood flows (156
+    # and 136 units: the rows u < 11 after one group search, where sweeping
+    # every row took 356 and 444); with the pair flows every k <= 6 cost
+    # 92, 92, 92, 356, 356, 356 and 116, 116, 116, 444, 444, 444.  The value
     # and k = 7 still sweep cycle pairs
     g = dict(_SWEEP_GRAPHS)[name]
     for k, least in enumerate(units, 1):

@@ -9,7 +9,7 @@ import pytest
 from helpers import diamond_necklace, lcf, shuffled, vf2_orbits
 
 import nzflow.structure
-from nzflow import MultiGraph, cyclic_connectivity, is_cyclically_k_connected
+from nzflow import MultiGraph, cyclic_connectivity, girth, is_cyclically_k_connected
 from nzflow.catalog import (
     _moebius_ladder,
     blanusa_snarks,
@@ -118,11 +118,16 @@ def test_orbit_sweep_matches_the_sweep_over_every_cycle(monkeypatch, name, g):
     # first cycle, and the witness side does not depend on the flow, so
     # skipping the other first cycles changes nothing, whenever the group
     # search starts.  The default run checks every k; the runs that search
-    # at once or never skip each k at or below the value
+    # at once or never skip each k at or below the value.  _GROUP_AFTER
+    # times only the witness and cycle sweeps: the value step's sweep
+    # searches before its first pair, so the last run finds no
+    # automorphism, and no sweep skips a first set
     got, res = _sweep_results(g)
     monkeypatch.setattr(nzflow.structure, "_GROUP_AFTER", 0)
     assert _sweep_results(g, res)[0] == got, name
     monkeypatch.setattr(nzflow.structure, "_GROUP_AFTER", g.n * g.n * g.n)
+    assert _sweep_results(g, res)[0] == got, name
+    monkeypatch.setattr(nzflow.structure, "automorphisms", lambda g, spend=None: [])
     assert _sweep_results(g, res)[0] == got, name
 
 
@@ -143,11 +148,64 @@ def test_group_search_waits_for_long_sweeps(monkeypatch, corpus):
     # step searched its group in each call while its sweep could stop only
     # at its edge-connectivity 3, below its cyclic connectivity 4
     assert searched == []
-    # J7's value step, at girth 6, tries more than 3 pairs per vertex for
-    # no cut below 6
+    # J7's value step, at girth 6, tries every pair of its first 11 rows
+    # when no cut lies below 6, so it searches its group first
     cyclic_connectivity(flower_snark(7))
     assert searched == [28]
     searched.clear()
     # the oddness-4 snark's first pair attains its value
     cyclic_connectivity(oddness4_snark()).witness
     assert searched == []
+
+
+def _two_copies_joined_at_a_vertex(g):
+    """Two copies of ``g`` with vertex 0 deleted, each former neighbour of
+    0 joined to its twin; the join's ends are 0-5, copy by copy in
+    turn."""
+    ends = sorted(v for _, v in g.incident(0))
+    rest = [v for v in range(1, g.n) if v not in ends]
+    label = [{}, {}]
+    for k, v in enumerate(ends + rest):
+        label[0][v], label[1][v] = 2 * k, 2 * k + 1
+    edges = [(label[0][v], label[1][v]) for v in ends]
+    for copy in label:
+        edges += [(copy[u], copy[v]) for u, v in g.edges if 0 not in (u, v)]
+    return MultiGraph(2 * g.n - 2, edges)
+
+
+def test_value_step_searches_the_group_before_its_first_pair(monkeypatch):
+    # the girth-6 value step searches the group before any flow (with the
+    # row bound, J9's flows went from 129 to 78 and GP(30, 3)'s from 224
+    # to 50); a witness sweep below girth 6 stops at its first pair that
+    # attains the value, so it still waits for _GROUP_AFTER pairs per
+    # vertex.  Two GP(7, 2) joined through a 3-edge cut whose six ends
+    # come first have girth 5 and lambda_c 3, and their witness sweep
+    # passes 3n pairs before it reaches a pair that attains 3
+    flows = []
+    searched = []
+    real_cut, real_group = nzflow.structure._UnitCuts.min_cut, automorphisms
+
+    def counted(self, *args):
+        flows.append(1)
+        return real_cut(self, *args)
+
+    def counting(g, spend=None):
+        searched.append(len(flows))
+        return real_group(g, spend)
+
+    monkeypatch.setattr(nzflow.structure._UnitCuts, "min_cut", counted)
+    monkeypatch.setattr(nzflow.structure, "automorphisms", counting)
+    for g in (flower_snark(9), generalized_petersen(30, 3)):
+        flows.clear()
+        searched.clear()
+        cyclic_connectivity(g)
+        assert searched == [0]
+        assert flows
+    g = _two_copies_joined_at_a_vertex(generalized_petersen(7, 2))
+    res = cyclic_connectivity(g)
+    assert (girth(g), res.value) == (5, 3)
+    flows.clear()
+    searched.clear()
+    assert len(res.witness.edges) == 3
+    assert len(searched) == 1
+    assert searched[0] >= nzflow.structure._GROUP_AFTER * g.n
