@@ -172,40 +172,15 @@ def dot_product(
 def blanusa_snarks() -> tuple[MultiGraph, MultiGraph]:
     """The two 18-vertex snarks, as Petersen-with-Petersen dot products.
 
-    All choice combinations collapse to exactly two isomorphism classes;
-    representatives are picked deterministically and ordered by their
-    number of perfect matchings (ascending) so the labels are stable.
+    With ``p = petersen()`` as both factors, both drop edge 0 = (0, 1) of
+    the first factor and the ends of edge 0 of the second; the other edge
+    dropped from the first factor is edge 2 = (2, 3), which an edge joins
+    to (0, 1), for the first snark, and edge 8 = (3, 8), which no edge
+    joins to it, for the second.  These are the two isomorphism classes
+    of such dot products, with 19 and 20 perfect matchings.
     """
     p = petersen()
-    e1 = next(e for e, (u, v) in enumerate(p.edges) if {u, v} == {0, 1})
-    a, b = p.endpoints(e1)
-    classes: list[MultiGraph] = []
-    seen = set()
-    # vary the second removed edge over all positions relative to the first;
-    # the second factor's removed vertex pair is immaterial (edge-transitive)
-    for e2 in range(p.m):
-        c, d = p.endpoints(e2)
-        if {a, b} & {c, d}:
-            continue
-        for sw1 in (False, True):
-            for sw2 in (False, True):
-                cand = dot_product(p, p, (e1, e2), 0, sw1, sw2)
-                form = canonical_form(cand)
-                if form not in seen:
-                    seen.add(form)
-                    classes.append(cand)
-        if len(classes) >= 2:
-            break
-    if len(classes) < 2:
-        raise RuntimeError("expected two distinct 18-vertex snarks")
-
-    def matching_count(g: MultiGraph) -> int:
-        from .structure import enumerate_two_factors
-
-        return sum(1 for _ in enumerate_two_factors(g))
-
-    first, second = sorted(classes[:2], key=matching_count)
-    return first, second
+    return dot_product(p, p, (0, 2), 0), dot_product(p, p, (0, 8), 0)
 
 
 def random_bridgeless_cubic(n: int, rng: random.Random) -> MultiGraph:

@@ -73,17 +73,19 @@ def parse_graph6(text: str) -> MultiGraph:
     """Parse one graph6 or sparse6 record into a :class:`MultiGraph`."""
     s = text.strip(_WHITESPACE)
     base = 0
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
-        base = len(">>graph6<<")
-    elif s.startswith(">>sparse6<<"):
-        s = s[len(">>sparse6<<"):]
-        base = len(">>sparse6<<")
+    named = None  # the format a header names
+    for header in (">>graph6<<", ">>sparse6<<"):
+        if s.startswith(header):
+            s, base, named = s[len(header):], len(header), header[2:-2]
+            break
     if not s:
         raise Graph6Error("empty record", base)
     if s[0] == ";":
         raise Graph6Error("incremental sparse6 is not supported", base)
-    if s[0] == ":":
+    kind = "sparse6" if s[0] == ":" else "graph6"
+    if named not in (None, kind):
+        raise Graph6Error(f"{kind} record under a {named} header", base)
+    if kind == "sparse6":
         _check_chars(s[1:], base + 1)
         return _parse_sparse6(s, base)
     _check_chars(s, base)

@@ -1201,42 +1201,41 @@ def _bond_cut(g: MultiGraph, limit: int, budget: Budget) -> int:
     return 4 if four else limit
 
 
-# The witness sweep below girth 6 and the cycle sweeps search for
-# automorphisms once they have tried this many pairs per vertex; the
-# value step's sweep, which tries every pair of its rows unless it finds a
-# cut of at most 3, searches before its first pair.  Measured against
-# the mean cycle pair of the same graph, the search costs 0.3 to 1.7
-# pairs per vertex from 30 vertices up (flower snarks, GP(40, 2), random
-# cubic graphs with a trivial group) and up to 3.8 below 20, so waiting
-# about as long as the search would take bounds what a sweep that stops
-# soon after pays for it.  No graph of the 109-graph corpus (at most 2.6
-# cycle pairs per vertex) reaches it.
+# The sweeps that may stop soon, the witness sweep below girth 6 (at its
+# first pair attaining the known value) and the cycle sweep (at its
+# floor), search for automorphisms once they have tried this many pairs
+# per vertex.  Against the mean cycle pair of the same graph the search
+# costs 0.3 to 1.7 pairs per vertex from 30 vertices up (flower snarks,
+# GP(40, 2), random cubic graphs with a trivial group) and up to 3.8
+# below 20, so waiting about as long as the search would take bounds what
+# a sweep that stops soon after pays for it.  The value step at girth 6
+# does not wait: with a starting bound and no floor it tries every pair
+# of its rows unless it finds a cut of at most 3.
 _GROUP_AFTER = 3
 
 
 def _pair_sweep(
     g: MultiGraph,
     sets: list[tuple[int, ...]],
-    outer: int,
     rows: int,
-    wait: int,
     budget: Budget,
     best: int | None = None,
     floor: int | None = None,
 ) -> tuple[int | None, frozenset[int] | None]:
     """The least cut between disjoint sets S_i, S_j, i < j, of ``sets``
-    with i < min(``outer``, ``rows``), and its side; the starting bound
-    ``best`` and no side when no pair goes below it.
+    with i < ``rows``, and its side; the starting bound ``best`` and no
+    side when no pair goes below it.
 
     The flows run on one :class:`_UnitCuts` of ``g``, built here.  The
     sweep returns once the best cut equals ``floor``, a value no pair goes
     below: as given, or else min(κ′, 3) from :func:`_cut_labels`, computed
     the first time the best cut is at most 3, above which it cannot stop
-    the sweep.  Once it has tried ``wait`` pairs per vertex it searches
-    the automorphisms, which must map ``sets[:outer]`` onto itself; the
-    orbit rule, the row bound and their proofs are at
-    :func:`cyclic_connectivity`.  Each flow and each node of the group
-    search costs 4 work units.
+    the sweep.  ``sets``, sorted by length, must be closed under the
+    automorphisms, which it searches before its first pair when given
+    ``best`` and no ``floor`` (the value step), and otherwise once it has
+    tried ``_GROUP_AFTER`` pairs per vertex; the orbit rule, the row bound
+    and their proofs are at :func:`cyclic_connectivity`.  Each flow and
+    each node of the group search costs 4 work units.
     """
     cuts = _UnitCuts(g)
     best_side: frozenset[int] | None = None
@@ -1247,18 +1246,21 @@ def _pair_sweep(
         for v in s:
             through[v] |= 1 << j
     everything = (1 << len(sets)) - 1
+    wait = 0 if best is not None and floor is None else _GROUP_AFTER
+    rows = min(rows, len(sets))
     pairs = 0
-    firsts: list[bool] | None = None  # orbit-first flags, once searched
-    for i in range(min(outer, rows)):
-        if firsts is None and pairs >= wait * g.n:
-            head = sets[:outer]
+    least: list[int] | None = None  # first set of each orbit, once searched
+    for i in range(rows):
+        if least is None and pairs >= wait * g.n:
+            # automorphisms keep lengths, so the sets no longer than the
+            # last row are a prefix of ``sets`` that they map onto itself
+            head = sets[:bisect_right([len(s) for s in sets], len(sets[rows - 1]))]
             index = {frozenset(s): h for h, s in enumerate(head)}
-            least = orbits(outer, [
+            least = orbits(len(head), [
                 [index[frozenset(gamma[v] for v in s)] for s in head]
                 for gamma in automorphisms(g, lambda: budget.spend(4))
             ])
-            firsts = [least[h] == h for h in range(outer)]
-        if firsts is not None and not firsts[i]:
+        if least is not None and least[i] != i:
             continue
         hit = 0
         for v in sets[i]:
@@ -1289,12 +1291,10 @@ def _neighbourhood_cut(
     reaches from N[u] for the first pair u < w in sweep order that attains
     it, from :func:`_pair_sweep` with ``floor`` over the rows
     u <= 2·``limit`` - 2 (the row bound); ``limit`` and no side if no pair
-    goes below ``limit``.  With no floor (the value step) the sweep
-    searches the automorphisms before its first pair.
+    goes below ``limit``.
     """
     closed = [(v, *(w for _, w in g.incident(v))) for v in range(g.n)]
-    wait = 0 if floor is None else _GROUP_AFTER
-    return _pair_sweep(g, closed, g.n, 2 * limit - 1, wait, budget, limit, floor)
+    return _pair_sweep(g, closed, 2 * limit - 1, budget, limit, floor)
 
 
 def _cycle_cut(
@@ -1303,12 +1303,11 @@ def _cycle_cut(
     """The chordless cycles that :func:`_side_caps` keeps for cuts of at
     most ``cut_size`` edges, sorted by length, and the least cut between
     two of them, with its side, from :func:`_pair_sweep` over the pairs
-    whose first cycle is within the smaller side's cap: a set automorphisms
-    keep."""
+    whose first cycle is within the smaller side's cap."""
     small, large = _side_caps(g, cut_size)
     cycles = _chordless_cycles(g, large, budget)
-    outer = bisect_right([len(c) for c in cycles], small)
-    return cycles, *_pair_sweep(g, cycles, outer, outer, _GROUP_AFTER, budget)
+    rows = bisect_right([len(c) for c in cycles], small)
+    return cycles, *_pair_sweep(g, cycles, rows, budget)
 
 
 def _moore_girth(order: int) -> int:
@@ -1521,11 +1520,12 @@ def cyclic_connectivity(
     the value, by the lemma, and with none the value is at least the
     bound; the cut labels decide bounds of at most 5.  When 2g > n no two
     cycles are disjoint, which ends the value step before any work.  The
-    cycle sweep runs over the chordless cycles, sorted by length, whose
-    first cycle of a pair is within the smaller side's cap below.  The
-    minimum cut separating two cycles is the minimum, over pairs of
-    vertex-disjoint chordless cycles, of the max-flow between them after
-    contraction.
+    cycle sweep runs over the chordless cycles within the larger side's
+    cap below, sorted by length, and takes a pair's first cycle from
+    those within the smaller side's cap.  Both lists are closed under
+    automorphisms.  The minimum cut separating two cycles is the minimum,
+    over pairs of vertex-disjoint chordless cycles, of the max-flow
+    between them after contraction.
 
     The witness is the side of the sweep's first pair whose cut is the
     minimum (see the orbit paragraph), a minimum cut by (b): at girth 6
@@ -1567,12 +1567,11 @@ def cyclic_connectivity(
 
     Orbit representatives.  :func:`~nzflow.symmetry.automorphisms` gives
     the automorphism group, and from then on a pair's first set must be
-    the earliest of its orbit.  The value step's sweep, which tries every
-    pair of its rows unless it finds a cut of at most 3, searches before
-    its first pair; the witness sweep below girth 6, which stops at its
-    first pair attaining the known value, and the cycle sweeps search
-    once they have tried 3 pairs per vertex (``_GROUP_AFTER``).  This
-    keeps the value, the vacuous verdict and the witness.  Automorphisms
+    the earliest of its orbit.  A sweep with a starting bound and no
+    floor (the value step at girth 6) searches before its first pair; the
+    witness sweep below girth 6 and the cycle sweep, which may stop soon,
+    search once they have tried 3 pairs per vertex (``_GROUP_AFTER``).
+    This keeps the value, the vacuous verdict and the witness.  Automorphisms
     map closed neighbourhoods to closed neighbourhoods and chordless
     cycles to chordless cycles of the same length, and keep disjointness
     and cut values, so the pairs a sweep may try, and their cuts, are
@@ -1581,9 +1580,9 @@ def cyclic_connectivity(
     to an earlier set S_h, h < i, then {S_h, image of S_j} would be a pair
     with the same cut, tried before P (its first set is S_h or an even
     earlier one); so S_i comes first in its orbit and the restricted
-    sweep tries P.  Before P both
-    sweeps keep a best cut above P's value (the restricted one tries a
-    subset of the same pairs), so both compute P's cut in full; the side
+    sweep tries P.  Before P both sweeps keep a best cut above P's value
+    (the restricted one tries a subset of the same pairs), so both compute
+    P's cut in full; the side
     is everything the residual graph reaches from S_i, the
     inclusion-minimal minimum-cut side, which does not depend on the flow.
     After P neither sweep improves.  A floor stop fires at the first pair
@@ -1591,9 +1590,9 @@ def cyclic_connectivity(
     Any group of automorphisms would do, so the restriction may start at
     any point, and P lies within the row bound, which drops only later
     pairs.  The group acts on the sets through an index keyed by vertex
-    set, over all n closed neighbourhoods, which automorphisms map onto
-    themselves where the first 2L - 1 need not be.  Closed neighbourhoods
-    may coincide: N[u] = N[w] with u != w only for adjacent twins, and
+    set, over the sets no longer than the sweep's last row, which
+    automorphisms map onto themselves.  Closed neighbourhoods may
+    coincide: N[u] = N[w] with u != w only for adjacent twins, and
     swapping twins is an automorphism, so the orbits of the sets are the
     orbits of the vertices.
 

@@ -22,6 +22,7 @@ from nzflow.catalog import (
     petersen,
     prism,
 )
+from nzflow.structure import enumerate_two_factors
 
 # digests of the graphs as networkx VF2 deduplicated them
 CORPUS_SHA256 = "4704c4885a3a311c7dfe274cc33671537e20527ddc8105a8aa367f3e559c8e98"
@@ -40,6 +41,9 @@ def test_corpus_matches_pinned_digest(corpus):
 
 def test_blanusa_snarks_match_pinned_digest():
     assert _sha256([g.edges for g in blanusa_snarks()]) == BLANUSA_SHA256
+    # each 2-factor is the complement of one perfect matching
+    counts = [sum(1 for _ in enumerate_two_factors(g)) for g in blanusa_snarks()]
+    assert counts == [19, 20]
 
 
 def test_canonical_form_ignores_labels(corpus):
@@ -64,9 +68,9 @@ def test_canonical_form_prunes_by_automorphisms():
 
 
 def _dot_product_candidates() -> list[MultiGraph]:
-    """The 16 Petersen dot products ``blanusa_snarks`` looks at: the second
-    removed edge over the first four edges independent of edge {0, 1}, each
-    with all four reconnections."""
+    """16 Petersen dot products, among them the two of ``blanusa_snarks``:
+    the second removed edge over the first four edges independent of edge
+    {0, 1}, each with all four reconnections."""
     p = petersen()
     e1 = next(e for e, (u, v) in enumerate(p.edges) if {u, v} == {0, 1})
     second = [e for e, (u, v) in enumerate(p.edges) if not {u, v} & {0, 1}][:4]

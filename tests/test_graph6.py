@@ -31,6 +31,20 @@ def test_empty_graph_zero_vertices():
 
 def test_header_is_stripped():
     assert parse_graph6(">>graph6<<C~").m == 6
+    assert parse_graph6(">>sparse6<<:Bc").edges == ((0, 1), (0, 2))
+
+
+@pytest.mark.parametrize(
+    "record, offset",
+    [(">>graph6<<:Bc", 10), (">>sparse6<<Bw", 11)],
+    ids=["sparse6-under-graph6", "graph6-under-sparse6"],
+)
+def test_header_naming_the_other_format_is_rejected(record, offset):
+    # both bodies parse on their own; the header names the other format
+    parse_graph6(record[offset:])
+    with pytest.raises(Graph6Error, match="header") as err:
+        parse_graph6(record)
+    assert err.value.offset == offset
 
 
 def test_illegal_character_reports_offset():

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import diamond_necklace, lcf, shuffled, vf2_orbits
+from helpers import diamond_necklace, lcf, random_cubic_multigraph, shuffled, vf2_orbits
 
 import nzflow.structure
 from nzflow import MultiGraph, cyclic_connectivity, girth, is_cyclically_k_connected
@@ -173,14 +173,10 @@ def _two_copies_joined_at_a_vertex(g):
     return MultiGraph(2 * g.n - 2, edges)
 
 
-def test_value_step_searches_the_group_before_its_first_pair(monkeypatch):
-    # the girth-6 value step searches the group before any flow (with the
-    # row bound, J9's flows went from 129 to 78 and GP(30, 3)'s from 224
-    # to 50); a witness sweep below girth 6 stops at its first pair that
-    # attains the value, so it still waits for _GROUP_AFTER pairs per
-    # vertex.  Two GP(7, 2) joined through a 3-edge cut whose six ends
-    # come first have girth 5 and lambda_c 3, and their witness sweep
-    # passes 3n pairs before it reaches a pair that attains 3
+@pytest.fixture
+def timed_searches(monkeypatch):
+    """The pair flows made so far, and for each automorphism search the
+    number of flows before it."""
     flows = []
     searched = []
     real_cut, real_group = nzflow.structure._UnitCuts.min_cut, automorphisms
@@ -195,6 +191,18 @@ def test_value_step_searches_the_group_before_its_first_pair(monkeypatch):
 
     monkeypatch.setattr(nzflow.structure._UnitCuts, "min_cut", counted)
     monkeypatch.setattr(nzflow.structure, "automorphisms", counting)
+    return flows, searched
+
+
+def test_value_step_searches_the_group_before_its_first_pair(timed_searches):
+    # the girth-6 value step searches the group before any flow (with the
+    # row bound, J9's flows went from 129 to 78 and GP(30, 3)'s from 224
+    # to 50); a witness sweep below girth 6 stops at its first pair that
+    # attains the value, so it still waits for _GROUP_AFTER pairs per
+    # vertex.  Two GP(7, 2) joined through a 3-edge cut whose six ends
+    # come first have girth 5 and lambda_c 3, and their witness sweep
+    # passes 3n pairs before it reaches a pair that attains 3
+    flows, searched = timed_searches
     for g in (flower_snark(9), generalized_petersen(30, 3)):
         flows.clear()
         searched.clear()
@@ -209,3 +217,31 @@ def test_value_step_searches_the_group_before_its_first_pair(monkeypatch):
     assert len(res.witness.edges) == 3
     assert len(searched) == 1
     assert searched[0] >= nzflow.structure._GROUP_AFTER * g.n
+
+
+@pytest.mark.parametrize(
+    "g, after",
+    [(lcf([12, 7, -7], 8), 85), (lcf([-13, -9, 7, -7, 9, 13], 5), 130)],
+    ids=["mcgee", "tutte-coxeter"],
+)
+def test_cycle_sweep_searches_the_group_after_three_pairs_per_vertex(
+    timed_searches, g, after
+):
+    # girth 7 and 8, so the cycle sweep decides; it has no starting bound
+    # and may stop at its floor, so it searches once, after the row in
+    # which its pairs pass _GROUP_AFTER * n (72 on McGee, 90 on
+    # Tutte-Coxeter)
+    _, searched = timed_searches
+    cyclic_connectivity(g)
+    assert searched == [after]
+    assert after >= nzflow.structure._GROUP_AFTER * g.n
+
+
+def test_cycle_sweep_stopping_at_its_floor_never_searches(timed_searches):
+    # a cubic multigraph of girth 2 whose first cycle pair attains its
+    # floor min(kappa', 3) = 2 stops before any group search
+    flows, searched = timed_searches
+    g = random_cubic_multigraph(10, random.Random(0))
+    res = cyclic_connectivity(g)
+    assert (girth(g), res.value, len(flows)) == (2, 2, 1)
+    assert searched == []
