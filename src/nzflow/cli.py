@@ -15,6 +15,10 @@ reported on stderr as ``input error: ...`` and, without ``--lenient``, ends
 the stream after the records before it.  No search recurses, so a large
 graph needs no more Python stack than a small one.
 
+:func:`_emit` writes each record with one ``json.dumps`` call and joins in
+every flow certificate as text written from the flow's arrays by
+:func:`~nzflow.flows.flow_json_text`; no dict is built per edge.
+
 :func:`main` may be called repeatedly in one process: it builds its argument
 parser once, at the first call, and every call parses, computes and verifies
 its own records from scratch.  Importing this module builds no parser.
@@ -34,7 +38,7 @@ import sys
 import time
 
 from .errors import DEFAULT_MAX_WORK, BudgetExceededError, InternalInconsistencyError
-from .flows import flow_from_json, flow_to_json, is_nowhere_zero, solve_nowhere_zero_flow, verify_flow
+from .flows import flow_from_json, flow_json_text, is_nowhere_zero, solve_nowhere_zero_flow, verify_flow
 from .graph import MultiGraph
 from .graph6 import _WHITESPACE, Graph6Error, parse_graph6
 from .structure import (
@@ -141,7 +145,13 @@ def _analyze(record: dict, g: MultiGraph, args) -> None:
             max_work=args.max_work,
         )
         record["oddness"] = cert.oddness
-        record["outcome"] = cert.to_json()
+        # the certificate's own key list, with each flow written by _emit
+        outcome = cert._replace(flow=None, fallback_flow=None).to_json()
+        if cert.flow is not None:
+            outcome["flow"] = _FlowText(cert.flow)
+        if cert.fallback_flow is not None:
+            outcome["fallback_flow"] = _FlowText(cert.fallback_flow)
+        record["outcome"] = outcome
         res = cert.cyclic_connectivity
         record["cyclic_connectivity"] = (
             _cyclic_summary(res) if res is not None else {"status": cert.cyclic["status"]}
@@ -176,7 +186,7 @@ def _flow(record: dict, g: MultiGraph, args) -> None:
     flow = solve_nowhere_zero_flow(g, args.k, max_work=args.max_work)
     record["satisfiable"] = flow is not None
     if flow is not None:
-        record["certificate"] = flow_to_json(flow)
+        record["certificate"] = _FlowText(flow)
 
 
 def _run(name: str, g: MultiGraph, args) -> dict:
@@ -207,8 +217,51 @@ def _exit_code(record: dict) -> int:
     return EXIT_OK
 
 
+class _FlowText:
+    """A flow in a record, which :func:`_emit` writes as certificate text.
+
+    Not a tuple: ``json`` writes a tuple, and so a ``Flow``, as a list
+    without calling its ``default`` hook."""
+
+    __slots__ = ("flow",)
+
+    def __init__(self, flow) -> None:
+        self.flow = flow
+
+
+_PLACEHOLDER = "\0flow\0"  # what the hook writes in a flow's place
+_PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)  # '"\\u0000flow\\u0000"'
+
+
 def _emit(record: dict) -> None:
-    sys.stdout.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    """Write ``record`` as one line of compact JSON with sorted keys.
+
+    One ``json.dumps`` call encodes the record, with each flow replaced by
+    a placeholder string; the flows' certificate texts, written from their
+    arrays by :func:`flow_json_text`, are then joined in at the
+    placeholders, in output order.  The split is exact: outside string
+    literals JSON text has no backslash, so each backslash of the encoded
+    placeholder ``"\\u0000flow\\u0000"`` starts an escape inside a string
+    literal and stands for a NUL.  No record string holds a NUL but the
+    placeholder, so every match is the whole literal of a placeholder.
+    """
+    texts: list[str] = []
+
+    def hook(obj):
+        if type(obj) is not _FlowText:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        texts.append(flow_json_text(obj.flow))
+        return _PLACEHOLDER
+
+    parts = json.dumps(
+        record, sort_keys=True, separators=(",", ":"), default=hook
+    ).split(_PLACEHOLDER_JSON)
+    if len(parts) != len(texts) + 1:
+        raise InternalInconsistencyError("a record string holds the flow placeholder")
+    line = parts[0]
+    for text, part in zip(texts, parts[1:]):
+        line += text + part
+    sys.stdout.write(line)
     sys.stdout.write("\n")
 
 

@@ -10,6 +10,7 @@ flows compare equal.
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import NamedTuple
 
 from .coloring import Coloring4
@@ -475,7 +476,11 @@ def mod_to_integer_flow(g: MultiGraph, f: Flow, k: int) -> Flow:
 
 
 def flow_to_json(f: Flow) -> dict:
-    """Certificate form: ``{"k": k, "edges": [{id, tail, head, value}...]}``."""
+    """Certificate form: ``{"k": k, "edges": [{id, tail, head, value}...]}``.
+
+    :func:`flow_json_text` writes the same certificate as text, equal to
+    ``json.dumps(flow_to_json(f), sort_keys=True, separators=(",", ":"))``.
+    """
     return {
         "k": f.modulus,
         "edges": [
@@ -485,6 +490,20 @@ def flow_to_json(f: Flow) -> dict:
             )
         ],
     }
+
+
+# one certificate entry as compact JSON, its keys in sorted order
+_EDGE_TEXT = '{"head":%d,"id":%d,"tail":%d,"value":%d}'
+
+
+def flow_json_text(f: Flow) -> str:
+    """:func:`flow_to_json` as compact JSON text with sorted keys, written
+    straight from the flow's arrays: no dict per edge, and all ``4m``
+    fields filled by one ``%`` call."""
+    m = len(f.tails)
+    heads = [v if t == u else u for (u, v), t in zip(f.graph.edges, f.tails)]
+    fields = tuple(chain.from_iterable(zip(heads, range(m), f.tails, f.values)))
+    return '{"edges":[%s],"k":%d}' % (",".join([_EDGE_TEXT] * m) % fields, f.modulus)
 
 
 def flow_from_json(g: MultiGraph, obj: dict) -> Flow:

@@ -173,54 +173,56 @@ def component_labels(g: MultiGraph, removed=frozenset()) -> list[int]:
 
 
 def basic_checks(g: MultiGraph) -> BasicChecks:
-    """Cubicity, connectivity and bridge-freeness from one DFS.
+    """Cubicity, connectivity and bridge-freeness from two flat passes.
 
-    An iterative lowlink DFS starts at each unvisited vertex in ascending
-    order.  Each root is the least vertex of its component, and the
-    vertices it discovers are that component, so the components come out
-    as sorted vertex tuples ordered by minimum id.  A parallel copy of an
-    edge keeps it from being a bridge, because only the exact tree edge id
-    is skipped on the way up.
+    The first pass is an iterative DFS from each unvisited vertex in
+    ascending order; it marks a vertex when it pops it, which makes the
+    pushing vertex its tree parent, and records the preorder and each
+    vertex's tree edge id.  Each root is the least vertex of its component,
+    and the vertices it discovers are that component, so the components
+    come out as sorted vertex tuples ordered by minimum id.
+
+    The second pass walks the preorder backwards, so every child comes
+    before its parent.  ``low[v]`` is the least of ``disc[v]``, ``low`` of
+    each child (a neighbour whose tree edge is the edge at hand) and
+    ``disc`` of every other neighbour; only ``v``'s own tree edge id is
+    skipped, so a parallel copy of a tree edge keeps it from being a
+    bridge.  The tree edge is a bridge when ``low[v] > disc[parent]``.
     """
+    incident = g.incident
     disc = [-1] * g.n
-    low = [0] * g.n
-    found: list[int] = []  # vertices in discovery order: found[disc[v]] = v
+    tree = [-1] * g.n  # the tree edge id into each vertex, -1 at a root
+    found: list[int] = []  # vertices in preorder: found[disc[v]] = v
     comps: list[tuple[int, ...]] = []
-    out: set[int] = set()
     for root in range(g.n):
         if disc[root] != -1:
             continue
         first = len(found)
-        # stack entries: (vertex, incoming edge id, iterator index)
-        stack = [(root, -1, 0)]
-        disc[root] = low[root] = first
-        found.append(root)
+        stack = [(root, -1)]  # (vertex, edge id it was reached by)
         while stack:
-            v, in_eid, idx = stack.pop()
-            inc = g.incident(v)
-            advanced = False
-            while idx < len(inc):
-                eid, w = inc[idx]
-                idx += 1
-                if eid == in_eid:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = len(found)
-                    found.append(w)
-                    stack.append((v, in_eid, idx))
-                    stack.append((w, eid, 0))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if advanced:
+            v, eid = stack.pop()
+            if disc[v] != -1:
                 continue
-            # v is finished; propagate lowlink to its parent
-            if in_eid != -1:
-                parent = g.other_end(in_eid, v)
-                low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    out.add(in_eid)
+            disc[v] = len(found)
+            tree[v] = eid
+            found.append(v)
+            for e, w in incident(v):
+                if disc[w] == -1:
+                    stack.append((w, e))
         comps.append(tuple(sorted(found[first:])))
+    low = disc[:]
+    out: set[int] = set()
+    for v in reversed(found):
+        in_eid = tree[v]
+        lv = disc[v]
+        for eid, w in incident(v):
+            if eid != in_eid:
+                x = low[w] if tree[w] == eid else disc[w]
+                if x < lv:
+                    lv = x
+        low[v] = lv
+        if in_eid != -1 and lv > disc[g.other_end(in_eid, v)]:
+            out.add(in_eid)
     return BasicChecks(
         is_cubic=all(d == 3 for d in g.degrees()),
         is_connected=len(comps) <= 1,

@@ -139,7 +139,10 @@ def _parse_sparse6(s: str, base: int) -> MultiGraph:
         if x > v:
             v = x
         elif x == v:
-            raise Graph6Error(f"loop at vertex {x} is not supported", base + pos)
+            # the byte that holds the unit's first bit, bit i - 1 - k
+            raise Graph6Error(
+                f"loop at vertex {x} is not supported", base + pos + (i - 1 - k) // 6
+            )
         else:
             edges.append((x, v))
     return MultiGraph(n, edges)

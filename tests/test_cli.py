@@ -696,6 +696,71 @@ def test_certify_rejects_tampered_conservation(capsys, tmp_path, petersen_file):
     assert rec["violations"]
 
 
+def _compact(rec) -> str:
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
+def test_every_command_writes_compact_sorted_json_with_the_certificate_dicts(
+    capsys, tmp_path
+):
+    # the flows are written as text, not through json.dumps: each line must
+    # still be the compact sorted encoding of what it decodes to, and decode
+    # to the certificate dicts of flow_to_json; the oddness-4 snark ends
+    # hypothesis_unmet with a fallback flow
+    from nzflow import five_flow_oddness4
+
+    lines = [serialize_graph6(g) for g in (petersen(), k4(), oddness4_snark())]
+    path = tmp_path / "graphs.g6"
+    path.write_text("".join(line + "\n" for line in lines))
+    graphs = [parse_graph6(line) for line in lines]
+    outs = {}
+    for argv in (["analyze"], ["flow", "--k", "5"], ["oddness"], ["cyclic"]):
+        _, out, _ = run_cli(capsys, [argv[0], str(path), *argv[1:]])
+        outs[argv[0]] = out.splitlines()
+        assert len(outs[argv[0]]) == 3
+        assert all(line == _compact(json.loads(line)) for line in outs[argv[0]])
+    certs = [five_flow_oddness4(g) for g in graphs]
+    assert [c.outcome for c in certs] == ["flow_found", "flow_found", "hypothesis_unmet"]
+    assert certs[2].fallback_flow is not None
+    for line, cert in zip(outs["analyze"], certs):
+        assert json.loads(line)["outcome"] == cert.to_json()
+    for line, g in zip(outs["flow"], graphs):
+        assert json.loads(line)["certificate"] == flow_to_json(solve_nowhere_zero_flow(g, 5))
+    # certify, both verdicts, on the snark's certificate
+    graph_path = tmp_path / "snark.g6"
+    graph_path.write_text(lines[2] + "\n")
+    cert = json.loads(outs["flow"][2])["certificate"]
+    for verdict, code in (("ACCEPT", 0), ("REJECT", 1)):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        got, out, _ = run_cli(capsys, ["certify", str(graph_path), str(cert_path)])
+        assert got == code
+        (line,) = out.splitlines()
+        assert line == _compact(json.loads(line))
+        assert json.loads(line)["verdict"] == verdict
+        cert["edges"][0]["value"] = cert["edges"][0]["value"] % 4 + 1
+
+
+def test_emit_joins_each_flow_in_at_its_own_place(capsys):
+    flows = [solve_nowhere_zero_flow(g, k) for g, k in ((petersen(), 5), (k4(), 4))]
+    record = {
+        "z": nzflow.cli._FlowText(flows[0]),
+        "a": {"flow": nzflow.cli._FlowText(flows[1]), "b": [1, None, "x"]},
+    }
+    nzflow.cli._emit(record)
+    expected = {
+        "z": flow_to_json(flows[0]),
+        "a": {"flow": flow_to_json(flows[1]), "b": [1, None, "x"]},
+    }
+    assert capsys.readouterr().out == _compact(expected) + "\n"
+
+
+def test_emit_refuses_a_string_that_holds_the_placeholder(capsys):
+    with pytest.raises(InternalInconsistencyError, match="placeholder"):
+        nzflow.cli._emit({"name": "\0flow\0"})
+    assert capsys.readouterr().out == ""
+
+
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, ["oddness", "/nonexistent/file.g6"])
     assert code == 2

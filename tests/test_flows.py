@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     recursion_headroom,
@@ -31,6 +33,7 @@ from nzflow import (
     switch_path,
     verify_flow,
 )
+from nzflow.flows import flow_json_text
 from nzflow.catalog import (
     blanusa_snarks,
     flower_snark,
@@ -281,6 +284,34 @@ def test_certificate_json_round_trip():
     obj = flow_to_json(f)
     back = flow_from_json(g, obj)
     assert back == f
+
+
+@st.composite
+def _any_flows(draw):
+    """A flow record on a random multigraph, parallel edges and ``m = 0``
+    included, with any orientation and any values from 0 to k - 1."""
+    n = draw(st.integers(2, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=30))
+    g = MultiGraph(n, [(u, (u + d) % n) for u, d in pairs])
+    k = draw(st.integers(2, 12))
+    flips = draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    values = draw(st.lists(st.integers(0, k - 1), min_size=g.m, max_size=g.m))
+    tails = tuple(v if flip else u for (u, v), flip in zip(g.edges, flips))
+    return Flow(graph=g, tails=tails, values=tuple(values), modulus=k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_any_flows())
+def test_certificate_text_is_the_compact_sorted_json(f):
+    assert flow_json_text(f) == json.dumps(
+        flow_to_json(f), sort_keys=True, separators=(",", ":")
+    )
+
+
+def test_certificate_text_of_the_empty_graph():
+    f = Flow(graph=MultiGraph(3, []), tails=(), values=(), modulus=5)
+    assert flow_json_text(f) == '{"edges":[],"k":5}'
+    assert json.loads(flow_json_text(f)) == flow_to_json(f)
 
 
 def test_certificate_rejects_mismatches():

@@ -151,7 +151,8 @@ def test_basic_checks_parallel_edges_are_not_bridges():
 
 def test_basic_checks_match_networkx_on_random_multigraphs():
     # an edge is a bridge when deleting that one edge id adds a component;
-    # the graphs have parallel edges, isolated vertices and several components
+    # the graphs have parallel edges, isolated vertices, several components
+    # and pendant paths
     rng = random.Random(7)
     for _ in range(300):
         n = rng.randrange(0, 13)
@@ -161,6 +162,11 @@ def test_basic_checks_match_networkx_on_random_multigraphs():
             edges.append((u, v))
             if rng.random() < 0.2:
                 edges.append((v, u))  # a parallel copy
+        for _ in range(rng.randrange(0, 3) if n else 0):
+            tip = rng.randrange(n)
+            for _ in range(rng.randrange(1, 5)):  # a pendant path from tip
+                edges.append((tip, n))
+                tip, n = n, n + 1
         g = MultiGraph(n, edges)
         h = nx.MultiGraph()
         h.add_nodes_from(range(n))
@@ -172,6 +178,11 @@ def test_basic_checks_match_networkx_on_random_multigraphs():
             if not nx.has_path(h, u, v):
                 bridges.add(eid)
             h.add_edge(u, v, key=eid)
+        # nx.bridges takes simple graphs: a bridge there is one of g unless
+        # its pair carries a parallel copy
+        pairs = [frozenset(e) for e in edges]
+        simple = {frozenset(e) for e in nx.bridges(nx.Graph(h))}
+        assert bridges == {e for e, p in enumerate(pairs) if p in simple and pairs.count(p) == 1}
         chk = basic_checks(g)
         assert chk.components == tuple(expected), edges
         assert chk.bridges == bridges, edges

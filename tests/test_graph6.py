@@ -138,6 +138,19 @@ def test_sparse6_loop_rejected():
         parse_graph6(rec)
 
 
+@pytest.mark.parametrize("header, offset", [("", 17), (">>sparse6<<", 28)])
+def test_sparse6_loop_is_reported_at_its_byte(header, offset):
+    # a 20-vertex path with a loop at vertex 15, as networkx writes it: the
+    # loop's unit is bits 90-95 of the data, all in its 16th byte
+    h = nx.path_graph(20, create_using=nx.MultiGraph)
+    h.add_edge(15, 15)
+    rec = nx.to_sparse6_bytes(h, header=False).decode().strip()
+    assert rec == ":S_`abcdefghijklmNnopq"
+    with pytest.raises(Graph6Error, match="loop at vertex 15") as info:
+        parse_graph6(header + rec)
+    assert info.value.offset == offset
+
+
 def test_serialize_rejects_parallel_edges():
     with pytest.raises(ValueError, match="parallel"):
         serialize_graph6(MultiGraph(2, [(0, 1), (0, 1)]))
