@@ -62,6 +62,11 @@ class MultiGraph:
             return u
         raise ValueError(f"vertex {v} is not an endpoint of edge {eid}")
 
+    @property
+    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Every vertex's :meth:`incident` pairs, indexed by vertex."""
+        return self._incidence
+
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
         """Pairs ``(edge id, other endpoint)`` at ``v``, ascending by id."""
         return self._incidence[v]

@@ -9,8 +9,11 @@ branches that can no longer beat the current best.  A dynamic program over
 a vertex order's frontier decides 3-edge-colourability, which lets that
 search stop before exhausting the matchings of a snark; the order is the
 one of least cost bound among a few starts, so it does not hang on the
-labels.  Once it has spent 4n units, the search starts that DP and steps
-it one vertex at a time, dovetailed with its own work (run ahead to its
+labels.  A DP step whose input repeats one of its last ``_MEMO_STEPS``
+steps, as along the ring of a flower snark, reuses that step's states
+instead of growing them again, for the same units and yields.  Once the
+search has spent 4n units, it starts that DP and steps it one vertex at
+a time, dovetailed with its own work (run ahead to its
 verdict once the search holds two odd circuits and the DP's remaining
 bound fits in the search's own work), and probes, on a
 doubling schedule, for a barrier that leaves a node's unmatched vertices
@@ -170,6 +173,7 @@ def _frontier_order(
     ``cap``.
     """
     n = g.n
+    incidence = g.incidence
     placed = [False] * n
     count = [0] * n  # edges to placed vertices
     if fcfs:
@@ -197,7 +201,7 @@ def _frontier_order(
             v = next(u for u in fresh if not placed[u])
         placed[v] = True
         order.append(v)
-        for _, w in g.incident(v):
+        for _, w in incidence[v]:
             if not placed[w]:
                 count[w] += 1
                 push(queues[count[w]], w)
@@ -267,13 +271,14 @@ def _frontier_profile(g: MultiGraph, order: list[int]) -> list[tuple[int, int]]:
     (_state_bound(w_i), _GROWTH[k_i]) of :func:`_frontier_order`'s bound:
     w_i is the frontier width entering v_i and k_i its edges to earlier
     vertices."""
+    incidence = g.incidence
     position = [0] * g.n
     for i, v in enumerate(order):
         position[v] = i
     profile = []
     width = 0
     for i, v in enumerate(order):
-        k = sum(position[w] < i for _, w in g.incident(v))
+        k = sum(position[w] < i for _, w in incidence[v])
         profile.append((_state_bound(width), _GROWTH[k]))
         width += 3 - 2 * k
     return profile
@@ -393,6 +398,108 @@ def _renamed(word: bytes) -> bytes:
     )
 
 
+def _grow(states: set[bytes], incoming: list[int]) -> set[bytes]:
+    """The states one step of :func:`_frontier_colourable` grows from
+    ``states`` at a vertex whose incoming edges sit at the ascending
+    positions ``incoming`` of the word; its other edges are the rest of
+    its three."""
+    if not incoming:
+        return {b"\0\1\2" + s.translate(t) for s in states for t in _ALL_ORDERS}
+    if len(incoming) == 1:
+        (i,) = incoming
+        return {
+            b"\0\1" + (s[:i] + s[i + 1:]).translate(t)
+            for s in states
+            for t in _BOTH_ORDERS[s[i]]
+        }
+    if len(incoming) == 2:
+        i, j = incoming
+        grown = set()
+        for s in states:
+            if s[i] != s[j]:
+                a = _THIRD[s[i] + s[j]]
+                head = s[:i] + s[i + 1:j] + s[j + 1:]
+                table = _FIRST_APPEARANCE[a + head.lstrip(a)[:1]]
+                grown.add(b"\0" + head.translate(table))
+        return grown
+    i, j, k = incoming
+    return {
+        _renamed(s[:i] + s[i + 1:j] + s[j + 1:k] + s[k + 1:])
+        for s in states
+        if 1 << s[i] | 1 << s[j] | 1 << s[k] == 7
+    }
+
+
+# the frontier DP looks a step's grown set up among its last _MEMO_STEPS
+# steps: more than the repeat period of every periodic graph measured
+# (8 steps on the flower snarks, 4 on prisms, 12 on GP(n, 2), 24 on GP(n, 3))
+_MEMO_STEPS = 32
+
+
+class _StepMemo:
+    """The grown sets of the frontier DP's last ``_MEMO_STEPS`` steps whose
+    key had already occurred in that window, by key.
+
+    A step's key is (the positions of its incoming edges in the frontier
+    word, its number of new edges, its number of states).
+    ``recent[key]`` lists ``(step, states, grown)`` for the steps of the
+    window with that key, oldest first; the first of them, when no earlier
+    step of the window had the key, keeps no sets: ``(step, None, None)``.
+    ``window`` holds the key of every step of the window and of the
+    current step, oldest first.
+    """
+
+    __slots__ = ("steps", "recent", "window")
+
+    def __init__(self) -> None:
+        self.steps = 0  # the steps seen, the current one included
+        self.recent: dict[tuple, list[tuple]] = {}
+        self.window: deque[tuple] = deque()
+
+    def find(self, key: tuple, states: set[bytes]) -> set[bytes] | None:
+        """Start the next step: forget the step ``_MEMO_STEPS`` + 1 back,
+        and return the grown set of a step of the window with ``key`` whose
+        state set is ``states`` itself or, failing that, equal to it, or
+        None.  A step found is moved to the current one."""
+        step = self.steps
+        self.steps += 1
+        window = self.window
+        window.append(key)
+        if len(window) > _MEMO_STEPS + 1:
+            old = window.popleft()
+            entries = self.recent[old]
+            if entries[0][0] == step - _MEMO_STEPS - 1:
+                del entries[0]
+                if not entries:
+                    del self.recent[old]
+        entries = self.recent.get(key)
+        if not entries:
+            return None
+        for i in range(len(entries) - 1, -1, -1):
+            if entries[i][1] is states:
+                break
+        else:
+            for i in range(len(entries) - 1, -1, -1):
+                if entries[i][1] == states:
+                    break
+            else:
+                return None
+        grown = entries.pop(i)[2]
+        entries.append((step, states, grown))
+        return grown
+
+    def keep(self, key: tuple, states: set[bytes], grown: set[bytes]) -> None:
+        """Record the current step, which :meth:`find` did not find: with
+        its sets if its key occurred in the window, as the key's first
+        step otherwise."""
+        step = self.steps - 1
+        entries = self.recent.get(key)
+        if entries:
+            entries.append((step, states, grown))
+        else:
+            self.recent[key] = [(step, None, None)]
+
+
 def _frontier_colourable(
     g: MultiGraph, order: list[int], spend
 ) -> Iterator[int]:
@@ -428,15 +535,33 @@ def _frontier_colourable(
     are in bijection with the classes of C under any layout.  Their number,
     which each step spends, and whether none is left are the same for
     every layout of the frontier.
+
+    The step memo (:class:`_StepMemo`) skips steps that repeat.  A step's
+    grown set is a function of three inputs alone: the positions of the
+    vertex's incoming edges in the word, its number of new edges and the
+    state set (the edge ids and the vertex play no part, and the branch
+    taken is fixed by the positions).  The memo's key holds the first two
+    and the number of states; a step of the last ``_MEMO_STEPS`` with the
+    same key whose state set is the same object (which implies equal) or
+    equal has the same three inputs, so its grown set is this step's.
+    ``spend`` is charged before the lookup, and the grown set is the same,
+    so every step's units and yield are those of the DP without the memo.
+    The memory stays bounded: a step keeps its sets only when its key
+    occurred in the window before it, entries older than the window are
+    dropped, and a match moves its entry to the current step rather than
+    adding one, so the memo holds at most ``_MEMO_STEPS`` + 1 steps' sets
+    and, on a DP whose keys do not repeat, none.
     """
+    incidence = g.incidence
     placed = [False] * g.n
     frontier: list[int] = []  # edge ids with exactly one placed end
     states = {b""}
+    memo = _StepMemo()
     for v in order:
         placed[v] = True
         incoming = []
         outgoing = []
-        for eid, w in g.incident(v):
+        for eid, w in incidence[v]:
             if placed[w]:
                 incoming.append(frontier.index(eid))
             else:
@@ -446,31 +571,11 @@ def _frontier_colourable(
             del frontier[i]
         frontier[:0] = outgoing
         spend(len(states))
-        if not incoming:
-            grown = {b"\0\1\2" + s.translate(t) for s in states for t in _ALL_ORDERS}
-        elif len(incoming) == 1:
-            (i,) = incoming
-            grown = {
-                b"\0\1" + (s[:i] + s[i + 1:]).translate(t)
-                for s in states
-                for t in _BOTH_ORDERS[s[i]]
-            }
-        elif len(incoming) == 2:
-            i, j = incoming
-            grown = set()
-            for s in states:
-                if s[i] != s[j]:
-                    a = _THIRD[s[i] + s[j]]
-                    head = s[:i] + s[i + 1:j] + s[j + 1:]
-                    table = _FIRST_APPEARANCE[a + head.lstrip(a)[:1]]
-                    grown.add(b"\0" + head.translate(table))
-        else:
-            i, j, k = incoming
-            grown = {
-                _renamed(s[:i] + s[i + 1:j] + s[j + 1:k] + s[k + 1:])
-                for s in states
-                if 1 << s[i] | 1 << s[j] | 1 << s[k] == 7
-            }
+        key = (tuple(incoming), len(outgoing), len(states))
+        grown = memo.find(key, states)
+        if grown is None:
+            grown = _grow(states, incoming)
+            memo.keep(key, states, grown)
         states = grown
         yield len(states)
         if not states:
@@ -648,7 +753,7 @@ class _OddnessSearch:
         g = self.g
         n, m = g.n, g.m
         edges = g.edges
-        incidence = [g.incident(x) for x in range(n)]
+        incidence = g.incidence
         matched = [False] * n
         in_factor = [False] * m
         # path bookkeeping for the partial 2-factor

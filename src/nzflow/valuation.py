@@ -218,7 +218,7 @@ def _max_flow(
     phase, so no later phase has t at level 3.
     """
     n = g.n
-    inc = [g.incident(v) for v in range(n)]
+    inc = g.incidence
     sources = [v for v in range(n) if rem[v] > 0]
     for v in sources:  # phase 1, when t is at level 3
         for e, w in inc[v]:

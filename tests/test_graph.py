@@ -27,6 +27,14 @@ def test_multigraph_allows_parallel_edges():
     assert [eid for eid, _ in g.incident(0)] == [0, 1]
 
 
+def test_incidence_is_every_vertex_incident_pairs_read_only():
+    for g in (k4(), petersen(), MultiGraph(3, [(0, 1), (0, 1), (1, 2)])):
+        assert g.incidence == tuple(g.incident(v) for v in range(g.n))
+        assert all(g.incidence[v] is g.incident(v) for v in range(g.n))
+        with pytest.raises(AttributeError):
+            g.incidence = ()
+
+
 def test_degree_sum_is_twice_edge_count():
     for g in (k4(), k33(), petersen(), MultiGraph(3, [(0, 1), (0, 1), (1, 2)])):
         assert sum(g.degrees()) == 2 * g.m

@@ -62,8 +62,10 @@ from nzflow.catalog import (
     _moebius_ladder,
 )
 from nzflow.structure import (
+    _MEMO_STEPS,
     _DovetailedDP,
     _OddnessSearch,
+    _StepMemo,
     _UnitCuts,
     _best_order,
     _chordless_cycles,
@@ -443,6 +445,133 @@ def test_new_edges_first_dp_spends_what_the_reference_dp_spends(corpus):
             checked += 1
     assert checked >= 330
     assert k0_with_states >= 5
+
+
+class _MemoSpy(_StepMemo):
+    """A step memo that counts its matches, by identity and by equality,
+    and its rejected candidates (steps of the window with the key but
+    another state set), and checks its window and retention rules after
+    every call."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self):
+        super().__init__()
+        self.counts = Counter()
+
+    def find(self, key, states):
+        kept = [entry[1] for entry in self.recent.get(key, ()) if entry[1] is not None]
+        grown = super().find(key, states)
+        if grown is not None:
+            same = any(other is states for other in kept)
+            self.counts["identical" if same else "equal"] += 1
+        elif kept:
+            self.counts["rejected"] += 1
+        self._check()
+        return grown
+
+    def keep(self, key, states, grown):
+        repeated = bool(self.recent.get(key))
+        super().keep(key, states, grown)
+        # a step keeps its sets only when its key occurred in the window
+        assert (self.recent[key][-1][1] is not None) == repeated
+        self._check()
+
+    def _check(self):
+        step = self.steps - 1
+        assert len(self.window) <= _MEMO_STEPS + 1
+        assert sum(map(len, self.recent.values())) <= _MEMO_STEPS + 1
+        for entries in self.recent.values():
+            assert entries
+            assert all(step - _MEMO_STEPS <= entry[0] <= step for entry in entries)
+            assert [entry[0] for entry in entries] == sorted({e[0] for e in entries})
+
+
+def _spy_on_memos(monkeypatch):
+    """The :class:`_MemoSpy` of every DP started from now on."""
+    memos = []
+
+    def make():
+        memos.append(_MemoSpy())
+        return memos[-1]
+
+    monkeypatch.setattr(nzflow.structure, "_StepMemo", make)
+    return memos
+
+
+def _memo_graphs():
+    """Graphs whose DP repeats steps, and random ones whose DP cannot."""
+    repeating = [(f"flower-{k}", flower_snark(k)) for k in range(5, 22, 2)]
+    repeating += [
+        ("prism-50", prism(50)),
+        ("gp-50-2", generalized_petersen(50, 2)),
+        ("gp-50-3", generalized_petersen(50, 3)),
+    ]
+    repeating += [
+        (f"flower-21-shuffled-{s}", shuffled(flower_snark(21), random.Random(s)))
+        for s in range(4)
+    ]
+    plain = [
+        (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
+        for n in (40, 50, 60)
+        for s in (1, 2)
+    ]
+    return repeating, plain
+
+
+def test_step_memo_keeps_every_step_of_the_reference_dp(monkeypatch):
+    # a step's grown set depends only on its incoming positions, its new
+    # edge count and its state set, and the units are charged before the
+    # lookup: so a reused step spends and yields what the reference spends
+    # and yields
+    memos = _spy_on_memos(monkeypatch)
+    repeating, plain = _memo_graphs()
+    for graphs, matches in ((repeating, True), (plain, False)):
+        memos.clear()
+        for name, g in graphs:
+            order = _best_order(g, lambda units: None)
+            spent, steps = _dp_run(_frontier_colourable, g, order)
+            assert (spent, steps) == _dp_run(reference_frontier_colourable, g, order), name
+        counts = sum((memo.counts for memo in memos), Counter())
+        if matches:
+            # matches by identity follow a first match by equality, and
+            # some steps share a key but not a state set
+            assert counts["identical"] > counts["equal"] > 0, counts
+            assert counts["rejected"] > 0, counts
+        else:
+            assert counts == Counter(), counts
+
+
+def test_step_memo_reuses_the_flower_snark_ring(monkeypatch):
+    # J17's DP repeats every 8 steps along the ring: 41 of its 67 steps
+    # reuse an earlier step's set
+    memos = _spy_on_memos(monkeypatch)
+    g = flower_snark(17)
+    steps = list(_frontier_colourable(g, _best_order(g, lambda units: None), lambda units: None))
+    assert len(steps) == 67 and steps[-1] == 0
+    (memo,) = memos
+    assert memo.counts["identical"] + memo.counts["equal"] == 41
+
+
+def test_step_memo_forgets_steps_past_its_window():
+    # keys repeating with a period past the window never keep a set; with
+    # a period of at most the window every repeat after the second is a
+    # match, and no entry is ever older than the window
+    cases = ((_MEMO_STEPS + 1, 0), (_MEMO_STEPS, 200 - 2 * _MEMO_STEPS), (5, 200 - 10))
+    for period, found in cases:
+        memo = _MemoSpy()
+        states = [{bytes([i])} for i in range(period)]
+        hits = 0
+        for step in range(200):
+            key = (step % period,)
+            grown = memo.find(key, states[step % period])
+            if grown is None:
+                memo.keep(key, states[step % period], {b"grown"})
+            else:
+                hits += 1
+        assert hits == found, period
+        kept = sum(entry[1] is not None for e in memo.recent.values() for entry in e)
+        assert kept == (period if found else 0), period
 
 
 def test_best_order_is_the_reference_scoring_of_every_order_in_full(corpus):
