@@ -43,9 +43,10 @@ class Coloring4(NamedTuple):
 def _check_two_factor(g: MultiGraph, tf: TwoFactor) -> None:
     if tf.matching | tf.factor != frozenset(range(g.m)) or tf.matching & tf.factor:
         raise ValueError("two-factor does not partition the edge set")
+    edges = g.edges
     cover = [0] * g.n
     for eid in tf.matching:
-        u, v = g.endpoints(eid)
+        u, v = edges[eid]
         cover[u] += 1
         cover[v] += 1
     if any(c != 1 for c in cover):

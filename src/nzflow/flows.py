@@ -43,6 +43,7 @@ def make_flow(g: MultiGraph, signed_values, modulus: int) -> Flow:
     """Build a canonical Flow from signed values on the natural orientation."""
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
+    edges = g.edges
     tails = []
     vals = []
     for eid, s in enumerate(signed_values):
@@ -50,7 +51,7 @@ def make_flow(g: MultiGraph, signed_values, modulus: int) -> Flow:
             raise ValueError(
                 f"edge {eid}: value {s} out of range for modulus {modulus}"
             )
-        u, v = g.endpoints(eid)
+        u, v = edges[eid]
         if s >= 0:
             tails.append(u)
             vals.append(s)
@@ -100,9 +101,9 @@ def reverse_flow(f: Flow) -> Flow:
 
 
 def _signed_add(signed, g: MultiGraph, eids, tails, value: int) -> None:
+    edges = g.edges
     for eid, tail in zip(eids, tails):
-        u, _ = g.endpoints(eid)
-        signed[eid] += value if tail == u else -value
+        signed[eid] += value if tail == edges[eid][0] else -value
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +169,12 @@ def build_augmented(g: MultiGraph, c: Coloring4) -> AugmentedGraph:
     # the closure has the smaller id and the smaller end comes first
     twins = [(p.closure, p.mate) for p in pairs]
 
-    for v in range(mg.n):
-        expected = 5 if v in c.missing2 else 3
-        if mg.degree(v) != expected:
+    missing2 = set(c.missing2)
+    for v, inc in enumerate(mg.incidence):
+        expected = 5 if v in missing2 else 3
+        if len(inc) != expected:
             raise InternalInconsistencyError(
-                f"augmented degree at vertex {v} is {mg.degree(v)}, "
+                f"augmented degree at vertex {v} is {len(inc)}, "
                 f"expected {expected}"
             )
     return AugmentedGraph(

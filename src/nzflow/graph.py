@@ -194,7 +194,8 @@ def basic_checks(g: MultiGraph) -> BasicChecks:
     skipped, so a parallel copy of a tree edge keeps it from being a
     bridge.  The tree edge is a bridge when ``low[v] > disc[parent]``.
     """
-    incident = g.incident
+    edges = g.edges
+    incidence = g.incidence
     disc = [-1] * g.n
     tree = [-1] * g.n  # the tree edge id into each vertex, -1 at a root
     found: list[int] = []  # vertices in preorder: found[disc[v]] = v
@@ -211,7 +212,7 @@ def basic_checks(g: MultiGraph) -> BasicChecks:
             disc[v] = len(found)
             tree[v] = eid
             found.append(v)
-            for e, w in incident(v):
+            for e, w in incidence[v]:
                 if disc[w] == -1:
                     stack.append((w, e))
         comps.append(tuple(sorted(found[first:])))
@@ -220,16 +221,18 @@ def basic_checks(g: MultiGraph) -> BasicChecks:
     for v in reversed(found):
         in_eid = tree[v]
         lv = disc[v]
-        for eid, w in incident(v):
+        for eid, w in incidence[v]:
             if eid != in_eid:
                 x = low[w] if tree[w] == eid else disc[w]
                 if x < lv:
                     lv = x
         low[v] = lv
-        if in_eid != -1 and lv > disc[g.other_end(in_eid, v)]:
-            out.add(in_eid)
+        if in_eid != -1:
+            a, b = edges[in_eid]
+            if lv > disc[a + b - v]:  # the tree parent, the edge's other end
+                out.add(in_eid)
     return BasicChecks(
-        is_cubic=all(d == 3 for d in g.degrees()),
+        is_cubic=all(len(inc) == 3 for inc in incidence),
         is_connected=len(comps) <= 1,
         is_bridgeless=not out,
         components=tuple(comps),
@@ -305,15 +308,19 @@ def circuit_tails(g: MultiGraph, edges: tuple[int, ...]) -> tuple[int, ...]:
     """
     if not edges:
         raise ValueError("a circuit needs at least one edge")
-    start = min(g.endpoints(edges[0]))
+    ends = g.edges
+    start = min(ends[edges[0]])
     tails = [start]
     v = start
-    try:
-        for eid in edges:
-            v = g.other_end(eid, v)
-            tails.append(v)
-    except ValueError:
-        raise ValueError(f"edges {edges} are not a closed walk") from None
+    for eid in edges:
+        a, b = ends[eid]
+        if v == a:
+            v = b
+        elif v == b:
+            v = a
+        else:
+            raise ValueError(f"edges {edges} are not a closed walk")
+        tails.append(v)
     tails.pop()
     if v != start:
         raise ValueError(f"edges {edges} are not a closed walk")

@@ -9,7 +9,6 @@ errors report the byte offset inside the record.
 from __future__ import annotations
 
 import re
-from math import isqrt
 
 from .errors import NZFlowError
 from .graph import _MAX_N, MultiGraph  # _MAX_N refuses the 36-bit size form
@@ -105,17 +104,22 @@ def _parse_graph6(s: str, base: int) -> MultiGraph:
     if have > nbytes:
         raise Graph6Error("trailing data after graph6 record", base + pos + nbytes)
     # bit k of the upper triangle, by column, is edge (k - j(j-1)/2, j) for
-    # the j with j(j-1)/2 <= k < j(j+1)/2; only set bits are visited, and
-    # padding bits past the triangle are ignored
+    # the j with j(j-1)/2 <= k < j(j+1)/2; only set bits are visited, in
+    # ascending k, so the column only moves forward, and padding bits past
+    # the triangle are ignored
     edges = []
+    j = 1  # the column of bit k, moved forward as k grows
+    first = 0  # j(j-1)/2, the first bit of column j
     for match in _NONZERO.finditer(s, pos):
         start = 6 * (match.start() - pos)
         for off in _SET_BITS[ord(match.group()) - _BIAS]:
             k = start + off
             if k >= need:
                 break
-            j = (1 + isqrt(8 * k + 1)) // 2
-            edges.append((k - j * (j - 1) // 2, j))
+            while k >= first + j:
+                first += j
+                j += 1
+            edges.append((k - first, j))
     return MultiGraph(n, edges)
 
 

@@ -9,9 +9,11 @@ branches that can no longer beat the current best.  A dynamic program over
 a vertex order's frontier decides 3-edge-colourability, which lets that
 search stop before exhausting the matchings of a snark; the order is the
 one of least cost bound among a few starts, so it does not hang on the
-labels.  A DP step whose input repeats one of its last ``_MEMO_STEPS``
-steps, as along the ring of a flower snark, reuses that step's states
-instead of growing them again, for the same units and yields.  Once the
+labels, and scoring it also gives the per-vertex profile of that bound,
+from which the search bounds the DP's remaining work.  A DP step whose
+input repeats one of its last ``_MEMO_STEPS`` steps, as along the ring of
+a flower snark, reuses that step's states instead of growing them again,
+for the same units and yields.  Once the
 search has spent 4n units, it starts that DP and steps it one vertex at
 a time, dovetailed with its own work (run ahead to its
 verdict once the search holds two odd circuits and the DP's remaining
@@ -63,16 +65,17 @@ class OddnessResult(NamedTuple):
 def two_factor_from_matching(g: MultiGraph, matching) -> TwoFactor:
     """Build the TwoFactor whose matching is the given edge id set."""
     matching = frozenset(int(e) for e in matching)
+    edges = g.edges
     cover = [0] * g.n
     for eid in matching:
-        u, v = g.endpoints(eid)
+        u, v = edges[eid]
         cover[u] += 1
         cover[v] += 1
     if any(c != 1 for c in cover):
         raise ValueError("edge set is not a perfect matching")
     factor = frozenset(range(g.m)) - matching
     local: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid, (u, v) in enumerate(g.edges):
+    for eid, (u, v) in enumerate(edges):
         if eid in matching:
             continue
         local[u].append((eid, v))
@@ -100,9 +103,9 @@ def two_factor_from_matching(g: MultiGraph, matching) -> TwoFactor:
 
 
 def _require_cubic(g: MultiGraph) -> None:
-    bad = [v for v in range(g.n) if g.degree(v) != 3]
-    if bad:
-        raise ValueError(f"graph is not cubic (first offender: vertex {bad[0]})")
+    for v, inc in enumerate(g.incidence):
+        if len(inc) != 3:
+            raise ValueError(f"graph is not cubic (first offender: vertex {v})")
 
 
 def enumerate_two_factors(g: MultiGraph) -> Iterator[TwoFactor]:
@@ -143,10 +146,15 @@ def enumerate_two_factors(g: MultiGraph) -> Iterator[TwoFactor]:
 
 
 def _frontier_order(
-    g: MultiGraph, start: int, fcfs: bool = True, cap: int | float = math.inf
-) -> tuple[list[int], int]:
-    """Vertex order for the frontier DP from ``start``, and the bound B on
-    the units :func:`_frontier_colourable` spends along it.
+    g: MultiGraph,
+    start: int,
+    fcfs: bool = True,
+    cap: int | float = math.inf,
+    bounds: list[int] | None = None,
+) -> tuple[list[int], list[int], int]:
+    """Vertex order for the frontier DP from ``start``, each placed
+    vertex's k (its edges to earlier vertices), and the bound B on the
+    units :func:`_frontier_colourable` spends along the order.
 
     The next vertex is the one with the most edges to placed vertices.
     Ties go first-come, first-served: among equal counts the vertex that
@@ -170,10 +178,13 @@ def _frontier_order(
     spends at most B, the sum of the B_i.  B is summed as the order grows;
     once it reaches ``cap`` the build stops and returns the order so far
     with that partial sum, which is at most the whole B and at least
-    ``cap``.
+    ``cap``.  ``bounds[w]`` is _state_bound(w); the build extends the list
+    to the widest frontier it reaches (a fresh one when None).
     """
     n = g.n
     incidence = g.incidence
+    if bounds is None:
+        bounds = [1]
     placed = [False] * n
     count = [0] * n  # edges to placed vertices
     if fcfs:
@@ -184,9 +195,10 @@ def _frontier_order(
         push, pop = heapq.heappush, heapq.heappop
     fresh = chain((start,), range(n))  # count 0: the start, then by id
     order: list[int] = []
+    ks: list[int] = []
     width = 0
     bound = total = 1
-    for _ in range(n):
+    for left in range(n - 1, -1, -1):  # the vertices left after this one
         for k in (3, 2, 1):
             queue = queues[k]
             while queue and (placed[queue[0]] or count[queue[0]] != k):
@@ -201,17 +213,22 @@ def _frontier_order(
             v = next(u for u in fresh if not placed[u])
         placed[v] = True
         order.append(v)
+        ks.append(k)
         for _, w in incidence[v]:
             if not placed[w]:
                 count[w] += 1
                 push(queues[count[w]], w)
         width += 3 - 2 * k
-        if len(order) < n:
-            bound = min(_state_bound(width), bound * _GROWTH[k])
+        if left:
+            while len(bounds) <= width:
+                bounds.append(_state_bound(len(bounds)))
+            bound *= _GROWTH[k]
+            if bounds[width] < bound:
+                bound = bounds[width]
             total += bound
             if total >= cap:
                 break
-    return order, total
+    return order, ks, total
 
 
 def _state_bound(width: int) -> int:
@@ -236,52 +253,46 @@ _GROWTH = (6, 2, 1, 1)
 _ORDER_STARTS = 8
 
 
-def _best_order(g: MultiGraph, spend) -> list[int]:
+def _best_order(g: MultiGraph, spend) -> tuple[list[int], list[tuple[int, int]]]:
     """The :func:`_frontier_order` of least bound B, the first on ties,
     among the lowest-id order from vertex 0 and the first-come,
-    first-served orders from ``_ORDER_STARTS`` starts evenly spaced by id.
+    first-served orders from ``_ORDER_STARTS`` starts evenly spaced by id,
+    with its profile: for each vertex v_i of the order, the pair
+    (_state_bound(w_i), _GROWTH[k_i]) of that bound's recurrence, which
+    :func:`_remaining_bound` reads.
 
     The lowest-id order follows the labels, which a constructor often lays
     out along a narrow frontier; the others do not depend on the labels
     beyond their starts.  A first-come, first-served order is built in
     O(m), the lowest-id one in O(m log n).  Each is built with the least B
     so far as its cap: B only grows as the order does, so a start whose
-    partial sum reaches that cap cannot win, and it is dropped there.
-    ``spend`` is charged n units for each start, whether built whole or
-    dropped.  Any order gives the DP's verdict, so the choice changes only
-    its cost.
+    partial sum reaches that cap cannot win, and it is dropped there.  The
+    winner is always built whole, so its k_i and the state bounds of its
+    widths, which the builds share in one table, give the profile without
+    another pass over the graph.  ``spend`` is charged n units for each
+    start, whether built whole or dropped.  Any order gives the DP's
+    verdict, so the choice changes only its cost.
     """
     candidates = [(0, False)]
     candidates += [
         (start, True)
         for start in sorted({i * g.n // _ORDER_STARTS for i in range(_ORDER_STARTS)})
     ]
+    bounds = [1]  # _state_bound(w) at index w, up to the widest frontier built
     best_bound: int | float = math.inf
     best: list[int] = []
+    best_ks: list[int] = []
     for start, fcfs in candidates:
         spend(g.n)
-        order, bound = _frontier_order(g, start, fcfs, best_bound)
+        order, ks, bound = _frontier_order(g, start, fcfs, best_bound, bounds)
         if bound < best_bound:
-            best_bound, best = bound, order
-    return best
-
-
-def _frontier_profile(g: MultiGraph, order: list[int]) -> list[tuple[int, int]]:
-    """For each vertex v_i of the whole ``order``, the pair
-    (_state_bound(w_i), _GROWTH[k_i]) of :func:`_frontier_order`'s bound:
-    w_i is the frontier width entering v_i and k_i its edges to earlier
-    vertices."""
-    incidence = g.incidence
-    position = [0] * g.n
-    for i, v in enumerate(order):
-        position[v] = i
+            best_bound, best, best_ks = bound, order, ks
     profile = []
     width = 0
-    for i, v in enumerate(order):
-        k = sum(position[w] < i for _, w in incidence[v])
-        profile.append((_state_bound(width), _GROWTH[k]))
+    for k in best_ks:
+        profile.append((bounds[width], _GROWTH[k]))
         width += 3 - 2 * k
-    return profile
+    return best, profile
 
 
 def _remaining_bound(
@@ -289,7 +300,7 @@ def _remaining_bound(
 ) -> int:
     """A bound on the units :func:`_frontier_colourable` spends from the
     i-th vertex of its order on, when it holds ``states`` states there;
-    ``profile`` is the order's :func:`_frontier_profile`.
+    ``profile`` is the order's profile from :func:`_best_order`.
 
     The bound is the sum of B'_j over j >= i, where B'_i = ``states`` and
     B'_{j+1} = min(_state_bound(w_{j+1}), B'_j * _GROWTH[k_j]): the
@@ -313,20 +324,20 @@ class _DovetailedDP:
     """The frontier DP of an oddness search, stepped against the search's
     own units (every unit but the DP's), with its run-ahead check.
 
-    ``verdict`` is None until the DP has given it.  ``check_at``: the
-    search's own units before which no run-ahead check runs again, after
-    one failed.
+    ``profile`` is the profile :func:`_best_order` returns with the DP's
+    order, which the run-ahead check reads.  ``verdict`` is None until the
+    DP has given it.  ``check_at``: the search's own units before which no
+    run-ahead check runs again, after one failed.
     """
 
     __slots__ = ("budget", "n", "steps", "profile", "held", "placed", "units",
                  "check_at", "verdict")
 
     def __init__(self, g: MultiGraph, budget: Budget):
-        order = _best_order(g, budget.spend)
+        order, self.profile = _best_order(g, budget.spend)
         self.budget = budget
         self.n = g.n
         self.steps = _frontier_colourable(g, order, budget.spend)
-        self.profile = _frontier_profile(g, order)
         self.held = 1  # the states the DP holds: its next step's units
         self.placed = 0  # the vertices of the order it has placed
         self.units = 0  # the units the DP has spent
@@ -390,14 +401,6 @@ _BOTH_ORDERS = tuple(
 _THIRD = (b"", b"\2", b"\1", b"\0")
 
 
-def _renamed(word: bytes) -> bytes:
-    """``word`` with its colours renamed in order of first appearance: the
-    least of its six relabelings."""
-    return word.translate(
-        _FIRST_APPEARANCE[word[:1] + word.lstrip(word[:1])[:1]]
-    )
-
-
 def _grow(states: set[bytes], incoming: list[int]) -> set[bytes]:
     """The states one step of :func:`_frontier_colourable` grows from
     ``states`` at a vertex whose incoming edges sit at the ascending
@@ -405,29 +408,31 @@ def _grow(states: set[bytes], incoming: list[int]) -> set[bytes]:
     its three."""
     if not incoming:
         return {b"\0\1\2" + s.translate(t) for s in states for t in _ALL_ORDERS}
+    grown = set()
     if len(incoming) == 1:
         (i,) = incoming
-        return {
-            b"\0\1" + (s[:i] + s[i + 1:]).translate(t)
-            for s in states
-            for t in _BOTH_ORDERS[s[i]]
-        }
-    if len(incoming) == 2:
+        for s in states:
+            head = s[:i] + s[i + 1:]
+            first, second = _BOTH_ORDERS[s[i]]
+            grown.add(b"\0\1" + head.translate(first))
+            grown.add(b"\0\1" + head.translate(second))
+    elif len(incoming) == 2:
         i, j = incoming
-        grown = set()
         for s in states:
             if s[i] != s[j]:
                 a = _THIRD[s[i] + s[j]]
                 head = s[:i] + s[i + 1:j] + s[j + 1:]
                 table = _FIRST_APPEARANCE[a + head.lstrip(a)[:1]]
                 grown.add(b"\0" + head.translate(table))
-        return grown
-    i, j, k = incoming
-    return {
-        _renamed(s[:i] + s[i + 1:j] + s[j + 1:k] + s[k + 1:])
-        for s in states
-        if 1 << s[i] | 1 << s[j] | 1 << s[k] == 7
-    }
+    else:
+        # the head renamed by first appearance: the least of its relabelings
+        i, j, k = incoming
+        for s in states:
+            if 1 << s[i] | 1 << s[j] | 1 << s[k] == 7:
+                head = s[:i] + s[i + 1:j] + s[j + 1:k] + s[k + 1:]
+                a = head[:1]
+                grown.add(head.translate(_FIRST_APPEARANCE[a + head.lstrip(a)[:1]]))
+    return grown
 
 
 # the frontier DP looks a step's grown set up among its last _MEMO_STEPS
@@ -520,9 +525,9 @@ def _frontier_colourable(
     new colours give ``b"\\0\\1\\2" + head`` renamed likewise; with two in,
     the one new colour is 0 and the head's first other colour, found by one
     ``lstrip``, is 1.  Only a vertex with three edges in renames its head
-    by a scan (:func:`_renamed`).  ``spend(k)`` is charged one unit per
-    state expanded.  ``MultiGraph`` has no loops, so every edge has two
-    distinct ends.
+    by the head's own first colour and first other colour.  ``spend(k)``
+    is charged one unit per state expanded.  ``MultiGraph`` has no loops,
+    so every edge has two distinct ends.
 
     The layout changes no step's units.  Let F be the frontier after some
     vertex and C the colourings of F that extend to a proper colouring of
@@ -597,7 +602,8 @@ def three_edge_colourable(
     """
     _require_cubic(g)
     spend = Budget(max_work, "3-edge-colouring").spend
-    return all(_frontier_colourable(g, _best_order(g, spend), spend))
+    order, _ = _best_order(g, spend)
+    return all(_frontier_colourable(g, order, spend))
 
 
 def _matching_barrier(incidence, matched: list[bool], start: int, spend) -> bool:

@@ -109,8 +109,8 @@ def flow_partition(ag: AugmentedGraph, f4: Flow) -> FlowPartition:
     if verify_flow(g, f4) or not is_nowhere_zero(f4):
         raise ValueError("partition requires a verified nowhere-zero flow")
     weights = []
-    for v, out in enumerate(_out_degrees(g, f4)):
-        s = 2 * out - g.degree(v)
+    for v, (out, inc) in enumerate(zip(_out_degrees(g, f4), g.incidence)):
+        s = 2 * out - len(inc)
         if s not in (-1, 1):
             raise ValueError(
                 f"vertex {v}: 2*outdeg - deg = {s}, flow is not canonical"
@@ -457,7 +457,7 @@ def _initial_orientation(g: MultiGraph, out_deg: list[int]) -> list[int] | None:
     since t would be nearer otherwise.  A vertex there goes straight to t
     when it has spare: the edges it could enter first are dead ends.  Current-arc pointers follow the network's arc
     order: an edge tries u before v, and a vertex tries its incident edges
-    in id order (``g.incident``) before its arc to t.  Every arc on a path
+    in id order (``g.incidence``) before its arc to t.  Every arc on a path
     from s carries one unit, so an augmenting path s, e1, x1, ..., ek, xk, t
     sets ``tail[ej] = xj`` and uses one unit of spare at xk.
     """
@@ -465,6 +465,7 @@ def _initial_orientation(g: MultiGraph, out_deg: list[int]) -> list[int] | None:
     if sum(out_deg) != m:
         return None
     edges = g.edges
+    incidence = g.incidence
     spare = list(out_deg)
     tail = [-1] * m
     free = []
@@ -498,7 +499,7 @@ def _initial_orientation(g: MultiGraph, out_deg: list[int]) -> list[int] | None:
             lev += 1
             front = []
             for x in verts:
-                for e, _ in g.incident(x):
+                for e, _ in incidence[x]:
                     if tail[e] == x and not elev[e]:
                         elev[e] = lev
                         front.append(e)
@@ -526,7 +527,7 @@ def _initial_orientation(g: MultiGraph, out_deg: list[int]) -> list[int] | None:
                             tail[path[j]] = path[j + 1]
                         break
                 else:
-                    inc, want, i = g.incident(node), vlev[node] + 1, ptr_v[node]
+                    inc, want, i = incidence[node], vlev[node] + 1, ptr_v[node]
                     while i < len(inc) and (
                         tail[inc[i][0]] != node or elev[inc[i][0]] != want
                     ):

@@ -13,7 +13,8 @@ network per sign, the graph6 decoder that expands every bit and the
 encoder that fills an adjacency matrix, the recursive flow solver, oddness
 search and 2-factor enumeration, the frontier DP that appends a vertex's
 new edges to the word and renames each word by a scan, the frontier order
-on lazy heaps and the scoring of every candidate order in full, the
+on lazy heaps, the scoring of every candidate order in full and the
+profile of its bound rebuilt from an order alone, the
 2-factor, colour-{1,2}, augmented-graph and 4-flow constructions that
 re-trace every circuit with ``trace_circuit``,
 the partition variants that rebuild and re-partition each switched or
@@ -52,13 +53,13 @@ from nzflow.flows import (
 )
 from nzflow.graph import MultiGraph, trace_circuit
 from nzflow.structure import (
+    _FIRST_APPEARANCE,
     _GROWTH,
     _ORDER_STARTS,
     _UnitCuts,
     _best_order,
     _chordless_cycles,
     _frontier_colourable,
-    _renamed,
     _state_bound,
     girth,
 )
@@ -1017,7 +1018,7 @@ def reference_frontier_colourable(g: MultiGraph, order: list[int], spend):
                 used |= 1 << state[i]
             head = bytes(map(state.__getitem__, keep))
             for tail in completions[used]:
-                grown.add(_renamed(head + tail))
+                grown.add(reference_renamed(head + tail))
         states = grown
         yield len(states)
         if not states:
@@ -1062,6 +1063,35 @@ def reference_frontier_order(
                 heapq.heappush(heaps[placed_edges[w]], (seq if fcfs else w, w))
                 seq += 1
     return order, widths
+
+
+def reference_renamed(word: bytes) -> bytes:
+    """``word`` with its colours renamed in order of first appearance, by
+    one translation table found from its first colour and its first other
+    colour: the renaming every step of ``structure._grow`` ends in, and
+    the least of the word's six relabelings."""
+    return word.translate(
+        _FIRST_APPEARANCE[word[:1] + word.lstrip(word[:1])[:1]]
+    )
+
+
+def reference_frontier_profile(
+    g: MultiGraph, order: list[int]
+) -> list[tuple[int, int]]:
+    """The profile ``structure._best_order`` returns with its order, found
+    from the order alone: for each vertex v_i, the pair
+    (_state_bound(w_i), _GROWTH[k_i]), where w_i is the frontier width
+    entering v_i and k_i its edges to earlier vertices."""
+    position = [0] * g.n
+    for i, v in enumerate(order):
+        position[v] = i
+    profile = []
+    width = 0
+    for i, v in enumerate(order):
+        k = sum(position[w] < i for _, w in g.incident(v))
+        profile.append((_state_bound(width), _GROWTH[k]))
+        width += 3 - 2 * k
+    return profile
 
 
 def frontier_widths(g: MultiGraph, order: list[int]) -> list[int]:
@@ -1229,7 +1259,7 @@ class RecursiveOddnessSearch:
 
     def _step_dp(self) -> None:
         if self.dp is None:
-            order = _best_order(self.g, self._spend)
+            order, _ = _best_order(self.g, self._spend)
             self.dp = _frontier_colourable(self.g, order, self._dp_spend)
             self.dp_widths = frontier_widths(self.g, order)
         while self.work - self.dp_work >= self.dp_work:

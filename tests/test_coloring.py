@@ -193,3 +193,17 @@ def test_coloring_rejects_a_circuit_that_does_not_close():
     other = tf.circuits[1][0]
     with pytest.raises(ValueError, match="closed walk"):
         canonical_coloring(g, _with_circuit(tf, 0, circ[:-1] + (other,)))
+
+
+def test_coloring_rejects_a_matching_side_that_is_not_perfect():
+    # the cover count reads each matching edge's ends off the edge array;
+    # the error keeps its message
+    g, tf = _witness(petersen())
+    a, b = sorted(tf.matching)[:2]
+    c = next(e for e in sorted(tf.factor) if set(g.edges[e]) & set(g.edges[a]))
+    # swap a matching edge with an adjacent 2-factor edge: still a partition
+    bad = tf._replace(matching=tf.matching - {a} | {c}, factor=tf.factor - {c} | {a})
+    with pytest.raises(ValueError, match="^matching side is not a perfect matching$"):
+        canonical_coloring(g, bad)
+    with pytest.raises(ValueError, match="^two-factor does not partition the edge set$"):
+        canonical_coloring(g, tf._replace(matching=tf.matching - {b}))

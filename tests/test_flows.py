@@ -441,3 +441,19 @@ def test_solver_edge_picks_are_not_quadratic(monkeypatch):
         per_edge.append(lookups[0] / g.m)
         assert verify_flow(g, f) == [] and is_nowhere_zero(f)
     assert per_edge[1] < 1.25 * per_edge[0], per_edge
+
+
+def test_make_flow_rejects_a_value_out_of_range():
+    # the orientation reads each edge's ends off the edge array; a value out
+    # of range is reported at its edge, before the edge is read
+    g = k4()
+    assert make_flow(g, [1, -1, 0, 3, -3, 2], 4).tails == (0, 2, 0, 1, 3, 2)
+    for values, eid, s in (([1, 4, 0, 0, 0, 0], 1, 4), ([0, 0, 0, 0, 0, -5], 5, -5)):
+        with pytest.raises(
+            ValueError, match=f"^edge {eid}: value {s} out of range for modulus 4$"
+        ):
+            make_flow(g, values, 4)
+    with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+        make_flow(g, [0] * 6, 1)
+    with pytest.raises(IndexError, match="^tuple index out of range$"):
+        make_flow(g, [1] * 7, 4)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -11,6 +12,12 @@ from nzflow import (
     trace_circuit,
 )
 from nzflow.catalog import k4, k33, petersen
+from nzflow.graph import circuit_tails
+
+
+def raises_exactly(kind, message):
+    """``pytest.raises`` for ``kind`` with exactly ``message``."""
+    return pytest.raises(kind, match=f"^{re.escape(message)}$")
 
 
 def test_multigraph_rejects_loops_and_bad_ids():
@@ -214,3 +221,26 @@ def test_trace_circuit_rejects_non_circuit():
     g = k4()
     with pytest.raises(ValueError):
         trace_circuit(g, [0, 1])
+
+
+def test_circuit_tails_rejects_a_walk_that_is_not_the_canonical_circuit():
+    # the walk reads each edge's ends off the graph's edge array; every way
+    # out keeps its error type and message
+    g = petersen()
+    circ = trace_circuit(g, range(5))[1]  # the outer 5-cycle, 0-1-2-3-4
+    assert circ == (0, 1, 2, 3, 4)
+    assert circuit_tails(g, circ) == (0, 1, 2, 3, 4)
+    with raises_exactly(ValueError, "a circuit needs at least one edge"):
+        circuit_tails(g, ())
+    # an edge that does not continue the walk, mid-way or last, and a walk
+    # that ends away from its start
+    for bad in ((0, 2, 1, 3, 4), (0, 1, 2, 3, 9), circ[:-1]):
+        with raises_exactly(ValueError, f"edges {bad} are not a closed walk"):
+            circuit_tails(g, bad)
+    # rotated or reversed: closed, but not from the smallest vertex toward
+    # its smaller neighbour
+    for bad in (circ[1:] + circ[:1], circ[2:] + circ[:2], circ[::-1]):
+        with raises_exactly(ValueError, f"circuit {bad} is not in canonical order"):
+            circuit_tails(g, bad)
+    with raises_exactly(IndexError, "tuple index out of range"):
+        circuit_tails(g, (0, 1, 2, 3, 99))

@@ -26,8 +26,10 @@ from helpers import (
     reference_dp_bound,
     reference_frontier_colourable,
     reference_frontier_order,
+    reference_frontier_profile,
     reference_length_bound,
     reference_remaining_bound,
+    reference_renamed,
     shuffled,
     three_bridged_k4s,
     three_edge_colorable,
@@ -73,12 +75,10 @@ from nzflow.structure import (
     _edge_floor,
     _frontier_colourable,
     _frontier_order,
-    _frontier_profile,
     _matching_barrier,
     _moore_girth,
     _neighbourhood_cut,
     _remaining_bound,
-    _renamed,
     _side_caps,
     _state_bound,
 )
@@ -275,7 +275,7 @@ def test_three_edge_colourable_stays_narrow_on_ladders(monkeypatch):
         states.clear()
         assert three_edge_colourable(g), name
         assert sum(states) <= 100_000, name  # GP(199, 3) expands 69,317
-        assert max(frontier_widths(g, _best_order(g, lambda units: None))) <= 16, name
+        assert max(frontier_widths(g, _best_order(g, lambda units: None)[0])) <= 16, name
 
 
 def test_three_edge_colourable_is_bounded_by_max_work():
@@ -314,7 +314,7 @@ def test_renaming_by_first_appearance_is_the_least_relabeling():
     for width in range(9):
         for word in product(range(3), repeat=width):
             word = bytes(word)
-            assert _renamed(word) == min(word.translate(r) for r in relabelings)
+            assert reference_renamed(word) == min(word.translate(r) for r in relabelings)
 
 
 def _dp_bound_graphs(corpus):
@@ -334,15 +334,15 @@ def _dp_bound_graphs(corpus):
         for s in range(6)
     ]
     for name, g in graphs:
-        order = _best_order(g, lambda units: None)
+        order, profile = _best_order(g, lambda units: None)
         widths = frontier_widths(g, order)
         if max(widths) <= 13:  # keeps each DP within 66,430 states a step
-            yield name, g, order, widths
+            yield name, g, order, profile, widths
 
 
 def test_dp_bound_covers_the_states_the_dp_expands(corpus):
     checked = 0
-    for name, g, order, widths in _dp_bound_graphs(corpus):
+    for name, g, order, _, widths in _dp_bound_graphs(corpus):
         spent = []
         for held in _frontier_colourable(g, order, spent.append):
             pass
@@ -356,8 +356,8 @@ def test_remaining_bound_covers_the_states_the_dp_has_left(corpus):
     # bounds the units it spends from there on; capped, it stops at the
     # first partial sum past the cap
     checked = 0
-    for name, g, order, widths in _dp_bound_graphs(corpus):
-        profile = _frontier_profile(g, order)
+    for name, g, order, profile, widths in _dp_bound_graphs(corpus):
+        assert profile == reference_frontier_profile(g, order), name
         assert len(profile) == len(order), name
         spent = []
         held = [1] + list(_frontier_colourable(g, order, spent.append))
@@ -427,7 +427,7 @@ def test_new_edges_first_dp_spends_what_the_reference_dp_spends(corpus):
     checked = 0
     k0_with_states = 0
     for name, g in _dp_reference_graphs(corpus):
-        orders = [_best_order(g, lambda units: None), _frontier_order(g, 0, False)[0]]
+        orders = [_best_order(g, lambda units: None)[0], _frontier_order(g, 0, False)[0]]
         if "+" in name or name.startswith(("parallel", "multigraph")):
             orders.append(list(range(g.n)))  # new components while one is open
         for order in orders:
@@ -529,7 +529,7 @@ def test_step_memo_keeps_every_step_of_the_reference_dp(monkeypatch):
     for graphs, matches in ((repeating, True), (plain, False)):
         memos.clear()
         for name, g in graphs:
-            order = _best_order(g, lambda units: None)
+            order, _ = _best_order(g, lambda units: None)
             spent, steps = _dp_run(_frontier_colourable, g, order)
             assert (spent, steps) == _dp_run(reference_frontier_colourable, g, order), name
         counts = sum((memo.counts for memo in memos), Counter())
@@ -547,7 +547,8 @@ def test_step_memo_reuses_the_flower_snark_ring(monkeypatch):
     # reuse an earlier step's set
     memos = _spy_on_memos(monkeypatch)
     g = flower_snark(17)
-    steps = list(_frontier_colourable(g, _best_order(g, lambda units: None), lambda units: None))
+    order, _ = _best_order(g, lambda units: None)
+    steps = list(_frontier_colourable(g, order, lambda units: None))
     assert len(steps) == 67 and steps[-1] == 0
     (memo,) = memos
     assert memo.counts["identical"] + memo.counts["equal"] == 41
@@ -580,27 +581,95 @@ def test_best_order_is_the_reference_scoring_of_every_order_in_full(corpus):
     # bound and choice
     for name, g in _dp_reference_graphs(corpus):
         spent = []
-        order = _best_order(g, spent.append)
+        order, profile = _best_order(g, spent.append)
         reference, bound, units = reference_best_order(g)
         assert order == reference, name
+        assert profile == reference_frontier_profile(g, order), name
         assert sum(spent) == units, name
         assert reference_dp_bound(frontier_widths(g, order)) == bound, name
         for start in range(0, g.n, max(1, g.n // 8)):
             for fcfs in (True, False):
                 full, widths = reference_frontier_order(g, start, fcfs)
                 whole = reference_dp_bound(widths)
-                assert _frontier_order(g, start, fcfs) == (full, whole), name
+                # a vertex entered at width w and left at width w' has
+                # (3 + w - w') / 2 edges to earlier vertices
+                ks = [(3 + a - b) // 2 for a, b in zip(widths, widths[1:] + [0])]
+                assert _frontier_order(g, start, fcfs) == (full, ks, whole), name
                 # a cap stops the build at the first prefix whose partial
                 # bound reaches it
                 for cap in (bound, whole, whole + 1):
-                    prefix, partial = _frontier_order(g, start, fcfs, cap)
+                    prefix, prefix_ks, partial = _frontier_order(g, start, fcfs, cap)
                     assert full[: len(prefix)] == prefix, name
+                    assert ks[: len(prefix)] == prefix_ks, name
                     if whole < cap:
                         assert (prefix, partial) == (full, whole), name
                     else:
                         j = len(prefix)
                         assert partial == reference_dp_bound(widths[: j + 1]), name
                         assert partial >= cap > reference_dp_bound(widths[:j]), name
+
+
+def _profile_graphs(corpus):
+    graphs = list(corpus)
+    graphs += [(f"flower-{k}", flower_snark(k)) for k in range(5, 32, 2)]
+    graphs += [
+        (f"flower-{k}-shuffled-{s}", shuffled(flower_snark(k), random.Random(s)))
+        for k in (17, 21)
+        for s in range(4)
+    ]
+    graphs += [
+        (f"gp-{n}-{k}", generalized_petersen(n, k))
+        for n in (10, 25, 50, 100, 199)
+        for k in (2, 3)
+    ]
+    graphs += [(f"prism-{n}", prism(n)) for n in (3, 4, 10, 50, 199)]
+    graphs += [
+        (f"dot-{k}", dot_product(oddness4_snark(), flower_snark(k), (0, 21), 0))
+        for k in range(5, 12, 2)
+    ]
+    graphs += [
+        (f"random-{n}-{s}", random_bridgeless_cubic(n, random.Random(s)))
+        for n in (40, 100, 200, 400, 800)
+        for s in range(2)
+    ]
+    return graphs
+
+
+def test_best_order_profile_is_the_profile_of_its_order(corpus, monkeypatch):
+    # the profile comes out of the scoring build, with the state bounds
+    # read from one table that the builds share; it is the profile
+    # rebuilt from the order alone, and the table holds the exact bound of
+    # every width up to the widest frontier any build reached, no further
+    real = nzflow.structure._frontier_order
+    tables = []
+    widest = []
+
+    def spy(g, start, fcfs, cap, bounds):
+        order, ks, total = real(g, start, fcfs, cap, bounds)
+        tables.append(bounds)
+        # the width after each vertex built; the build reads the bound of
+        # each one but the last vertex's, which leaves no frontier
+        after, width = [], 0
+        for k in ks:
+            width += 3 - 2 * k
+            after.append(width)
+        widest.append(max(after[: g.n - 1], default=0))
+        return order, ks, total
+
+    monkeypatch.setattr(nzflow.structure, "_frontier_order", spy)
+    checked = 0
+    for name, g in _profile_graphs(corpus):
+        tables.clear()
+        widest.clear()
+        order, profile = _best_order(g, lambda units: None)
+        assert profile == reference_frontier_profile(g, order), name
+        (table,) = {id(t): t for t in tables}.values()  # one table per call
+        assert len(table) == max(widest) + 1, name
+        assert table == [(3**w + 3) // 24 + 1 for w in range(len(table))], name
+        widths = frontier_widths(g, order)
+        assert [bound for bound, _ in profile] == [table[w] for w in widths], name
+        checked += 1
+    assert checked == 160
 
 
 def test_oddness_witness_is_first_attaining_two_factor(corpus):
@@ -1861,3 +1930,26 @@ def test_cage_k_checks_up_to_six_use_closed_neighbourhoods(sweeps, name, units):
     assert sweeps == []
     assert is_cyclically_k_connected(g, 7).connected
     assert [call for call, _ in sweeps] == ["_cycle_cut", "_chordless_cycles"]
+
+
+def test_matching_and_cubic_checks_keep_their_errors():
+    # both read the graph's arrays directly; each error keeps its type and
+    # message
+    g = petersen()
+    matching = next(enumerate_two_factors(g)).matching
+    assert two_factor_from_matching(g, matching).matching == matching
+    spare = next(e for e in range(g.m) if e not in matching)
+    for bad in (sorted(matching)[:-1], sorted(matching) + [spare], []):
+        with pytest.raises(ValueError, match="^edge set is not a perfect matching$"):
+            two_factor_from_matching(g, bad)
+    with pytest.raises(IndexError, match="^tuple index out of range$"):
+        two_factor_from_matching(g, sorted(matching) + [g.m])
+    # K4 and an isolated vertex: vertex 4 is the first of degree other than 3
+    g = MultiGraph(5, k4().edges)
+    not_cubic = r"^graph is not cubic \(first offender: vertex 4\)$"
+    with pytest.raises(ValueError, match=not_cubic):
+        compute_oddness(g)
+    with pytest.raises(ValueError, match=not_cubic):
+        three_edge_colourable(g)
+    with pytest.raises(ValueError, match=not_cubic):
+        next(enumerate_two_factors(g))

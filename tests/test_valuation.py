@@ -17,6 +17,7 @@ from helpers import (
 import nzflow.valuation
 
 from nzflow import (
+    AugmentedGraph,
     InternalInconsistencyError,
     UnbalancedValuationError,
     Valuation,
@@ -572,3 +573,20 @@ def test_infeasible_circulation_on_balanced_valuation_is_internal_error(
     )
     with pytest.raises(InternalInconsistencyError, match="balanced valuation"):
         valuation_to_flow(g, val, 5)
+
+
+def test_flow_partition_rejects_a_flow_that_is_not_canonical():
+    # a verified nowhere-zero flow with 2*outdeg - deg = 0 at a vertex: on
+    # four parallel edges, two run each way; the error keeps its message
+    g = MultiGraph(2, [(0, 1)] * 4)
+    f = make_flow(g, [1, 1, -1, -1], 4)
+    assert verify_flow(g, f) == []
+    ag = AugmentedGraph(g, g, (), (), (), (0,) * 4, None)
+    with pytest.raises(
+        ValueError, match=r"^vertex 0: 2\*outdeg - deg = 0, flow is not canonical$"
+    ):
+        flow_partition(ag, f)
+    with pytest.raises(
+        ValueError, match="^partition requires a verified nowhere-zero flow$"
+    ):
+        flow_partition(ag, make_flow(g, [1, 1, -1, 0], 4))
